@@ -34,7 +34,7 @@ from .scalar import (
     min_of,
     sum_of,
 )
-from .sweep import FifoSweepTable, KeyedSweepArea, SweepArea
+from .sweep import FifoSweepTable, SweepArea
 from .union import Union
 from .window import CountWindow, NowWindow, TimeWindow, UnboundedWindow
 
@@ -47,7 +47,6 @@ __all__ = [
     "DuplicateElimination",
     "FifoSweepTable",
     "HashJoin",
-    "KeyedSweepArea",
     "NULL_METER",
     "NestedLoopsJoin",
     "NowWindow",

@@ -1,21 +1,22 @@
-"""Columnar per-key join state: the struct-of-arrays twin of
-:class:`~repro.operators.sweep.KeyedSweepArea`.
+"""Columnar per-key join state: the keyed container of the symmetric hash join.
 
 One instance holds one hash-join side as five parallel append-only
 arrays — start, end, payload row, PT flag and bucket key per element —
 plus a ``buckets`` dict mapping key → list of live array indices in
-insertion order.  The compiled probe kernels
+insertion order.  The join's element loops and the compiled probe kernels
 (:func:`repro.plans.kernels.compile_probe_kernel`) read the arrays and
 ``buckets`` directly; everything else (iteration, drains, seeding)
 materialises :class:`StreamElement`\\ s on demand.
 
-Observable behaviour is bit-compatible with ``KeyedSweepArea``:
+Observable behaviour, which checkpoints, Moving States and the
+byte-identity property suites rely on:
 
 * buckets are created on first insert (dict position = first-touch
-  order) and deleted the moment they empty, so key iteration order — and
-  hence ``state_of_port`` / ``state_elements`` order — matches;
+  order) and deleted the moment they empty, which fixes key iteration
+  order — and hence ``state_of_port`` / ``state_elements`` order;
 * iteration yields bucket order then insertion order within the bucket;
-* ``expire`` removes exactly the elements whose expiry has been reached.
+* ``expire`` removes exactly the elements whose expiry has been reached
+  (cross-checked against a scan of the live buckets under ``sweep.DEBUG``).
 
 The expiry sweep is where the layout pays off.  Window-extended input
 arrives with non-decreasing end timestamps, so in the common case the
@@ -259,38 +260,58 @@ class ColumnarJoinState:
         column, then O(1) bucket-head pops.  Heap mode: pop the
         ``(expiry, index)`` heap until it clears the watermark.
         """
+        debug = sweep.DEBUG
+        if debug:
+            survivors = self._scan_survivors(watermark)
         if not self._sorted:
             self._expire_heap(watermark)
-            return
-        pos = self._sweep_pos
-        cut = bisect_right(self.ends, watermark, pos)
-        if cut == pos:
-            return
-        buckets = self.buckets
-        keys = self.keys
-        rows = self.rows
-        flags = self.flags
-        dead = self._dead
-        removed = 0
-        for index in range(pos, cut):
-            if index in dead:  # drained by a range extraction
-                dead.discard(index)
-                continue
-            key = keys[index]
-            bucket = buckets[key]
-            head = bucket.pop(0)
-            if sweep.DEBUG:
-                assert head == index, "columnar sorted sweep out of order"
-            if not bucket:
-                del buckets[key]
-            self._values -= len(rows[index])
-            if flags[index] is not None:
-                self._flag_count -= 1
-            removed += 1
-        self._live -= removed
-        self._sweep_pos = cut
-        if cut > _COMPACT_THRESHOLD and cut * 2 > len(self.starts):
-            self._compact()
+        else:
+            pos = self._sweep_pos
+            cut = bisect_right(self.ends, watermark, pos)
+            if cut != pos:
+                buckets = self.buckets
+                keys = self.keys
+                rows = self.rows
+                flags = self.flags
+                dead = self._dead
+                removed = 0
+                for index in range(pos, cut):
+                    if index in dead:  # drained by a range extraction
+                        dead.discard(index)
+                        continue
+                    key = keys[index]
+                    bucket = buckets[key]
+                    head = bucket.pop(0)
+                    if debug:
+                        assert head == index, "columnar sorted sweep out of order"
+                    if not bucket:
+                        del buckets[key]
+                    self._values -= len(rows[index])
+                    if flags[index] is not None:
+                        self._flag_count -= 1
+                    removed += 1
+                self._live -= removed
+                self._sweep_pos = cut
+                if cut > _COMPACT_THRESHOLD and cut * 2 > len(self.starts):
+                    self._compact()
+        if debug:
+            assert list(self) == survivors, (
+                f"columnar expiry diverged from scan at watermark {watermark}"
+            )
+
+    def _scan_survivors(self, watermark: Time) -> List[StreamElement]:
+        """What a full scan says outlives ``watermark`` (``sweep.DEBUG`` reference).
+
+        A method of its own so that :meth:`expire` holds no comprehension:
+        one would turn its ``self`` and ``watermark`` into closure cells
+        and tax every access on the hot path.
+        """
+        return [
+            self._element_at(index)
+            for bucket in self.buckets.values()
+            for index in bucket
+            if self._expiry_at(index) > watermark
+        ]
 
     def _expire_heap(self, watermark: Time) -> None:
         heap = self._heap

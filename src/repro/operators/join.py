@@ -22,7 +22,7 @@ from ..temporal.time import MAX_TIME, Time
 from . import base
 from .base import StatefulOperator
 from .colstate import ColumnarJoinState
-from .sweep import KeyedSweepArea, SweepArea
+from .sweep import SweepArea
 
 # Metering note: both joins charge predicate work in aggregate — one
 # ``charge(cost * candidates)`` per probe instead of one call per
@@ -183,18 +183,23 @@ class HashJoin(_JoinBase):
         combiner: result payload constructor, default concatenation.
         predicate_cost: cost units charged per candidate comparison.
 
-    :meth:`enable_columnar` swaps both state sides to
-    :class:`~repro.operators.colstate.ColumnarJoinState` and routes
-    uniform-start :class:`~repro.temporal.columnar.ColumnarBatch` runs
-    through compiled probe kernels; every other input keeps the element
-    path, which reads and writes the same columnar state.
+    Both sides live in a :class:`~repro.operators.colstate.ColumnarJoinState`
+    and every input reads and writes it through one of three probe loops:
+    :meth:`_on_element` (one element per call), :meth:`_on_run_tail`
+    (a uniform-start run of elements) and, once :meth:`enable_columnar`
+    has compiled them, the probe kernels that :meth:`process_batch` runs
+    over uniform-start :class:`~repro.temporal.columnar.ColumnarBatch` runs.
     """
 
     #: Verifier/fluid-migration marker: state is partitioned by the join
     #: key, so a key-range drain touches only the matching buckets.
     keyed_state = True
+    #: Verifier hints: self-declared classification (CLS001 path) and
+    #: the columnar-state marker checked by CLS003.
+    migration_profile = "join"
+    columnar_state = True
 
-    #: Columnar mode flag; when set, ``_probe_kernels``/``_key_indices``
+    #: Kernel-dispatch flag; when set, ``_probe_kernels``/``_key_indices``
     #: hold the per-port compiled kernels and positional key columns.
     _columnar = False
     _probe_kernels: Optional[Tuple[Any, Any]] = None
@@ -211,16 +216,20 @@ class HashJoin(_JoinBase):
         super().__init__(predicate_cost, name or "hash-join")
         self.combiner = combiner
         self._keys = (left_key, right_key)
-        self._states: List[KeyedSweepArea] = [KeyedSweepArea(), KeyedSweepArea()]
+        self._states: List[ColumnarJoinState] = [
+            ColumnarJoinState(),
+            ColumnarJoinState(),
+        ]
 
     def enable_columnar(self, left_index: int, right_index: int) -> None:
-        """Switch to columnar state plus compiled probe kernels.
+        """Compile the probe kernels for columnar batch input.
 
         ``left_index``/``right_index`` are the payload positions the
         key extractors read — they MUST agree with the ``left_key`` /
         ``right_key`` callables (the physical builder guarantees this);
-        the kernels read the positions, the element path the callables.
-        Call before feeding input: state is replaced, not migrated.
+        the kernels read the positions, the element loops the callables.
+        State is untouched, so this may be called at any time.  The
+        kernels concatenate payloads inline, hence the combiner check.
         """
         from ..plans.kernels import compile_probe_kernel
 
@@ -229,15 +238,7 @@ class HashJoin(_JoinBase):
                 f"{self.name}: columnar mode requires the concat combiner"
             )
         self._columnar = True
-        #: Verifier hints: self-declared classification (CLS001 path) and
-        #: the columnar-state marker checked by CLS003.
-        self.migration_profile = "join"
-        self.columnar_state = True
         self._key_indices = (left_index, right_index)
-        self._states = [
-            ColumnarJoinState(self._retention),
-            ColumnarJoinState(self._retention),
-        ]
         self._probe_kernels = (
             compile_probe_kernel(0, left_index),
             compile_probe_kernel(1, right_index),
@@ -381,32 +382,11 @@ class HashJoin(_JoinBase):
             base.SANITIZER.on_advance(self)
 
     # ------------------------------------------------------------------ #
-    # Element path (plain batches, migration feeds, flagged input)
+    # Element loops (plain batches, migration feeds, flagged input)
     # ------------------------------------------------------------------ #
 
     def _on_element(self, element: StreamElement, port: int) -> None:
-        if self._columnar:
-            self._on_element_columnar(element, port)
-            return
-        key = self._keys[port](element.payload)
-        self.meter.charge(1, "join-hash")
-        matches = 0
-        for partner in list(self._states[1 - port].bucket(key)):
-            matches += 1
-            self._match(element, partner, port)
-        if matches:
-            self.meter.charge(self.predicate_cost * matches, "join-predicate")
-        if self.selectivity_probe is not None:
-            # Selectivity relative to the full partner state: the hash
-            # index prunes non-matching candidates, but the estimate must
-            # describe the predicate, not the index.
-            tested = len(self._states[1 - port])
-            if tested:
-                self.selectivity_probe(tested, matches)
-        self._states[port].insert(key, element)
-
-    def _on_element_columnar(self, element: StreamElement, port: int) -> None:
-        """One element against columnar state — same probes, same charges."""
+        """One element against the partner side (``service_fanout`` regime)."""
         payload = element.payload
         key = self._keys[port](payload)
         self.meter.charge(1, "join-hash")
@@ -422,6 +402,8 @@ class HashJoin(_JoinBase):
             p_rows = partner.rows
             p_flags = partner.flags
             left = port == 0
+            combiner = self.combiner
+            concat = combiner is concat_payloads
             stage = self._stage
             for j in bucket:
                 matches += 1
@@ -430,7 +412,13 @@ class HashJoin(_JoinBase):
                 s2 = ps if ps > s else s
                 e2 = pe if pe < e else e
                 if s2 < e2:
-                    row = payload + p_rows[j] if left else p_rows[j] + payload
+                    # Concatenation stays inline: this loop is hot.
+                    if concat:
+                        row = payload + p_rows[j] if left else p_rows[j] + payload
+                    elif left:
+                        row = combiner(payload, p_rows[j])
+                    else:
+                        row = combiner(p_rows[j], payload)
                     stage(
                         StreamElement(
                             row,
@@ -441,6 +429,9 @@ class HashJoin(_JoinBase):
         if matches:
             self.meter.charge(self.predicate_cost * matches, "join-predicate")
         if self.selectivity_probe is not None:
+            # Selectivity relative to the full partner state: the hash
+            # index prunes non-matching candidates, but the estimate must
+            # describe the predicate, not the index.
             tested = len(partner)
             if tested:
                 self.selectivity_probe(tested, matches)
@@ -449,38 +440,7 @@ class HashJoin(_JoinBase):
         )
 
     def _on_run_tail(self, elements: List[StreamElement], port: int) -> None:
-        """Probe a uniform-start run bucket-wise with hoisted bindings."""
-        if self._columnar:
-            self._on_run_tail_columnar(elements, port)
-            return
-        partner_state = self._states[1 - port]
-        key_of = self._keys[port]
-        bucket_of = partner_state.bucket
-        probe = self.selectivity_probe
-        # len() of a keyed sweep area walks every bucket — only pay for
-        # it when a selectivity probe is actually attached.
-        tested = len(partner_state) if probe is not None else 0
-        match = self._match
-        insert = self._states[port].insert
-        total_matches = 0
-        total = 0
-        for element in elements[1:]:
-            key = key_of(element.payload)
-            matches = 0
-            for partner in list(bucket_of(key)):
-                matches += 1
-                match(element, partner, port)
-            total_matches += matches
-            if probe is not None and tested:
-                probe(tested, matches)
-            insert(key, element)
-            total += 1
-        self.meter.charge(total, "join-hash")
-        if total_matches:
-            self.meter.charge(self.predicate_cost * total_matches, "join-predicate")
-
-    def _on_run_tail_columnar(self, elements: List[StreamElement], port: int) -> None:
-        """The run tail against columnar state — aggregated metering."""
+        """Probe a uniform-start run bucket-wise: hoisted bindings, aggregated metering."""
         partner = self._states[1 - port]
         own = self._states[port]
         tested = len(partner)
@@ -494,6 +454,8 @@ class HashJoin(_JoinBase):
         p_rows = partner.rows
         p_flags = partner.flags
         left = port == 0
+        combiner = self.combiner
+        concat = combiner is concat_payloads
         total_matches = 0
         total = 0
         for element in elements[1:]:
@@ -512,7 +474,12 @@ class HashJoin(_JoinBase):
                     s2 = ps if ps > s else s
                     e2 = pe if pe < e else e
                     if s2 < e2:
-                        row = payload + p_rows[j] if left else p_rows[j] + payload
+                        if concat:
+                            row = payload + p_rows[j] if left else p_rows[j] + payload
+                        elif left:
+                            row = combiner(payload, p_rows[j])
+                        else:
+                            row = combiner(p_rows[j], payload)
                         stage(
                             StreamElement(
                                 row,
@@ -575,19 +542,15 @@ class HashJoin(_JoinBase):
         """
         self._check_port(port)
         key_of = self._keys[port]
-        state = self._states[port]
-        if self._columnar:
-            for element in elements:
-                state.insert(
-                    key_of(element.payload),
-                    element.interval.start,
-                    element.interval.end,
-                    element.payload,
-                    element.flag,
-                )
-        else:
-            for element in elements:
-                state.insert(key_of(element.payload), element)
+        insert = self._states[port].insert
+        for element in elements:
+            insert(
+                key_of(element.payload),
+                element.interval.start,
+                element.interval.end,
+                element.payload,
+                element.flag,
+            )
 
     def pair_matches(self, left: Payload, right: Payload) -> bool:
         """Whether two payloads satisfy the (equi-)join predicate."""

@@ -10,16 +10,18 @@ expirations — while preserving the *observable* behaviour of the old scan
 purge: identical element sets, identical iteration (insertion) order,
 identical empty-bucket cleanup timing.
 
-Three containers cover the operators' state shapes:
+Two containers here cover the element-wise operators' state shapes:
 
 * :class:`SweepArea` — a flat multiset of elements (nested-loops join
   sides, the aggregate's open list, the difference operator's per-payload
   side lists);
-* :class:`KeyedSweepArea` — hash buckets with a single global expiry
-  index across all buckets (symmetric hash join sides);
 * :class:`FifoSweepTable` — payload-keyed FIFO bags evicted in start-
   timestamp order with arbitrary mid-life removal on match (the coalesce
   operator's M0/M1 tables).
+
+The symmetric hash join's keyed sides live in
+:class:`~repro.operators.colstate.ColumnarJoinState`, which shares the
+``RetentionRule`` contract and the ``DEBUG`` cross-checks below.
 
 Expiry honours the operator's ``retention`` override (the Parallel Track
 baseline swaps the interval rule for the tuple-timestamp rule *after*
@@ -43,7 +45,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..temporal.element import Payload, StreamElement
 from ..temporal.time import Time
@@ -190,147 +192,6 @@ class SweepArea:
 
     def __repr__(self) -> str:
         return f"SweepArea({len(self._elements)} elements, {self._values} values)"
-
-
-class KeyedSweepArea:
-    """Hash buckets of elements sharing one global expiry index.
-
-    The symmetric hash join keeps one instance per input side: probes read
-    a single bucket, while watermark purges pop the global index and touch
-    only the buckets that actually lose elements.  Buckets are dropped the
-    moment they empty, exactly like the old per-bucket scan did, so key
-    iteration order stays byte-compatible.
-    """
-
-    __slots__ = ("_buckets", "_index", "_heap", "_counter", "_retention", "_values")
-
-    def __init__(self, retention: RetentionRule = None) -> None:
-        self._buckets: Dict[Any, Dict[int, StreamElement]] = {}
-        self._index: Dict[int, Any] = {}  # seq -> bucket key
-        self._heap: List[Tuple[Time, int]] = []
-        self._counter = itertools.count()
-        self._retention = retention
-        self._values = 0
-
-    def expiry_of(self, element: StreamElement) -> Time:
-        retention = self._retention
-        return retention(element) if retention is not None else element.end
-
-    def set_retention(self, retention: RetentionRule) -> None:
-        self._retention = retention
-        self._heap = [
-            (self.expiry_of(element), seq)
-            for bucket in self._buckets.values()
-            for seq, element in bucket.items()
-        ]
-        heapq.heapify(self._heap)
-
-    # -- mutation ------------------------------------------------------ #
-
-    def insert(self, key: Any, element: StreamElement) -> None:
-        seq = next(self._counter)
-        self._buckets.setdefault(key, {})[seq] = element
-        self._index[seq] = key
-        heapq.heappush(self._heap, (self.expiry_of(element), seq))
-        self._values += _payload_values(element)
-
-    def replace(self, key_of: Callable[[Payload], Any], elements: Iterable[StreamElement]) -> None:
-        """Rebuild the whole side from scratch (Moving States seeding)."""
-        self._buckets.clear()
-        self._index.clear()
-        self._heap.clear()
-        self._values = 0
-        for element in elements:
-            self.insert(key_of(element.payload), element)
-
-    def expire(self, watermark: Time) -> List[StreamElement]:
-        if FORCE_SCAN:
-            return self._expire_scan(watermark)
-        if DEBUG:
-            reference = Counter(
-                e for e in self if self.expiry_of(e) <= watermark
-            )
-        expired: List[StreamElement] = []
-        heap = self._heap
-        while heap and heap[0][0] <= watermark:
-            _, seq = heapq.heappop(heap)
-            key = self._index.pop(seq, None)
-            if key is None:
-                continue
-            bucket = self._buckets[key]
-            element = bucket.pop(seq)
-            if not bucket:
-                del self._buckets[key]
-            expired.append(element)
-            self._values -= _payload_values(element)
-        if DEBUG:
-            assert Counter(expired) == reference, (
-                f"keyed sweep expiry diverged from scan at watermark {watermark}"
-            )
-        return expired
-
-    def _expire_scan(self, watermark: Time) -> List[StreamElement]:
-        """The pre-index purge: visit every bucket, filter, drop empties."""
-        expired: List[StreamElement] = []
-        emptied: List[Any] = []
-        for key, bucket in self._buckets.items():
-            doomed = [
-                seq for seq, e in bucket.items() if self.expiry_of(e) <= watermark
-            ]
-            for seq in doomed:
-                expired.append(bucket.pop(seq))
-                self._index.pop(seq, None)
-            if not bucket:
-                emptied.append(key)
-        for key in emptied:
-            del self._buckets[key]
-        self._values -= sum(_payload_values(e) for e in expired)
-        return expired
-
-    def extract(self, predicate: Callable[[Any], bool]) -> List[StreamElement]:
-        """Remove and return every element whose bucket key satisfies
-        ``predicate`` — the fluid-migration range drain.
-
-        Touches only the matching buckets plus their index entries; heap
-        entries of removed elements go stale and are skipped lazily by
-        later :meth:`expire` calls, exactly like :meth:`SweepArea.prune`.
-        Returned in iteration order: bucket first-touch order, insertion
-        order within a bucket.
-        """
-        drained: List[StreamElement] = []
-        for key in [k for k in self._buckets if predicate(k)]:
-            bucket = self._buckets.pop(key)
-            for seq, element in bucket.items():
-                del self._index[seq]
-                drained.append(element)
-                self._values -= _payload_values(element)
-        return drained
-
-    # -- inspection ---------------------------------------------------- #
-
-    def bucket(self, key: Any) -> Iterable[StreamElement]:
-        """The elements stored under ``key`` (empty if absent)."""
-        bucket = self._buckets.get(key)
-        return bucket.values() if bucket else ()
-
-    def value_count(self) -> int:
-        if DEBUG:
-            recount = sum(_payload_values(e) for e in self)
-            assert self._values == recount, "keyed sweep value count drifted"
-        return self._values
-
-    def __iter__(self) -> Iterator[StreamElement]:
-        for bucket in self._buckets.values():
-            yield from bucket.values()
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._buckets)
-
-    def __repr__(self) -> str:
-        return f"KeyedSweepArea({len(self._buckets)} buckets, {self._values} values)"
 
 
 class FifoSweepTable:

@@ -51,12 +51,13 @@ class PhysicalBuilder:
             to every built box.  On by default — fused and unfused boxes
             are byte-identical — and ``fuse=False`` keeps the unfused
             chain reachable as the equivalence oracle.
-        columnar: enable struct-of-arrays state and compiled stateful
-            kernels on the operators that support them (hash-join probe
-            and build, the ungrouped-aggregate segment fold).  On by
-            default — columnar and element-wise boxes are byte-identical —
-            and ``columnar=False`` keeps the element-wise path reachable
-            as the equivalence oracle.
+        columnar: compile the stateful kernels on the operators that
+            support them (hash-join probe and build, the
+            ungrouped-aggregate segment fold) and feed them columnar
+            batches.  On by default — kernel and element-loop boxes are
+            byte-identical — and ``columnar=False`` keeps the element
+            loops reachable as the equivalence oracle; hash-join state is
+            struct-of-arrays either way.
     """
 
     def __init__(

@@ -80,6 +80,24 @@ class TestJoinReordering:
         )
         assert first_divergence(base, out) is None
 
+    @pytest.mark.parametrize("ranges", [1, 4])
+    def test_costs_less_than_genmig_on_the_same_plan_pair(self, ranges):
+        """Fluid's reason to exist, in the deterministic cost unit of
+        Fig. 6: every element runs through exactly one box, where GenMig
+        runs both halves of a split element and then coalesces them."""
+        streams = three_random_streams()
+        totals = {}
+        for name, strategy in (
+            ("genmig", GenMig()),
+            ("fluid", FluidMigration(ranges=ranges)),
+        ):
+            _, executor = run_query(
+                streams, W3, left_deep_join_box(),
+                migrate_at=150, new_box=right_deep_join_box(), strategy=strategy,
+            )
+            totals[name] = executor.meter.total
+        assert totals["fluid"] < totals["genmig"]
+
     def test_report_extras(self):
         """One range-log entry per range, with handover work accounted."""
         streams = three_random_streams()
