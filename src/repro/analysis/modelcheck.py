@@ -30,14 +30,18 @@ turning the paper's claims into exhaustively checked properties:
   against the :class:`RelationalOracle` (``MCK001`` on divergence) and
   for snapshot-equivalence against the first clean schedule's output
   (``MCK002`` on schedule-dependent results — fragmentation may differ,
-  snapshots may not).
+  snapshots may not);
+* every completed schedule's output must also be a physical stream —
+  non-decreasing start timestamps (``MCK004``) — for every strategy but
+  Parallel Track, whose end-of-migration burst interleaves by design.
 
 The bundled presets (:data:`PRESETS`) cover the paper's load-bearing
 scenarios: the Figure 2 Parallel Track defect (``pt-figure2``, expected
 to violate), GenMig on the same plan pair (``genmig-figure2``), and the
-join-reordering scenarios for PT and the reference-point optimization.
-:func:`seed_bug` injects a deliberate protocol bug (an early ``T_split``)
-so CI can assert the checker fails loudly.
+join-reordering scenarios for PT, the reference-point optimization and
+fluid migration (``fluid-joins`` for the range handover, ``fluid-order``
+for the delivery order of the two live roots).  :func:`seed_bug` injects a
+deliberate protocol bug so CI can assert the checker fails loudly.
 
 Command line::
 
@@ -278,7 +282,7 @@ class ModelCheckResult:
         return not self.violations and self.complete
 
     def diagnostics(self) -> List[Diagnostic]:
-        """The verdict-mergeable view of this result (MCK001/MCK002)."""
+        """The verdict-mergeable view of this result (MCK001-MCK004)."""
         diags: List[Diagnostic] = []
         if self.expect_violation:
             if self.violations:
@@ -488,9 +492,12 @@ def check_scenario(
             outcome = _run_schedule(scenario, tape, seen)
         except Exception as exc:
             result.explored += 1
+            # A strict-gate sanitizer (REPRO_SANITIZE) stops the schedule
+            # at the first out-of-order delivery: the order property.
+            out_of_order = getattr(exc, "code", None) == "SAN009"
             result.violations.append(
                 ScheduleViolation(
-                    "MCK001",
+                    "MCK004" if out_of_order else "MCK001",
                     f"engine error under this schedule: "
                     f"{type(exc).__name__}: {exc}",
                     tuple(tape.labels),
@@ -502,6 +509,21 @@ def check_scenario(
             continue
         result.explored += 1
         output = outcome
+        if scenario.strategy != PARALLEL_TRACK:
+            late = next(
+                (b for a, b in zip(output, output[1:]) if b.start < a.start), None
+            )
+            if late is not None:
+                result.violations.append(
+                    ScheduleViolation(
+                        "MCK004",
+                        f"a result starting at {late.start} is delivered "
+                        "after a later one: the output is not a physical "
+                        "stream (non-decreasing start timestamps)",
+                        tuple(tape.labels),
+                        instant=late.start,
+                    )
+                )
         instants = critical_instants(*windowed.values(), output)
         divergence = oracle.check(scenario.plan, output, instants)
         if divergence is not None:
@@ -636,6 +658,17 @@ _FLUID_STREAMS = {
 }
 
 
+#: One key, result starts 1 and 2 (``A@0 ⋈ B@1 ⋈ C@0`` and ``… B@2 …``),
+#: each owed once per C element: a schedule that migrates between the two
+#: C deliveries leaves one pair with the old root and one with the new.
+_ORDER_STREAMS = {
+    "A": (("a", 0),),
+    "B": (("a", 1), ("a", 2)),
+    "C": (("a", 0), ("a", 0)),
+}
+_ORDER_WINDOWS = {"A": 12, "B": 12, "C": 12}
+
+
 def _pt_figure2() -> Scenario:
     from ..core.parallel_track import ParallelTrack
 
@@ -751,12 +784,34 @@ def _fluid_joins() -> Scenario:
     )
 
 
+def _fluid_order() -> Scenario:
+    from ..core.fluid import FluidMigration
+
+    return Scenario(
+        name="fluid-order",
+        description=(
+            "Fluid migration with one key and two distinct result starts "
+            "owed by both boxes at once: one watermark step makes the old "
+            "and the new root release together, so delivery order rests "
+            "on the merge between the roots and the gate"
+        ),
+        strategy=FLUID,
+        streams=dict(_ORDER_STREAMS),
+        windows=dict(_ORDER_WINDOWS),
+        old_box=_left_deep_box,
+        new_box=_right_deep_box,
+        make_strategy=lambda: FluidMigration(ranges=1),
+        plan=_three_way_plan(),
+    )
+
+
 PRESETS: Dict[str, Callable[[], Scenario]] = {
     "pt-figure2": _pt_figure2,
     "genmig-figure2": _genmig_figure2,
     "pt-joins": _pt_joins,
     "rp-joins": _rp_joins,
     "fluid-joins": _fluid_joins,
+    "fluid-order": _fluid_order,
 }
 
 
@@ -838,13 +893,38 @@ def _early_flip_strategy():
     return _EarlyFlipFluid()
 
 
+def _unmerged_roots_strategy():
+    """Fluid migration that attaches both roots straight to the gate.
+
+    Each root delivers in start order, but nothing orders the two against
+    each other: when one watermark step covers two distinct result starts
+    the old root releases both before the new root releases its earlier
+    one.  The output multiset stays right — only the order property
+    (MCK004) can see it.
+    """
+    from ..core.fluid import FluidMigration
+
+    class _UnmergedRootsFluid(FluidMigration):
+        name = "fluid-unmerged-roots"
+
+        def __init__(self) -> None:
+            super().__init__(ranges=1)
+
+        def _attach_output(self, executor) -> None:
+            # BUG: no order-restoring merge between the roots and the gate.
+            self.new_box.root.attach_sink(executor.gate)
+
+    return _UnmergedRootsFluid()
+
+
 #: Deliberate protocol bugs, injectable via ``--seed-bug``: each maps a
 #: scenario to a broken variant so CI can assert the checker fails loudly.
-SEED_BUGS = ("early-split", "early-flip")
+SEED_BUGS = ("early-split", "early-flip", "unmerged-roots")
 
 _BUG_STRATEGIES = {
     "early-split": (_early_split_strategy, "early T_split"),
     "early-flip": (_early_flip_strategy, "frontier flip before range drain"),
+    "unmerged-roots": (_unmerged_roots_strategy, "both roots straight to the gate"),
 }
 
 

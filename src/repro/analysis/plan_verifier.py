@@ -924,11 +924,11 @@ def verify_box(box: "Box") -> PlanVerdict:
     # every tap must land on a keyed stateful operator's entry port — a
     # tap feeding anything else (a Select in front of the join, say) has
     # no per-key state to drain at the routing frontier.
-    flm_taps: List[Diagnostic] = []
+    flm_box: List[Diagnostic] = []
     for ports in box.taps.values():
         for op, port in ports:
             if not getattr(op, "keyed_state", False):
-                flm_taps.append(
+                flm_box.append(
                     Diagnostic(
                         ERROR,
                         "FLM003",
@@ -939,10 +939,31 @@ def verify_box(box: "Box") -> PlanVerdict:
                         operator=getattr(op, "name", type(op).__name__),
                     )
                 )
-    if flm_taps:
+    # FLM004: a range handover replays staged results and re-derives
+    # intermediate state *through* the stateless operators between the
+    # joins, without running them — possible only for a single-input
+    # operator exposing the pure ``evaluate`` hook.
+    from ..operators.base import StatelessOperator
+
+    for op, classification in zip(box.operators, classifications):
+        evaluate = getattr(type(op), "evaluate", StatelessOperator.evaluate)
+        if not classification.stateful and (
+            evaluate is StatelessOperator.evaluate or getattr(op, "arity", 1) != 1
+        ):
+            flm_box.append(
+                Diagnostic(
+                    ERROR,
+                    "FLM004",
+                    "stateless operator has no pure single-input evaluate() "
+                    "hook: fluid migration cannot replay staged results or "
+                    "seed state through it; use GenMig",
+                    operator=classification.label,
+                )
+            )
+    if flm_box:
         base = strategies[FLUID]
         strategies[FLUID] = StrategyVerdict(
-            FLUID, False, base.diagnostics + tuple(flm_taps)
+            FLUID, False, base.diagnostics + tuple(flm_box)
         )
 
     return PlanVerdict(

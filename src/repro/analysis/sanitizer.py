@@ -39,8 +39,10 @@ behave as expected) carrying a stable machine-readable ``code``:
 The one *tolerated* anomaly is SAN009: the Parallel Track baseline's
 end-of-migration buffer flush delivers results whose start timestamps
 interleave with already-delivered ones — by design, and measured by the
-gate's ``order_violations`` counter.  The sanitizer records these but only
-raises when constructed with ``strict_gate=True``.
+gate's ``order_violations`` counter.  The sanitizer records every gate
+violation; constructed with ``strict_gate=True`` (what ``sanitize=True``
+and ``REPRO_SANITIZE`` install) it raises on all of them except that flush,
+which Parallel Track brackets with ``gate.expects_disorder``.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class StreamSanitizer:
 
     Args:
         strict_gate: raise on output-gate ordering violations instead of
-            recording them (breaks the Parallel Track baseline by design —
-            its buffer flush is the anomaly the gate counter measures).
+            only recording them.  The Parallel Track buffer flush — the
+            anomaly the gate counter exists to measure — stays tolerated.
         check_state_counts: verify the incremental state accounting
             against a full recount on every watermark advance.  O(state)
             per advance; disable for long sanitized runs.
@@ -228,13 +230,14 @@ class StreamSanitizer:
         self._check_interval(element, f"gate {getattr(gate, 'name', gate)}")
         if violated:
             self.gate_violations.append((getattr(gate, "name", "gate"), element))
-            if self.strict_gate:
+            if self.strict_gate and not getattr(gate, "expects_disorder", False):
                 raise SanitizerViolation(
                     "SAN009",
                     f"gate {getattr(gate, 'name', gate)}: result starting at "
-                    f"{element.start} delivered after a later one — ordering "
-                    "anomaly at the query output (expected only from the "
-                    "Parallel Track baseline's end-of-migration flush)",
+                    f"{element.start} delivered after a later one — the "
+                    "query output is no longer a physical stream (only the "
+                    "Parallel Track baseline's end-of-migration flush may "
+                    "do this)",
                 )
 
 
@@ -249,11 +252,11 @@ def uninstall() -> None:
 
 
 def ensure_installed() -> StreamSanitizer:
-    """Install a default sanitizer unless one is already active."""
+    """Install a strict-gate sanitizer unless one is already active."""
     current = _base.SANITIZER
     if current is not None:
         return current
-    return install()
+    return install(StreamSanitizer(strict_gate=True))
 
 
 @contextlib.contextmanager

@@ -82,13 +82,13 @@ class Coalesce(StatefulOperator):
     def _state_value_count(self) -> int:
         return self._m0.value_count() + self._m1.value_count()
 
-    def flush_tables(self) -> None:
-        """Move any remaining halves to the output (migration teardown)."""
+    def flush(self) -> None:
+        """Release everything held, unmatched halves included (teardown)."""
         leftovers = self._m0.drain() + self._m1.drain()
         leftovers.sort(key=lambda e: (e.start, e.end))
         for entry in leftovers:
             self._stage(entry)
-        self.flush()
+        super().flush()
 
     def state_elements(self) -> Iterator[StreamElement]:
         yield from self._m0

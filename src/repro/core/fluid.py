@@ -6,16 +6,19 @@ hot-path benchmark shows.  Megaphone-style fluid migration removes the
 cliff by migrating the keyed state one key range at a time behind a
 *routing frontier*:
 
-1. **Monitoring** — identical to GenMig: wait until every input has been
-   seen (or the streams end), so the per-range split times can be derived
-   from real watermarks.
+1. **Monitoring** — GenMig's, unchanged (:class:`FluidMigration` runs the
+   :class:`~repro.core.genmig.GenMig` lifecycle): wait until every input
+   has been seen (or the streams end), so the per-range split times can be
+   derived from real watermarks.
 2. **Arming** — partition the key domain into ``R`` hash ranges (the
    stable ``crc32(repr(key)) % R`` of the sharding layer) and splice one
    :class:`FrontierRouter` behind every input router.  The frontier routes
    each element by the range of its join key: not-yet-migrated ranges flow
-   to the old box, migrated ranges to the new box.  Both box roots feed
-   the output gate for the duration.
-3. **Migrating** — every ``(w + b) / R`` chronons the next range is due:
+   to the old box, migrated ranges to the new box.  Both box roots reach
+   the output gate through one order-restoring 2-port operator (a plain
+   :class:`~repro.operators.union.Union`): each root alone is in start
+   order, the two together are not.
+3. **Parallel phase** — every ``(w + b) / R`` chronons the next range is due:
    its per-range split time ``t_r = latest_watermark + w + b - EPSILON``
    is recorded (the same Lemma 1 bound GenMig uses for the whole box,
    applied to one range), the old box's state for exactly those keys is
@@ -28,8 +31,8 @@ cliff by migrating the keyed state one key range at a time behind a
    in-flight range.
 4. **Completion** — once every range has flipped and the watermarks pass
    the last range's split time, nothing the old box ever staged can still
-   be owed; the old box is flushed (a no-op except at end-of-stream),
-   severed, and the new box installed.
+   be owed; the old box and then the merge are flushed (no-ops except at
+   end-of-stream), the old box is severed and the new box installed.
 
 Correctness rests on the keyed scope the ``FLM`` verifier checks enforce:
 every stateful operator is a hash join on one equivalence class of keys,
@@ -45,20 +48,19 @@ import heapq
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..engine.box import Box, InputPort
 from ..engine.sharded import shard_of
-from ..operators.base import Operator
-from ..operators.filter import Select
+from ..operators.base import Operator, StatelessOperator
 from ..operators.join import _JoinBase
-from ..operators.project import Project
-from ..temporal.batch import Batch
-from ..temporal.element import StreamElement, as_payload
-from ..temporal.time import EPSILON, MIN_TIME, Time
+from ..operators.union import Union
+from ..temporal.element import StreamElement
+from ..temporal.time import Time
+from .genmig import GenMig
 from .moving_states import _StateSeeder
-from .strategy import MigrationReport, MigrationStrategy, UnsupportedPlanError
+from .split import _TwoSidedRouter
+from .strategy import UnsupportedPlanError
 
 
-class FrontierRouter(Operator):
+class FrontierRouter(_TwoSidedRouter):
     """Route each element old or new by the migration state of its key range.
 
     One instance sits behind each input router for the duration of a fluid
@@ -69,6 +71,8 @@ class FrontierRouter(Operator):
     sides, since both boxes stay live until completion.
     """
 
+    _category = "frontier"
+
     def __init__(
         self,
         key_of: Callable[[Any], Any],
@@ -76,95 +80,17 @@ class FrontierRouter(Operator):
         migrated: Set[int],
         name: str = "",
     ) -> None:
-        super().__init__(arity=1, name=name or "frontier", ordered_output=False)
+        super().__init__(name or "frontier")
         self._key_of = key_of
         self._range_of = range_of
         #: Shared across all frontiers of one migration: flipping a range
         #: in the strategy flips it for every input at once.
         self._migrated = migrated
-        self._old_targets: List[InputPort] = []
-        self._new_targets: List[InputPort] = []
-        self._watermark: Time = MIN_TIME
 
-    # ------------------------------------------------------------------ #
-    # Wiring
-    # ------------------------------------------------------------------ #
-
-    def connect_old(self, operator, port: int = 0) -> None:
-        """Feed the old box through ``(operator, port)``."""
-        self._old_targets.append((operator, port))
-
-    def connect_new(self, operator, port: int = 0) -> None:
-        """Feed the new box through ``(operator, port)``."""
-        self._new_targets.append((operator, port))
-
-    # ------------------------------------------------------------------ #
-    # Input protocol (replaces the base implementation: two output sides)
-    # ------------------------------------------------------------------ #
-
-    def process(self, element: StreamElement, port: int = 0) -> None:
-        self.meter.charge(1, "frontier")
+    def _route(self, element: StreamElement):
         if self._range_of(self._key_of(element.payload)) in self._migrated:
-            targets = self._new_targets
-        else:
-            targets = self._old_targets
-        for operator, target_port in targets:
-            operator.process(element, target_port)
-        self._forward_watermark(element.start)
-
-    def process_batch(self, batch: Batch, port: int = 0) -> None:
-        """Route a whole run, forwarding each side as one sub-batch.
-
-        Both part streams inherit the input's start order, so each side
-        sees exactly the element sequence it would see element-wise; only
-        the interleaving between the two sides changes, which the boxes
-        cannot observe — they hold disjoint key ranges.
-        """
-        elements = batch.elements
-        self.meter.charge(len(elements), "frontier")
-        migrated = self._migrated
-        range_of = self._range_of
-        key_of = self._key_of
-        old_parts: List[StreamElement] = []
-        new_parts: List[StreamElement] = []
-        for element in elements:
-            if range_of(key_of(element.payload)) in migrated:
-                new_parts.append(element)
-            else:
-                old_parts.append(element)
-        for parts, targets in (
-            (old_parts, self._old_targets),
-            (new_parts, self._new_targets),
-        ):
-            if not parts:
-                continue
-            side = Batch._trusted(
-                parts,
-                parts[-1].start,
-                batch.source,
-                parts[0].start == parts[-1].start,
-            )
-            for operator, target_port in targets:
-                operator.process_batch(side, target_port)
-        self._forward_watermark(max(elements[-1].start, batch.watermark))
-
-    def process_heartbeat(self, t: Time, port: int = 0) -> None:
-        self._forward_watermark(t)
-
-    def _forward_watermark(self, raw: Time) -> None:
-        """Promise the raw input progress to both sides.
-
-        Every element below the raw watermark has already been routed to
-        its owning side, so both boxes may safely purge and release up to
-        it — no per-side translation is needed, unlike Split's.
-        """
-        if raw <= self._watermark:
-            return
-        self._watermark = raw
-        for operator, target_port in self._old_targets:
-            operator.process_heartbeat(raw, target_port)
-        for operator, target_port in self._new_targets:
-            operator.process_heartbeat(raw, target_port)
+            return None, element
+        return element, None
 
 
 class _RangeSeeder(_StateSeeder):
@@ -187,8 +113,12 @@ class _RangeSeeder(_StateSeeder):
         return seeded
 
 
-class FluidMigration(MigrationStrategy):
+class FluidMigration(GenMig):
     """Migrate keyed join state one key range at a time.
+
+    Runs GenMig's lifecycle with a :class:`FrontierRouter` behind every
+    input and a plain order-restoring ``Union`` on top; what is fluid is the
+    parallel phase, which hands the key ranges over one by one.
 
     Args:
         ranges: number of hash ranges ``R`` the key domain is partitioned
@@ -203,6 +133,7 @@ class FluidMigration(MigrationStrategy):
     """
 
     name = "fluid"
+    verdict_key = "fluid"
 
     def __init__(self, ranges: int = 8, pace: Optional[Time] = None) -> None:
         super().__init__()
@@ -210,12 +141,6 @@ class FluidMigration(MigrationStrategy):
             raise ValueError(f"ranges must be >= 1, got {ranges}")
         self.ranges = ranges
         self._pace_override = pace
-        self._phase = "idle"
-        self._triggered_at: Time = 0
-        self._started_at: Time = 0
-        self.old_box: Optional[Box] = None
-        self.new_box: Optional[Box] = None
-        self.frontiers: Dict[str, FrontierRouter] = {}
         #: Flipped range indices, shared with every frontier.
         self._migrated: Set[int] = set()
         #: Pure-function memo for :meth:`_range_of` — ``crc32(repr(key))``
@@ -223,135 +148,79 @@ class FluidMigration(MigrationStrategy):
         #: the cache.  Derived data, deliberately absent from
         #: :meth:`phase_state`.
         self._range_cache: Dict[Any, int] = {}
-        #: Flip schedule: range ``r`` is due at ``_flip_at[r]``.
+        #: Flip schedule, fixed at the first tick after arming: range ``r``
+        #: is due at ``_flip_at[r]``.
         self._flip_at: List[Time] = []
         #: Per flipped range: ``(range, flipped_at_clock, t_split)``.
         self.range_log: List[Tuple[int, Time, Time]] = []
         self._drained = 0
         self._seeded = 0
-        self.t_split: Optional[Time] = None  # the last range's bound
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # What fluid plugs into the lifecycle
     # ------------------------------------------------------------------ #
 
-    def begin(self, executor, new_box: Box) -> None:
-        self._triggered_at = executor.clock
-        self.old_box = executor.box
-        self.new_box = new_box
-        self._validate(self.old_box)
-        self._validate(new_box)
-        self._phase = "monitor"
-        self._try_arm(executor)
-
-    def after_event(self, executor) -> None:
-        if self._phase == "monitor":
-            self._try_arm(executor)
-        if self._phase == "migrating":
-            self._advance_ranges(executor)
-
-    @property
-    def phase(self) -> str:
-        return self._phase
-
-    def phase_state(self) -> Optional[tuple]:
-        """Canonical digest of all fluid-owned state (see base class).
-
-        Covers the phase machine, the flip schedule and progress, the
-        frontier watermarks and the new box — everything an identical-
-        state pruning decision in the model checker must agree on.
-        """
-        from ..engine.box import operator_digest
-
-        aux: tuple = ()
-        if self._phase == "migrating":
-            aux = (
-                tuple(sorted(self._migrated)),
-                self.new_box.state_digest() if self.new_box is not None else None,
-                tuple(
-                    (name, operator_digest(frontier))
-                    for name, frontier in sorted(self.frontiers.items())
-                ),
-            )
-        return (
-            self.name,
-            self._phase,
-            self.ranges,
-            self._started_at,
-            tuple(self._flip_at),
-        ) + aux
-
-    @property
-    def batchable(self) -> bool:
-        """Batch-boundary ticks are sound only while migrating.
-
-        Monitoring needs the element-exact watermarks to derive the flip
-        schedule, like GenMig's arming.  Once the frontiers are installed,
-        deferring a due flip to the batch boundary only means a few more
-        elements of that range flow to the old box first — the old box
-        still holds their state, so the (later) drain hands them over and
-        the outputs are unchanged.
-        """
-        return self._phase == "migrating"
-
-    def state_value_count(self) -> int:
-        if self._phase == "migrating" and self.new_box is not None:
-            return self.new_box.state_value_count()
-        return 0
-
-    # ------------------------------------------------------------------ #
-    # Validation
-    # ------------------------------------------------------------------ #
-
-    def _validate(self, box: Box) -> None:
-        """Reject plans outside the keyed Moving-States scope loudly.
-
-        The static counterpart lives in the plan verifier (FLM001-FLM003);
-        this is the last-line runtime safeguard for hand-built boxes.
-        """
-        for operator in box.operators:
-            if isinstance(operator, _JoinBase):
-                if not getattr(operator, "keyed_state", False):
-                    raise UnsupportedPlanError(
-                        f"fluid migration requires keyed joins; "
-                        f"{operator.name} ({type(operator).__name__}) keeps "
-                        "unkeyed state that cannot be drained by range"
-                    )
-                continue
-            if isinstance(operator, (Select, Project)):
-                continue
-            raise UnsupportedPlanError(
-                f"fluid migration only supports keyed join trees (with "
-                f"stateless operators); found {type(operator).__name__}"
-            )
-        for source, ports in box.taps.items():
-            for operator, port in ports:
-                if not isinstance(operator, _JoinBase):
-                    raise UnsupportedPlanError(
-                        f"fluid migration requires join entry points, found "
-                        f"{type(operator).__name__} at input {source!r}"
-                    )
-
-    # ------------------------------------------------------------------ #
-    # Arming
-    # ------------------------------------------------------------------ #
-
-    def _try_arm(self, executor) -> None:
-        if not all(executor.source_seen.values()) and not executor.at_end_of_stream:
-            return
-        if not self._gate(executor, "arm"):
-            return
-        self._started_at = executor.clock
-        span = executor.global_window + executor.interval_bound
-        pace = (
-            self._pace_override
-            if self._pace_override is not None
-            else Fraction(span, self.ranges)
+    def _make_split(self, name: str) -> FrontierRouter:
+        return FrontierRouter(
+            key_of=self._key_extractor(name),
+            range_of=self._range_of,
+            migrated=self._migrated,
+            name=f"frontier[{name}]",
         )
-        self._flip_at = [self._started_at + r * pace for r in range(self.ranges)]
-        self._install(executor)
-        self._phase = "migrating"
-        self._advance_ranges(executor)
+
+    def _make_merge(self) -> Operator:
+        return Union(name="fluid-merge")
+
+    def _tick(self, executor) -> None:
+        """Flip every range that is due; complete once all have flipped.
+
+        Deferring a due flip to a batch boundary (``batchable``) only
+        means a few more elements of that range flow to the old box first
+        — the old box still holds their state, so the later drain hands
+        them over and the outputs are unchanged.
+        """
+        if not self._flip_at:
+            span = executor.global_window + executor.interval_bound
+            pace = (
+                self._pace_override
+                if self._pace_override is not None
+                else Fraction(span, self.ranges)
+            )
+            self._flip_at = [self._started_at + r * pace for r in range(self.ranges)]
+        next_range = len(self._migrated)
+        while next_range < self.ranges:
+            due = (
+                executor.clock >= self._flip_at[next_range]
+                or executor.at_end_of_stream
+            )
+            if not due or not self._gate(executor, f"flip-{next_range}"):
+                return
+            self._migrate_range(executor, next_range)
+            next_range = len(self._migrated)
+        self._try_complete(executor)
+
+    def _detach_output(self, executor) -> None:
+        # Past the last range's split time nothing keyed is left and every
+        # staged result has been released by watermark; at end-of-stream
+        # the explicit flush delivers whatever the old box still owes.
+        for _ in range(len(self.old_box.operators)):
+            for operator in self.old_box.operators:
+                operator.flush()
+        super()._detach_output(executor)
+
+    def _report_extra(self) -> Dict[str, Any]:
+        return {
+            "ranges": self.ranges,
+            "range_log": [
+                (index, str(at), str(t)) for index, at, t in self.range_log
+            ],
+            "drained": self._drained,
+            "seeded": self._seeded,
+        }
+
+    def _digest_extra(self) -> tuple:
+        """The flip schedule's parameters and progress."""
+        return (tuple(self._flip_at), tuple(sorted(self._migrated)))
 
     def _range_of(self, key: Any) -> int:
         """The owning range of one join-key value (stable across runs)."""
@@ -370,44 +239,9 @@ class FluidMigration(MigrationStrategy):
         operator, port = self.old_box.taps[source][0]
         return operator._keys[port]
 
-    def _install(self, executor) -> None:
-        """Splice one frontier behind every input; wire both roots up."""
-        old_box, new_box = self.old_box, self.new_box
-        for source, router in executor.routers.items():
-            frontier = FrontierRouter(
-                key_of=self._key_extractor(source),
-                range_of=self._range_of,
-                migrated=self._migrated,
-                name=f"frontier[{source}]",
-            )
-            frontier.meter = executor.meter
-            for operator, port in old_box.taps.get(source, []):
-                frontier.connect_old(operator, port)
-            for operator, port in new_box.taps.get(source, []):
-                frontier.connect_new(operator, port)
-            router.retarget([(frontier, 0)])
-            self.frontiers[source] = frontier
-        # Both roots deliver during the handover; the gate tolerates the
-        # cross-box interleaving (it is snapshot-order, not byte-order,
-        # that the migration must preserve).
-        new_box.root.attach_sink(executor.gate)
-
     # ------------------------------------------------------------------ #
-    # Migrating
+    # Handing one range over
     # ------------------------------------------------------------------ #
-
-    def _advance_ranges(self, executor) -> None:
-        next_range = len(self._migrated)
-        while next_range < self.ranges:
-            due = (
-                executor.clock >= self._flip_at[next_range]
-                or executor.at_end_of_stream
-            )
-            if not due or not self._gate(executor, f"flip-{next_range}"):
-                return
-            self._migrate_range(executor, next_range)
-            next_range = len(self._migrated)
-        self._try_complete(executor)
 
     def _migrate_range(self, executor, index: int) -> None:
         """Drain one range from the old box, seed it into the new box, flip.
@@ -460,132 +294,75 @@ class FluidMigration(MigrationStrategy):
         ``fluid-joins`` model-check preset finds without this step; Moving
         States avoids it by flushing the whole box, which fluid cannot do
         while other ranges keep running through it).  Replaying performs
-        the state-insert-and-probe half of the release only: no watermark
-        moves, nothing reaches the gate early, so the other ranges'
-        ordering invariants are untouched.  Root-staged results stay put —
-        they have nothing left to probe and release in gate order later.
+        the state-insert-and-probe half of the release only: it bypasses
+        ``process``, so no watermark moves (later releases of other ranges
+        carry smaller starts) and nothing reaches the gate early; results
+        the probe produces stage in the downstream join's own heap and
+        release by watermark, exactly as a normal delivery would.
+        Root-staged results stay put — they have nothing left to probe and
+        release in start order through the merge later.
         """
         old_box = self.old_box
-        in_range = lambda key, _r=index: self._range_of(key) == _r  # noqa: E731
         for _ in range(len(old_box.operators)):
             replayed = 0
             for operator in old_box.operators:
-                heap = getattr(operator, "_heap", None)
-                if not heap or not operator.subscribers:
-                    continue
-                key_of = self._output_key_of(operator)
-                if key_of is None:
+                heap = operator._heap
+                if not heap or operator is old_box.root:
                     continue
                 keep: List[tuple] = []
-                move: List[tuple] = []
+                move: List[Tuple[tuple, list]] = []
                 for entry in heap:
-                    element = entry[-1]
-                    if in_range(key_of(element.payload)):
-                        move.append(entry)
-                    else:
-                        keep.append(entry)
+                    landings = self._landings(operator, entry[-1])
+                    if landings:
+                        join, port, arrived = landings[0]
+                        if self._range_of(join._keys[port](arrived.payload)) == index:
+                            move.append((entry, landings))
+                            continue
+                    keep.append(entry)
                 if not move:
                     continue
                 heap[:] = keep
                 heapq.heapify(heap)
-                for entry in sorted(move):
-                    element = entry[-1]
-                    operator._staged_values -= len(element.payload)
-                    self._deliver_early(operator, element)
+                for entry, landings in sorted(move, key=lambda m: m[0]):
+                    operator._staged_values -= len(entry[-1].payload)
+                    for join, port, element in landings:
+                        join._on_element(element, port)
                 replayed += len(move)
             if replayed:
                 executor.meter.charge(replayed, "fluid-replay")
             else:
                 return
 
-    def _output_key_of(self, operator) -> Optional[Callable[[Any], Any]]:
-        """The join-key extractor for ``operator``'s output payloads.
+    def _landings(
+        self, operator: Operator, element: StreamElement
+    ) -> List[Tuple[_JoinBase, int, StreamElement]]:
+        """The join ports ``element``, emitted by ``operator``, would reach.
 
-        Derived from the downstream join port the output feeds, composed
-        backwards through any stateless operators in between.  ``None``
-        for the root: its output feeds only the gate.
+        Follows the subscriptions through any stateless operators in
+        between, evaluating each through its pure ``evaluate`` hook (the
+        FLM004 verifier check guarantees they have one), and returns one
+        ``(join, port, element as it arrives there)`` per join port reached
+        — none when a selection on the way drops the element.
         """
+        landings: List[Tuple[_JoinBase, int, StreamElement]] = []
         for downstream, port in operator.subscribers:
             if isinstance(downstream, _JoinBase):
-                return downstream._keys[port]
-            inner = self._output_key_of(downstream)
-            if inner is None:
-                continue
-            if isinstance(downstream, Project):
-                mapping = downstream.mapping
-                return lambda p, _m=mapping, _k=inner: _k(as_payload(_m(p)))
-            return inner  # Select: payload passes through unchanged
-        return None
-
-    def _deliver_early(self, operator, element: StreamElement) -> None:
-        """Push one replayed element into downstream state, probing as usual.
-
-        Bypasses ``process`` deliberately: the per-port watermark must not
-        advance (later releases of other ranges carry smaller starts).
-        Results the probe produces stage in the downstream's own ordered
-        heap and release by watermark, exactly as a normal delivery would.
-        """
-        for downstream, port in operator.subscribers:
-            if isinstance(downstream, _JoinBase):
-                downstream._on_element(element, port)
-            elif isinstance(downstream, Select):
-                if downstream.predicate(element.payload):
-                    self._deliver_early(downstream, element)
-            elif isinstance(downstream, Project):
-                self._deliver_early(
-                    downstream,
-                    element.with_payload(
-                        as_payload(downstream.mapping(element.payload))
-                    ),
+                landings.append((downstream, port, element))
+            elif isinstance(downstream, StatelessOperator):
+                for passed in downstream.evaluate([element]):
+                    landings.extend(self._landings(downstream, passed))
+            else:  # pragma: no cover - begin() checked the FLM verdict
+                raise UnsupportedPlanError(
+                    f"cannot replay through {type(downstream).__name__}"
                 )
+        return landings
 
     def _flip_range(self, executor, index: int) -> None:
-        """Flip the routing frontier for one range and record its bound."""
+        """Flip the routing frontier for one range and record its bound.
+
+        The bound is GenMig's ``T_split`` (the Lemma 1 horizon) taken at
+        the flip; the last range's is the migration's completion time.
+        """
         self._migrated.add(index)
-        latest = max(
-            (wm for name, wm in executor.source_watermarks.items()
-             if executor.source_seen[name]),
-            default=0,
-        )
-        t_split = latest + executor.global_window + executor.interval_bound - EPSILON
-        self.range_log.append((index, executor.clock, t_split))
-        self.t_split = t_split
-
-    # ------------------------------------------------------------------ #
-    # Completion
-    # ------------------------------------------------------------------ #
-
-    def _try_complete(self, executor) -> None:
-        assert self.t_split is not None
-        done = min(executor.source_watermarks.values()) >= self.t_split
-        if not done and not executor.at_end_of_stream:
-            return
-        if not self._gate(executor, "complete"):
-            return
-        # Past the last range's split time nothing keyed is left and every
-        # staged result has been released by watermark; at end-of-stream
-        # the explicit flush delivers whatever is still owed.
-        for _ in range(len(self.old_box.operators)):
-            for operator in self.old_box.operators:
-                operator.flush()
-        self.old_box.root.detach_sink(executor.gate)
-        self.old_box.sever()
-        executor._install_box(self.new_box)
-        self._phase = "done"
-        self.finished = True
-        self._report = MigrationReport(
-            strategy=self.name,
-            triggered_at=self._triggered_at,
-            started_at=self._started_at,
-            completed_at=executor.clock,
-            t_split=self.t_split,
-            extra={
-                "ranges": self.ranges,
-                "range_log": [
-                    (index, str(at), str(t)) for index, at, t in self.range_log
-                ],
-                "drained": self._drained,
-                "seeded": self._seeded,
-                "order_violations": executor.gate.order_violations,
-            },
-        )
+        self.t_split = self._compute_t_split(executor)
+        self.range_log.append((index, executor.clock, self.t_split))

@@ -27,17 +27,28 @@ boxes; no operator knowledge is required.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from ..engine.box import Box
-from ..temporal.time import EPSILON, MAX_TIME, Time
+from ..engine.box import Box, operator_digest
+from ..operators.base import Operator
+from ..temporal.time import EPSILON, Time
 from .coalesce import Coalesce
-from .split import Split
+from .split import Split, _TwoSidedRouter
 from .strategy import MigrationReport, MigrationStrategy
 
 
 class GenMig(MigrationStrategy):
-    """The general black-box migration strategy, coalesce variant."""
+    """The general black-box migration strategy, coalesce variant.
+
+    Also the one implementation of the two-box lifecycle — monitor → arm
+    → parallel → complete — that the reference-point and fluid strategies
+    run unchanged.  A variant overrides only what differs: the router
+    behind each input (:meth:`_make_split`), the split time
+    (:meth:`_compute_t_split`), how the two roots reach the gate
+    (:meth:`_make_merge`, or the :meth:`_attach_output` /
+    :meth:`_detach_output` pair), what the parallel phase does per tick
+    (:meth:`_tick`) and what it adds to the report and the state digest.
+    """
 
     name = "genmig"
 
@@ -47,16 +58,24 @@ class GenMig(MigrationStrategy):
         self._triggered_at: Time = 0
         self._started_at: Time = 0
         self.t_split: Optional[Time] = None
-        self.old_box: Optional[Box] = None
-        self.new_box: Optional[Box] = None
-        self.coalesce: Optional[Coalesce] = None
-        self.splits: Dict[str, Split] = {}
+        self.old_box: Box  # both set by begin()
+        self.new_box: Box
+        #: The 2-port operator joining both roots in start order, if the
+        #: variant uses one (reference point attaches sink adapters).
+        self.merge: Optional[Operator] = None
+        self.splits: Dict[str, _TwoSidedRouter] = {}
+
+    @property
+    def coalesce(self) -> Optional[Operator]:
+        """The merge operator under its GenMig name."""
+        return self.merge
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
     def begin(self, executor, new_box: Box) -> None:
+        self._check_scope(executor.box, new_box)
         self._triggered_at = executor.clock
         self.old_box = executor.box
         self.new_box = new_box
@@ -67,33 +86,42 @@ class GenMig(MigrationStrategy):
         if self._phase == "monitor":
             self._try_arm(executor)
         if self._phase == "parallel":
-            self._try_complete(executor)
+            self._tick(executor)
+
+    def _tick(self, executor) -> None:
+        """One tick of the parallel phase: GenMig only waits to complete."""
+        self._try_complete(executor)
 
     @property
     def phase(self) -> str:
         return self._phase
 
     def phase_state(self) -> Optional[tuple]:
-        """Canonical digest of all GenMig-owned state (see base class).
+        """Canonical digest of all migration-owned state (see base class).
 
         Covers the phase machine, the split time, and the contents of the
-        splits, the coalesce tables and the new box — everything an
-        identical-state pruning decision in the model checker must agree
-        on.
+        routers, the merge and the new box — everything an identical-state
+        pruning decision in the model checker must agree on.
         """
-        from ..engine.box import operator_digest
-
         aux: tuple = ()
         if self._phase == "parallel":
             aux = (
-                self.new_box.state_digest() if self.new_box is not None else None,
-                operator_digest(self.coalesce) if self.coalesce is not None else None,
+                self.new_box.state_digest(),
+                operator_digest(self.merge) if self.merge is not None else None,
                 tuple(
                     (name, operator_digest(split))
                     for name, split in sorted(self.splits.items())
                 ),
             )
-        return (self.name, self._phase, self.t_split, self._started_at) + aux
+        return (
+            (self.name, self._phase, self.t_split, self._started_at)
+            + aux
+            + self._digest_extra()
+        )
+
+    def _digest_extra(self) -> tuple:
+        """Variant-owned state :meth:`phase_state` must also agree on."""
+        return ()
 
     @property
     def batchable(self) -> bool:
@@ -102,19 +130,18 @@ class GenMig(MigrationStrategy):
         While monitoring, ``T_split`` must be computed from the watermarks
         at the exact element where every input has been seen — a deferred
         tick would arm late and deprive the new box of elements.  Once the
-        splits are installed, routing is purely data-driven and a tick
-        merely checks watermark progress, so completion at a batch boundary
+        routers are installed, routing is purely data-driven and a tick
+        merely checks progress, so a transition at a batch boundary
         changes timing but not output.
         """
         return self._phase == "parallel"
 
     def state_value_count(self) -> int:
-        total = 0
-        if self._phase == "parallel":
-            if self.new_box is not None:
-                total += self.new_box.state_value_count()
-            if self.coalesce is not None:
-                total += self.coalesce.state_value_count()
+        if self._phase != "parallel":
+            return 0
+        total = self.new_box.state_value_count()
+        if self.merge is not None:
+            total += self.merge.state_value_count()
         return total
 
     # ------------------------------------------------------------------ #
@@ -131,7 +158,10 @@ class GenMig(MigrationStrategy):
             return
         self._started_at = executor.clock
         self.t_split = self._compute_t_split(executor)
-        self._install(executor)
+        self.splits = self._splice(
+            executor, self.old_box, self.new_box, self._make_split
+        )
+        self._attach_output(executor)
         self._phase = "parallel"
 
     def _compute_t_split(self, executor) -> Time:
@@ -143,27 +173,25 @@ class GenMig(MigrationStrategy):
         )
         return latest + executor.global_window + executor.interval_bound - EPSILON
 
-    def _make_split(self, name: str) -> Split:
+    def _make_split(self, name: str) -> _TwoSidedRouter:
         return Split(self.t_split, name=f"split[{name}]")
 
-    def _install(self, executor) -> None:
-        """Insert split and coalesce operators (Algorithm 1, lines 6-8)."""
-        old_box, new_box = self.old_box, self.new_box
-        self.coalesce = Coalesce(self.t_split)
-        self.coalesce.meter = executor.meter
-        for source, router in executor.routers.items():
-            split = self._make_split(source)
-            split.meter = executor.meter
-            for operator, port in old_box.taps.get(source, []):
-                split.connect_old(operator, port)
-            for operator, port in new_box.taps.get(source, []):
-                split.connect_new(operator, port)
-            router.retarget([(split, 0)])
-            self.splits[source] = split
-        old_box.root.detach_sink(executor.gate)
-        old_box.root.subscribe(self.coalesce, 0)
-        new_box.root.subscribe(self.coalesce, 1)
-        self.coalesce.attach_sink(executor.gate)
+    def _make_merge(self) -> Operator:
+        return Coalesce(self.t_split)
+
+    def _attach_output(self, executor) -> None:
+        """Join both roots through the merge operator, merge to the gate.
+
+        Each root alone delivers in start order; the two together do not,
+        so nothing reaches the gate except through an order-restoring
+        2-port operator (old root on port 0, new root on port 1).
+        """
+        merge = self.merge = self._make_merge()
+        merge.meter = executor.meter
+        self.old_box.root.detach_sink(executor.gate)
+        self.old_box.root.subscribe(merge, 0)
+        self.new_box.root.subscribe(merge, 1)
+        merge.attach_sink(executor.gate)
 
     # ------------------------------------------------------------------ #
     # Completion
@@ -176,21 +204,11 @@ class GenMig(MigrationStrategy):
             return
         if not self._gate(executor, "complete"):
             return
-        if not done:
-            # The streams ended first: drain the old side explicitly (the
-            # end-of-stream heartbeats already flowed through the splits).
-            pass
-        # All inputs have passed T_split: the splits have already sent
-        # end-of-stream heartbeats down the old side, draining the old box
-        # and flushing coalesce via watermarks.  Tear everything down.
-        self.coalesce.flush_tables()
-        self.old_box.root.unsubscribe(self.coalesce, 0)
-        self.new_box.root.unsubscribe(self.coalesce, 1)
-        self.coalesce.detach_sink(executor.gate)
-        self.old_box.sever()
-        executor._install_box(self.new_box)
+        # All inputs have passed T_split (or ended): the routers have
+        # already told the old box so, draining it by watermark.
+        self._detach_output(executor)
+        self._hand_over(executor, self.old_box, self.new_box)
         self._phase = "done"
-        self.finished = True
         self._report = MigrationReport(
             strategy=self.name,
             triggered_at=self._triggered_at,
@@ -198,10 +216,19 @@ class GenMig(MigrationStrategy):
             completed_at=executor.clock,
             t_split=self.t_split,
             extra={
-                "merged": self.coalesce.merged_count,
+                **self._report_extra(),
                 "order_violations": executor.gate.order_violations,
             },
         )
+
+    def _detach_output(self, executor) -> None:
+        """Deliver whatever the merge still holds, in start order."""
+        if self.merge is not None:
+            self.merge.flush()
+
+    def _report_extra(self) -> Dict[str, Any]:
+        assert isinstance(self.merge, Coalesce)
+        return {"merged": self.merge.merged_count}
 
 
 class ShortenedGenMig(GenMig):

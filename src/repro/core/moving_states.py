@@ -28,11 +28,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..engine.box import Box
-from ..operators.base import Operator
+from ..operators.base import Operator, StatelessOperator
 from ..operators.filter import Select
 from ..operators.join import _JoinBase
 from ..operators.project import Project
-from ..temporal.element import StreamElement, as_payload
+from ..temporal.element import StreamElement
 from .strategy import MigrationReport, MigrationStrategy, UnsupportedPlanError
 
 
@@ -74,9 +74,7 @@ class MovingStates(MigrationStrategy):
         seeder = _StateSeeder(new_box, alive, executor.meter)
         seeded = seeder.seed()
 
-        old_box.sever()
-        executor._install_box(new_box)
-        self.finished = True
+        self._hand_over(executor, old_box, new_box)
         self._report = MigrationReport(
             strategy=self.name,
             triggered_at=start_clock,
@@ -152,15 +150,13 @@ class _StateSeeder:
             return cached
         if isinstance(operator, _JoinBase):
             result = self._join(operator)
-        elif isinstance(operator, Select):
+        elif isinstance(operator, StatelessOperator):
+            # Any single-input stateless operator, through its pure
+            # ``evaluate`` hook; callers validate that it has one.
             child = self._input_stream(operator, 0)
-            self._meter.charge(len(child) * operator.cost, "ms-seed")
-            result = [e for e in child if operator.predicate(e.payload)]
-        elif isinstance(operator, Project):
-            child = self._input_stream(operator, 0)
-            self._meter.charge(len(child), "ms-seed")
-            result = [e.with_payload(as_payload(operator.mapping(e.payload))) for e in child]
-        else:  # pragma: no cover - _validate rejects other operators
+            self._meter.charge(len(child) * getattr(operator, "cost", 1), "ms-seed")
+            result = operator.evaluate(child)
+        else:  # pragma: no cover - callers validate the box first
             raise UnsupportedPlanError(f"cannot seed through {type(operator).__name__}")
         self._memo[id(operator)] = result
         return result

@@ -30,41 +30,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..engine.box import Box, InputPort
-from ..operators.base import Operator
-from ..operators.filter import Select
-from ..operators.join import _JoinBase
-from ..operators.project import Project
-from ..operators.union import Union
+from ..engine.box import Box
 from ..temporal.element import NEW, StreamElement
-from ..temporal.time import MAX_TIME, Time
-from .strategy import MigrationReport, MigrationStrategy, UnsupportedPlanError
-
-#: Joins, stateless operators and the (order-restoring but semantically
-#: stateless) union: the plan shapes PT is sound for.
-_PT_SAFE_OPERATORS = (_JoinBase, Select, Project, Union)
+from ..temporal.time import Time
+from .split import _TwoSidedRouter
+from .strategy import MigrationReport, MigrationStrategy
 
 
-class _DualTap:
-    """Feeds one input into both boxes: flagged ``NEW`` old, plain new."""
+class _DualTap(_TwoSidedRouter):
+    """Feeds one input into both boxes: flagged ``NEW`` old, plain new.
 
-    def __init__(self, old_targets: List[InputPort], new_targets: List[InputPort]) -> None:
-        self._old_targets = old_targets
-        self._new_targets = new_targets
-        self.arity = 1
+    Both sides are promised the raw watermark; the tap's work is not
+    charged to the meter ([1]'s cost model has no such operator).
+    """
 
-    def process(self, element: StreamElement, port: int = 0) -> None:
-        flagged = element.with_flag(NEW)
-        for operator, target_port in self._old_targets:
-            operator.process(flagged, target_port)
-        for operator, target_port in self._new_targets:
-            operator.process(element, target_port)
-
-    def process_heartbeat(self, t: Time, port: int = 0) -> None:
-        for operator, target_port in self._old_targets:
-            operator.process_heartbeat(t, target_port)
-        for operator, target_port in self._new_targets:
-            operator.process_heartbeat(t, target_port)
+    def _route(self, element: StreamElement):
+        return element.with_flag(NEW), element
 
 
 class _OldOutputFilter:
@@ -115,6 +96,7 @@ class ParallelTrack(MigrationStrategy):
     """
 
     name = "parallel-track"
+    verdict_key = "parallel-track"
 
     def __init__(self, force: bool = False, check_interval: Optional[Time] = None) -> None:
         super().__init__()
@@ -134,10 +116,9 @@ class ParallelTrack(MigrationStrategy):
     # ------------------------------------------------------------------ #
 
     def begin(self, executor, new_box: Box) -> None:
+        self._check_scope(executor.box, new_box)
         self.old_box = executor.box
         self.new_box = new_box
-        self._validate(self.old_box)
-        self._validate(new_box)
         self._migration_start = executor.clock
         window = executor.global_window + executor.interval_bound
         self._purge_horizon = self._migration_start + window
@@ -155,25 +136,12 @@ class ParallelTrack(MigrationStrategy):
         self.old_box.root.attach_sink(self._old_filter)
         new_box.root.attach_sink(self._buffer)
 
-        for source, router in executor.routers.items():
-            tap = _DualTap(
-                self.old_box.taps.get(source, []), new_box.taps.get(source, [])
-            )
-            router.retarget([(tap, 0)])
-            self._taps[source] = tap
-
-    def _validate(self, box: Box) -> None:
-        if self.force:
-            return
-        for operator in box.operators:
-            stateless = not getattr(operator, "_ordered_output", False)
-            if stateless or isinstance(operator, _PT_SAFE_OPERATORS):
-                continue
-            raise UnsupportedPlanError(
-                f"Parallel Track is unsound for plans containing "
-                f"{type(operator).__name__} (Section 3 of the paper); "
-                f"use GenMig, or force=True to reproduce the defect"
-            )
+        self._taps = self._splice(
+            executor,
+            self.old_box,
+            new_box,
+            lambda source: _DualTap(f"tap[{source}]"),
+        )
 
     def after_event(self, executor) -> None:
         clock = executor.clock
@@ -199,15 +167,18 @@ class ParallelTrack(MigrationStrategy):
 
     def _complete(self, executor) -> None:
         self.old_box.root.detach_sink(self._old_filter)
-        self.old_box.sever()
-        self.new_box.root.detach_sink(self._buffer)
-        # The burst: flush the buffered new-box output in arrival order.
-        for element in self._buffer.elements:
-            executor.gate.process(element)
+        # The burst: flush the buffered new-box output in arrival order —
+        # the one place a strategy delivers out of start order by design.
+        gate = executor.gate
+        gate.expects_disorder = True
+        try:
+            for element in self._buffer.elements:
+                gate.process(element)
+        finally:
+            gate.expects_disorder = False
         flushed = len(self._buffer.elements)
         self._buffer.elements.clear()
-        executor._install_box(self.new_box)
-        self.finished = True
+        self._hand_over(executor, self.old_box, self.new_box)
         self._report = MigrationReport(
             strategy=self.name,
             triggered_at=self._migration_start,

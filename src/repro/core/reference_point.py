@@ -24,22 +24,12 @@ can start mid-interval.  For such plans the strategy refuses to run unless
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional
 
-from ..engine.box import Box
-from ..operators.base import Operator
-from ..operators.filter import Select
-from ..operators.join import _JoinBase
-from ..operators.project import Project
-from ..operators.union import Union
 from ..temporal.element import StreamElement
 from ..temporal.time import Time
 from .genmig import GenMig
-from .split import ReferencePointSplit, Split
-from .strategy import UnsupportedPlanError
-
-#: Operators whose results always start at a contributing input's start.
-_START_PRESERVING = (_JoinBase, Select, Project, Union)
+from .split import ReferencePointSplit
 
 
 class _ReferencePointFilter:
@@ -87,6 +77,7 @@ class ReferencePointGenMig(GenMig):
     """GenMig variant using the reference-point method instead of coalesce."""
 
     name = "genmig-rp"
+    verdict_key = "reference-point"
 
     def __init__(self, force: bool = False) -> None:
         super().__init__()
@@ -94,84 +85,31 @@ class ReferencePointGenMig(GenMig):
         self._filter: Optional[_ReferencePointFilter] = None
         self._monitor: Optional[_OldOutputMonitor] = None
 
-    # ------------------------------------------------------------------ #
-    # Overridden plumbing
-    # ------------------------------------------------------------------ #
-
-    def _make_split(self, name: str) -> Split:
+    def _make_split(self, name: str) -> ReferencePointSplit:
         return ReferencePointSplit(self.t_split, name=f"rp-split[{name}]")
 
-    def _install(self, executor) -> None:
-        self._validate(self.old_box)
-        self._validate(self.new_box)
-        old_box, new_box = self.old_box, self.new_box
-        for source, router in executor.routers.items():
-            split = self._make_split(source)
-            split.meter = executor.meter
-            for operator, port in old_box.taps.get(source, []):
-                split.connect_old(operator, port)
-            for operator, port in new_box.taps.get(source, []):
-                split.connect_new(operator, port)
-            router.retarget([(split, 0)])
-            self.splits[source] = split
+    def _attach_output(self, executor) -> None:
+        """No merge operator: old results first, filtered new results after.
+
+        Every old-box result starts below ``T_split`` and every surviving
+        new-box result above it, so plain concatenation is already in
+        start order.
+        """
         self._monitor = _OldOutputMonitor(executor.gate, self.t_split)
-        old_box.root.detach_sink(executor.gate)
-        old_box.root.attach_sink(self._monitor)
+        self.old_box.root.detach_sink(executor.gate)
+        self.old_box.root.attach_sink(self._monitor)
         self._filter = _ReferencePointFilter(executor.gate, self.t_split)
-        new_box.root.attach_sink(self._filter)
+        self.new_box.root.attach_sink(self._filter)
 
-    def _validate(self, box: Box) -> None:
-        if self.force:
-            return
-        for operator in box.operators:
-            stateless = not getattr(operator, "_ordered_output", False)
-            if stateless or isinstance(operator, _START_PRESERVING):
-                continue
-            raise UnsupportedPlanError(
-                f"the reference-point optimization requires start-preserving "
-                f"operators; {type(operator).__name__} is not — use GenMig "
-                f"with coalesce, or force=True to demonstrate the failure"
-            )
+    def _report_extra(self) -> Dict[str, Any]:
+        return {
+            "dropped_at_split": self._filter.dropped,
+            "old_start_violations": self._monitor.violations,
+        }
 
-    def _try_complete(self, executor) -> None:
-        assert self.t_split is not None
-        done = min(executor.source_watermarks.values()) >= self.t_split
-        if not done and not executor.at_end_of_stream:
-            return
-        if not self._gate(executor, "complete"):
-            return
-        self.old_box.root.detach_sink(self._monitor)
-        self.new_box.root.detach_sink(self._filter)
-        self.old_box.sever()
-        executor._install_box(self.new_box)
-        self._phase = "done"
-        self.finished = True
-        from .strategy import MigrationReport
-
-        self._report = MigrationReport(
-            strategy=self.name,
-            triggered_at=self._triggered_at,
-            started_at=self._started_at,
-            completed_at=executor.clock,
-            t_split=self.t_split,
-            extra={
-                "dropped_at_split": self._filter.dropped,
-                "old_start_violations": self._monitor.violations,
-                "order_violations": executor.gate.order_violations,
-            },
-        )
-
-    def state_value_count(self) -> int:
-        if self._phase == "parallel" and self.new_box is not None:
-            return self.new_box.state_value_count()
-        return 0
-
-    def phase_state(self) -> Optional[tuple]:
-        """GenMig's digest plus the reference-point filter counters."""
-        base = super().phase_state()
-        if base is None:
-            return None
-        return base + (
+    def _digest_extra(self) -> tuple:
+        """The reference-point filter counters."""
+        return (
             self._filter.dropped if self._filter is not None else None,
             self._monitor.violations if self._monitor is not None else None,
         )

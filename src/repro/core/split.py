@@ -24,7 +24,7 @@ Beyond Algorithm 2's element routing, the implementation also forwards
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Optional, Tuple
 
 from ..engine.box import InputPort
 from ..operators.base import Operator
@@ -45,12 +45,25 @@ def _covers_instants(interval) -> bool:
     return math.ceil(interval.start) < interval.end
 
 
-class Split(Operator):
-    """Route each input element's sub-``T_split`` part old, the rest new."""
+class _TwoSidedRouter(Operator):
+    """One input, two output sides: the router below each box input.
 
-    def __init__(self, t_split: Time, name: str = "") -> None:
-        super().__init__(arity=1, name=name or f"split[{t_split}]", ordered_output=False)
-        self.t_split = t_split
+    The paper's architecture has exactly one of these per input for the
+    duration of a migration, whatever the strategy.  What differs between
+    strategies is only *which part of an element goes to which box* —
+    :meth:`_route` — and *what progress each box may be promised* —
+    :meth:`_promises`; wiring, the element and batch paths and the
+    per-side watermark forwarding live here once.  (Underscore-prefixed
+    on purpose: tools that wrap every public operator class must not wrap
+    this base under its subclasses.)
+    """
+
+    #: Meter category charged one unit per routed element; ``None`` for a
+    #: router whose work the reproduced cost figures do not account.
+    _category: Optional[str] = None
+
+    def __init__(self, name: str) -> None:
+        super().__init__(arity=1, name=name, ordered_output=False)
         self._old_targets: List[InputPort] = []
         self._new_targets: List[InputPort] = []
         self._old_watermark: Time = MIN_TIME
@@ -73,7 +86,8 @@ class Split(Operator):
     # ------------------------------------------------------------------ #
 
     def process(self, element: StreamElement, port: int = 0) -> None:
-        self.meter.charge(1, "split")
+        if self._category is not None:
+            self.meter.charge(1, self._category)
         old_part, new_part = self._route(element)
         if old_part is not None:
             for operator, target_port in self._old_targets:
@@ -89,18 +103,20 @@ class Split(Operator):
         Both part streams inherit the input's start order, so each side
         sees exactly the element sequence it would see element-wise; only
         the *interleaving* between the two sides changes, which the boxes
-        cannot observe (they are disjoint) and coalesce resolves into a
-        snapshot-equivalent merge.  This path is reached only when the
-        executor batches through an active migration
-        (``batch_during_migration``); the default executor ticks
-        migrations element-wise through :meth:`process`.
+        cannot observe (they are disjoint) and the merge on top of them
+        resolves.  This path is reached only when the executor batches
+        through an active migration (``batch_during_migration``); the
+        default executor ticks migrations element-wise through
+        :meth:`process`.
         """
         elements = batch.elements
-        self.meter.charge(len(elements), "split")
+        if self._category is not None:
+            self.meter.charge(len(elements), self._category)
+        route = self._route
         old_parts: List[StreamElement] = []
         new_parts: List[StreamElement] = []
         for element in elements:
-            old_part, new_part = self._route(element)
+            old_part, new_part = route(element)
             if old_part is not None:
                 old_parts.append(old_part)
             if new_part is not None:
@@ -119,10 +135,53 @@ class Split(Operator):
             )
             for operator, target_port in targets:
                 operator.process_batch(side, target_port)
-        self._forward_watermarks(max(elements[-1].start, batch.watermark))
+        last = elements[-1].start
+        self._forward_watermarks(last)
+        if batch.watermark > last:
+            self._forward_watermarks(batch.watermark)
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
         self._forward_watermarks(t)
+
+    # ------------------------------------------------------------------ #
+    # What a strategy's router decides
+    # ------------------------------------------------------------------ #
+
+    def _route(
+        self, element: StreamElement
+    ) -> Tuple[Optional[StreamElement], Optional[StreamElement]]:
+        """The ``(old_part, new_part)`` of one element; ``None`` = nothing."""
+        raise NotImplementedError
+
+    def _promises(self, raw: Time) -> Tuple[Time, Time]:
+        """Per-side progress promises for raw input progress ``raw``.
+
+        The default promises the raw watermark to both sides: every
+        element below it has already been routed to its side, so both
+        boxes may purge and release up to it.
+        """
+        return raw, raw
+
+    def _forward_watermarks(self, raw: Time) -> None:
+        old_promise, new_promise = self._promises(raw)
+        if old_promise > self._old_watermark:
+            self._old_watermark = old_promise
+            for operator, target_port in self._old_targets:
+                operator.process_heartbeat(old_promise, target_port)
+        if new_promise > self._new_watermark:
+            self._new_watermark = new_promise
+            for operator, target_port in self._new_targets:
+                operator.process_heartbeat(new_promise, target_port)
+
+
+class Split(_TwoSidedRouter):
+    """Route each input element's sub-``T_split`` part old, the rest new."""
+
+    _category = "split"
+
+    def __init__(self, t_split: Time, name: str = "") -> None:
+        super().__init__(name or f"split[{t_split}]")
+        self.t_split = t_split
 
     def _route(self, element: StreamElement):
         """Algorithm 2: split the validity interval at ``T_split``."""
@@ -131,22 +190,11 @@ class Split(Operator):
         new_part = element.with_interval(above) if _covers_instants(above) else None
         return old_part, new_part
 
-    def _forward_watermarks(self, raw: Time) -> None:
-        """Translate raw input progress into per-side promises."""
+    def _promises(self, raw: Time) -> Tuple[Time, Time]:
+        """``raw | T_split`` below the split time, ``MAX | raw`` past it."""
         if raw < self.t_split:
-            old_promise: Time = raw
-            new_promise: Time = self.t_split
-        else:
-            old_promise = MAX_TIME
-            new_promise = raw
-        if old_promise > self._old_watermark:
-            self._old_watermark = old_promise
-            for operator, target_port in self._old_targets:
-                operator.process_heartbeat(min(old_promise, MAX_TIME), target_port)
-        if new_promise > self._new_watermark:
-            self._new_watermark = new_promise
-            for operator, target_port in self._new_targets:
-                operator.process_heartbeat(min(new_promise, MAX_TIME), target_port)
+            return raw, self.t_split
+        return MAX_TIME, raw
 
 
 class ReferencePointSplit(Split):

@@ -9,13 +9,16 @@ collects the :class:`MigrationReport` and releases the strategy.
 
 All strategies treat both plans as black boxes producing snapshot-
 equivalent output — they only touch the routers at the box inputs and the
-gate at its output.
+gate at its output.  :class:`MigrationStrategy` holds the three steps every
+two-box strategy shares: the scope check against the plan verifier, the
+splice of one two-sided router behind every input, and the hand-over to the
+new box at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from ..temporal.time import Time
 
@@ -27,10 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class UnsupportedPlanError(RuntimeError):
     """A migration strategy was asked to migrate a plan outside its scope.
 
-    Raised by the Parallel Track baseline's safeguard and by the
-    reference-point optimization when the plan contains operators that are
-    not start-preserving.  GenMig with coalesce never raises this — it is
-    the general strategy.
+    Raised from ``begin`` — before anything is rewired — by Parallel
+    Track, the reference-point optimization and fluid migration when the
+    plan verifier's verdict for the strategy is not safe (the message
+    carries its diagnostics), and by Moving States' own check.  GenMig
+    with coalesce never raises this — it is the general strategy.
     """
 
 
@@ -58,9 +62,22 @@ class MigrationReport:
 
 
 class MigrationStrategy:
-    """Base class: lifecycle scaffolding shared by all strategies."""
+    """Base class: lifecycle scaffolding shared by all strategies.
+
+    :meth:`begin` must refuse an unsupported plan (:meth:`_check_scope`)
+    *before* it monitors or rewires anything: a refusal then leaves the
+    executor exactly as it was, and can never surface later from inside
+    ``after_event``.
+    """
 
     name = "abstract"
+
+    #: The plan verifier's strategy verdict (``"parallel-track"``,
+    #: ``"reference-point"``, ``"fluid"``) that bounds this strategy's
+    #: scope; ``None`` for strategies that accept any pair of boxes.
+    verdict_key: Optional[str] = None
+    #: Run even on plans the verdict rejects (defect demonstrations).
+    force = False
 
     #: Attached by :func:`select_strategy`: the static analysis that
     #: justified this strategy for the old/new box pair.
@@ -111,6 +128,56 @@ class MigrationStrategy:
     def begin(self, executor, new_box) -> None:
         """Install the strategy into a running executor."""
         raise NotImplementedError
+
+    def _check_scope(self, *boxes: "Box") -> None:
+        """Refuse boxes outside the verifier's verdict for this strategy.
+
+        Which operators are start-preserving, PT-safe or fluid-drainable
+        is the plan verifier's knowledge alone; the strategies ask for its
+        verdict instead of keeping their own operator lists.
+        """
+        if self.verdict_key is None or self.force:
+            return
+        from ..analysis.plan_verifier import verify_box
+
+        for box in boxes:
+            verdict = verify_box(box).strategies[self.verdict_key]
+            if not verdict.safe:
+                raise UnsupportedPlanError(
+                    f"{self.name} cannot migrate {box.label or 'this box'}: "
+                    + "; ".join(str(d) for d in verdict.diagnostics)
+                )
+
+    def _splice(
+        self,
+        executor,
+        old_box: "Box",
+        new_box: "Box",
+        make_router: Callable[[str], Any],
+    ) -> Dict[str, Any]:
+        """Put one two-sided router behind every input (Alg. 1, lines 6-8).
+
+        ``make_router(source)`` builds the strategy's router (a subclass of
+        :class:`~repro.core.split._TwoSidedRouter`); its old side feeds the
+        old box's entry ports for that input, its new side the new box's.
+        """
+        routers = {}
+        for source, input_router in executor.routers.items():
+            router = make_router(source)
+            router.meter = executor.meter
+            for operator, port in old_box.taps.get(source, []):
+                router.connect_old(operator, port)
+            for operator, port in new_box.taps.get(source, []):
+                router.connect_new(operator, port)
+            input_router.retarget([(router, 0)])
+            routers[source] = router
+        return routers
+
+    def _hand_over(self, executor, old_box: "Box", new_box: "Box") -> None:
+        """Drop the old box and run the new one alone (the unsplice)."""
+        old_box.sever()
+        executor._install_box(new_box)
+        self.finished = True
 
     def after_event(self, executor) -> None:
         """Advance the migration state machine after one input event."""
@@ -191,7 +258,7 @@ def select_strategy(
     coalesce operator's memory and CPU) and falls back to general GenMig
     with coalesce otherwise — which is always sound.  ``prefer`` may name a
     strategy explicitly (``"coalesce"``, ``"reference-point"``,
-    ``"parallel-track"``); an unsound preference silently degrades to the
+    ``"parallel-track"``, ``"fluid"``); an unsound preference silently degrades to the
     closest sound choice rather than failing mid-flight — in particular the
     Parallel Track baseline is only ever selected for join-only plans.
 

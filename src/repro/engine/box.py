@@ -171,6 +171,10 @@ class OutputGate:
     measurable rather than fatal.
     """
 
+    #: Set by Parallel Track around its buffer flush: the only deliveries
+    #: a strict sanitizer (SAN009) accepts out of start order.
+    expects_disorder = False
+
     def __init__(self, name: str = "gate") -> None:
         self.name = name
         self._sinks: List[object] = []

@@ -219,10 +219,13 @@ class QueryExecutor:
         if self.strategy is not None:
             raise MigrationError("a migration is already in progress")
         new_box.set_meter(self.meter)
+        # A strategy refuses a plan outside its scope by raising from
+        # begin() before it touches anything; only a strategy that has
+        # begun is installed, so a refusal leaves the executor as it was.
+        strategy.begin(self, new_box)
         if any(getattr(op, "_columnar", False) for op in new_box.operators):
             self._columnar_feed = True
         self.strategy = strategy
-        strategy.begin(self, new_box)
         self._poll_strategy()
 
     def _poll_strategy(self) -> None:

@@ -456,6 +456,17 @@ class StatelessOperator(Operator):
     def __init__(self, name: str = "") -> None:
         super().__init__(arity=1, name=name, ordered_output=False)
 
+    def evaluate(self, elements: List[StreamElement]) -> List[StreamElement]:
+        """The operator's output for ``elements``, as a pure function.
+
+        No metering, no watermark movement, no emission: state-handover
+        code (Moving States seeding, fluid migration's staged replay)
+        computes with this what the operator *would* pass downstream.
+        Operators without an override cannot take part in such a handover
+        (plan verifier check FLM004).
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no pure evaluate hook")
+
 
 class StatefulOperator(Operator):
     """Base for operators that keep state and stage ordered output."""

@@ -6,7 +6,7 @@ snapshots, and validity intervals pass through unchanged.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List
 
 from ..temporal.batch import Batch
 from ..temporal.element import Payload, StreamElement
@@ -38,6 +38,10 @@ class Select(StatelessOperator):
         if self.predicate(element.payload):
             self._stage(element)
 
+    def evaluate(self, elements: List[StreamElement]) -> List[StreamElement]:
+        predicate = self.predicate
+        return [e for e in elements if predicate(e.payload)]
+
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Filter a whole run with one comprehension and one meter charge.
 
@@ -56,8 +60,7 @@ class Select(StatelessOperator):
             )
         watermarks[0] = elements[-1].start
         self.meter.charge(len(elements) * self.cost, "select")
-        predicate = self.predicate
-        survivors = [e for e in elements if predicate(e.payload)]
+        survivors = self.evaluate(elements)
         if survivors:
             self._emit_batch(batch.with_elements(survivors))
         self._advance()

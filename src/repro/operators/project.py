@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence
 
 from ..temporal.batch import Batch
 from ..temporal.element import Payload, StreamElement, as_payload
@@ -27,6 +27,10 @@ class Project(StatelessOperator):
         self.meter.charge(1, "project")
         self._stage(element.with_payload(as_payload(self.mapping(element.payload))))
 
+    def evaluate(self, elements: List[StreamElement]) -> List[StreamElement]:
+        mapping = self.mapping
+        return [e.with_payload(as_payload(mapping(e.payload))) for e in elements]
+
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Map a whole run with one comprehension and one meter charge
         (``len(batch)`` units — exactly what the element loop charges)."""
@@ -41,11 +45,7 @@ class Project(StatelessOperator):
             )
         watermarks[0] = elements[-1].start
         self.meter.charge(len(elements), "project")
-        mapping = self.mapping
-        mapped = [
-            e.with_payload(as_payload(mapping(e.payload))) for e in elements
-        ]
-        self._emit_batch(batch.with_elements(mapped))
+        self._emit_batch(batch.with_elements(self.evaluate(elements)))
         self._advance()
         if batch.watermark > watermarks[0]:
             self.process_heartbeat(batch.watermark, 0)

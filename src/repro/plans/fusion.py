@@ -95,6 +95,9 @@ class FusedStateless(StatelessOperator):
         for result in out:
             self._stage(result)
 
+    def evaluate(self, elements: List[StreamElement]) -> List[StreamElement]:
+        return self.kernel.fn(elements)[0]
+
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Evaluate the whole chain over the run in one kernel call."""
         if _operator_base.SANITIZER is not None:

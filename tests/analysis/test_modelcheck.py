@@ -97,6 +97,23 @@ class TestSeededBug:
     def test_seed_bugs_registry(self):
         assert "early-split" in SEED_BUGS
 
+    def test_unmerged_roots_breaks_delivery_order_only(self):
+        """Both roots straight at the gate: every snapshot is still right,
+        so only the order property can see the bug."""
+        scenario = seed_bug(build_scenario("fluid-order"), "unmerged-roots")
+        result = scenario.run_check()
+        assert not result.passed
+        assert {v.code for v in result.violations} == {"MCK004"}
+        assert any(
+            d.code == "MCK004" and d.severity == "error"
+            for d in result.diagnostics()
+        )
+
+    def test_parallel_track_is_exempt_from_the_order_property(self):
+        """PT's end-of-migration burst interleaves by design (Figure 4)."""
+        result = build_scenario("pt-joins").run_check()
+        assert result.passed
+
 
 class TestMetrics:
     def test_counters_recorded(self):
@@ -162,6 +179,10 @@ class TestCli:
     def test_seeded_bug_exits_nonzero(self, capsys):
         assert run_cli(["--preset", "genmig-figure2", "--seed-bug", "early-split"]) == 1
         assert "MCK001" in capsys.readouterr().out
+
+    def test_seeded_order_bug_exits_nonzero(self, capsys):
+        assert run_cli(["--preset", "fluid-order", "--seed-bug", "unmerged-roots"]) == 1
+        assert "MCK004" in capsys.readouterr().out
 
     def test_json_output(self, capsys):
         assert run_cli(["--preset", "pt-joins", "--json"]) == 0

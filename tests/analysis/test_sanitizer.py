@@ -227,6 +227,28 @@ class TestGatePolicy:
         assert info.value.code == "SAN009"
 
 
+    def test_strict_mode_tolerates_only_the_parallel_track_flush(self):
+        """PT's end-of-migration burst interleaves by design and says so
+        on the gate; the strict sanitizer records it without raising."""
+        from helpers import run_query
+        from repro.core import ParallelTrack
+        from scenarios import (
+            left_deep_join_box,
+            right_deep_join_box,
+            three_random_streams,
+        )
+
+        with sanitized(StreamSanitizer(strict_gate=True)) as sanitizer:
+            _, executor = run_query(
+                three_random_streams(), {"A": 60, "B": 60, "C": 60},
+                left_deep_join_box(), migrate_at=150,
+                new_box=right_deep_join_box(), strategy=ParallelTrack(),
+            )
+        assert executor.gate.order_violations > 0
+        assert len(sanitizer.gate_violations) == executor.gate.order_violations
+        assert not executor.gate.expects_disorder
+
+
 class TestZeroCostWhenOff:
     def test_no_sanitizer_no_checks(self):
         # Without installation the broken operator runs unchecked — the

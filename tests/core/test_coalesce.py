@@ -18,7 +18,7 @@ def make():
 def finish(op):
     op.process_heartbeat(MAX_TIME, 0)
     op.process_heartbeat(MAX_TIME, 1)
-    op.flush_tables()
+    op.flush()
 
 
 class TestPassthrough:
@@ -95,13 +95,13 @@ class TestUnmatchedHalves:
     def test_unmatched_old_half_flushed_at_teardown(self):
         op, sink = make()
         op.process(element("a", 40, T_SPLIT), 0)
-        op.flush_tables()
+        op.flush()
         assert sink.elements == [element("a", 40, T_SPLIT)]
 
     def test_unmatched_new_half_flushed_at_teardown(self):
         op, sink = make()
         op.process(element("a", T_SPLIT, 130), 1)
-        op.flush_tables()
+        op.flush()
         assert sink.elements == [element("a", T_SPLIT, 130)]
 
     def test_new_half_released_when_old_side_drains(self):
@@ -143,5 +143,5 @@ class TestOrderingAndState:
         op, _ = make()
         op.process(element("a", 40, T_SPLIT), 0)
         op.process(element("b", T_SPLIT, 130), 1)
-        op.flush_tables()
+        op.flush()
         assert list(op.state_elements()) == []

@@ -10,8 +10,9 @@ from repro.core import (
     UnsupportedPlanError,
     select_strategy,
 )
-from repro.operators import NestedLoopsJoin
-from repro.engine import Box
+from repro.operators import NestedLoopsJoin, sweep
+from repro.engine import Box, QueryExecutor
+from repro.streams import CollectorSink, PhysicalStream
 from repro.temporal import element, first_divergence
 from scenarios import (
     aggregate_all_box,
@@ -128,6 +129,62 @@ class TestJoinReordering:
         assert len(executor.migration_log[0].extra["range_log"]) == 4
 
 
+def online_executor(box, **kwargs):
+    """An executor fed by ``push`` without global heartbeats, so that one
+    watermark step can cover several distinct result starts."""
+    executor = QueryExecutor(
+        {name: PhysicalStream(name=name) for name in "ABC"},
+        {"A": 12, "B": 12, "C": 12},
+        box,
+        global_heartbeats=False,
+        **kwargs,
+    )
+    sink = CollectorSink()
+    executor.add_sink(sink)
+    return executor, sink
+
+
+class TestDeliveryOrder:
+    """Both roots reach the gate through one order-restoring merge."""
+
+    @pytest.mark.parametrize("ranges", [1, 2, 8])
+    def test_two_starts_in_one_watermark_step_stay_ordered(self, ranges):
+        """``A@0, B@1, B@2, C@0 | migrate | C@0``: at end of stream the
+        old root owes results starting at 1 and 2 and so does the new
+        root; delivered root by root that is ``[1, 2, 1, 2]``."""
+        executor, sink = online_executor(left_deep_join_box())
+        executor.push("A", element(0, 0, 1))
+        executor.push("B", element(0, 1, 2))
+        executor.push("B", element(0, 2, 3))
+        executor.push("C", element(0, 0, 1))
+        executor.start_migration(right_deep_join_box(), FluidMigration(ranges=ranges))
+        executor.push("C", element(0, 0, 1))
+        executor.finish()
+        starts = [e.start for e in sink.elements]
+        assert starts == sorted(starts) == [1, 1, 2, 2]
+        assert executor.gate.order_violations == 0
+
+    def test_what_the_merge_holds_counts_as_migration_state(self):
+        """Fig. 5's metric covers the merge; the incremental count agrees
+        with the recount (asserted inside under ``sweep.DEBUG``)."""
+        executor, _ = online_executor(left_deep_join_box())
+        for name in "ABC":
+            executor.push(name, element(0, 0, 1))
+        strategy = FluidMigration(ranges=1, pace=1000)
+        executor.start_migration(right_deep_join_box(), strategy)
+        assert strategy.phase == "parallel"
+        before = strategy.state_value_count()
+        # The old root runs ahead of the new one: its result must wait.
+        strategy.merge.process(element((7, 7, 7), 5, 9), 0)
+        sweep.set_debug(True)
+        try:
+            assert strategy.state_value_count() == before + 3
+            assert strategy.merge.state_value_count_slow() == 3
+        finally:
+            sweep.set_debug(False)
+        assert strategy.phase_state() != FluidMigration(ranges=1).phase_state()
+
+
 class TestFrontierRouter:
     class _Recorder:
         def __init__(self):
@@ -178,6 +235,87 @@ class TestFrontierRouter:
         router.process(element(1, 2, 3))
         assert [p for p, _ in old.payloads] == [(1,)]
         assert [p for p, _ in new.payloads] == [(1,)]
+
+
+class TestStatelessOperatorsBetweenJoins:
+    """Verdict and runtime agree on what fluid can replay and seed through."""
+
+    @staticmethod
+    def fused_box(deep_side: str):
+        """A ``PhysicalBuilder``-built 3-way keyed join whose two adjacent
+        filters between the joins fuse into one ``FusedStateless``."""
+        from repro.plans import Comparison, Field, JoinNode, Literal, SelectNode, Source
+        from repro.plans.physical import PhysicalBuilder
+
+        a, b, c = Source("A", ["k"]), Source("B", ["k"]), Source("C", ["k"])
+
+        def filtered(plan, column):
+            once = SelectNode(plan, Comparison("<", Field(column), Literal(7)))
+            return SelectNode(once, Comparison(">=", Field(column), Literal(0)))
+
+        if deep_side == "left":
+            inner = JoinNode(a, b, Comparison("=", Field("A.k"), Field("B.k")))
+            plan = JoinNode(
+                filtered(inner, "A.k"), c, Comparison("=", Field("A.k"), Field("C.k"))
+            )
+        else:
+            inner = JoinNode(b, c, Comparison("=", Field("B.k"), Field("C.k")))
+            plan = JoinNode(
+                a, filtered(inner, "B.k"), Comparison("=", Field("A.k"), Field("B.k"))
+            )
+        return PhysicalBuilder().build(plan)
+
+    def test_fused_chain_is_selected_and_migrates_in_order(self):
+        from repro.plans.fusion import FusedStateless
+
+        old_box, new_box = self.fused_box("left"), self.fused_box("right")
+        assert any(isinstance(op, FusedStateless) for op in old_box.operators)
+        strategy = select_strategy(old_box, new_box, prefer="fluid")
+        assert isinstance(strategy, FluidMigration)
+        assert not strategy.selection_verdict.strategies["fluid"].diagnostics
+
+        streams = three_random_streams()
+        base, _ = run_query(streams, W3, self.fused_box("left"))
+        out, executor = run_query(
+            streams, W3, old_box, migrate_at=150, new_box=new_box, strategy=strategy,
+        )
+        assert base, "the plan must produce results"
+        assert sorted((e.payload, e.start, e.end) for e in out) == sorted(
+            (e.payload, e.start, e.end) for e in base
+        )
+        assert executor.gate.order_violations == 0
+        assert executor.migration_log[0].strategy == "fluid"
+
+    def test_stateless_operator_without_evaluate_hook_is_flm004(self):
+        """A mid-tree stateless operator fluid cannot evaluate is refused
+        by the verifier and by ``begin`` alike — and ``prefer='fluid'``
+        degrades to a sound strategy instead of failing mid-flight."""
+        from repro.operators import StatelessOperator, equi_join
+
+        class Relay(StatelessOperator):
+            def _on_element(self, element, port):
+                self._stage(element)
+
+        def relayed_box(deep_port):
+            first, second = ("AB", "C") if deep_port == 0 else ("BC", "A")
+            j1, j2 = equi_join(0, 0, name=first), equi_join(0, 0, name="ABC")
+            relay = Relay(name="relay")
+            j1.subscribe(relay, 0)
+            relay.subscribe(j2, deep_port)
+            taps = {first[0]: [(j1, 0)], first[1]: [(j1, 1)], second: [(j2, 1 - deep_port)]}
+            return Box(taps=taps, root=j2)
+
+        strategy = select_strategy(relayed_box(0), relayed_box(1), prefer="fluid")
+        assert not isinstance(strategy, FluidMigration)
+        codes = {
+            d.code for d in strategy.selection_verdict.strategies["fluid"].diagnostics
+        }
+        assert codes == {"FLM004"}
+        with pytest.raises(UnsupportedPlanError, match="FLM004"):
+            run_query(
+                three_random_streams(), W3, relayed_box(0),
+                migrate_at=150, new_box=relayed_box(1), strategy=FluidMigration(),
+            )
 
 
 class TestSelection:

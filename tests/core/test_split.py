@@ -1,11 +1,15 @@
-"""Tests for the Split operator (Algorithm 2)."""
+"""Tests for the Split operator (Algorithm 2) and the router contract
+every two-sided migration router shares."""
 
-from fractions import Fraction
+import random
 
-from repro.core import ReferencePointSplit, Split
+import pytest
+
+from repro.core import FrontierRouter, ReferencePointSplit, Split
+from repro.core.parallel_track import _DualTap
 from repro.operators import Select
 from repro.streams import CollectorSink
-from repro.temporal import EPSILON, element, snapshot_equivalent
+from repro.temporal import EPSILON, Batch, element, snapshot_equivalent
 from repro.temporal.time import MAX_TIME
 
 T_SPLIT = 100 + EPSILON
@@ -115,3 +119,73 @@ class TestReferencePointSplit:
         split.process(element("a", 0, 50))
         assert len(old.elements) == 1
         assert new.elements == []
+
+
+ROUTERS = {
+    "split": lambda: Split(T_SPLIT),
+    "rp-split": lambda: ReferencePointSplit(T_SPLIT),
+    "frontier": lambda: FrontierRouter(
+        key_of=lambda p: p[0], range_of=lambda k: k % 3, migrated={1}
+    ),
+    "pt-tap": lambda: _DualTap("tap"),
+}
+
+
+class _Side:
+    """Records what one side of a router is handed, in order."""
+
+    def __init__(self):
+        self.elements = []
+        self.promises = []
+
+    def process(self, element, port=0):
+        self.elements.append((element.payload, element.start, element.end, element.flag))
+
+    def process_batch(self, batch, port=0):
+        for e in batch.elements:
+            self.process(e, port)
+
+    def process_heartbeat(self, t, port=0):
+        if not self.promises or t > self.promises[-1]:
+            self.promises.append(t)
+
+
+def _random_runs(seed):
+    """Uniform-start runs (the executor's batch currency) straddling
+    ``T_SPLIT``, some closed by a watermark beyond their start."""
+    rng = random.Random(seed)
+    t, runs = 80, []
+    for _ in range(12):
+        t += rng.randint(0, 6)
+        run = [
+            element(rng.randint(0, 5), t, t + rng.randint(1, 40))
+            for _ in range(rng.randint(1, 4))
+        ]
+        runs.append((run, t + rng.choice([0, 0, 2])))
+    return runs
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", sorted(ROUTERS))
+def test_batch_path_equals_element_path(kind, seed):
+    """``process_batch`` hands each side exactly the element sequence and
+    the same distinct watermark promises as element-wise ``process``
+    followed by the run's trailing heartbeat."""
+    sides = {}
+    for mode in ("element", "batch"):
+        router = ROUTERS[kind]()
+        old, new = _Side(), _Side()
+        router.connect_old(old)
+        router.connect_new(new)
+        for run, watermark in _random_runs(seed):
+            if mode == "batch":
+                router.process_batch(Batch(run, watermark))
+            else:
+                for e in run:
+                    router.process(e)
+                router.process_heartbeat(watermark)
+        sides[mode] = (old, new)
+    for by_element, by_batch in zip(sides["element"], sides["batch"]):
+        assert by_batch.elements == by_element.elements
+        assert by_batch.promises == by_element.promises
+    assert sides["batch"][0].elements or sides["batch"][1].elements

@@ -96,6 +96,7 @@ class TestOutputGate:
 
     def test_order_violations_counted_not_fatal(self):
         gate = OutputGate()
+        gate.expects_disorder = True  # as Parallel Track brackets its flush
         gate.process(element("a", 10, 15))
         gate.process(element("b", 3, 15))  # the PT flush case
         assert gate.order_violations == 1

@@ -156,6 +156,50 @@ class TestMigrationLifecycle:
         with pytest.raises(MigrationError):
             executor.run()
 
+    def test_refused_migration_leaves_the_executor_as_it_was(self):
+        """A strategy refusing the plan in ``begin`` is never installed:
+        pushes, a second migration and ``finish`` all go on working."""
+        from repro.core import ReferencePointGenMig, UnsupportedPlanError
+        from repro.streams import PhysicalStream
+        from scenarios import distinct_over_join_box, join_over_distinct_box
+
+        def feed(executor, times):
+            for t in times:
+                executor.push("AB"[t % 2], element(1, t, t + 1))
+
+        reference = QueryExecutor(
+            {name: PhysicalStream(name=name) for name in "AB"},
+            {"A": 20, "B": 20},
+            distinct_over_join_box(),
+        )
+        expected = CollectorSink()
+        reference.add_sink(expected)
+        feed(reference, range(60))
+        reference.finish()
+
+        executor = QueryExecutor(
+            {name: PhysicalStream(name=name) for name in "AB"},
+            {"A": 20, "B": 20},
+            distinct_over_join_box(),
+        )
+        sink = CollectorSink()
+        executor.add_sink(sink)
+        feed(executor, range(10))
+        old_box = executor.box
+        with pytest.raises(UnsupportedPlanError, match="RP001"):
+            executor.start_migration(join_over_distinct_box(), ReferencePointGenMig())
+        assert not executor.migration_active
+        assert executor.box is old_box
+        feed(executor, range(10, 20))
+        executor.start_migration(join_over_distinct_box(), GenMig())
+        feed(executor, range(20, 60))
+        executor.finish()
+        assert [r.strategy for r in executor.migration_log] == ["genmig"]
+        from repro.temporal import first_divergence
+
+        assert first_divergence(expected.elements, sink.elements) is None
+        assert executor.gate.order_violations == 0
+
     def test_migration_completes_at_end_of_stream(self):
         """Streams ending mid-migration still drain and complete."""
         streams = {

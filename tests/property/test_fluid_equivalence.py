@@ -19,12 +19,13 @@ range counts ``R ∈ {1, 2, 8}``, asserting:
 * ``R = 1`` degenerates to a whole-box instant handover: one flip, one
   range-log entry, same outputs.
 
-The suite runs under the stream sanitizer like every property suite (the
-``tests/property`` CI step), so ordering, interval and state-accounting
+The suite runs under the strict-gate stream sanitizer like every property
+suite (the ``tests/property`` CI step), so ordering — of every operator's
+output and of the delivered stream — interval and state-accounting
 invariants are checked inside every replayed executor as well.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import RelationalReference, probe_instants, windowed
@@ -167,6 +168,17 @@ def as_tuples(elements):
     raw_a=raw_stream,
     raw_b=raw_stream,
     raw_c=raw_stream,
+)
+# One watermark step covering two distinct result starts, both roots
+# owing results: without an order-restoring merge between the roots and
+# the gate a [1, 13) result is delivered after two [3, 13) ones.
+@example(
+    plan="join3", scheduler="round-robin-2", batch_size=1, ranges=8, migrate_at=0,
+    raw_a=[(0, 0)], raw_b=[(0, 0), (0, 1), (0, 2)], raw_c=[(0, 0)] * 3,
+)
+@example(
+    plan="join3", scheduler="round-robin-4", batch_size=2, ranges=1, migrate_at=0,
+    raw_a=[(0, 0)], raw_b=[(0, 0), (0, 1), (0, 2)], raw_c=[(0, 0)] * 3,
 )
 def test_fluid_matches_genmig_and_unmigrated(
     plan, scheduler, batch_size, ranges, migrate_at, raw_a, raw_b, raw_c

@@ -162,7 +162,7 @@ def run_coalesce(events, force_scan):
             trace.append(fingerprint(op, sink))
         op.process_heartbeat(MAX_TIME, 0)
         op.process_heartbeat(MAX_TIME, 1)
-        op.flush_tables()
+        op.flush()
         trace.append(fingerprint(op, sink))
         return trace, op.merged_count, op.peak_value_count
     finally:
