@@ -1,6 +1,6 @@
 """Project-specific AST lint rules for the engine code itself.
 
-Generic linters cannot know this codebase's temporal contract, so three
+Generic linters cannot know this codebase's temporal contract, so these
 rules are enforced here with the stdlib ``ast`` module (no third-party
 dependency — ``ruff``/``mypy`` run additionally in CI):
 
@@ -82,6 +82,16 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     turn into a lost-update race under a threaded transport.  Use
     immutable constants (tuples, ``frozenset``) or instance state.
 
+``RLB010``
+    A ``StatelessOperator`` subclass (``Router`` is one) must not
+    override ``_on_heartbeat``, ``_on_watermark`` or
+    ``_output_watermark``, nor pass ``ordered_output=True``.  Stateless
+    operators move progress with a relay — set the marks, forward the
+    heartbeat — that never calls those hooks and never looks at the
+    staging heap, so such an override would be dead code that *looks*
+    live.  An operator that needs one of them holds state or delays its
+    output: derive it from ``Operator`` (as ``CountWindow`` does).
+
 Run locally or in CI::
 
     PYTHONPATH=src python -m repro.analysis.lint [paths...] [--format github]
@@ -124,6 +134,9 @@ WALL_CLOCK_SCOPE = ("engine", "operators", "recovery")
 KERNEL_APIS = frozenset(
     {"FusedStep", "FusedStateless", "compile_kernel", "select_step", "project_step"}
 )
+
+#: Watermark-protocol hooks the stateless relay never calls (RLB010).
+RELAY_BYPASSED_HOOKS = ("_on_heartbeat", "_on_watermark", "_output_watermark")
 
 #: Column-storage slots of ``ColumnarBatch`` that are private to the
 #: temporal layer (RLB005); everything else goes through the read API.
@@ -232,11 +245,12 @@ class _ClassFacts:
     name: str
     line: int
     bases: Tuple[str, ...]
-    methods: Set[str]
+    methods: Dict[str, int]  # name -> line of the definition
     assigns: Set[str]
     watermark_def: Optional[ast.FunctionDef]
     process_batch_def: Optional[ast.FunctionDef]
     calls_purge_api: bool
+    ordered_output_line: Optional[int]  # where ``ordered_output=True`` is passed
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
@@ -248,13 +262,13 @@ def _base_name(node: ast.expr) -> Optional[str]:
 
 
 def _scan_class(node: ast.ClassDef) -> _ClassFacts:
-    methods: Set[str] = set()
+    methods: Dict[str, int] = {}
     assigns: Set[str] = set()
     watermark_def: Optional[ast.FunctionDef] = None
     process_batch_def: Optional[ast.FunctionDef] = None
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            methods.add(item.name)
+            methods[item.name] = item.lineno
             if item.name == "_on_watermark" and isinstance(item, ast.FunctionDef):
                 watermark_def = item
             if item.name == "process_batch" and isinstance(item, ast.FunctionDef):
@@ -266,6 +280,7 @@ def _scan_class(node: ast.ClassDef) -> _ClassFacts:
         elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
             assigns.add(item.target.id)
     calls_purge = False
+    ordered_output_line: Optional[int] = None
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
             callee = sub.func
@@ -276,7 +291,13 @@ def _scan_class(node: ast.ClassDef) -> _ClassFacts:
                 name = callee.id
             if name in PURGE_APIS:
                 calls_purge = True
-                break
+            for keyword in sub.keywords:
+                if (
+                    keyword.arg == "ordered_output"
+                    and isinstance(keyword.value, ast.Constant)
+                    and keyword.value.value is True
+                ):
+                    ordered_output_line = sub.lineno
     return _ClassFacts(
         name=node.name,
         line=node.lineno,
@@ -286,6 +307,7 @@ def _scan_class(node: ast.ClassDef) -> _ClassFacts:
         watermark_def=watermark_def,
         process_batch_def=process_batch_def,
         calls_purge_api=calls_purge,
+        ordered_output_line=ordered_output_line,
     )
 
 
@@ -600,21 +622,24 @@ class Linter:
     def add_path(self, path: Path) -> None:
         self.add_source(path.read_text(encoding="utf-8"), str(path))
 
-    def _is_stateful(self, name: str, seen: Optional[Set[str]] = None) -> bool:
-        """Whether ``name`` transitively derives from StatefulOperator.
+    def _derives_from(
+        self, name: str, root: str, seen: Optional[Set[str]] = None
+    ) -> bool:
+        """Whether ``name`` is ``root`` or transitively derives from it.
 
         Resolution is by class *name* across all scanned modules — sound
         for this codebase's flat namespace, and the conservative direction
         for a linter (an unknown base simply does not match).
         """
-        if name == "StatefulOperator":
+        if name == root:
             return True
         seen = seen or set()
         if name in seen:
             return False
         seen.add(name)
         return any(
-            self._is_stateful(base, seen) for base in self._hierarchy.get(name, ())
+            self._derives_from(base, root, seen)
+            for base in self._hierarchy.get(name, ())
         )
 
     def run(self) -> List[LintFinding]:
@@ -659,7 +684,7 @@ class Linter:
         if (
             cls.process_batch_def is not None
             and cls.name != "StatefulOperator"
-            and self._is_stateful(cls.name)
+            and self._derives_from(cls.name, "StatefulOperator")
             and "_on_run_tail" not in cls.methods
             and "batch_fallback" not in cls.assigns
         ):
@@ -674,6 +699,28 @@ class Linter:
                     "opt out of the amortised path explicitly",
                 )
             )
+        if cls.name != "StatelessOperator" and self._derives_from(
+            cls.name, "StatelessOperator"
+        ):
+            bypassed = [
+                (cls.methods[hook], f"overrides {hook}")
+                for hook in RELAY_BYPASSED_HOOKS
+                if hook in cls.methods
+            ]
+            if cls.ordered_output_line is not None:
+                bypassed.append((cls.ordered_output_line, "passes ordered_output=True"))
+            for line, what in bypassed:
+                findings.append(
+                    LintFinding(
+                        path,
+                        line,
+                        "RLB010",
+                        f"{cls.name} is a StatelessOperator but {what}: "
+                        "stateless operators relay progress without the "
+                        "watermark hooks or the staging heap, so this never "
+                        "takes effect — derive from Operator instead",
+                    )
+                )
         return findings
 
 
@@ -701,7 +748,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Project-specific AST lint rules (RLB001-RLB009).",
+        description="Project-specific AST lint rules (RLB001-RLB010).",
     )
     parser.add_argument("paths", nargs="*", help="files/directories to lint")
     parser.add_argument(

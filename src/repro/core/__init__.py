@@ -23,6 +23,7 @@ from .split import ReferencePointSplit, Split
 from .strategy import (
     MigrationReport,
     MigrationStrategy,
+    UnsoundPreferenceError,
     UnsupportedPlanError,
     classify_box,
     select_strategy,
@@ -41,6 +42,7 @@ __all__ = [
     "ReferencePointSplit",
     "ShortenedGenMig",
     "Split",
+    "UnsoundPreferenceError",
     "UnsupportedPlanError",
     "classify_box",
     "select_strategy",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
+from ..engine.executor import MigrationError
 from ..temporal.time import Time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,6 +37,30 @@ class UnsupportedPlanError(RuntimeError):
     carries its diagnostics), and by Moving States' own check.  GenMig
     with coalesce never raises this — it is the general strategy.
     """
+
+
+class UnsoundPreferenceError(MigrationError):
+    """:func:`select_strategy` was told to prefer a strategy the plan
+    verifier refuses for this pair of boxes.
+
+    Attributes:
+        prefer: the preference that was refused.
+        codes: the verifier codes behind the refusal (``PT001``,
+            ``RP001``, ``FLM001`` ...), sorted, without repeats.
+        verdict: the full :class:`~repro.analysis.plan_verifier.
+            MigrationVerdict`.
+    """
+
+    def __init__(self, prefer: str, verdict: "MigrationVerdict") -> None:
+        diagnostics = verdict.strategies[prefer].diagnostics
+        self.prefer = prefer
+        self.codes = tuple(sorted({d.code for d in diagnostics}))
+        self.verdict = verdict
+        super().__init__(
+            f"strategy {prefer!r} is unsound for this migration "
+            f"({', '.join(self.codes)}): "
+            + "; ".join(d.message for d in diagnostics)
+        )
 
 
 @dataclass
@@ -258,9 +283,11 @@ def select_strategy(
     coalesce operator's memory and CPU) and falls back to general GenMig
     with coalesce otherwise — which is always sound.  ``prefer`` may name a
     strategy explicitly (``"coalesce"``, ``"reference-point"``,
-    ``"parallel-track"``, ``"fluid"``); an unsound preference silently degrades to the
-    closest sound choice rather than failing mid-flight — in particular the
-    Parallel Track baseline is only ever selected for join-only plans.
+    ``"parallel-track"``, ``"fluid"``); a preference the verifier finds
+    unsound for this pair raises :class:`UnsoundPreferenceError` with the
+    verifier codes — nothing is chosen in its place.  Fluid is opt-in only:
+    it beats GenMig on mid-migration latency for keyed join trees, but the
+    auto policy stays on the paper's strategies.
 
     Soundness is decided by the plan verifier
     (:func:`repro.analysis.plan_verifier.verify_migration`); the verdict —
@@ -274,38 +301,28 @@ def select_strategy(
     ``MCK001`` diagnostic — dynamic certification on top of the static
     verdict.  ``modelcheck_budget`` bounds the exploration per scenario.
     """
-    from ..analysis.plan_verifier import (
-        FLUID,
-        PARALLEL_TRACK,
-        REFERENCE_POINT,
-        verify_migration,
-    )
+    from ..analysis.plan_verifier import REFERENCE_POINT, verify_migration
     from .fluid import FluidMigration
     from .genmig import GenMig
     from .parallel_track import ParallelTrack
     from .reference_point import ReferencePointGenMig
 
-    if prefer not in ("auto", "coalesce", "reference-point", "parallel-track", "fluid"):
+    preferred = {
+        "reference-point": ReferencePointGenMig,
+        "parallel-track": ParallelTrack,
+        "fluid": FluidMigration,
+    }
+    if prefer not in ("auto", "coalesce", *preferred):
         raise ValueError(f"unknown strategy preference {prefer!r}")
     verdict = verify_migration(
         old_box, new_box, scenarios=scenarios, modelcheck_budget=modelcheck_budget
     )
     strategy: MigrationStrategy
-    if prefer == "coalesce":
-        strategy = GenMig()
-    elif (
-        prefer == "parallel-track"
-        and verdict.profiles == {"join-only"}
-        and verdict.strategies[PARALLEL_TRACK].safe
-    ):
-        strategy = ParallelTrack()
-    elif prefer == "fluid" and verdict.strategies[FLUID].safe:
-        # Opt-in only: fluid beats GenMig on mid-migration latency for
-        # keyed join trees, but the auto policy stays on the paper's
-        # strategies — explicit preference plus a safe FLM verdict is
-        # required to take the incremental path.
-        strategy = FluidMigration()
-    elif verdict.strategies[REFERENCE_POINT].safe:
+    if prefer in preferred:
+        if not verdict.strategies[prefer].safe:
+            raise UnsoundPreferenceError(prefer, verdict)
+        strategy = preferred[prefer]()
+    elif prefer == "auto" and verdict.strategies[REFERENCE_POINT].safe:
         strategy = ReferencePointGenMig()
     else:
         strategy = GenMig()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..operators import base as _operator_base
-from ..operators.base import Operator
+from ..operators.base import Operator, StatelessOperator
 from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
 from ..temporal.time import MIN_TIME, Time
@@ -130,11 +130,11 @@ def operator_digest(op: Operator) -> tuple:
     )
 
 
-class Router(Operator):
+class Router(StatelessOperator):
     """Stateless splice point: forwards its input to swappable subscribers."""
 
     def __init__(self, name: str = "") -> None:
-        super().__init__(arity=1, name=name or "router", ordered_output=False)
+        super().__init__(name=name or "router")
 
     def _on_element(self, element: StreamElement, port: int) -> None:
         self._emit(element)

@@ -517,15 +517,27 @@ class QueryExecutor:
         if batch.watermark > batch.last_start:
             self.advance(name, batch.watermark)
 
-    def advance(self, name: str, t: Time) -> None:
-        """Promise online that ``name`` will not deliver before ``t``."""
-        if name not in self._window_ops:
+    def advance(self, name: Optional[str], t: Time) -> None:
+        """Promise online that ``name`` will not deliver before ``t``.
+
+        ``name=None`` makes the promise for every source in one turn:
+        actions fire and the strategy is polled once, every window is
+        heartbeated — what the ingest hub owes a query that does not
+        consume the element it just published.
+        """
+        if name is None:
+            names = self._window_ops
+        elif name in self._window_ops:
+            names = (name,)
+        else:
             raise KeyError(f"unknown source {name!r}")
         self._fire_actions(t)
         self.clock = max(self.clock, t)
-        if self.source_watermarks[name] < t:
-            self.source_watermarks[name] = t
-        self._window_ops[name].process_heartbeat(t, 0)
+        source_watermarks = self.source_watermarks
+        for source in names:
+            if source_watermarks[source] < t:
+                source_watermarks[source] = t
+            self._window_ops[source].process_heartbeat(t, 0)
         self._poll_strategy()
 
     def finish(self) -> None:

@@ -172,11 +172,7 @@ class ShardServer:
             return ("out", self._take())
         if kind == "adv":
             _, _, source, t = command
-            if source is None:
-                for name in executor.sources:
-                    executor.advance(name, t)
-            else:
-                executor.advance(source, t)
+            executor.advance(source, t)
             return ("out", self._take())
         if kind == "finish":
             executor.finish()
@@ -487,9 +483,10 @@ class ShardedExecutor:
         else:
             self._maybe_flush()
 
-    def advance(self, source: str, t: Time) -> None:
-        """Promise all shards that ``source`` will not deliver before ``t``."""
-        if source not in self.windows:
+    def advance(self, source: Optional[str], t: Time) -> None:
+        """Promise all shards that ``source`` — every source when ``None``
+        — will not deliver before ``t``: one broadcast either way."""
+        if source is not None and source not in self.windows:
             raise KeyError(f"unknown source {source!r}")
         self.clock = max(self.clock, t)
         self._broadcast(("adv", source, t), "out")

@@ -15,11 +15,14 @@ convention, applied uniformly).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..temporal.element import NEW, Payload, StreamElement
+from ..temporal.element import NEW, OLD, Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
+from . import sweep
 from .base import StatefulOperator
 from .scalar import AggregateFunction
 from .sweep import SweepArea
@@ -31,19 +34,24 @@ def merge_flags(flags: Sequence[Optional[str]]) -> Optional[str]:
     All-``NEW`` contributors yield ``NEW``; all unflagged yield ``None``;
     any other mix means some constituent predates the migration → ``OLD``.
     """
-    if not flags:
+    if flags.count(None) == len(flags):  # also the empty case
         return None
-    if all(flag is None for flag in flags):
-        return None
-    if all(flag == NEW for flag in flags):
+    if flags.count(NEW) == len(flags):
         return NEW
-    from ..temporal.element import OLD
-
     return OLD
 
 
 class Aggregate(StatefulOperator):
     """Snapshot aggregation over an interval stream.
+
+    ``_open`` is the operator's state: every element not yet purged, in
+    insertion order, counted for the memory metric.  Beside it the
+    operator keeps a *live view* — references only — of the elements
+    valid at the finalisation frontier, per group and in insertion
+    order, with an end-ordered index over them.  A watermark step walks
+    that index: it pays for the members that leave (and the ones the
+    step admits), not for the ones that stay, and a group nobody joined
+    or left re-emits its cached result without being refolded.
 
     Args:
         functions: the aggregate functions evaluated per snapshot.
@@ -66,26 +74,22 @@ class Aggregate(StatefulOperator):
         self.group_key = group_key
         self._open = SweepArea()
         self._frontier: Time = MIN_TIME
-        self._fold_kernel = None
-
-    def enable_columnar(self, spec: Sequence[Tuple[str, Optional[int]]]) -> None:
-        """Switch the segment sweep to a compiled column fold.
-
-        ``spec`` names the aggregate functions positionally as
-        ``(function_name, payload_index)`` pairs and MUST agree with
-        ``self.functions`` — the physical builder guarantees this; the
-        fold kernel replays the same accumulation (count of live
-        elements, sums/extrema over one payload column each) in
-        insertion order, so values, charges and flags are byte-identical
-        to the element-path fold.  Grouped aggregation keeps the element
-        path: group formation needs the payload rows anyway.
-        """
-        if self.group_key is not None:
-            raise ValueError("columnar fold requires ungrouped aggregation")
-        from ..plans.kernels import compile_fold_kernel
-
-        self._fold_kernel = compile_fold_kernel(tuple(spec))
-        self.migration_profile = "general"
+        #: Live members per group key (ungrouped: the single key ``()``),
+        #: by insertion number, in insertion order.
+        self._members: Dict[Payload, Dict[int, StreamElement]] = {}
+        #: ``(payload, flag)`` folded over a group's members; dropped
+        #: when a member is admitted or retires.
+        self._folded: Dict[Payload, Tuple[Payload, Optional[str]]] = {}
+        #: ``sorted(_members, key=repr)``, the emission order; ``None``
+        #: once a group has appeared or vanished since it was computed.
+        self._order: Optional[List[Payload]] = None
+        #: ``(end, insertion number, group key)`` of every live member.
+        self._end_index: List[Tuple[Time, int, Payload]] = []
+        #: ``(insertion number, element)`` of the open elements that
+        #: start at or beyond the frontier: open, not yet live.
+        self._pending: List[Tuple[int, StreamElement]] = []
+        self._live = 0
+        self._insertions = itertools.count()
 
     def _on_element(self, element: StreamElement, port: int) -> None:
         self.meter.charge(1, "aggregate")
@@ -97,13 +101,32 @@ class Aggregate(StatefulOperator):
                 f"finalisation frontier {self._frontier}"
             )
         self._open.insert(element)
+        self._pending.append((next(self._insertions), element))
 
     def _on_watermark(self, watermark: Time) -> None:
-        if watermark <= self._frontier:
+        lo = self._frontier
+        if watermark <= lo:
             return
-        self._finalise(self._frontier, min(watermark, MAX_TIME))
+        hi = min(watermark, MAX_TIME)
+        results, charged = self._sweep(lo, hi)
+        if sweep.DEBUG:
+            assert (results, charged) == self._scan(lo, hi), (
+                f"{self.name}: incremental finalisation of [{lo}, {hi}) "
+                "diverged from the scan recomputation"
+            )
+        if charged:
+            self.meter.charge(charged, "aggregate")
+        # Every result starts below the watermark, so the advance that
+        # called us would release it from the staging heap at once, in
+        # (start, insertion) order — the order of this list.
+        for merged in _merge_adjacent(results):
+            self._emit(merged)
         self._frontier = watermark
-        self._open.expire(watermark)
+        expired = self._open.expire(watermark)
+        if expired and any(e.end > hi for e in expired):
+            # Purged while still valid — only a retention rule shorter
+            # than validity does that; the live view must forget it too.
+            self._rebuild(watermark)
 
     def _on_retention_change(self) -> None:
         self._open.set_retention(self._retention)
@@ -111,11 +134,121 @@ class Aggregate(StatefulOperator):
     def _state_value_count(self) -> int:
         return self._open.value_count()
 
-    def _finalise(self, lo: Time, hi: Time) -> None:
-        """Emit aggregate results for every instant in ``[lo, hi)``."""
-        if self._fold_kernel is not None:
-            self._finalise_columnar(lo, hi)
-            return
+    # ------------------------------------------------------------------ #
+    # Finalisation
+    # ------------------------------------------------------------------ #
+
+    def _sweep(self, lo: Time, hi: Time) -> Tuple[List[StreamElement], int]:
+        """Aggregate results for every instant in ``[lo, hi)``, unmerged.
+
+        Returns one result per non-empty group per constant segment, and
+        the meter units the step owes (live members per segment).  The
+        segment boundaries are read off the end index (and off pending
+        starts, which only seeded state can place inside the step).
+        """
+        results: List[StreamElement] = []
+        charged = 0
+        members, folded = self._members, self._folded
+        ends, pending = self._end_index, self._pending
+        a = lo
+        while a < hi:
+            if pending:
+                self._admit(a)
+            b = hi
+            if ends and ends[0][0] < b:
+                b = ends[0][0]
+            for _, waiting in pending:
+                if waiting.start < b:
+                    b = waiting.start
+            if self._live:
+                charged += self._live
+                segment = TimeInterval(a, b)
+                if self._order is None:
+                    self._order = sorted(members, key=repr)
+                for key in self._order:
+                    result = folded.get(key)
+                    if result is None:
+                        result = folded[key] = self._fold(key, members[key].values())
+                    results.append(StreamElement(result[0], segment, result[1]))
+            while ends and ends[0][0] <= b:
+                _, number, key = heapq.heappop(ends)
+                del members[key][number]
+                self._live -= 1
+                folded.pop(key, None)
+                if not members[key]:
+                    del members[key]
+                    self._order = None
+            a = b
+        return results, charged
+
+    def _key_of(self, payload: Payload) -> Payload:
+        if self.group_key is None:
+            return ()
+        key = self.group_key(payload)
+        return key if isinstance(key, tuple) else (key,)
+
+    def _fold(self, key: Payload, members) -> Tuple[Payload, Optional[str]]:
+        """The output ``(payload, flag)`` of one group's members."""
+        payloads = [e.payload for e in members]
+        values = tuple(fn(payloads) for fn in self.functions)
+        return key + values, merge_flags([e.flag for e in members])
+
+    def _enter(self, number: int, element: StreamElement) -> bool:
+        """Make ``element`` a live member; False if that breaks insertion order."""
+        key = self._key_of(element.payload)
+        group = self._members.get(key)
+        if group is None:
+            group = self._members[key] = {}
+            self._order = None
+        elif number < next(reversed(group)):
+            return False
+        group[number] = element
+        self._folded.pop(key, None)
+        heapq.heappush(self._end_index, (element.end, number, key))
+        self._live += 1
+        return True
+
+    def _admit(self, a: Time) -> None:
+        """Move the pending elements that have started by ``a`` into the live view."""
+        waiting = []
+        for entry in self._pending:
+            if entry[1].start > a:
+                waiting.append(entry)
+            elif not self._enter(*entry):
+                # Folds run in insertion order; elements admitted out of
+                # it (seeded state need not be start-ordered) are put
+                # back in place by a rescan.
+                self._rebuild(a)
+                return
+        self._pending[:] = waiting
+
+    def _rebuild(self, at: Time) -> None:
+        """Recompute the live view as of instant ``at`` by scanning ``_open``."""
+        self._members.clear()
+        self._folded.clear()
+        self._order = None
+        self._end_index.clear()
+        self._pending.clear()
+        self._live = 0
+        self._insertions = itertools.count()
+        for element in self._open:
+            number = next(self._insertions)
+            if element.start > at:
+                self._pending.append((number, element))
+            elif element.end > at:
+                self._enter(number, element)
+
+    def _scan(self, lo: Time, hi: Time) -> Tuple[List[StreamElement], int]:
+        """What :meth:`_sweep` must return, recomputed from ``_open`` alone.
+
+        The reference: every segment rescans and refolds all open state.
+        Runs only under ``sweep.DEBUG`` (and as the oracle of the
+        aggregate equivalence suite).
+        """
+        results: List[StreamElement] = []
+        charged = 0
+        if lo >= hi:
+            return results, charged
         boundaries = {lo, hi}
         for e in self._open:
             if lo < e.start < hi:
@@ -123,70 +256,17 @@ class Aggregate(StatefulOperator):
             if lo < e.end < hi:
                 boundaries.add(e.end)
         ordered = sorted(boundaries)
-        results: List[StreamElement] = []
         for a, b in zip(ordered, ordered[1:]):
-            live = [e for e in self._open if e.interval.contains(a)]
-            if not live:
-                continue
-            self.meter.charge(len(live), "aggregate")
+            groups: Dict[Payload, List[StreamElement]] = {}
+            for e in self._open:
+                if e.interval.contains(a):
+                    groups.setdefault(self._key_of(e.payload), []).append(e)
             segment = TimeInterval(a, b)
-            flag = merge_flags([e.flag for e in live])
-            if self.group_key is None:
-                payloads = [e.payload for e in live]
-                values = tuple(fn(payloads) for fn in self.functions)
-                results.append(StreamElement(values, segment, flag))
-            else:
-                groups: Dict[Payload, List[StreamElement]] = {}
-                for e in live:
-                    key = self.group_key(e.payload)
-                    if not isinstance(key, tuple):
-                        key = (key,)
-                    groups.setdefault(key, []).append(e)
-                for key in sorted(groups, key=repr):
-                    members = groups[key]
-                    payloads = [e.payload for e in members]
-                    values = tuple(fn(payloads) for fn in self.functions)
-                    group_flag = merge_flags([e.flag for e in members])
-                    results.append(StreamElement(key + values, segment, group_flag))
-        for merged in _merge_adjacent(results):
-            self._stage(merged)
-
-    def _finalise_columnar(self, lo: Time, hi: Time) -> None:
-        """The segment sweep over columns extracted from the open state.
-
-        One materialisation of the sweep area into parallel arrays, then
-        one compiled fold per constant segment — instead of a Python
-        filter + per-function reduction per segment.  Accumulation order
-        is the sweep area's insertion order, as in the element path.
-        """
-        starts: List[Time] = []
-        ends: List[Time] = []
-        rows: List[Payload] = []
-        flags: List[Optional[str]] = []
-        boundaries = {lo, hi}
-        for e in self._open:
-            s = e.interval.start
-            t = e.interval.end
-            starts.append(s)
-            ends.append(t)
-            rows.append(e.payload)
-            flags.append(e.flag)
-            if lo < s < hi:
-                boundaries.add(s)
-            if lo < t < hi:
-                boundaries.add(t)
-        ordered = sorted(boundaries)
-        fold = self._fold_kernel.fn
-        charge = self.meter.charge
-        results: List[StreamElement] = []
-        for a, b in zip(ordered, ordered[1:]):
-            n, values, flag = fold(a, starts, ends, rows, flags)
-            if not n:
-                continue
-            charge(n, "aggregate")
-            results.append(StreamElement(values, TimeInterval(a, b), flag))
-        for merged in _merge_adjacent(results):
-            self._stage(merged)
+            for key in sorted(groups, key=repr):
+                charged += len(groups[key])
+                payload, flag = self._fold(key, groups[key])
+                results.append(StreamElement(payload, segment, flag))
+        return results, charged
 
     def state_elements(self) -> Iterator[StreamElement]:
         return iter(self._open)
@@ -209,6 +289,7 @@ class Aggregate(StatefulOperator):
         area.replace(elements)
         self._open = area
         self._frontier = self._purged_watermark
+        self._rebuild(self._frontier)
 
 
 def _merge_adjacent(results: List[StreamElement]) -> List[StreamElement]:
@@ -218,6 +299,12 @@ def _merge_adjacent(results: List[StreamElement]) -> List[StreamElement]:
     the aggregate value does not change; merging within a finalisation batch
     keeps output volume proportional to actual value changes.
     """
+    if len(results) < 2:
+        return results
+    if results[0].interval is results[-1].interval:
+        # One segment (results come segment by segment): nothing is
+        # adjacent to anything, only the canonical order is owed.
+        return sorted(results, key=lambda e: repr(e.payload))
     pending: Dict[Tuple[Optional[str], Payload], StreamElement] = {}
     merged: List[StreamElement] = []
     for result in results:

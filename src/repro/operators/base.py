@@ -142,15 +142,17 @@ class Operator:
 
     def process(self, element: StreamElement, port: int = 0) -> None:
         """Consume one input element on ``port``."""
-        self._check_port(port)
+        if port:
+            self._check_port(port)
         if SANITIZER is not None:
             SANITIZER.on_input(self, element, port)
-        if element.start < self._watermarks[port]:
+        start = element.start
+        if start < self._watermarks[port]:
             raise ValueError(
                 f"{self.name}: out-of-order element on port {port}: "
-                f"{element.start} < watermark {self._watermarks[port]}"
+                f"{start} < watermark {self._watermarks[port]}"
             )
-        self._watermarks[port] = element.start
+        self._watermarks[port] = start
         self._on_element(element, port)
         self._advance()
 
@@ -165,7 +167,8 @@ class Operator:
         every override must keep the observable behaviour bit-identical
         for the batches it accepts and fall back to this loop otherwise.
         """
-        self._check_port(port)
+        if port:
+            self._check_port(port)
         if SANITIZER is not None:
             SANITIZER.on_batch(self, batch, port)
         watermarks = self._watermarks
@@ -188,7 +191,8 @@ class Operator:
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
         """Consume a heartbeat: no element on ``port`` will start before ``t``."""
-        self._check_port(port)
+        if port:
+            self._check_port(port)
         if t <= self._watermarks[port]:
             return
         self._watermarks[port] = t
@@ -196,6 +200,8 @@ class Operator:
         self._advance()
 
     def _check_port(self, port: int) -> None:
+        # Entry points call this for non-zero ports only: port 0 exists
+        # on every operator (arity >= 1), so the common call skips it.
         if not 0 <= port < self.arity:
             raise ValueError(f"{self.name} has no input port {port}")
 
@@ -366,7 +372,8 @@ class Operator:
         raise a non-minimal port's watermark cannot expire anything, and
         skipping them keeps redundant purge work off the hot path.
         """
-        watermark = self.min_watermark
+        watermarks = self._watermarks
+        watermark = watermarks[0] if len(watermarks) == 1 else min(watermarks)
         if watermark > self._purged_watermark:
             self._purged_watermark = watermark
             self._on_watermark(watermark)
@@ -379,7 +386,7 @@ class Operator:
         promise = self._output_watermark(watermark)
         if promise > self._emitted_watermark:
             self._emitted_watermark = promise
-            self._emit_heartbeat(min(promise, MAX_TIME))
+            self._emit_heartbeat(promise if promise < MAX_TIME else MAX_TIME)
         if SANITIZER is not None:
             SANITIZER.on_advance(self)
 
@@ -451,10 +458,39 @@ class Operator:
 
 
 class StatelessOperator(Operator):
-    """Base for selection/projection-style operators: no state, direct emit."""
+    """Base for selection/projection-style operators: no state, direct emit.
+
+    One input, nothing to purge, nothing staged, and the output promise
+    is the input watermark: progress through such an operator is a
+    *relay* — move the three marks, pass the heartbeat on.  This class
+    therefore replaces the generic watermark protocol with
+    :meth:`_advance` below and never calls :meth:`_on_heartbeat`,
+    :meth:`_on_watermark` or :meth:`_output_watermark`; a subclass that
+    needs one of them (or ordered output) is not stateless and derives
+    from :class:`Operator` instead (lint rule RLB010).
+    """
 
     def __init__(self, name: str = "") -> None:
         super().__init__(arity=1, name=name, ordered_output=False)
+
+    def process_heartbeat(self, t: Time, port: int = 0) -> None:
+        if port:
+            self._check_port(port)
+        if t > self._watermarks[0]:
+            self._watermarks[0] = t
+            self._advance()
+
+    def _advance(self) -> None:
+        """Relay the input watermark: exactly the marks, the heartbeat
+        and the sanitizer call :meth:`Operator._advance` would make."""
+        t = self._watermarks[0]
+        if t > self._purged_watermark:
+            self._purged_watermark = t
+        if t > self._emitted_watermark:
+            self._emitted_watermark = t
+            self._emit_heartbeat(t if t < MAX_TIME else MAX_TIME)
+        if SANITIZER is not None:
+            SANITIZER.on_advance(self)
 
     def evaluate(self, elements: List[StreamElement]) -> List[StreamElement]:
         """The operator's output for ``elements``, as a pure function.
@@ -490,7 +526,8 @@ class StatefulOperator(Operator):
         if len(elements) < 2 or not batch.uniform_start:
             super().process_batch(batch, port)
             return
-        self._check_port(port)
+        if port:
+            self._check_port(port)
         if SANITIZER is not None:
             SANITIZER.on_batch(self, batch, port)
         start = elements[0].start

@@ -48,7 +48,8 @@ class _MappingWindow(StatelessOperator):
         self._stage(self._map_element(element))
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
-        self._check_port(port)
+        if port:
+            self._check_port(port)
         watermarks = self._watermarks
         if type(batch) is ColumnarBatch:
             mapped_batch = self._map_columnar(batch)

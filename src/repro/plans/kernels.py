@@ -334,7 +334,7 @@ def clear_kernel_cache() -> None:
 
 
 # --------------------------------------------------------------------- #
-# Stateful kernels: hash-join probe, aggregate fold, window assignment
+# Stateful kernels: hash-join probe, window assignment
 # --------------------------------------------------------------------- #
 
 
@@ -408,93 +408,6 @@ def compile_probe_kernel(port: int, key_index: int) -> StatefulKernel:
             "    return matches, ahead\n"
         )
         namespace: Dict[str, Any] = {"__builtins__": {"range": range}}
-        return StatefulKernel(fn=_exec_kernel(source, namespace), source=source, key=key)
-
-    return _compile_cached(key, build)
-
-
-#: Aggregate functions the fold kernel can inline, by name.
-_FOLDABLE = ("count", "sum", "avg", "min", "max")
-
-
-def compile_fold_kernel(spec: Tuple[Tuple[str, Any], ...]) -> StatefulKernel:
-    """The ungrouped-aggregate segment fold, as generated code.
-
-    ``spec`` is a tuple of ``(function_name, payload_index)`` pairs
-    (``index`` is ``None`` for ``count``).  ``fn(a, starts, ends, rows,
-    flags)`` folds, in one pass over the open state's insertion order,
-    every element whose validity contains the segment start ``a`` —
-    ``starts[i] <= a < ends[i]`` — and returns ``(n, values, flag)``:
-    the live count (the element path's per-segment meter charge), the
-    aggregate payload tuple, and the merged PT flag (``None`` for an
-    all-unflagged segment, ``NEW`` only when *all* live elements are
-    new, else ``OLD`` — :func:`repro.operators.aggregate.merge_flags`).
-    ``n == 0`` yields ``(0, None, None)``: the segment is skipped.
-    """
-    key = ("agg-fold", tuple(spec))
-
-    def build() -> StatefulKernel:
-        inits: List[str] = []
-        folds: List[str] = []
-        values: List[str] = []
-        needs_row = False
-        for k, (fname, index) in enumerate(spec):
-            if fname not in _FOLDABLE:
-                raise ValueError(f"cannot fold aggregate function {fname!r}")
-            if fname == "count":
-                values.append("n")
-                continue
-            needs_row = True
-            acc = f"a{k}"
-            if fname in ("sum", "avg"):
-                inits.append(f"    {acc} = 0")
-                folds.append(f"            {acc} += row[{index}]")
-                values.append(acc if fname == "sum" else f"{acc} / n")
-            else:
-                op = "<" if fname == "min" else ">"
-                inits.append(f"    {acc} = None")
-                folds.append(f"            v = row[{index}]")
-                folds.append(
-                    f"            if {acc} is None or v {op} {acc}:"
-                )
-                folds.append(f"                {acc} = v")
-                values.append(acc)
-        if needs_row:
-            folds.insert(0, "            row = rows[i]")
-        tuple_src = "(" + ", ".join(values) + ("," if len(values) == 1 else "") + ")"
-        lines = [
-            "def _kernel(a, starts, ends, rows, flags):",
-            "    n = 0",
-            "    nones = 0",
-            "    news = 0",
-            *inits,
-            "    for i in range(len(starts)):",
-            "        if starts[i] <= a < ends[i]:",
-            "            n += 1",
-            "            f = flags[i]",
-            "            if f is None:",
-            "                nones += 1",
-            "            elif f == NEW:",
-            "                news += 1",
-            *folds,
-            "    if n == 0:",
-            "        return 0, None, None",
-            "    if nones == n:",
-            "        flag = None",
-            "    elif news == n:",
-            "        flag = NEW",
-            "    else:",
-            "        flag = OLD",
-            f"    return n, {tuple_src}, flag",
-        ]
-        source = "\n".join(lines) + "\n"
-        from ..temporal.element import NEW, OLD
-
-        namespace: Dict[str, Any] = {
-            "__builtins__": {"range": range, "len": len},
-            "NEW": NEW,
-            "OLD": OLD,
-        }
         return StatefulKernel(fn=_exec_kernel(source, namespace), source=source, key=key)
 
     return _compile_cached(key, build)

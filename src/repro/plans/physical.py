@@ -52,9 +52,8 @@ class PhysicalBuilder:
             are byte-identical — and ``fuse=False`` keeps the unfused
             chain reachable as the equivalence oracle.
         columnar: compile the stateful kernels on the operators that
-            support them (hash-join probe and build, the
-            ungrouped-aggregate segment fold) and feed them columnar
-            batches.  On by default — kernel and element-loop boxes are
+            support them (hash-join probe and build) and feed them
+            columnar batches.  On by default — kernel and element-loop boxes are
             byte-identical — and ``columnar=False`` keeps the element
             loops reachable as the equivalence oracle; hash-join state is
             struct-of-arrays either way.
@@ -226,18 +225,4 @@ class PhysicalBuilder:
             indices = tuple(schema.index(column) for column in node.group_by)
             group_key = lambda row: tuple(row[i] for i in indices)
         name = f"aggregate[{','.join(s.output_name() for s in node.aggregates)}]"
-        aggregate = Aggregate(functions, group_key=group_key, name=name)
-        if (
-            self.columnar
-            and group_key is None
-            and len(functions) == len(node.aggregates)
-        ):
-            spec = tuple(
-                (
-                    spec.function,
-                    schema.index(spec.column) if spec.column is not None else None,
-                )
-                for spec in node.aggregates
-            )
-            aggregate.enable_columnar(spec)
-        return aggregate
+        return Aggregate(functions, group_key=group_key, name=name)

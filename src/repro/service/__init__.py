@@ -50,6 +50,7 @@ from .events import (
     SKIPPED_IN_FLIGHT,
     SKIPPED_MIGRATION_COST,
     SKIPPED_SHARDED,
+    SKIPPED_UNSOUND_STRATEGY,
     DecisionEvent,
     QueryEventLog,
 )
@@ -182,5 +183,6 @@ __all__ = [
     "SKIPPED_IN_FLIGHT",
     "SKIPPED_MIGRATION_COST",
     "SKIPPED_SHARDED",
+    "SKIPPED_UNSOUND_STRATEGY",
     "STOPPED",
 ]

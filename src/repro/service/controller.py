@@ -15,8 +15,10 @@ tempered by the guards that make the loop safe to leave unattended:
 * **migration-cost awareness** — the decide step vetoes migrations whose
   projected savings do not amortise the state that must drain;
 * **automatic strategy selection** — reference-point when both boxes are
-  start-preserving, GenMig with coalesce otherwise, Parallel Track only
-  ever on join-only plans (see :func:`repro.core.strategy.select_strategy`).
+  start-preserving, GenMig with coalesce otherwise; an explicit policy
+  preference the plan verifier finds unsound for a round's plans is
+  refused and logged, never replaced by another strategy (see
+  :func:`repro.core.strategy.select_strategy`).
 
 Every outcome lands in the query's :class:`~repro.service.events.
 QueryEventLog` (mirrored into its metrics recorder), so the service's
@@ -53,8 +55,10 @@ class ControllerPolicy:
         savings_horizon: application time over which the cost advantage
             must amortise the migration cost.
         strategy: ``"auto"`` (recommended), ``"coalesce"``,
-            ``"reference-point"`` or ``"parallel-track"``; non-auto choices
-            degrade to a sound strategy when the plan shape demands it.
+            ``"reference-point"``, ``"parallel-track"`` or ``"fluid"``; a
+            round whose plans the preferred strategy cannot migrate
+            soundly records ``skipped-unsound-strategy`` with the
+            verifier codes and migrates nothing.
         modelcheck: names of bounded model-check presets
             (:data:`repro.analysis.modelcheck.PRESETS`) run at every
             strategy selection; a failed check demotes the exercised
@@ -177,7 +181,7 @@ class AutonomicController:
         self._migrate(handle, decision, now)
 
     def _migrate(self, handle: RegisteredQuery, decision, now: Time) -> None:
-        from ..core.strategy import select_strategy
+        from ..core.strategy import UnsoundPreferenceError, select_strategy
 
         executor = handle.executor
         version = len(executor.migration_log) + 1
@@ -189,13 +193,23 @@ class AutonomicController:
             from ..analysis.modelcheck import build_scenario
 
             scenarios = [build_scenario(name) for name in self.policy.modelcheck]
-        strategy = select_strategy(
-            executor.box,
-            new_box,
-            prefer=self.policy.strategy,
-            scenarios=scenarios,
-            modelcheck_budget=self.policy.modelcheck_budget,
-        )
+        try:
+            strategy = select_strategy(
+                executor.box,
+                new_box,
+                prefer=self.policy.strategy,
+                scenarios=scenarios,
+                modelcheck_budget=self.policy.modelcheck_budget,
+            )
+        except UnsoundPreferenceError as refusal:
+            handle.events.record(
+                now,
+                ev.SKIPPED_UNSOUND_STRATEGY,
+                strategy=refusal.prefer,
+                codes=list(refusal.codes),
+                new_plan=decision.chosen.signature(),
+            )
+            return
         handle.pending_plan = decision.chosen
         verdict = strategy.selection_verdict
         handle.events.record(

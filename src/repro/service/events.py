@@ -32,6 +32,10 @@ SKIPPED_SHARDED = "skipped-sharded"
 #: A better plan exists, but moving the current state would cost more than
 #: the projected savings over the amortisation horizon.
 SKIPPED_MIGRATION_COST = "skipped-migration-cost"
+#: A better plan exists, but the policy's explicit strategy preference is
+#: unsound for it (``codes`` carries the verifier's PT001/RP001/FLM00x);
+#: nothing is substituted.
+SKIPPED_UNSOUND_STRATEGY = "skipped-unsound-strategy"
 #: Evaluated and the current plan is (still) the right one.
 KEPT = "kept"
 #: A dynamic migration was started.
@@ -47,6 +51,7 @@ EVENT_KINDS = (
     SKIPPED_IN_FLIGHT,
     SKIPPED_MIGRATION_COST,
     SKIPPED_SHARDED,
+    SKIPPED_UNSOUND_STRATEGY,
     KEPT,
     MIGRATED,
     COMPLETED,

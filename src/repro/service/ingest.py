@@ -52,22 +52,13 @@ class IngestHub:
                 f"hub requires globally ordered input: {source!r} element at "
                 f"{item.start} is behind the hub clock {self.clock}"
             )
-        self.clock = item.start
-        delivered = 0
-        for handle in self.registry.handles():
-            executor = handle.executor
-            if handle.active and source in executor.sources:
-                executor.push(source, item)
-                delivered += 1
-            else:
-                # Not consuming this source (or paused): promise progress so
-                # windows expire, actions fire and migrations complete.
-                for name in executor.sources:
-                    executor.advance(name, item.start)
+        consumers = self._fan_out(
+            item.start, source, lambda executor: executor.push(source, item)
+        )
         self.published += 1
         self.offsets[source] = self.offsets.get(source, 0) + 1
         self._progress()
-        return delivered
+        return consumers
 
     def publish_batch(self, source: str, payloads: Iterable[object], at: Time) -> int:
         """Publish several tuples sharing one timestamp as a single batch."""
@@ -89,30 +80,45 @@ class IngestHub:
                 f"hub requires globally ordered input: {source!r} element at "
                 f"{first} is behind the hub clock {self.clock}"
             )
-        self.clock = batch.watermark
-        delivered = 0
-        for handle in self.registry.handles():
-            executor = handle.executor
-            if handle.active and source in executor.sources:
-                executor.push_batch(source, batch)
-                delivered += len(batch)
-            else:
-                for name in executor.sources:
-                    executor.advance(name, batch.watermark)
+        consumers = self._fan_out(
+            batch.watermark, source, lambda executor: executor.push_batch(source, batch)
+        )
         self.published += len(batch)
         self.offsets[source] = self.offsets.get(source, 0) + len(batch)
         self._progress()
-        return delivered
+        return consumers * len(batch)
 
     def advance(self, t: Time) -> None:
         """Promise that no source will deliver before ``t`` (heartbeat)."""
         if t < self.clock:
             raise ValueError(f"cannot advance the hub backwards to {t}")
-        self.clock = t
-        for handle in self.registry.handles():
-            for name in handle.executor.sources:
-                handle.executor.advance(name, t)
+        self._fan_out(t)
         self._progress()
+
+    def _fan_out(
+        self,
+        t: Time,
+        source: Optional[str] = None,
+        deliver: Optional[Callable[[object], None]] = None,
+    ) -> int:
+        """Move the hub and every registered query to ``t``.
+
+        Active consumers of ``source`` get ``deliver``; every other query
+        (not consuming it, paused, or all of them when there is nothing
+        to deliver) gets one all-sources progress promise, so its windows
+        expire, its actions fire and its migration completes.  Returns
+        the number of consumers reached.
+        """
+        self.clock = t
+        consumers = 0
+        for handle in self.registry.handles():
+            executor = handle.executor
+            if deliver is not None and handle.active and source in executor.sources:
+                deliver(executor)
+                consumers += 1
+            else:
+                executor.advance(None, t)
+        return consumers
 
     def rewind(self, clock: Time, published: int, offsets: Dict[str, int]) -> None:
         """Fast-forward a *fresh* hub to a checkpoint's ingestion position.

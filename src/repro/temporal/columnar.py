@@ -5,7 +5,7 @@ as a row-wise :class:`~repro.temporal.batch.Batch`, but stores it as four
 parallel arrays — start timestamps, end timestamps, payload rows and
 Parallel-Track flags — instead of a list of boxed
 :class:`~repro.temporal.element.StreamElement` objects.  The compiled
-stateful kernels (hash-join probe, aggregate fold, window assignment)
+stateful kernels (hash-join probe, window assignment)
 iterate these arrays directly, skipping one attribute dereference and one
 frozen-dataclass allocation per element per operator.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .time import MAX_TIME, Time, validate_time
+from .time import MAX_TIME, MIN_TIME, Time, validate_time
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,10 +26,14 @@ class TimeInterval:
     end: Time
 
     def __post_init__(self) -> None:
-        validate_time(self.start)
-        validate_time(self.end)
-        if self.end <= self.start:
-            raise ValueError(f"empty or inverted interval [{self.start}, {self.end})")
+        start, end = self.start, self.end
+        if type(start) is int and type(end) is int and MIN_TIME <= start < end:
+            # Plain chronons in order: all the checks below would pass.
+            return
+        validate_time(start)
+        validate_time(end)
+        if end <= start:
+            raise ValueError(f"empty or inverted interval [{start}, {end})")
 
     # ------------------------------------------------------------------ #
     # Predicates

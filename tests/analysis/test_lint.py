@@ -1,4 +1,4 @@
-"""Tests for the project-specific AST lint rules (RLB001–RLB009)."""
+"""Tests for the project-specific AST lint rules (RLB001–RLB010)."""
 
 from pathlib import Path
 
@@ -245,6 +245,64 @@ class TestProcessPrimitiveRule:
     def test_plain_os_use_allowed(self):
         code = "import os\nsanitize = os.environ.get('REPRO_SANITIZE')\n"
         assert lint_source(code, path="src/repro/engine/executor.py") == []
+
+
+class TestRelayRule:
+    def test_hook_override_on_stateless_operator_flagged(self):
+        code = (
+            "class Lagging(StatelessOperator):\n"
+            "    def _on_element(self, element, port):\n"
+            "        self._stage(element)\n"
+            "    def _output_watermark(self, watermark):\n"
+            "        return watermark - 1\n"
+            "    def _on_heartbeat(self, t, port):\n"
+            "        self.seen = t\n"
+        )
+        findings = lint_source(code)
+        assert codes(findings) == ["RLB010", "RLB010"]
+        assert [f.line for f in findings] == [6, 4]
+        assert "relay" in findings[0].message
+
+    def test_ordered_output_on_stateless_operator_flagged(self):
+        code = (
+            "class Sorted(StatelessOperator):\n"
+            "    def __init__(self):\n"
+            "        Operator.__init__(self, arity=1, ordered_output=True)\n"
+        )
+        findings = lint_source(code)
+        assert codes(findings) == ["RLB010"]
+        assert "ordered_output=True" in findings[0].message
+
+    def test_router_subclass_is_covered_transitively(self):
+        linter = Linter()
+        linter.add_source("class Router(StatelessOperator):\n    pass\n", "box.py")
+        linter.add_source(
+            "class Tap(Router):\n"
+            "    def _on_watermark(self, watermark):\n"
+            "        self.area.expire(watermark)\n",
+            "tap.py",
+        )
+        assert codes(linter.run()) == ["RLB010"]
+
+    def test_operator_subclass_may_use_the_hooks(self):
+        code = (
+            "class CountWindow(Operator):\n"
+            "    def __init__(self):\n"
+            "        super().__init__(arity=1, ordered_output=False)\n"
+            "    def _on_heartbeat(self, t, port):\n"
+            "        pass\n"
+            "    def _output_watermark(self, watermark):\n"
+            "        return watermark\n"
+        )
+        assert lint_source(code) == []
+
+    def test_the_relay_itself_is_exempt(self):
+        code = (
+            "class StatelessOperator(Operator):\n"
+            "    def _advance(self):\n"
+            "        pass\n"
+        )
+        assert lint_source(code) == []
 
 
 class TestWholeTree:

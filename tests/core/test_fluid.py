@@ -7,11 +7,12 @@ from repro.core import (
     FluidMigration,
     FrontierRouter,
     GenMig,
+    UnsoundPreferenceError,
     UnsupportedPlanError,
     select_strategy,
 )
 from repro.operators import NestedLoopsJoin, sweep
-from repro.engine import Box, QueryExecutor
+from repro.engine import Box, MigrationError, QueryExecutor
 from repro.streams import CollectorSink, PhysicalStream
 from repro.temporal import element, first_divergence
 from scenarios import (
@@ -289,7 +290,7 @@ class TestStatelessOperatorsBetweenJoins:
     def test_stateless_operator_without_evaluate_hook_is_flm004(self):
         """A mid-tree stateless operator fluid cannot evaluate is refused
         by the verifier and by ``begin`` alike — and ``prefer='fluid'``
-        degrades to a sound strategy instead of failing mid-flight."""
+        is refused with the verifier's code, before anything runs."""
         from repro.operators import StatelessOperator, equi_join
 
         class Relay(StatelessOperator):
@@ -305,12 +306,9 @@ class TestStatelessOperatorsBetweenJoins:
             taps = {first[0]: [(j1, 0)], first[1]: [(j1, 1)], second: [(j2, 1 - deep_port)]}
             return Box(taps=taps, root=j2)
 
-        strategy = select_strategy(relayed_box(0), relayed_box(1), prefer="fluid")
-        assert not isinstance(strategy, FluidMigration)
-        codes = {
-            d.code for d in strategy.selection_verdict.strategies["fluid"].diagnostics
-        }
-        assert codes == {"FLM004"}
+        with pytest.raises(UnsoundPreferenceError) as refusal:
+            select_strategy(relayed_box(0), relayed_box(1), prefer="fluid")
+        assert refusal.value.codes == ("FLM004",)
         with pytest.raises(UnsupportedPlanError, match="FLM004"):
             run_query(
                 three_random_streams(), W3, relayed_box(0),
@@ -331,11 +329,12 @@ class TestSelection:
         strategy = select_strategy(left_deep_join_box(), right_deep_join_box())
         assert not isinstance(strategy, FluidMigration)
 
-    def test_unsafe_preference_degrades_to_sound_choice(self):
-        """FLM001 on nested-loops joins: prefer='fluid' must not crash but
-        fall back to a universally sound strategy."""
-        strategy = select_strategy(
-            nested_loops_box(), nested_loops_box(), prefer="fluid"
-        )
-        assert not isinstance(strategy, FluidMigration)
-        assert not strategy.selection_verdict.strategies["fluid"].safe
+    def test_unsafe_preference_is_a_typed_refusal(self):
+        """FLM001 on nested-loops joins: prefer='fluid' raises the
+        verifier's codes instead of quietly picking another strategy."""
+        with pytest.raises(UnsoundPreferenceError, match="FLM001") as refusal:
+            select_strategy(nested_loops_box(), nested_loops_box(), prefer="fluid")
+        assert isinstance(refusal.value, MigrationError)
+        assert refusal.value.prefer == "fluid"
+        assert "FLM001" in refusal.value.codes
+        assert not refusal.value.verdict.strategies["fluid"].safe

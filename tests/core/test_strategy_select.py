@@ -6,6 +6,7 @@ from repro.core import (
     GenMig,
     ParallelTrack,
     ReferencePointGenMig,
+    UnsoundPreferenceError,
     classify_box,
     select_strategy,
 )
@@ -106,10 +107,18 @@ class TestSelectStrategy:
         assert isinstance(strategy, ParallelTrack)
 
     def test_parallel_track_refused_off_joins(self):
-        strategy = select_strategy(
-            aggregate_box(), aggregate_box(), prefer="parallel-track"
-        )
-        assert isinstance(strategy, GenMig)
+        with pytest.raises(UnsoundPreferenceError) as refusal:
+            select_strategy(aggregate_box(), aggregate_box(), prefer="parallel-track")
+        assert refusal.value.codes == ("PT001",)
+
+    def test_reference_point_refused_on_general_plans(self):
+        with pytest.raises(UnsoundPreferenceError) as refusal:
+            select_strategy(join_box(), distinct_box(), prefer="reference-point")
+        assert refusal.value.codes == ("RP001",)
+
+    def test_reference_point_honoured_when_sound(self):
+        strategy = select_strategy(join_box(), join_box(), prefer="reference-point")
+        assert isinstance(strategy, ReferencePointGenMig)
 
     def test_coalesce_forced(self):
         strategy = select_strategy(join_box(), join_box(), prefer="coalesce")

@@ -1,9 +1,8 @@
 """Byte-identity of columnar and element-wise plan execution.
 
 The columnar path claims to be a pure layout rewrite: struct-of-arrays
-batches plus compiled stateful kernels (hash-join probe and build, the
-ungrouped-aggregate segment fold, window assignment) must produce the
-*identical* output stream — same elements, same delivery order, same
+batches plus compiled stateful kernels (hash-join probe and build,
+window assignment) must produce the *identical* output stream — same elements, same delivery order, same
 flags — and the identical cost-meter totals per category.  These
 properties drive hypothesis-generated workloads through the stateful
 plan shapes that own a columnar fast path, under all schedulers and
@@ -62,22 +61,10 @@ def join_chain_plan():
     )
 
 
-def aggregate_plan():
-    """Ungrouped multi-function aggregate: the compiled segment fold."""
-    return AggregateNode(
-        A,
-        [
-            AggregateSpec("count"),
-            AggregateSpec("sum", "A.v"),
-            AggregateSpec("avg", "A.v"),
-            AggregateSpec("min", "A.v"),
-            AggregateSpec("max", "A.v"),
-        ],
-    )
-
-
 def join_aggregate_plan():
-    """Aggregate over a join: both stateful kernels in one pipeline."""
+    """Aggregate over a join: columnar result runs reach an operator
+    that has no kernel of its own (the aggregate's own equivalence suite
+    is ``test_aggregate_equivalence``)."""
     join = JoinNode(A, B, Comparison("=", Field("A.k"), Field("B.k")))
     return AggregateNode(
         join, [AggregateSpec("count"), AggregateSpec("sum", "A.v")]
@@ -87,7 +74,6 @@ def join_aggregate_plan():
 PLANS = {
     "hash-join": hash_join_plan,
     "join-chain": join_chain_plan,
-    "aggregate": aggregate_plan,
     "join-aggregate": join_aggregate_plan,
 }
 

@@ -210,3 +210,47 @@ def test_deregister_completes_in_flight_migration():
     service.deregister("join3")
     assert len(handle.migrations) == 1
     assert not handle.executor.migration_active
+
+
+AGGREGATE_CQL = (
+    f"SELECT COUNT(*) FROM A [RANGE {WINDOW}], B [RANGE {WINDOW}], C [RANGE {WINDOW}] "
+    "WHERE A.x = B.y AND B.y = C.z"
+)
+
+
+@pytest.mark.parametrize(
+    "preference, codes",
+    [
+        ("reference-point", ["RP001"]),
+        ("parallel-track", ["PT001"]),
+        ("fluid", ["FLM001", "FLM002"]),
+    ],
+)
+def test_unsound_strategy_preference_is_logged_and_skips_the_round(preference, codes):
+    """The join order under the COUNT goes stale like ``join3``'s, but an
+    aggregate rules out every strategy except GenMig with coalesce: a
+    policy insisting on another one migrates nothing and says why."""
+    policy = ControllerPolicy(
+        period=300,
+        warmup_observations=25,
+        cooldown=1500,
+        improvement_threshold=0.85,
+        strategy=preference,
+    )
+    service = ContinuousQueryService(catalog=catalog(), policy=policy)
+    counted = service.register("count3", AGGREGATE_CQL)
+    for source, payload, t in drifting_feed():
+        service.publish(source, payload, t)
+    service.finish()
+
+    assert counted.migrations == []
+    assert counted.plan.signature() == counted.query.plan.signature()
+    kinds = counted.events.kinds()
+    assert ev.MIGRATED not in kinds
+    refusals = counted.events.of_kind(ev.SKIPPED_UNSOUND_STRATEGY)
+    assert refusals, f"no refusal recorded in {kinds}"
+    for refusal in refusals:
+        assert refusal["strategy"] == preference
+        assert refusal["codes"] == codes
+    # Every round still ends in exactly one outcome.
+    assert kinds.count(ev.CONSIDERED) == len(kinds) - kinds.count(ev.CONSIDERED)

@@ -158,3 +158,80 @@ class TestBatchIngest:
         hub.on_progress = seen.append
         hub.publish_batch("bids", [("pen", 1), ("mug", 2), ("hat", 3)], 5)
         assert seen == [5]
+
+
+class TestProgressFanOut:
+    """A query that does not consume a published element is owed progress,
+    once: one all-sources ``advance`` per executor per publish — not one
+    per source — and the results are those of the per-source promises."""
+
+    CATALOG = {
+        "bids": ("item", "price"),
+        "sales": ("item", "amount"),
+        "ticks": ("n",),
+    }
+    #: Join, stateless chain (filter + projection) and a grouped aggregate
+    #: over two of the three sources; GROUP BY the join key keeps it
+    #: key-shardable.
+    QUERY = (
+        "SELECT bids.item, COUNT(*), SUM(sales.amount) "
+        "FROM bids [RANGE 20], sales [RANGE 20] "
+        "WHERE bids.item = sales.item AND bids.price > 2 GROUP BY bids.item"
+    )
+    FEED = [
+        ("bids", ("pen", 5), 0),
+        ("ticks", (1,), 3),
+        ("sales", ("pen", 2), 4),
+        ("ticks", (2,), 9),
+        ("bids", ("mug", 1), 12),
+        ("sales", ("pen", 7), 12),
+        ("ticks", (3,), 30),
+        ("bids", ("pen", 9), 31),
+        ("ticks", (4,), 60),
+    ]
+
+    def run(self, shards, per_source):
+        """Feed FEED; foreign elements become progress — through the hub,
+        or (the reference) as one ``advance`` per source by hand."""
+        registry = QueryRegistry(catalog=Catalog(self.CATALOG))
+        hub = IngestHub(registry)
+        handle = registry.register("q", self.QUERY, shards=shards)
+        executor = handle.executor
+        promises = []
+        advance = executor.advance
+
+        def recording_advance(name, t):
+            promises.append((name, t))
+            advance(name, t)
+
+        executor.advance = recording_advance
+        for source, payload, at in self.FEED:
+            if not per_source:
+                hub.publish(source, payload, at)
+            elif source in executor.sources:
+                executor.push(source, element(payload, at, at + 1))
+            else:
+                for name in executor.sources:
+                    executor.advance(name, at)
+        executor.finish()
+        results = [(e.payload, e.start, e.end, e.flag) for e in handle.results]
+        return promises, results
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_progress_call_per_foreign_publish(self, shards):
+        promises, results = self.run(shards, per_source=False)
+        assert promises == [(None, 3), (None, 9), (None, 30), (None, 60)]
+        per_source_promises, reference = self.run(shards, per_source=True)
+        assert len(per_source_promises) == 2 * len(promises)
+        assert results == reference
+        assert results  # the feed does produce aggregates
+
+    def test_sharded_results_match_unsharded(self):
+        assert self.run(2, per_source=False)[1] == self.run(1, per_source=False)[1]
+
+    def test_hub_heartbeat_is_one_call_per_executor(self, registry, hub):
+        handle = registry.register("j", JOIN)
+        promises = []
+        handle.executor.advance = lambda name, t: promises.append((name, t))
+        hub.advance(7)
+        assert promises == [(None, 7)]
