@@ -26,15 +26,8 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     that ignores the run-tail hook silently loses the amortisation or,
     worse, the element-protocol equivalence.
 
-``RLB004``
-    Kernel-compiler inputs must be side-effect-free *expression trees*:
-    no ``lambda`` (or locally defined function) may be passed into
-    ``FusedStep``/``select_step``/``project_step``/``compile_kernel``/
-    ``FusedStateless``.  A bare callable cannot be inlined into generated
-    source, defeats the structural compile-cache key, and — unlike an
-    ``Expression`` — carries no side-effect-freedom contract, so a
-    stateful closure could silently break the fused/unfused
-    byte-identity the engine guarantees.
+(The fourth rule guarded the inputs of the operator-fusion kernel
+compiler and was retired with it; the number is not reused.)
 
 ``RLB005``
     Code outside ``temporal/`` must not reach into a batch's column
@@ -49,7 +42,7 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     directly — a restored plan must come out of ``PhysicalBuilder`` (or
     the service registry, which delegates to it) so it is structurally
     identical to the plan the snapshot was taken from.  A hand-built
-    operator would bypass fusion/columnar decisions and the verifier,
+    operator would bypass the columnar decision and the verifier,
     silently breaking the restore-time plan match.
 
 ``RLB007``
@@ -91,6 +84,12 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     staging heap, so such an override would be dead code that *looks*
     live.  An operator that needs one of them holds state or delays its
     output: derive it from ``Operator`` (as ``CountWindow`` does).
+    Outside ``operators/base.py`` such a subclass must not define
+    ``process`` or ``process_batch`` nor touch ``_watermarks`` either:
+    the stateless run protocol (port check, sanitizer, order check,
+    watermark, charge, forward, relay) is written once in
+    ``StatelessOperator``, and a second copy is where the batch path
+    and the element path drift apart.
 
 Run locally or in CI::
 
@@ -129,14 +128,13 @@ WALL_CLOCKS = frozenset(
 #: Directories (path components) in which RLB001 applies.
 WALL_CLOCK_SCOPE = ("engine", "operators", "recovery")
 
-#: Kernel-compiler entry points whose inputs RLB004 checks: their
-#: expression arguments must be Expression trees, never bare callables.
-KERNEL_APIS = frozenset(
-    {"FusedStep", "FusedStateless", "compile_kernel", "select_step", "project_step"}
-)
-
 #: Watermark-protocol hooks the stateless relay never calls (RLB010).
 RELAY_BYPASSED_HOOKS = ("_on_heartbeat", "_on_watermark", "_output_watermark")
+
+#: Entry points of the run protocol ``StatelessOperator`` writes once
+#: (RLB010), and the one module allowed to define them for it.
+RUN_PROTOCOL_ENTRY_POINTS = ("process", "process_batch")
+RUN_PROTOCOL_MODULE = ("operators", "base.py")
 
 #: Column-storage slots of ``ColumnarBatch`` that are private to the
 #: temporal layer (RLB005); everything else goes through the read API.
@@ -155,7 +153,6 @@ OPERATOR_CLASSES = frozenset(
         "CountWindow",
         "Difference",
         "DuplicateElimination",
-        "FusedStateless",
         "HashJoin",
         "NestedLoopsJoin",
         "NowWindow",
@@ -251,6 +248,7 @@ class _ClassFacts:
     process_batch_def: Optional[ast.FunctionDef]
     calls_purge_api: bool
     ordered_output_line: Optional[int]  # where ``ordered_output=True`` is passed
+    watermarks_line: Optional[int]  # first ``._watermarks`` access
 
 
 def _base_name(node: ast.expr) -> Optional[str]:
@@ -281,7 +279,11 @@ def _scan_class(node: ast.ClassDef) -> _ClassFacts:
             assigns.add(item.target.id)
     calls_purge = False
     ordered_output_line: Optional[int] = None
+    watermarks_line: Optional[int] = None
     for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr == "_watermarks":
+            if watermarks_line is None or sub.lineno < watermarks_line:
+                watermarks_line = sub.lineno
         if isinstance(sub, ast.Call):
             callee = sub.func
             name = None
@@ -308,6 +310,7 @@ def _scan_class(node: ast.ClassDef) -> _ClassFacts:
         process_batch_def=process_batch_def,
         calls_purge_api=calls_purge,
         ordered_output_line=ordered_output_line,
+        watermarks_line=watermarks_line,
     )
 
 
@@ -346,58 +349,6 @@ def _wall_clock_findings(tree: ast.AST, path: str) -> List[LintFinding]:
     return findings
 
 
-def _kernel_input_findings(tree: ast.AST, path: str) -> List[LintFinding]:
-    """RLB004: no bare callables in kernel-compiler inputs.
-
-    Flags a ``lambda`` anywhere inside an argument to a kernel API, and a
-    plain name argument that resolves to a function defined in the same
-    module.  Expression trees are the only inspectable, cacheable,
-    side-effect-free currency the kernel compiler accepts.
-    """
-    defined_functions: Set[str] = {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    findings: List[LintFinding] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        name = None
-        if isinstance(callee, ast.Attribute):
-            name = callee.attr
-        elif isinstance(callee, ast.Name):
-            name = callee.id
-        if name not in KERNEL_APIS:
-            continue
-        arguments = list(node.args) + [kw.value for kw in node.keywords]
-        for argument in arguments:
-            offender: Optional[ast.AST] = None
-            what = ""
-            for sub in ast.walk(argument):
-                if isinstance(sub, ast.Lambda):
-                    offender, what = sub, "a lambda"
-                    break
-                if isinstance(sub, ast.Name) and sub.id in defined_functions:
-                    offender, what = sub, f"function {sub.id!r}"
-                    break
-            if offender is not None:
-                findings.append(
-                    LintFinding(
-                        path,
-                        getattr(offender, "lineno", node.lineno),
-                        "RLB004",
-                        f"{name}() receives {what}: kernel inputs must be "
-                        "side-effect-free Expression trees — a bare callable "
-                        "cannot be inlined into generated source, breaks the "
-                        "structural compile-cache key, and may smuggle side "
-                        "effects into a fused chain",
-                    )
-                )
-    return findings
-
-
 def _operator_construction_findings(tree: ast.AST, path: str) -> List[LintFinding]:
     """RLB006: recovery code must not construct operators directly.
 
@@ -425,7 +376,7 @@ def _operator_construction_findings(tree: ast.AST, path: str) -> List[LintFindin
                     f"recovery code constructs operator {name}() directly: "
                     "restored plans must come out of PhysicalBuilder so "
                     "they are structurally identical to the checkpointed "
-                    "plan (fusion/columnar decisions included)",
+                    "plan (the columnar decision included)",
                 )
             )
     return findings
@@ -648,7 +599,6 @@ class Linter:
             parts = Path(path).parts
             if any(scope in parts for scope in WALL_CLOCK_SCOPE):
                 findings.extend(_wall_clock_findings(tree, path))
-            findings.extend(_kernel_input_findings(tree, path))
             if not any(scope in parts for scope in COLUMN_SCOPE_EXEMPT):
                 findings.extend(_column_internal_findings(tree, path))
             if any(scope in parts for scope in RECOVERY_SCOPE):
@@ -721,6 +671,27 @@ class Linter:
                         "takes effect — derive from Operator instead",
                     )
                 )
+            if Path(path).parts[-2:] != RUN_PROTOCOL_MODULE:
+                copies = [
+                    (cls.methods[entry], f"defines {entry}")
+                    for entry in RUN_PROTOCOL_ENTRY_POINTS
+                    if entry in cls.methods
+                ]
+                if cls.watermarks_line is not None:
+                    copies.append((cls.watermarks_line, "touches _watermarks"))
+                for line, what in copies:
+                    findings.append(
+                        LintFinding(
+                            path,
+                            line,
+                            "RLB010",
+                            f"{cls.name} is a StatelessOperator but {what}: "
+                            "the stateless run protocol (order check, "
+                            "watermark, charge, forward, relay) is written "
+                            "once in StatelessOperator — override _apply, "
+                            "category/cost or _map_batch instead",
+                        )
+                    )
         return findings
 
 

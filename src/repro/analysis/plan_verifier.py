@@ -260,7 +260,6 @@ def classify_operator(op: object) -> Tuple[OperatorClassification, Optional[Diag
     from ..operators.join import _JoinBase
     from ..operators.project import Project
     from ..operators.union import Union
-    from ..plans.fusion import FusedStateless
 
     label = getattr(op, "name", type(op).__name__)
     reducible = bool(getattr(op, "snapshot_reducible", True))
@@ -283,32 +282,6 @@ def classify_operator(op: object) -> Tuple[OperatorClassification, Optional[Diag
             ),
             _columnar_state_diagnostic(op, label),
         )
-    if isinstance(op, FusedStateless):
-        # A fused chain is exactly as migratable as its weakest member:
-        # derive the classification from the member profiles rather than
-        # trusting the container type.
-        kinds = tuple(op.member_profiles)
-        unknown = sorted({kind for kind in kinds if kind not in _KIND_TRAITS})
-        if unknown:
-            return (
-                OperatorClassification.of_kind(label, "general", reducible),
-                Diagnostic(
-                    ERROR,
-                    "CLS001",
-                    f"fused operator declares unknown member profiles "
-                    f"{unknown}; expected one of {sorted(_KIND_TRAITS)}",
-                    operator=label,
-                ),
-            )
-        traits = [_KIND_TRAITS[kind] for kind in kinds]
-        all_stateless = all(kind == "stateless" for kind in kinds)
-        start_preserving = all(t[0] for t in traits)
-        kind = (
-            "stateless"
-            if all_stateless
-            else ("order-restoring" if start_preserving else "general")
-        )
-        return OperatorClassification.of_kind(label, kind, reducible), None
     if isinstance(op, _JoinBase):
         return (
             OperatorClassification.of_kind(
@@ -942,13 +915,14 @@ def verify_box(box: "Box") -> PlanVerdict:
     # FLM004: a range handover replays staged results and re-derives
     # intermediate state *through* the stateless operators between the
     # joins, without running them — possible only for a single-input
-    # operator exposing the pure ``evaluate`` hook.
+    # operator whose pure ``evaluate`` works, i.e. one that states the
+    # per-element ``_apply`` it is derived from.
     from ..operators.base import StatelessOperator
 
     for op, classification in zip(box.operators, classifications):
-        evaluate = getattr(type(op), "evaluate", StatelessOperator.evaluate)
+        apply = getattr(type(op), "_apply", StatelessOperator._apply)
         if not classification.stateful and (
-            evaluate is StatelessOperator.evaluate or getattr(op, "arity", 1) != 1
+            apply is StatelessOperator._apply or getattr(op, "arity", 1) != 1
         ):
             flm_box.append(
                 Diagnostic(

@@ -136,25 +136,11 @@ class Router(StatelessOperator):
     def __init__(self, name: str = "") -> None:
         super().__init__(name=name or "router")
 
-    def _on_element(self, element: StreamElement, port: int) -> None:
-        self._emit(element)
+    def _apply(self, element: StreamElement) -> StreamElement:
+        return element
 
-    def process_batch(self, batch: Batch, port: int = 0) -> None:
-        """Forward a whole batch in one dispatch per subscriber."""
-        if _operator_base.SANITIZER is not None:
-            _operator_base.SANITIZER.on_batch(self, batch, 0)
-        watermarks = self._watermarks
-        first = batch.first_start
-        if first < watermarks[0]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port 0: "
-                f"{first} < watermark {watermarks[0]}"
-            )
-        watermarks[0] = batch.last_start
-        self._emit_batch(batch)
-        self._advance()
-        if batch.watermark > watermarks[0]:
-            self.process_heartbeat(batch.watermark, 0)
+    def _map_batch(self, batch: Batch) -> Batch:
+        return batch
 
     def retarget(self, targets: List[InputPort]) -> None:
         """Atomically replace the subscriber list."""

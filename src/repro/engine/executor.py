@@ -26,6 +26,7 @@ from ..recovery.errors import RecoveryError
 from ..streams.stream import PhysicalStream
 from ..temporal.batch import Batch
 from ..temporal.columnar import ColumnarBatch
+from ..temporal.element import StreamElement
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
 from .box import Box, OutputGate, Router
 from .metrics import MetricsRecorder
@@ -54,12 +55,12 @@ class QueryExecutor:
         interval_bound: finite bound on raw input interval lengths; 1 for
             ordinary timestamped inputs (the Section 2.2 conversion), larger
             when a pre-windowed intermediate stream is fed in directly.
-        batch_size: cap on the runs the batched event loop pulls from the
-            scheduler; ``1`` selects the legacy element-at-a-time loop.
+        batch_size: cap on the runs the event loop pulls from the
+            scheduler; ``1`` is the element-at-a-time loop.
         batch_during_migration: keep batching while a migration strategy is
             installed, provided the strategy declares itself ``batchable``.
-            Off by default: the element loop ticks the strategy after every
-            element, which is the reference migration timing; batching is
+            Off by default: one element per turn ticks the strategy after
+            every element, which is the reference migration timing; batching is
             snapshot-equivalent but may chunk the strategy's transitions at
             run boundaries.
         sanitize: install the process-wide stream-invariant sanitizer
@@ -304,9 +305,9 @@ class QueryExecutor:
 
         The loop pulls source-pure runs of up to ``batch_size`` elements
         (default: the constructor setting) from the scheduler and ingests
-        them batch-wise; the element stream entering the plan — and every
-        byte of output — is identical to the element-at-a-time loop, which
-        remains reachable as ``batch_size=1``.  The run ends with an
+        them group by group; the element stream entering the plan — and
+        every byte of output — is the same for every ``batch_size``, and
+        ``batch_size=1`` is the element-at-a-time loop.  The run ends with an
         end-of-stream heartbeat on every input, which drains all operator
         state and forces any in-flight migration to its natural completion
         (all watermarks pass ``T_split``).
@@ -328,14 +329,9 @@ class QueryExecutor:
         # in flight — the countdown only reaches zero once every element
         # has actually been handed to the plan.
         remaining = {queue.name: len(queue) for queue in queues}
-        if batch_size == 1:
-            for name, element in self.scheduler.order(queues):
-                remaining[name] -= 1
-                self._step_element(name, element, remaining)
-        else:
-            for name, batch in self.scheduler.batches(queues, batch_size):
-                remaining[name] -= len(batch)
-                self._ingest_batch(name, batch, remaining)
+        for name, batch in self.scheduler.batches(queues, batch_size):
+            remaining[name] -= len(batch)
+            self._ingest_batch(name, batch, remaining)
         self.finish()
 
     def _promise_exhausted(self, name: str, remaining: Dict[str, int]) -> None:
@@ -351,116 +347,92 @@ class QueryExecutor:
             if other != name and left == 0:
                 self._window_ops[other].process_heartbeat(clock, 0)
 
-    def _step_element(
-        self, name: str, element, remaining: Optional[Dict[str, int]] = None
-    ) -> None:
-        """One turn of the element-at-a-time protocol (the reference path)."""
-        self._fire_actions(element.start)
-        self.clock = max(self.clock, element.start)
-        self._sample_metrics_if_new_bucket()
-        self._ingest(name, element)
-        if remaining is not None and not self.global_heartbeats:
-            self._promise_exhausted(name, remaining)
-        self._poll_strategy()
-
-    def _ingest(self, name: str, element) -> None:
-        if _operator_base.SANITIZER is not None:
-            _operator_base.SANITIZER.on_source(
-                name, element, self.source_watermarks[name]
-            )
-        self.source_watermarks[name] = element.start
-        windowed_end = element.end + self.windows[name]
-        if windowed_end > self.source_max_ends[name]:
-            self.source_max_ends[name] = windowed_end
-        self.source_seen[name] = True
-        self.statistics.rate_of(name).observe(element.start)
-        if self.global_heartbeats:
-            # Advance every input to the global clock first, so expirations
-            # below the new element's timestamp apply before it is processed
-            # (the global temporal processing order of Section 5).
-            for window_op in self._window_ops.values():
-                window_op.process_heartbeat(element.start, 0)
-        self._window_ops[name].process(element, 0)
-
     def _ingest_batch(
         self,
         name: str,
         batch: Batch,
         remaining: Optional[Dict[str, int]] = None,
     ) -> None:
-        """Ingest a source-pure run, group by group of equal start.
+        """Ingest a source-pure run, one turn per uniform-start group.
 
-        Each uniform-start group replays the element protocol's observable
-        effects exactly once per distinct timestamp — action firing, clock
-        and metrics-bucket updates, and the global heartbeat fan-out are all
-        idempotent within a group, so running them per group instead of per
-        element changes nothing downstream.  Per-element effects (rate
-        observations, max-end tracking) stay per element.  The idle-source
-        promises of non-global-heartbeat scheduling are the one effect that
-        is *not* idempotent mid-group: the element loop first fires them
-        after the group's opening element, and state-size-dependent charges
-        (``Difference`` finalisation) observe exactly that point — so on
-        that path the opening element goes through the element protocol,
-        the promises fire, and only the tail of the group is batched.
-        While a migration strategy is installed the loop drops to the
-        element path, whose per-element strategy tick is the reference
-        migration timing — unless ``batch_during_migration`` is set and the
-        strategy declares itself ``batchable``.
+        While a migration strategy is installed every element is its own
+        group — the per-element strategy tick is the reference migration
+        timing — unless ``batch_during_migration`` is set and the strategy
+        declares itself ``batchable``.
         """
         elements = batch.elements
         n = len(elements)
-        window_op = self._window_ops[name]
-        window_size = self.windows[name]
         i = 0
         while i < n:
             start = elements[i].start
-            j = i + 1
-            while j < n and elements[j].start == start:
-                j += 1
             self._fire_actions(start)
-            if self.strategy is not None and not (
+            j = i + 1
+            if self.strategy is None or (
                 self.batch_during_migration and self.strategy.batchable
             ):
-                for element in elements[i:]:
-                    self._step_element(name, element, remaining)
-                return
-            self.clock = max(self.clock, start)
-            self._sample_metrics_if_new_bucket()
-            group = elements[i:j]
-            if _operator_base.SANITIZER is not None:
-                watermark = self.source_watermarks[name]
-                for element in group:
-                    _operator_base.SANITIZER.on_source(name, element, watermark)
-            self.source_watermarks[name] = start
-            max_end = self.source_max_ends[name]
-            for element in group:
-                windowed_end = element.end + window_size
-                if windowed_end > max_end:
-                    max_end = windowed_end
-            self.source_max_ends[name] = max_end
-            self.source_seen[name] = True
-            observe = self.statistics.rate_of(name).observe
-            for element in group:
-                observe(element.start)
-            if self._columnar_feed:
-                make_batch = ColumnarBatch.from_elements
-            else:
-                make_batch = Batch._trusted
-            if self.global_heartbeats:
-                for other_op in self._window_ops.values():
-                    other_op.process_heartbeat(start, 0)
-                window_op.process_batch(make_batch(group, start, name, True), 0)
-            elif remaining is not None:
-                window_op.process(group[0], 0)
-                self._promise_exhausted(name, remaining)
-                if len(group) > 1:
-                    window_op.process_batch(
-                        make_batch(group[1:], start, name, True), 0
-                    )
-            else:
-                window_op.process_batch(make_batch(group, start, name, True), 0)
-            self._poll_strategy()
+                while j < n and elements[j].start == start:
+                    j += 1
+            self._turn(name, elements[i:j], remaining)
             i = j
+
+    def _turn(
+        self,
+        name: str,
+        group: List[StreamElement],
+        remaining: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """One ingestion turn: a uniform-start group of one source's elements.
+
+        Clock, metrics bucket, source watermark and the global heartbeat
+        fan-out are idempotent within a group, so they run once per group;
+        rate observations and max-end tracking stay per element.  A group
+        of one enters the plan through ``process``, a longer one through
+        ``process_batch``.  The idle-source promises of non-global-
+        heartbeat scheduling (``remaining`` given) are the one effect
+        that is *not* idempotent mid-group: the element loop first fires
+        them after the group's opening element, and state-size-dependent
+        charges (``Difference`` finalisation) observe exactly that point —
+        so there the opening element goes first, the promises fire, and
+        only the tail of the group is batched.
+        """
+        start = group[0].start
+        if start > self.clock:
+            self.clock = start
+        self._sample_metrics_if_new_bucket()
+        if _operator_base.SANITIZER is not None:
+            watermark = self.source_watermarks[name]
+            for element in group:
+                _operator_base.SANITIZER.on_source(name, element, watermark)
+        self.source_watermarks[name] = start
+        window_size = self.windows[name]
+        max_end = self.source_max_ends[name]
+        observe = self.statistics.rate_of(name).observe
+        for element in group:
+            windowed_end = element.end + window_size
+            if windowed_end > max_end:
+                max_end = windowed_end
+            observe(start)
+        self.source_max_ends[name] = max_end
+        self.source_seen[name] = True
+        window_op = self._window_ops[name]
+        if self.global_heartbeats:
+            # Advance every input to the global clock first, so expirations
+            # below the new elements' timestamp apply before they are
+            # processed (the global temporal processing order of Section 5).
+            for other_op in self._window_ops.values():
+                other_op.process_heartbeat(start, 0)
+        elif remaining is not None:
+            window_op.process(group[0], 0)
+            self._promise_exhausted(name, remaining)
+            group = group[1:]
+        if len(group) == 1:
+            window_op.process(group[0], 0)
+        elif group:
+            make_batch = (
+                ColumnarBatch.from_elements if self._columnar_feed else Batch._trusted
+            )
+            window_op.process_batch(make_batch(group, start, name, True), 0)
+        self._poll_strategy()
 
     def _fire_actions(self, up_to: Time) -> None:
         while self._actions and self._actions[0][0] <= up_to:
@@ -490,10 +462,7 @@ class QueryExecutor:
                 f"{element.start} behind the clock {self.clock}"
             )
         self._fire_actions(element.start)
-        self.clock = max(self.clock, element.start)
-        self._sample_metrics_if_new_bucket()
-        self._ingest(name, element)
-        self._poll_strategy()
+        self._turn(name, [element])
 
     def push_batch(self, name: str, batch: Batch) -> None:
         """Feed an ordered run of one source's elements online.

@@ -216,7 +216,7 @@ class ShardedExecutor:
             :class:`~repro.engine.transport.LocalTransport`.
         builder_config: keyword arguments for the worker-side
             ``PhysicalBuilder`` (cost weights, ``force_nested_loops``,
-            fusion/columnar switches).
+            the columnar switch).
         metrics: optional router-side recorder fed one output sample per
             delivered result (worker-side recorders are aggregated
             separately via ``shard_stats``).

@@ -78,7 +78,7 @@ class ColumnarJoinState:
         "_retention",
     )
 
-    def __init__(self, retention: RetentionRule = None) -> None:
+    def __init__(self) -> None:
         self.starts: List[Time] = []
         self.ends: List[Time] = []
         self.rows: List[Payload] = []
@@ -88,12 +88,12 @@ class ColumnarJoinState:
         self._heap: List[tuple] = []
         self._dead: set = set()
         self._sweep_pos = 0
-        self._sorted = retention is None
+        self._sorted = True
         self._last_end: Time = MIN_TIME
         self._live = 0
         self._values = 0
         self._flag_count = 0
-        self._retention = retention
+        self._retention: RetentionRule = None
 
     # ------------------------------------------------------------------ #
     # Expiry keys and modes

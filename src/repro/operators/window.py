@@ -10,7 +10,7 @@ state and make stateful operators non-blocking over infinite streams.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator
+from typing import Deque, Iterator, Optional
 
 from ..temporal.batch import Batch
 from ..temporal.columnar import ColumnarBatch
@@ -21,65 +21,25 @@ from .base import Operator, StatelessOperator
 
 
 class _MappingWindow(StatelessOperator):
-    """Shared batch path of the element-wise (stateless) window variants.
+    """The element-wise (stateless) window variants: a validity rewrite.
 
-    A run of elements is transformed in one pass and forwarded as a batch;
-    the single trailing :meth:`_advance` is observably identical to the
-    per-element advances of the fallback loop, because each intermediate
-    heartbeat promise equals the start of the element that just preceded
-    it — a no-op at every subscriber that consumed the element.
-
-    Columnar batches whose rewrite can run on the ``t_E`` column alone
-    (:meth:`_map_columnar`) stay columnar end to end — same charges, same
-    emission — which is how struct-of-arrays runs reach the stateful
-    kernels downstream without a single element being boxed.
+    Each variant states its rewrite twice — :meth:`_apply` on a boxed
+    element and :meth:`_map_columnar` over the ``t_E`` column alone — so
+    columnar batches stay columnar end to end, which is how
+    struct-of-arrays runs reach the stateful kernels downstream without a
+    single element being boxed.
     """
 
-    def _map_element(self, element: StreamElement) -> StreamElement:
-        """The validity rewrite applied to each element."""
+    category = "window"
+
+    def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:
+        """The validity rewrite of :meth:`_apply` over whole columns."""
         raise NotImplementedError
 
-    def _map_columnar(self, batch: ColumnarBatch) -> "ColumnarBatch | None":
-        """The same rewrite over whole columns, or ``None`` to box."""
-        return None
-
-    def _on_element(self, element: StreamElement, port: int) -> None:
-        self.meter.charge(1, "window")
-        self._stage(self._map_element(element))
-
-    def process_batch(self, batch: Batch, port: int = 0) -> None:
-        if port:
-            self._check_port(port)
-        watermarks = self._watermarks
+    def _map_batch(self, batch: Batch) -> Optional[Batch]:
         if type(batch) is ColumnarBatch:
-            mapped_batch = self._map_columnar(batch)
-            if mapped_batch is not None:
-                first = batch.first_start
-                if first < watermarks[port]:
-                    raise ValueError(
-                        f"{self.name}: out-of-order element on port {port}: "
-                        f"{first} < watermark {watermarks[port]}"
-                    )
-                watermarks[port] = batch.last_start
-                self.meter.charge(len(batch), "window")
-                self._emit_batch(mapped_batch)
-                self._advance()
-                if batch.watermark > watermarks[port]:
-                    self.process_heartbeat(batch.watermark, port)
-                return
-        elements = batch.elements
-        if elements[0].start < watermarks[port]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port {port}: "
-                f"{elements[0].start} < watermark {watermarks[port]}"
-            )
-        watermarks[port] = elements[-1].start
-        self.meter.charge(len(elements), "window")
-        mapped = self._map_element
-        self._emit_batch(batch.with_elements([mapped(e) for e in elements]))
-        self._advance()
-        if batch.watermark > watermarks[port]:
-            self.process_heartbeat(batch.watermark, port)
+            return self._map_columnar(batch)
+        return super()._map_batch(batch)
 
 
 class TimeWindow(_MappingWindow):
@@ -90,20 +50,15 @@ class TimeWindow(_MappingWindow):
         if size < 0:
             raise ValueError(f"window size must be non-negative, got {size}")
         self.size = size
-        self._extend_kernel = None
 
-    def _map_element(self, element: StreamElement) -> StreamElement:
+    def _apply(self, element: StreamElement) -> StreamElement:
         return element.with_interval(element.interval.extend(self.size))
 
     def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:
-        kernel = self._extend_kernel
-        if kernel is None:
-            from ..plans.kernels import compile_extend_kernel
-
-            kernel = self._extend_kernel = compile_extend_kernel()
+        size = self.size
         return ColumnarBatch.from_columns(
             batch.starts,
-            kernel.fn(batch.ends, self.size),
+            [end + size for end in batch.ends],
             batch.rows,
             batch.flags,
             batch.watermark,
@@ -119,7 +74,7 @@ class NowWindow(_MappingWindow):
     passes them through unchanged (each instant extended by zero units).
     """
 
-    def _map_element(self, element: StreamElement) -> StreamElement:
+    def _apply(self, element: StreamElement) -> StreamElement:
         return element
 
     def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:
@@ -133,7 +88,7 @@ class UnboundedWindow(_MappingWindow):
     stateful operators will accumulate state for the whole stream life.
     """
 
-    def _map_element(self, element: StreamElement) -> StreamElement:
+    def _apply(self, element: StreamElement) -> StreamElement:
         return element.with_interval(TimeInterval(element.start, MAX_TIME))
 
     def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:

@@ -27,16 +27,7 @@ from .logical import (
     UnionNode,
 )
 from .dot import box_to_dot, plan_to_dot
-from .fusion import FusedStateless, fuse_box, fused_operators
-from .kernels import (
-    CompiledKernel,
-    FusedStep,
-    clear_kernel_cache,
-    compile_kernel,
-    kernel_cache_stats,
-    project_step,
-    select_step,
-)
+from .kernels import clear_kernel_cache, kernel_cache_stats
 from .physical import PhysicalBuilder
 
 __all__ = [
@@ -45,13 +36,10 @@ __all__ = [
     "And",
     "Arithmetic",
     "Comparison",
-    "CompiledKernel",
     "DifferenceNode",
     "DistinctNode",
     "Expression",
     "Field",
-    "FusedStateless",
-    "FusedStep",
     "JoinNode",
     "Literal",
     "LogicalPlan",
@@ -60,13 +48,8 @@ __all__ = [
     "PhysicalBuilder",
     "box_to_dot",
     "clear_kernel_cache",
-    "compile_kernel",
-    "fuse_box",
-    "fused_operators",
     "kernel_cache_stats",
     "plan_to_dot",
-    "project_step",
-    "select_step",
     "ProjectNode",
     "Query",
     "Schema",

@@ -68,28 +68,17 @@ def plan_to_dot(plan: LogicalPlan, name: str = "plan") -> str:
 
 
 def box_to_dot(box: Box, name: str = "") -> str:
-    """Render a physical box: operators, subscriptions, taps and root.
-
-    Fused operators (:class:`~repro.plans.fusion.FusedStateless`) render
-    as dashed *clusters* containing one node per fused member, chained in
-    evaluation order — the collapsed pipeline stays legible in the
-    picture.  Incoming edges attach to the cluster's first member and
-    outgoing edges leave its last.
-    """
+    """Render a physical box: operators, subscriptions, taps and root."""
     from ..analysis.plan_verifier import classify_operator
-    from .fusion import FusedStateless
 
     lines = [
         f'digraph "{_escape(name or box.label or "box")}" {{',
         "  rankdir=BT;",
         '  node [shape=box, fontname="Helvetica", fontsize=11];',
     ]
-    #: Edge endpoints: where edges *into* an operator attach, and where
-    #: edges *out of* it originate.  They differ only for fused clusters.
-    in_ids: Dict[int, str] = {}
-    out_ids: Dict[int, str] = {}
+    ids: Dict[int, str] = {}
     for index, operator in enumerate(box.operators):
-        identifier = f"op{index}"
+        identifier = ids[id(operator)] = f"op{index}"
         classification, _ = classify_operator(operator)
         root_style = ' style="bold"' if operator is box.root else ""
         attrs = [f'tooltip="{_escape(classification.description)}"']
@@ -98,30 +87,10 @@ def box_to_dot(box: Box, name: str = "") -> str:
         elif classification.stateful:
             attrs.append(f'color="{_STATEFUL_COLOR}"')
         annotations = "".join(f", {attr}" for attr in attrs)
-        if isinstance(operator, FusedStateless):
-            lines.append(f"  subgraph cluster_{identifier} {{")
-            lines.append(
-                f'    label="{_escape(operator.name)}"; style=dashed; '
-                + "; ".join(attrs)
-                + ";"
-            )
-            member_ids = []
-            for position, member in enumerate(operator.members):
-                member_id = f"{identifier}_m{position}"
-                member_ids.append(member_id)
-                style = root_style if position == len(operator.members) - 1 else ""
-                lines.append(f'    {member_id} [label="{_escape(member)}"{style}];')
-            for upstream, downstream in zip(member_ids, member_ids[1:]):
-                lines.append(f"    {upstream} -> {downstream} [style=dashed];")
-            lines.append("  }")
-            in_ids[id(operator)] = member_ids[0]
-            out_ids[id(operator)] = member_ids[-1]
-        else:
-            in_ids[id(operator)] = out_ids[id(operator)] = identifier
-            lines.append(
-                f'  {identifier} [label="{_escape(operator.name)}"'
-                f"{root_style}{annotations}];"
-            )
+        lines.append(
+            f'  {identifier} [label="{_escape(operator.name)}"'
+            f"{root_style}{annotations}];"
+        )
     for source, ports in sorted(box.taps.items()):
         source_id = f"src_{source}"
         lines.append(
@@ -129,15 +98,15 @@ def box_to_dot(box: Box, name: str = "") -> str:
         )
         for operator, port in ports:
             lines.append(
-                f'  {source_id} -> {in_ids[id(operator)]} '
+                f'  {source_id} -> {ids[id(operator)]} '
                 f'[label="port {port}"];'
             )
     for operator in box.operators:
         for downstream, port in operator.subscribers:
-            if id(downstream) in in_ids:
+            if id(downstream) in ids:
                 lines.append(
-                    f"  {out_ids[id(operator)]} -> "
-                    f'{in_ids[id(downstream)]} [label="port {port}"];'
+                    f"  {ids[id(operator)]} -> "
+                    f'{ids[id(downstream)]} [label="port {port}"];'
                 )
     lines.append("}")
     return "\n".join(lines)

@@ -24,8 +24,6 @@ from ..operators.scalar import avg_of, count, max_of, min_of, sum_of
 from ..operators.union import Union
 from ..temporal.element import Payload
 from .expressions import Schema
-from .fusion import FUSION_SPEC_ATTR, fuse_box
-from .kernels import project_step, select_step
 from .logical import (
     AggregateNode,
     AggregateSpec,
@@ -47,10 +45,6 @@ class PhysicalBuilder:
         join_cost: cost units charged per join predicate evaluation,
             modelling cheap (1) or expensive predicates (Figure 6).
         select_cost: cost units per selection predicate evaluation.
-        fuse: apply the operator-fusion rewrite (:mod:`repro.plans.fusion`)
-            to every built box.  On by default — fused and unfused boxes
-            are byte-identical — and ``fuse=False`` keeps the unfused
-            chain reachable as the equivalence oracle.
         columnar: compile the stateful kernels on the operators that
             support them (hash-join probe and build) and feed them
             columnar batches.  On by default — kernel and element-loop boxes are
@@ -64,7 +58,6 @@ class PhysicalBuilder:
         join_cost: int = 1,
         select_cost: int = 1,
         force_nested_loops: bool = False,
-        fuse: bool = True,
         columnar: bool = True,
     ) -> None:
         self.join_cost = join_cost
@@ -72,7 +65,6 @@ class PhysicalBuilder:
         #: Compile equi-joins to nested-loops joins too — the paper's
         #: experimental setup (4-way nested-loops join trees, Section 5).
         self.force_nested_loops = force_nested_loops
-        self.fuse = fuse
         self.columnar = columnar
 
     def config(self) -> Dict[str, object]:
@@ -85,7 +77,6 @@ class PhysicalBuilder:
             "join_cost": self.join_cost,
             "select_cost": self.select_cost,
             "force_nested_loops": self.force_nested_loops,
-            "fuse": self.fuse,
             "columnar": self.columnar,
         }
 
@@ -102,10 +93,7 @@ class PhysicalBuilder:
             for source, port in pending:
                 taps.setdefault(source, []).append((identity, port))
             root = identity
-        box = Box(taps=taps, root=root, operators=operators, label=label or plan.signature())
-        if self.fuse:
-            fuse_box(box)
-        return box
+        return Box(taps=taps, root=root, operators=operators, label=label or plan.signature())
 
     # ------------------------------------------------------------------ #
     # Recursive compilation
@@ -129,19 +117,10 @@ class PhysicalBuilder:
         if isinstance(node, SelectNode):
             predicate = node.predicate.compile(node.child.schema)
             op = Select(predicate, cost=self.select_cost, name=f"select[{node.predicate!r}]")
-            # The operator's behaviour as expression trees: what the fusion
-            # pass needs to kernel-compile it (hand-built closures stay
-            # unfusable — the compiler cannot see into them).
-            setattr(
-                op,
-                FUSION_SPEC_ATTR,
-                select_step(node.predicate, node.child.schema, cost=self.select_cost),
-            )
         elif isinstance(node, ProjectNode):
             op = Project(
                 self._projection(node), name=f"project[{','.join(node.schema)}]"
             )
-            setattr(op, FUSION_SPEC_ATTR, project_step(node.outputs, node.child.schema))
         elif isinstance(node, DistinctNode):
             op = DuplicateElimination(name="distinct")
         elif isinstance(node, JoinNode):

@@ -26,7 +26,10 @@ from .snapshot import pack_elements, write_snapshot
 
 #: Identifies the payload inside the generic codec container.
 FORMAT = "repro-checkpoint"
-FORMAT_VERSION = 1
+#: 2: the ``builder`` section lost ``fuse`` and no operator record names a
+#: fused chain — the plans a version-1 checkpoint describes cannot be
+#: rebuilt by this build.
+FORMAT_VERSION = 2
 
 
 class CheckpointManager:
@@ -90,13 +93,7 @@ class CheckpointManager:
                 if catalog is not None
                 else None
             ),
-            "builder": {
-                "join_cost": builder.join_cost,
-                "select_cost": builder.select_cost,
-                "force_nested_loops": builder.force_nested_loops,
-                "fuse": builder.fuse,
-                "columnar": builder.columnar,
-            },
+            "builder": builder.config(),
             "registry": {
                 "default_window": registry.default_window,
                 "time_scale": registry.time_scale,

@@ -67,13 +67,7 @@ def restore_service(
     catalog = (
         Catalog(payload["catalog"]) if payload["catalog"] is not None else None
     )
-    builder = PhysicalBuilder(
-        join_cost=payload["builder"]["join_cost"],
-        select_cost=payload["builder"]["select_cost"],
-        force_nested_loops=payload["builder"]["force_nested_loops"],
-        fuse=payload["builder"]["fuse"],
-        columnar=payload["builder"]["columnar"],
-    )
+    builder = PhysicalBuilder(**payload["builder"])
     registry_config = payload["registry"]
     service = ContinuousQueryService(
         catalog=catalog,

@@ -20,7 +20,7 @@ element path it accelerates:
 * **``elements`` is the materialisation boundary.**  The inherited
   ``elements`` slot is shadowed by a lazy property that builds (and
   caches) the ``StreamElement`` list on first touch.  The sanitizer, the
-  output gate, fused stateless kernels and any operator without a
+  output gate, selections, projections and any operator without a
   columnar fast path all read ``batch.elements`` and transparently fall
   back to rows; operators with a columnar fast path never touch it.
 
@@ -159,8 +159,8 @@ class ColumnarBatch(Batch):
     def elements(self) -> List[StreamElement]:
         """The run as boxed elements, built lazily and cached.
 
-        Every row-wise consumer (sanitizer, output gate, fused stateless
-        kernels, operators without a columnar fast path) reads this
+        Every row-wise consumer (sanitizer, output gate, selections,
+        projections, operators without a columnar fast path) reads this
         property; the columnar fast paths never do.
         """
         cached = self._cached

@@ -1,4 +1,4 @@
-"""Tests for the project-specific AST lint rules (RLB001–RLB010)."""
+"""Tests for the project-specific AST lint rules (RLB001–RLB010, RLB004 retired)."""
 
 from pathlib import Path
 
@@ -89,12 +89,13 @@ class TestBatchOverrideRule:
         assert lint_source(code) == []
 
     def test_stateless_override_not_flagged(self):
+        # Not an RLB003 matter: a stateless override is RLB010's finding.
         code = (
             "class Fast(StatelessOperator):\n"
             "    def process_batch(self, batch, port=0):\n"
             "        pass\n"
         )
-        assert lint_source(code) == []
+        assert codes(lint_source(code)) == ["RLB010"]
 
     def test_transitive_stateful_base_resolved(self):
         linter = Linter()
@@ -108,52 +109,6 @@ class TestBatchOverrideRule:
             "leaf.py",
         )
         assert codes(linter.run()) == ["RLB003"]
-
-
-class TestKernelInputRule:
-    def test_lambda_argument_flagged(self):
-        code = "step = select_step(lambda row: row[0] > 1, schema)\n"
-        findings = lint_source(code)
-        assert codes(findings) == ["RLB004"]
-        assert "side-effect-free Expression trees" in findings[0].message
-
-    def test_lambda_nested_in_collection_flagged(self):
-        code = "kernel = compile_kernel([FusedStep, (lambda r: r,)])\n"
-        findings = lint_source(code)
-        assert "RLB004" in codes(findings)
-
-    def test_lambda_in_keyword_argument_flagged(self):
-        code = (
-            "step = FusedStep(kind='select', exprs=(lambda r: True,),\n"
-            "                 input_schema=s, output_schema=s)\n"
-        )
-        assert codes(lint_source(code)) == ["RLB004"]
-
-    def test_local_function_reference_flagged(self):
-        code = (
-            "def my_predicate(row):\n"
-            "    return row[0] > 1\n"
-            "\n"
-            "step = select_step(my_predicate, schema)\n"
-        )
-        findings = lint_source(code)
-        assert codes(findings) == ["RLB004"]
-        assert "my_predicate" in findings[0].message
-
-    def test_expression_tree_argument_allowed(self):
-        code = (
-            "step = select_step(Comparison('<', Field('v'), Literal(5)), schema)\n"
-            "fused = FusedStateless(steps=[step], members=['select'])\n"
-        )
-        assert lint_source(code) == []
-
-    def test_lambda_outside_kernel_apis_allowed(self):
-        code = "op = Select(lambda row: row[0] > 1, cost=2)\n"
-        assert lint_source(code) == []
-
-    def test_method_call_spelling_flagged(self):
-        code = "kernel = kernels.compile_kernel((lambda r: r,))\n"
-        assert codes(lint_source(code)) == ["RLB004"]
 
 
 class TestColumnInternalRule:
@@ -303,6 +258,37 @@ class TestRelayRule:
             "        pass\n"
         )
         assert lint_source(code) == []
+
+    def test_second_copy_of_the_run_protocol_flagged(self):
+        code = (
+            "class Fast(Select):\n"
+            "    def process(self, element, port=0):\n"
+            "        self._emit(element)\n"
+            "    def process_batch(self, batch, port=0):\n"
+            "        if batch.first_start < self._watermarks[0]:\n"
+            "            raise ValueError('out-of-order element on port 0')\n"
+            "        self._watermarks[0] = batch.last_start\n"
+            "        self._emit_batch(batch)\n"
+        )
+        linter = Linter()
+        linter.add_source("class Select(StatelessOperator):\n    pass\n", "filter.py")
+        linter.add_source(code, "src/repro/operators/fast.py")
+        findings = linter.run()
+        assert codes(findings) == ["RLB010"] * 3
+        assert [f.line for f in findings] == [2, 4, 5]
+        assert "written once in StatelessOperator" in findings[0].message
+
+    def test_the_one_run_protocol_module_is_exempt(self):
+        code = (
+            "class _Helper(StatelessOperator):\n"
+            "    def process_batch(self, batch, port=0):\n"
+            "        self._watermarks[0] = batch.last_start\n"
+        )
+        assert lint_source(code, path="src/repro/operators/base.py") == []
+        assert codes(lint_source(code, path="src/repro/operators/filter.py")) == [
+            "RLB010",
+            "RLB010",
+        ]
 
 
 class TestWholeTree:

@@ -242,17 +242,19 @@ class TestStatelessOperatorsBetweenJoins:
     """Verdict and runtime agree on what fluid can replay and seed through."""
 
     @staticmethod
-    def fused_box(deep_side: str):
-        """A ``PhysicalBuilder``-built 3-way keyed join whose two adjacent
-        filters between the joins fuse into one ``FusedStateless``."""
-        from repro.plans import Comparison, Field, JoinNode, Literal, SelectNode, Source
+    def chained_box(deep_side: str):
+        """A ``PhysicalBuilder``-built 3-way keyed join with a plain
+        select → project chain between the joins."""
+        from repro.plans import (
+            Comparison, Field, JoinNode, Literal, ProjectNode, SelectNode, Source,
+        )
         from repro.plans.physical import PhysicalBuilder
 
         a, b, c = Source("A", ["k"]), Source("B", ["k"]), Source("C", ["k"])
 
         def filtered(plan, column):
             once = SelectNode(plan, Comparison("<", Field(column), Literal(7)))
-            return SelectNode(once, Comparison(">=", Field(column), Literal(0)))
+            return ProjectNode(once, [(Field(name), name) for name in once.schema])
 
         if deep_side == "left":
             inner = JoinNode(a, b, Comparison("=", Field("A.k"), Field("B.k")))
@@ -266,17 +268,17 @@ class TestStatelessOperatorsBetweenJoins:
             )
         return PhysicalBuilder().build(plan)
 
-    def test_fused_chain_is_selected_and_migrates_in_order(self):
-        from repro.plans.fusion import FusedStateless
+    def test_plain_chain_is_selected_and_migrates(self):
+        from repro.operators import Project, Select
 
-        old_box, new_box = self.fused_box("left"), self.fused_box("right")
-        assert any(isinstance(op, FusedStateless) for op in old_box.operators)
+        old_box, new_box = self.chained_box("left"), self.chained_box("right")
+        assert {Select, Project} <= {type(op) for op in old_box.operators}
         strategy = select_strategy(old_box, new_box, prefer="fluid")
         assert isinstance(strategy, FluidMigration)
         assert not strategy.selection_verdict.strategies["fluid"].diagnostics
 
         streams = three_random_streams()
-        base, _ = run_query(streams, W3, self.fused_box("left"))
+        base, _ = run_query(streams, W3, self.chained_box("left"))
         out, executor = run_query(
             streams, W3, old_box, migrate_at=150, new_box=new_box, strategy=strategy,
         )

@@ -61,22 +61,12 @@ class TestMemoryAndCost:
 
 class TestKernelCacheReadout:
     def test_per_query_deltas_survive_cache_clear(self):
-        from repro.plans import (
-            Comparison,
-            Field,
-            Literal,
-            clear_kernel_cache,
-            compile_kernel,
-            select_step,
-        )
+        from repro.plans.kernels import clear_kernel_cache, compile_probe_kernel
 
         clear_kernel_cache()
         recorder = MetricsRecorder()
-        make = lambda: (  # noqa: E731 - two distinct, equal trees
-            select_step(Comparison(">", Field("q"), Literal(1)), ("q",)),
-        )
-        compile_kernel(make())
-        compile_kernel(make())
+        compile_probe_kernel(0, 1)
+        compile_probe_kernel(0, 1)
         # Another query clearing the process-wide cache must not erase
         # this recorder's readout: the deltas ride the lifetime counters.
         clear_kernel_cache()
@@ -87,19 +77,10 @@ class TestKernelCacheReadout:
         assert cache["process_epoch"] == {"hits": 0, "misses": 0, "compiled": 0}
 
     def test_pre_construction_traffic_excluded(self):
-        from repro.plans import (
-            Comparison,
-            Field,
-            Literal,
-            clear_kernel_cache,
-            compile_kernel,
-            select_step,
-        )
+        from repro.plans.kernels import clear_kernel_cache, compile_probe_kernel
 
         clear_kernel_cache()
-        compile_kernel(
-            (select_step(Comparison("<", Field("r"), Literal(9)), ("r",)),)
-        )
+        compile_probe_kernel(1, 0)
         recorder = MetricsRecorder()  # baseline taken *after* the compile
         cache = recorder.to_dict()["kernel_cache"]
         assert cache == {

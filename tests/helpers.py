@@ -1,9 +1,12 @@
 """Shared test utilities.
 
-Two pillars:
+Three pillars:
 
 * :func:`run_query` — drive a box (optionally with a scheduled migration)
   over finite streams and return the collected output.
+* :data:`STATELESS_FACTORIES` / :func:`concrete_stateless_classes` — one
+  instance of every concrete ``StatelessOperator`` subclass, for the
+  per-class contract suites.
 * :class:`RelationalReference` — the snapshot-reducibility oracle of
   Definition 1: evaluates a logical plan *relationally*, snapshot by
   snapshot, with the exact bag algebra of ``repro.temporal.multiset``.
@@ -17,8 +20,18 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine import Box, MetricsRecorder, QueryExecutor
+from repro.engine.box import Router
 from repro.engine.scheduler import Scheduler
-from repro.operators import CostMeter
+from repro.operators import (
+    CostMeter,
+    NowWindow,
+    Project,
+    ProjectFields,
+    Select,
+    TimeWindow,
+    UnboundedWindow,
+)
+from repro.operators.base import StatelessOperator
 from repro.plans.logical import (
     AggregateNode,
     DifferenceNode,
@@ -33,6 +46,29 @@ from repro.plans.logical import (
 from repro.streams import CollectorSink, PhysicalStream
 from repro.temporal import Multiset, StreamElement, Time, snapshot
 from repro.temporal.time import MAX_TIME
+
+
+#: A fresh instance of every concrete ``StatelessOperator`` subclass.
+STATELESS_FACTORIES = {
+    TimeWindow: lambda: TimeWindow(7),
+    NowWindow: NowWindow,
+    UnboundedWindow: UnboundedWindow,
+    Select: lambda: Select(lambda p: p[0] % 2 == 0, cost=3),
+    Project: lambda: Project(lambda p: (p[0] + 1, p[0])),
+    ProjectFields: lambda: ProjectFields([0, 0]),
+    Router: Router,
+}
+
+
+def concrete_stateless_classes() -> List[type]:
+    """Every public ``repro`` subclass of ``StatelessOperator``."""
+    found, frontier = [], list(StatelessOperator.__subclasses__())
+    while frontier:
+        cls = frontier.pop()
+        frontier.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro.") and not cls.__name__.startswith("_"):
+            found.append(cls)
+    return found
 
 
 def run_query(

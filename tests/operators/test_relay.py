@@ -15,51 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.plans  # noqa: F401  (registers FusedStateless as a subclass)
+from helpers import STATELESS_FACTORIES as FACTORIES
+from helpers import concrete_stateless_classes
 from repro.analysis.sanitizer import StreamSanitizer, sanitized
-from repro.engine.box import Router
-from repro.operators import (
-    NowWindow,
-    Project,
-    ProjectFields,
-    Select,
-    TimeWindow,
-    UnboundedWindow,
-)
+from repro.operators import Project, Select
 from repro.operators.base import Operator, StatelessOperator
-from repro.plans.expressions import Comparison, Field, Literal
-from repro.plans.fusion import FusedStateless
-from repro.plans.kernels import project_step, select_step
 from repro.temporal import element
 from repro.temporal.batch import Batch
 from repro.temporal.time import MAX_TIME
-
-FACTORIES = {
-    TimeWindow: lambda: TimeWindow(7),
-    NowWindow: NowWindow,
-    UnboundedWindow: UnboundedWindow,
-    Select: lambda: Select(lambda p: p[0] % 2 == 0),
-    Project: lambda: Project(lambda p: (p[0] + 1, p[0])),
-    ProjectFields: lambda: ProjectFields([0, 0]),
-    FusedStateless: lambda: FusedStateless(
-        steps=(
-            select_step(Comparison(">", Field("v"), Literal(0)), ("v",)),
-            project_step([(Field("v"), "v"), (Field("v"), "w")], ("v",)),
-        )
-    ),
-    Router: Router,
-}
-
-
-def concrete_stateless_classes():
-    found, frontier = [], list(StatelessOperator.__subclasses__())
-    while frontier:
-        cls = frontier.pop()
-        frontier.extend(cls.__subclasses__())
-        if cls.__module__.startswith("repro.") and not cls.__name__.startswith("_"):
-            found.append(cls)
-    return found
-
 
 def generic_twin(cls):
     """``cls`` with the relay taken out: the generic protocol's methods."""
@@ -121,11 +84,15 @@ call = st.one_of(
 )
 
 
-def drive(op, calls):
-    """Run ``calls`` through ``op``; snapshot progress after each."""
+def drive(op, calls, tail=None):
+    """Run ``calls`` through ``op``; snapshot progress after each.
+
+    With ``tail`` given, ``op`` heads a chain ending in ``tail``: the
+    probes listen there and both operators' progress is recorded.
+    """
     subscriber, sink = Probe(), Probe()
-    op.subscribe(subscriber, 0)
-    op.attach_sink(sink)
+    (tail or op).subscribe(subscriber, 0)
+    (tail or op).attach_sink(sink)
     op.name = "under-test"
     progress = []
     t = 0
@@ -150,9 +117,9 @@ def drive(op, calls):
             else:
                 op.process_heartbeat(MAX_TIME)
                 t = MAX_TIME
-                progress.append(op.progress_state())
+                progress.append((op.progress_state(), tail and tail.progress_state()))
                 break
-            progress.append(op.progress_state())
+            progress.append((op.progress_state(), tail and tail.progress_state()))
     return progress, subscriber.trace, sink.trace, sanitizer.advances
 
 
@@ -175,6 +142,25 @@ def test_relay_matches_generic_protocol(cls, calls):
     assert type(relay).process_heartbeat is StatelessOperator.process_heartbeat
     assert type(relay)._advance is StatelessOperator._advance
     assert drive(relay, calls) == drive(generic, calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calls=st.lists(call, min_size=1, max_size=20))
+def test_select_project_chain_matches_generic_protocol(calls):
+    """The relay composes: a select → project chain hands its subscribers
+    what the same chain run through the generic protocol does."""
+
+    def chain(select_cls, project_cls):
+        head = FACTORIES[Select]()
+        tail = FACTORIES[Project]()
+        head.__class__, tail.__class__ = select_cls, project_cls
+        tail.name = "under-test"
+        head.subscribe(tail, 0)
+        return head, tail
+
+    head, tail = chain(Select, Project)
+    generic_head, generic_tail = chain(generic_twin(Select), generic_twin(Project))
+    assert drive(head, calls, tail) == drive(generic_head, calls, generic_tail)
 
 
 @every_class

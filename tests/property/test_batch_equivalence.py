@@ -7,9 +7,9 @@ output stream, element for element, and the identical cost-meter totals
 (aggregated charges replace per-candidate charges without changing any
 sum).  These properties drive hypothesis-generated two-source workloads
 through stateful plans (join, duplicate elimination, grouped aggregation,
-difference) under both the global-order scheduler and the round-robin
+difference) and a select → project chain under both the global-order scheduler and the round-robin
 scheduler's bounded application-time skew, at several batch sizes, and
-compare against ``batch_size=1`` — the legacy element loop kept as the
+compare against ``batch_size=1`` — one element per turn, the
 reference.  A second property schedules a GenMig migration mid-run: the
 executor drops to element-wise processing while the strategy is installed,
 so the migration, too, must leave the output byte-identical.
@@ -25,6 +25,8 @@ from repro.operators import (
     Difference,
     DuplicateElimination,
     NestedLoopsJoin,
+    Project,
+    Select,
     count,
     equi_join,
 )
@@ -56,6 +58,17 @@ def join_aggregate_box():
     return Box(taps={"A": [(join, 0)], "B": [(join, 1)]}, root=aggregate)
 
 
+def select_project_join_box():
+    """A plain select → project chain on one input of a join: the
+    stateless run body under every batch size."""
+    select = Select(lambda p: p[0] > 0, cost=2)
+    project = Project(lambda p: (p[0], p[0] + 1))
+    join = equi_join(0, 0)
+    select.subscribe(project, 0)
+    project.subscribe(join, 0)
+    return Box(taps={"A": [(select, 0)], "B": [(join, 1)]}, root=join)
+
+
 def difference_box():
     diff = Difference(name="difference")
     return Box(taps={"A": [(diff, 0)], "B": [(diff, 1)]}, root=diff)
@@ -65,6 +78,7 @@ PLANS = {
     "join-distinct": join_distinct_box,
     "join-aggregate": join_aggregate_box,
     "difference": difference_box,
+    "select-project-join": select_project_join_box,
 }
 
 SCHEDULERS = {

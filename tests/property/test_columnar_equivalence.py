@@ -52,8 +52,8 @@ def hash_join_plan():
 
 
 def join_chain_plan():
-    """A fused stateless chain *above* the columnar join: the fused
-    kernel re-columnarises its output so the flow stays columnar."""
+    """A select → project chain *above* the columnar join: the chain
+    boxes the join's columnar result runs and forwards row batches."""
     join = JoinNode(A, B, Comparison("=", Field("A.k"), Field("B.k")))
     return SelectNode(
         ProjectNode(join, [(Field("A.v"), "v"), (Field("B.k"), "bk")]),

@@ -190,6 +190,17 @@ class TestRestoreGuards:
         with pytest.raises(RecoveryError, match="version"):
             validate_snapshot(payload)
 
+    def test_rejects_version_1_checkpoint_of_the_fusing_build(self):
+        """A checkpoint written before fusion was retired (``builder.fuse``,
+        ``FusedStateless`` operator records) is refused by version, with
+        the typed error, before any plan is rebuilt and compared."""
+        payload = CheckpointManager(make_service(("q", SELECT_CQL))).capture()
+        assert "fuse" not in payload["builder"]
+        payload["version"] = 1
+        payload["builder"]["fuse"] = True
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 1"):
+            restore_service(payload, policy=quiet_policy())
+
     def test_plan_signature_mismatch_detected(self, tmp_path):
         feed = make_feed()
         path = snapshot_of(make_service(("q", JOIN_CQL)), feed, 50, tmp_path)
