@@ -19,21 +19,15 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     expiry index and the incremental state accounting, which the memory
     metrics and migration-progress checks are built on.
 
-``RLB003``
-    A ``StatefulOperator`` subclass overriding ``process_batch`` must
-    define ``_on_run_tail`` or explicitly declare ``batch_fallback =
-    True``.  The batch fast path defers per-element advances; an override
-    that ignores the run-tail hook silently loses the amortisation or,
-    worse, the element-protocol equivalence.
-
-(The fourth rule guarded the inputs of the operator-fusion kernel
-compiler and was retired with it; the number is not reused.)
+(The third rule policed the stateful run-tail hook and the fourth the
+inputs of the operator-fusion kernel compiler; both were retired with
+what they guarded, and the numbers are not reused.)
 
 ``RLB005``
     Code outside ``temporal/`` must not reach into a batch's column
     internals (``_starts``/``_ends``/``_rows``/``_flags``/``_cached``) —
     only the ``ColumnarBatch`` read API (``starts``/``ends``/``rows``/
-    ``flags``/``column``/``runs``) is stable.  Direct pokes bypass the
+    ``flags``/``runs``) is stable.  Direct pokes bypass the
     lazy-materialisation cache and would silently desynchronise the
     columns from the boxed-element view.
 
@@ -42,7 +36,7 @@ compiler and was retired with it; the number is not reused.)
     directly — a restored plan must come out of ``PhysicalBuilder`` (or
     the service registry, which delegates to it) so it is structurally
     identical to the plan the snapshot was taken from.  A hand-built
-    operator would bypass the columnar decision and the verifier,
+    operator would bypass the builder's join choice and the verifier,
     silently breaking the restore-time plan match.
 
 ``RLB007``
@@ -243,9 +237,7 @@ class _ClassFacts:
     line: int
     bases: Tuple[str, ...]
     methods: Dict[str, int]  # name -> line of the definition
-    assigns: Set[str]
     watermark_def: Optional[ast.FunctionDef]
-    process_batch_def: Optional[ast.FunctionDef]
     calls_purge_api: bool
     ordered_output_line: Optional[int]  # where ``ordered_output=True`` is passed
     watermarks_line: Optional[int]  # first ``._watermarks`` access
@@ -261,22 +253,12 @@ def _base_name(node: ast.expr) -> Optional[str]:
 
 def _scan_class(node: ast.ClassDef) -> _ClassFacts:
     methods: Dict[str, int] = {}
-    assigns: Set[str] = set()
     watermark_def: Optional[ast.FunctionDef] = None
-    process_batch_def: Optional[ast.FunctionDef] = None
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods[item.name] = item.lineno
             if item.name == "_on_watermark" and isinstance(item, ast.FunctionDef):
                 watermark_def = item
-            if item.name == "process_batch" and isinstance(item, ast.FunctionDef):
-                process_batch_def = item
-        elif isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    assigns.add(target.id)
-        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            assigns.add(item.target.id)
     calls_purge = False
     ordered_output_line: Optional[int] = None
     watermarks_line: Optional[int] = None
@@ -305,9 +287,7 @@ def _scan_class(node: ast.ClassDef) -> _ClassFacts:
         line=node.lineno,
         bases=tuple(b for b in (_base_name(base) for base in node.bases) if b),
         methods=methods,
-        assigns=assigns,
         watermark_def=watermark_def,
-        process_batch_def=process_batch_def,
         calls_purge_api=calls_purge,
         ordered_output_line=ordered_output_line,
         watermarks_line=watermarks_line,
@@ -376,7 +356,7 @@ def _operator_construction_findings(tree: ast.AST, path: str) -> List[LintFindin
                     f"recovery code constructs operator {name}() directly: "
                     "restored plans must come out of PhysicalBuilder so "
                     "they are structurally identical to the checkpointed "
-                    "plan (the columnar decision included)",
+                    "plan (the join choice included)",
                 )
             )
     return findings
@@ -400,7 +380,7 @@ def _column_internal_findings(tree: ast.AST, path: str) -> List[LintFinding]:
                     "RLB005",
                     f"direct access to column internal {node.attr!r} outside "
                     "temporal/: use the ColumnarBatch read API (starts/ends/"
-                    "rows/flags/column/runs) — poking the slots bypasses the "
+                    "rows/flags/runs) — poking the slots bypasses the "
                     "lazy-materialisation cache and can desynchronise the "
                     "columns from the boxed-element view",
                 )
@@ -629,24 +609,6 @@ class Linter:
                     f"API ({', '.join(sorted(PURGE_APIS))}): hand-rolled "
                     "purge loops bypass the expiry index and the "
                     "incremental state accounting",
-                )
-            )
-        if (
-            cls.process_batch_def is not None
-            and cls.name != "StatefulOperator"
-            and self._derives_from(cls.name, "StatefulOperator")
-            and "_on_run_tail" not in cls.methods
-            and "batch_fallback" not in cls.assigns
-        ):
-            findings.append(
-                LintFinding(
-                    path,
-                    cls.process_batch_def.lineno,
-                    "RLB003",
-                    f"{cls.name} overrides process_batch without defining "
-                    "_on_run_tail or declaring `batch_fallback = True`: "
-                    "batch overrides must either handle the run tail or "
-                    "opt out of the amortised path explicitly",
                 )
             )
         if cls.name != "StatelessOperator" and self._derives_from(

@@ -25,10 +25,11 @@ cliff by migrating the keyed state one key range at a time behind a
    drained through the keyed ``extract_state_of_port`` hook, seeded into
    the new box bottom-up (the Moving States computation, merged in via
    ``absorb_state`` so previously migrated ranges keep their live state),
-   and the frontier entry flips.  From that tick on the range's elements
-   probe the new plan; the remaining ranges keep running undisturbed
-   through the old one — both plans are fully live only for the single
-   in-flight range.
+   and the frontier entry flips — once no input lags below what the old
+   box has already purged (:meth:`FluidMigration._seed_incomplete`).
+   From that tick on the range's elements probe the new plan; the
+   remaining ranges keep running undisturbed through the old one — both
+   plans are fully live only for the single in-flight range.
 4. **Completion** — once every range has flipped and the watermarks pass
    the last range's split time, nothing the old box ever staged can still
    be owed; the old box and then the merge are flushed (no-ops except at
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..engine.sharded import shard_of
@@ -193,11 +195,37 @@ class FluidMigration(GenMig):
                 executor.clock >= self._flip_at[next_range]
                 or executor.at_end_of_stream
             )
-            if not due or not self._gate(executor, f"flip-{next_range}"):
+            if (
+                not due
+                or self._seed_incomplete(executor)
+                or not self._gate(executor, f"flip-{next_range}")
+            ):
                 return
             self._migrate_range(executor, next_range)
             next_range = len(self._migrated)
         self._try_complete(executor)
+
+    def _seed_incomplete(self, executor) -> bool:
+        """Whether some input lags below state the old box already purged.
+
+        A range is seeded from what the old box's tap operators hold, and
+        each purges on its own inputs' watermarks only.  While another
+        input's raw watermark lags below a tap operator's purged one, an
+        element that operator dropped can still meet a future element of
+        the lagging input where the new plan joins them directly (the old
+        plan joined it earlier, into intermediate state the seed cannot
+        use), and that result would be lost.  State may leave the old
+        plan only once no input can still need it, so a due flip waits
+        for the lagging input (end of stream excepted).
+        """
+        if executor.at_end_of_stream:
+            return False
+        lagging = min(router.watermark(0) for router in executor.routers.values())
+        return any(
+            operator._purged_watermark > lagging
+            for ports in self.old_box.taps.values()
+            for operator, _ in ports
+        )
 
     def _detach_output(self, executor) -> None:
         # Past the last range's split time nothing keyed is left and every
@@ -237,7 +265,7 @@ class FluidMigration(GenMig):
         the same value.
         """
         operator, port = self.old_box.taps[source][0]
-        return operator._keys[port]
+        return itemgetter(operator.key_fields[port])
 
     # ------------------------------------------------------------------ #
     # Handing one range over
@@ -315,7 +343,8 @@ class FluidMigration(GenMig):
                     landings = self._landings(operator, entry[-1])
                     if landings:
                         join, port, arrived = landings[0]
-                        if self._range_of(join._keys[port](arrived.payload)) == index:
+                        key = arrived.payload[join.key_fields[port]]
+                        if self._range_of(key) == index:
                             move.append((entry, landings))
                             continue
                     keep.append(entry)

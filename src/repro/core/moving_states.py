@@ -175,9 +175,7 @@ class _StateSeeder:
                 overlap = left.interval.intersect(right.interval)
                 if overlap is None:
                     continue
-                results.append(
-                    StreamElement(operator.combiner(left.payload, right.payload), overlap)
-                )
+                results.append(StreamElement(left.payload + right.payload, overlap))
         return results
 
     def _join_keyed(
@@ -197,21 +195,17 @@ class _StateSeeder:
         quadratic path the whole-box Moving States computation tolerates
         once per migration but a per-flip drain cannot.
         """
-        left_key, right_key = operator._keys
+        left_field, right_field = operator.key_fields
         buckets: Dict[Any, List[StreamElement]] = {}
         for right in rights:
-            buckets.setdefault(right_key(right.payload), []).append(right)
+            buckets.setdefault(right.payload[right_field], []).append(right)
         results: List[StreamElement] = []
         for left in lefts:
             self._meter.charge(1, "ms-seed")
-            for right in buckets.get(left_key(left.payload), ()):
+            for right in buckets.get(left.payload[left_field], ()):
                 self._meter.charge(operator.predicate_cost, "ms-seed")
                 overlap = left.interval.intersect(right.interval)
                 if overlap is None:
                     continue
-                results.append(
-                    StreamElement(
-                        operator.combiner(left.payload, right.payload), overlap
-                    )
-                )
+                results.append(StreamElement(left.payload + right.payload, overlap))
         return results

@@ -173,11 +173,12 @@ class QueryExecutor:
         box.set_meter(self.meter)
         self._wire_statistics(box)
         self.box = box
-        # Feed columnar runs whenever the installed plan contains a
-        # columnar operator: the struct-of-arrays layout is built once at
-        # ingestion and flows through windows and routers untouched.
+        # Feed columnar runs whenever the installed plan holds columnar
+        # state (a hash join): the struct-of-arrays layout is built once
+        # at ingestion and flows through windows and routers untouched.
+        # Join-free plans keep the cheaper row feed.
         self._columnar_feed = any(
-            getattr(op, "_columnar", False) for op in box.operators
+            getattr(op, "columnar_state", False) for op in box.operators
         )
 
     def _wire_statistics(self, box: Box) -> None:
@@ -224,7 +225,7 @@ class QueryExecutor:
         # begin() before it touches anything; only a strategy that has
         # begun is installed, so a refusal leaves the executor as it was.
         strategy.begin(self, new_box)
-        if any(getattr(op, "_columnar", False) for op in new_box.operators):
+        if any(getattr(op, "columnar_state", False) for op in new_box.operators):
             self._columnar_feed = True
         self.strategy = strategy
         self._poll_strategy()

@@ -215,8 +215,7 @@ class ShardedExecutor:
         transport: where workers live; default in-process
             :class:`~repro.engine.transport.LocalTransport`.
         builder_config: keyword arguments for the worker-side
-            ``PhysicalBuilder`` (cost weights, ``force_nested_loops``,
-            the columnar switch).
+            ``PhysicalBuilder`` (cost weights, ``force_nested_loops``).
         metrics: optional router-side recorder fed one output sample per
             delivered result (worker-side recorders are aggregated
             separately via ``shard_stats``).

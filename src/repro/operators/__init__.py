@@ -20,7 +20,6 @@ from .filter import Select
 from .join import (
     HashJoin,
     NestedLoopsJoin,
-    concat_payloads,
     equi_join,
     theta_join,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Union",
     "apply_aggregates",
     "avg_of",
-    "concat_payloads",
     "count",
     "equi_join",
     "max_of",

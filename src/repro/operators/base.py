@@ -604,19 +604,11 @@ class StatefulOperator(Operator):
         if start < self._watermarks[port]:
             raise self._out_of_order(start, port)
         self._watermarks[port] = start
-        self._on_element(elements[0], port)
+        on_element = self._on_element
+        on_element(elements[0], port)
         self._advance()
-        self._on_run_tail(elements, port)
+        for element in elements[1:]:
+            on_element(element, port)
         self._advance()
         if batch.watermark > start:
             self.process_heartbeat(batch.watermark, port)
-
-    def _on_run_tail(self, elements: List[StreamElement], port: int) -> None:
-        """Consume ``elements[1:]`` of a uniform-start run (post-purge).
-
-        Subclasses with run-amortisable probing/metering override this;
-        the default feeds the elements one by one.
-        """
-        on_element = self._on_element
-        for element in elements[1:]:
-            on_element(element, port)

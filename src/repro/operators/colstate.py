@@ -3,7 +3,7 @@
 One instance holds one hash-join side as five parallel append-only
 arrays — start, end, payload row, PT flag and bucket key per element —
 plus a ``buckets`` dict mapping key → list of live array indices in
-insertion order.  The join's element loops and the compiled probe kernels
+insertion order.  The join's element loop and the compiled probe kernels
 (:func:`repro.plans.kernels.compile_probe_kernel`) read the arrays and
 ``buckets`` directly; everything else (iteration, drains, seeding)
 materialises :class:`StreamElement`\\ s on demand.
@@ -226,10 +226,9 @@ class ColumnarJoinState:
         if broke_order:
             self._enter_heap_mode()
 
-    def replace(
-        self, key_of: Callable[[Payload], Any], elements: List[StreamElement]
-    ) -> None:
-        """Rebuild the whole side from scratch (Moving States seeding)."""
+    def replace(self, key_index: int, elements: List[StreamElement]) -> None:
+        """Rebuild the whole side from scratch (Moving States seeding);
+        each element's key is its payload at ``key_index``."""
         self.starts = []
         self.ends = []
         self.rows = []
@@ -246,7 +245,7 @@ class ColumnarJoinState:
         self._flag_count = 0
         for element in elements:
             self.insert(
-                key_of(element.payload),
+                element.payload[key_index],
                 element.interval.start,
                 element.interval.end,
                 element.payload,

@@ -33,14 +33,6 @@ from .base import Operator, StatefulOperator
 class DuplicateElimination(StatefulOperator):
     """Emit each payload's validity exactly once per snapshot."""
 
-    #: Remainders may be staged *ahead* of the watermark (a covered prefix
-    #: pushes the uncovered rest into the future), so equal-start deferred
-    #: releases exist here.  The amortised uniform-run batch path would
-    #: release them in heap order while the element path releases each in
-    #: its own advance (insertion order); with the content stage key below
-    #: those differ, so this operator keeps the exact element loop.
-    batch_fallback = True
-
     def __init__(self, name: str = "") -> None:
         super().__init__(arity=1, name=name or "distinct")
         self._coverage: Dict[Payload, IntervalSet] = {}
@@ -52,6 +44,15 @@ class DuplicateElimination(StatefulOperator):
         self._values = 0
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
+        """The exact element loop, one advance per element.
+
+        Remainders may be staged *ahead* of the watermark (a covered prefix
+        pushes the uncovered rest into the future), so equal-start deferred
+        releases exist here.  The amortised uniform-run path of
+        :class:`StatefulOperator` would release them in heap order while
+        the element path releases each in its own advance (insertion
+        order); with the content stage key below those differ.
+        """
         Operator.process_batch(self, batch, port)
 
     def _stage_key(self, element: StreamElement) -> object:

@@ -45,12 +45,6 @@ class PhysicalBuilder:
         join_cost: cost units charged per join predicate evaluation,
             modelling cheap (1) or expensive predicates (Figure 6).
         select_cost: cost units per selection predicate evaluation.
-        columnar: compile the stateful kernels on the operators that
-            support them (hash-join probe and build) and feed them
-            columnar batches.  On by default — kernel and element-loop boxes are
-            byte-identical — and ``columnar=False`` keeps the element
-            loops reachable as the equivalence oracle; hash-join state is
-            struct-of-arrays either way.
     """
 
     def __init__(
@@ -58,14 +52,12 @@ class PhysicalBuilder:
         join_cost: int = 1,
         select_cost: int = 1,
         force_nested_loops: bool = False,
-        columnar: bool = True,
     ) -> None:
         self.join_cost = join_cost
         self.select_cost = select_cost
         #: Compile equi-joins to nested-loops joins too — the paper's
         #: experimental setup (4-way nested-loops join trees, Section 5).
         self.force_nested_loops = force_nested_loops
-        self.columnar = columnar
 
     def config(self) -> Dict[str, object]:
         """The constructor arguments as a picklable dict.
@@ -77,7 +69,6 @@ class PhysicalBuilder:
             "join_cost": self.join_cost,
             "select_cost": self.select_cost,
             "force_nested_loops": self.force_nested_loops,
-            "columnar": self.columnar,
         }
 
     def build(self, plan: LogicalPlan, label: str = "") -> Box:
@@ -152,18 +143,12 @@ class PhysicalBuilder:
         equi = node.equi_columns()
         if equi is not None and not self.force_nested_loops:
             left_column, right_column = equi
-            left_index = node.left.schema.index(left_column)
-            right_index = node.right.schema.index(right_column)
             join: Operator = HashJoin(
-                left_key=lambda row, i=left_index: row[i],
-                right_key=lambda row, i=right_index: row[i],
+                node.left.schema.index(left_column),
+                node.right.schema.index(right_column),
                 predicate_cost=self.join_cost,
                 name=f"hash-join[{left_column}={right_column}]",
             )
-            if self.columnar:
-                # The positional indices mirror the key closures above, so
-                # the compiled probe kernels and the element path agree.
-                join.enable_columnar(left_index, right_index)
         elif node.condition is None:
             join = NestedLoopsJoin(
                 lambda left, right: True,

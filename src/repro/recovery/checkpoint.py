@@ -28,8 +28,8 @@ from .snapshot import pack_elements, write_snapshot
 FORMAT = "repro-checkpoint"
 #: 2: the ``builder`` section lost ``fuse`` and no operator record names a
 #: fused chain — the plans a version-1 checkpoint describes cannot be
-#: rebuilt by this build.
-FORMAT_VERSION = 2
+#: rebuilt by this build.  3: the ``builder`` section lost ``columnar``.
+FORMAT_VERSION = 3
 
 
 class CheckpointManager:

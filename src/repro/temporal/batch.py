@@ -27,10 +27,42 @@ and purge their sweep areas once per run instead of once per element.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .element import StreamElement
 from .time import Time
+
+
+def validate_run(
+    elements: Sequence[StreamElement], watermark: Optional[Time]
+) -> Tuple[List[StreamElement], Time, bool]:
+    """Check a run for the two batch invariants (module docstring).
+
+    Returns ``(elements as a list, trailing watermark, uniform_start)``,
+    the watermark defaulting to the last element's start; raises
+    ``ValueError`` on an empty run, a decreasing start or a watermark
+    below the last start.  The validating constructors of both batch
+    layouts share it.
+    """
+    items: List[StreamElement] = list(elements)
+    if not items:
+        raise ValueError("a batch must contain at least one element")
+    last = items[0].start
+    uniform = True
+    for element in items:
+        start = element.start
+        if start < last:
+            raise ValueError(f"batch elements out of order: {start} after {last}")
+        if start != last:
+            uniform = False
+        last = start
+    if watermark is None:
+        watermark = last
+    elif watermark < last:
+        raise ValueError(
+            f"batch watermark {watermark} below last element start {last}"
+        )
+    return items, watermark, uniform
 
 
 class Batch:
@@ -51,30 +83,10 @@ class Batch:
         watermark: Optional[Time] = None,
         source: Optional[str] = None,
     ) -> None:
-        items: List[StreamElement] = list(elements)
-        if not items:
-            raise ValueError("a batch must contain at least one element")
-        last = items[0].start
-        uniform = True
-        for element in items:
-            start = element.start
-            if start < last:
-                raise ValueError(
-                    f"batch elements out of order: {start} after {last}"
-                )
-            if start != last:
-                uniform = False
-            last = start
-        if watermark is None:
-            watermark = last
-        elif watermark < last:
-            raise ValueError(
-                f"batch watermark {watermark} below last element start {last}"
-            )
-        self.elements = items
-        self.watermark = watermark
+        self.elements, self.watermark, self._uniform = validate_run(
+            elements, watermark
+        )
         self.source = source
-        self._uniform = uniform
 
     @classmethod
     def _trusted(

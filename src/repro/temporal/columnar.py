@@ -25,15 +25,13 @@ element path it accelerates:
   back to rows; operators with a columnar fast path never touch it.
 
 * **Columns are read through accessors.**  Code outside ``temporal/``
-  reads ``starts`` / ``ends`` / ``rows`` / ``flags`` / ``column(i)``,
-  never the underscore slots — lint rule ``RLB005`` enforces this, so the
+  reads ``starts`` / ``ends`` / ``rows`` / ``flags``, never the
+  underscore slots — lint rule ``RLB005`` enforces this, so the
   internal layout can change without a tree-wide audit.
 
-Numeric payload columns requested via :meth:`ColumnarBatch.column` are
-packed into a stdlib ``array('q')`` when every value fits; mixed-type
-columns fall back to plain lists.  Timestamps always stay in lists:
-``Time`` is ``int | Fraction`` (migration split times are sub-chronon,
-Remark 3 of the paper), and ``array`` cannot hold a ``Fraction``.
+The columns are plain lists: ``Time`` is ``int | Fraction`` (migration
+split times are sub-chronon, Remark 3 of the paper), which no packed
+``array`` can hold, and the probe kernels read whole payload rows.
 
 A batch still contains at least one element — a "watermark-only batch"
 is not representable; watermark-only progress travels as heartbeats, and
@@ -42,16 +40,12 @@ is not representable; watermark-only progress travels as heartbeats, and
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence
 
-from .batch import Batch
+from .batch import Batch, validate_run
 from .element import Payload, StreamElement
 from .interval import TimeInterval
 from .time import Time
-
-#: A payload column: packed 64-bit integers when possible, else a list.
-Column = Union[array, List[object]]
 
 
 class ColumnarBatch(Batch):
@@ -70,26 +64,7 @@ class ColumnarBatch(Batch):
         watermark: Optional[Time] = None,
         source: Optional[str] = None,
     ) -> None:
-        items: List[StreamElement] = list(elements)
-        if not items:
-            raise ValueError("a batch must contain at least one element")
-        last = items[0].start
-        uniform = True
-        for element in items:
-            start = element.start
-            if start < last:
-                raise ValueError(
-                    f"batch elements out of order: {start} after {last}"
-                )
-            if start != last:
-                uniform = False
-            last = start
-        if watermark is None:
-            watermark = last
-        elif watermark < last:
-            raise ValueError(
-                f"batch watermark {watermark} below last element start {last}"
-            )
+        items, watermark, uniform = validate_run(elements, watermark)
         self._init_from_elements(items, watermark, source, uniform)
 
     def _init_from_elements(
@@ -181,10 +156,6 @@ class ColumnarBatch(Batch):
             self._cached = cached
         return cached
 
-    def to_batch(self) -> Batch:
-        """The equivalent row-wise :class:`Batch` (materialises)."""
-        return Batch._trusted(self.elements, self.watermark, self.source, self._uniform)
-
     # ------------------------------------------------------------------ #
     # Columnar read API (the only sanctioned access, per RLB005)
     # ------------------------------------------------------------------ #
@@ -208,20 +179,6 @@ class ColumnarBatch(Batch):
     def flags(self) -> Optional[List[Optional[str]]]:
         """The PT-flag column, or ``None`` when every element is unflagged."""
         return self._flags
-
-    def column(self, index: int) -> Column:
-        """One payload attribute as a column.
-
-        Packed into an ``array('q')`` when every value is a machine-size
-        integer; otherwise a plain list.  Built on demand — the join and
-        aggregate kernels read whole rows, this exists for analytical
-        consumers and tests.
-        """
-        values = [row[index] for row in self._rows]
-        try:
-            return array("q", values)
-        except (TypeError, OverflowError):
-            return values
 
     # ------------------------------------------------------------------ #
     # Batch protocol overrides (avoid materialisation)

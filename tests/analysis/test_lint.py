@@ -1,4 +1,4 @@
-"""Tests for the project-specific AST lint rules (RLB001–RLB010, RLB004 retired)."""
+"""Tests for the project-specific AST lint rules (RLB001–RLB010; RLB003 and RLB004 retired)."""
 
 from pathlib import Path
 
@@ -59,37 +59,12 @@ class TestPurgeRule:
 
 
 class TestBatchOverrideRule:
-    def test_override_without_run_tail_flagged(self):
-        code = (
-            "class MyJoin(StatefulOperator):\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n"
-        )
-        findings = lint_source(code)
-        assert codes(findings) == ["RLB003"]
-        assert "_on_run_tail" in findings[0].message
-
-    def test_override_with_run_tail_allowed(self):
-        code = (
-            "class MyJoin(StatefulOperator):\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n"
-            "    def _on_run_tail(self, elements, port):\n"
-            "        pass\n"
-        )
-        assert lint_source(code) == []
-
-    def test_declared_fallback_allowed(self):
-        code = (
-            "class MyJoin(StatefulOperator):\n"
-            "    batch_fallback = True\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n"
-        )
-        assert lint_source(code) == []
+    """A stateful operator may override ``process_batch`` (the hash
+    join's kernel path does); only a stateless override is a finding,
+    RLB010's."""
 
     def test_stateless_override_not_flagged(self):
-        # Not an RLB003 matter: a stateless override is RLB010's finding.
+        # Not a batch-override matter: a stateless override is RLB010's finding.
         code = (
             "class Fast(StatelessOperator):\n"
             "    def process_batch(self, batch, port=0):\n"
@@ -98,17 +73,19 @@ class TestBatchOverrideRule:
         assert codes(lint_source(code)) == ["RLB010"]
 
     def test_transitive_stateful_base_resolved(self):
-        linter = Linter()
-        linter.add_source(
-            "class Middle(StatefulOperator):\n    pass\n", "middle.py"
-        )
-        linter.add_source(
+        leaf = (
             "class Leaf(Middle):\n"
             "    def process_batch(self, batch, port=0):\n"
-            "        pass\n",
-            "leaf.py",
+            "        pass\n"
         )
-        assert codes(linter.run()) == ["RLB003"]
+        stateful = Linter()
+        stateful.add_source("class Middle(StatefulOperator):\n    pass\n", "middle.py")
+        stateful.add_source(leaf, "leaf.py")
+        assert stateful.run() == []
+        stateless = Linter()
+        stateless.add_source("class Middle(StatelessOperator):\n    pass\n", "middle.py")
+        stateless.add_source(leaf, "leaf.py")
+        assert codes(stateless.run()) == ["RLB010"]
 
 
 class TestColumnInternalRule:
@@ -138,7 +115,7 @@ class TestColumnInternalRule:
 
 class TestOperatorConstructionRule:
     def test_direct_construction_flagged_in_recovery(self):
-        code = "def rebuild():\n    return HashJoin(lambda r: r[0], lambda r: r[0])\n"
+        code = "def rebuild():\n    return HashJoin(0, 0)\n"
         findings = lint_source(code, path="src/repro/recovery/bad.py")
         assert codes(findings) == ["RLB006"]
         assert "PhysicalBuilder" in findings[0].message

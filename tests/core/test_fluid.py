@@ -1,5 +1,7 @@
 """Tests for fluid (per-key-range) migration."""
 
+import itertools
+
 import pytest
 
 from helpers import run_query
@@ -12,8 +14,14 @@ from repro.core import (
     select_strategy,
 )
 from repro.operators import NestedLoopsJoin, sweep
-from repro.engine import Box, MigrationError, QueryExecutor
-from repro.streams import CollectorSink, PhysicalStream
+from repro.engine import (
+    Box,
+    GlobalOrderScheduler,
+    MigrationError,
+    QueryExecutor,
+    RoundRobinScheduler,
+)
+from repro.streams import CollectorSink, PhysicalStream, timestamped_stream
 from repro.temporal import element, first_divergence
 from scenarios import (
     aggregate_all_box,
@@ -184,6 +192,65 @@ class TestDeliveryOrder:
         finally:
             sweep.set_debug(False)
         assert strategy.phase_state() != FluidMigration(ranges=1).phase_state()
+
+
+class TestRunAheadInput:
+    """A range must not flip while a lagging input can still join state
+    the old box has purged on the other inputs' run-ahead watermarks."""
+
+    @staticmethod
+    def stream(name, rows):
+        return timestamped_stream(rows, name=name)
+
+    @pytest.mark.parametrize(
+        "scheduler,batch_size,ranges,migrate_at",
+        itertools.product(
+            ("global", "round-robin-2", "round-robin-4"), (1, 2, 8), (1, 2, 8), (6, 14)
+        ),
+    )
+    def test_exhausted_input_loses_no_results(
+        self, scheduler, batch_size, ranges, migrate_at
+    ):
+        """``A@0 | B@1, 3, …, 13, 14 | C@0 ×7``: the exhausted A is promised
+        the clock while C lags, so the old ``A⋈B`` purges ``a [0,13)``
+        before C catches up — and seeding the new right-deep box, where
+        ``a`` meets C directly, needs it.  Flipping on schedule lost
+        results whether the purge fell inside the parallel phase
+        (migrated at 6: 36 of 42 under ``round-robin-2`` with two ranges)
+        or before arming (at 14: 24 of 42 under ``round-robin-4`` with one
+        range); the flip has to wait for C."""
+        rows = {
+            "A": [(0, 0)],
+            "B": [(0, t) for t in (1, 3, 5, 7, 9, 11, 13, 14)],
+            "C": [(0, 0)] * 7,
+        }
+        schedulers = {
+            "global": GlobalOrderScheduler,
+            "round-robin-2": lambda: RoundRobinScheduler(batch=2),
+            "round-robin-4": lambda: RoundRobinScheduler(batch=4),
+        }
+
+        def run(strategy):
+            streams = {name: self.stream(name, rows[name]) for name in rows}
+            executor = QueryExecutor(
+                streams, {"A": 12, "B": 12, "C": 12}, left_deep_join_box(),
+                scheduler=schedulers[scheduler](), batch_size=batch_size,
+            )
+            sink = CollectorSink()
+            executor.add_sink(sink)
+            if strategy is not None:
+                executor.schedule_migration(migrate_at, right_deep_join_box(), strategy)
+            executor.run()
+            return sink.elements, executor
+
+        base, _ = run(None)
+        out, executor = run(FluidMigration(ranges=ranges))
+        assert len(base) == 42
+        assert len(executor.migration_log) == 1
+        assert sorted((e.payload, e.start, e.end) for e in out) == sorted(
+            (e.payload, e.start, e.end) for e in base
+        )
+        assert executor.gate.order_violations == 0
 
 
 class TestFrontierRouter:

@@ -140,9 +140,9 @@ def test_flagged_tracks_pt_flags_through_insert_expire_extract():
     assert state.flagged
     assert [e.flag for e in state.extract(lambda key: key == "c")] == [NEW]
     assert not state.flagged
-    state.replace(lambda row: row[0], [element("z", 5, 15).with_flag(OLD)])
+    state.replace(0, [element("z", 5, 15).with_flag(OLD)])
     assert state.flagged and contents(state) == [(("z",), 5, 15, OLD)]
-    state.replace(lambda row: row[0], [])
+    state.replace(0, [])
     assert not state.flagged and state.value_count() == 0
 
 

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from repro.operators import CostMeter, HashJoin, NestedLoopsJoin, equi_join, theta_join
+from repro.operators import CostMeter, NestedLoopsJoin, equi_join, theta_join
 from repro.streams import CollectorSink
 from repro.temporal import (
-    Batch,
     Multiset,
     TimeInterval,
     critical_instants,
@@ -65,36 +64,6 @@ class TestJoinSemantics:
         right = [element("k", 2, 10)]
         out = drive(equi_join(0, 0), left, right)
         assert len(out) == 2
-
-    def test_custom_combiner(self):
-        # ``process`` and a uniform-start batch's first element take the
-        # element loop, the batch's remaining elements the run-tail loop;
-        # the asymmetric combiner pins the (left, right) argument order.
-        for port, expected in ((0, [-10, -9, -8]), (1, [10, 9, 8])):
-            join = HashJoin(
-                left_key=lambda p: p[0],
-                right_key=lambda p: p[0],
-                combiner=lambda l, r: (l[0], l[1] - r[1]),
-            )
-            sink = CollectorSink()
-            join.attach_sink(sink)
-            join.process(element(("k", 10), 0, 9), 1 - port)
-            join.process(element(("k", 0), 1, 9), port)
-            join.process_batch(
-                Batch([element(("k", 1), 1, 9), element(("k", 2), 1, 9)]), port
-            )
-            join.process_heartbeat(MAX_TIME, 0)
-            join.process_heartbeat(MAX_TIME, 1)
-            assert [e.payload for e in sink.elements] == [("k", v) for v in expected]
-
-    def test_kernel_path_refuses_custom_combiner(self):
-        join = HashJoin(
-            left_key=lambda p: p[0],
-            right_key=lambda p: p[0],
-            combiner=lambda l, r: (l[0],),
-        )
-        with pytest.raises(ValueError, match="concat combiner"):
-            join.enable_columnar(0, 0)
 
     def test_theta_join_arbitrary_predicate(self):
         join = theta_join(lambda l, r: l[0] < r[0])

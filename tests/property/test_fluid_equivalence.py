@@ -180,6 +180,19 @@ def as_tuples(elements):
     plan="join3", scheduler="round-robin-4", batch_size=2, ranges=1, migrate_at=0,
     raw_a=[(0, 0)], raw_b=[(0, 0), (0, 1), (0, 2)], raw_c=[(0, 0)] * 3,
 )
+# One input's watermark runs ahead: the exhausted A is promised the clock
+# while C still lags, and the old A⋈B purges an A element that C can
+# still join where the new plan meets a and C directly.  A range flipped
+# before C catches up seeds without it: 36 of 42 results, whether the
+# purge falls in the parallel phase (migrated at 6) or before it (at 14).
+@example(
+    plan="join3", scheduler="round-robin-2", batch_size=1, ranges=2, migrate_at=6,
+    raw_a=[(0, 0)], raw_b=[(0, 1)] + [(0, 2)] * 6, raw_c=[(0, 0)] * 7,
+)
+@example(
+    plan="join3", scheduler="round-robin-2", batch_size=1, ranges=1, migrate_at=14,
+    raw_a=[(0, 0)], raw_b=[(0, 1)] + [(0, 2)] * 6 + [(0, 1)], raw_c=[(0, 0)] * 7,
+)
 def test_fluid_matches_genmig_and_unmigrated(
     plan, scheduler, batch_size, ranges, migrate_at, raw_a, raw_b, raw_c
 ):

@@ -1,0 +1,150 @@
+"""The run contract of the hash join: a batch is its elements.
+
+``HashJoin`` probes every run through its compiled kernel — a
+``ColumnarBatch`` directly, a row ``Batch`` after one conversion — and a
+single element through ``_on_element``.  For every shape of run the
+kernel path must be indistinguishable from element-wise ``process``
+followed by a heartbeat at the trailing watermark: the same stream at
+every receiver, the same meter charges per category, the same selectivity
+totals, the same progress marks and staged output, and the same join
+state — right after the run and again once both inputs end.
+
+The cases cover both input ports; uniform and non-uniform runs; a
+trailing watermark at and above the last start; a partner input behind
+the run, level with it (the purge between the first element and the tail
+drops a partner that the first element still counts as a candidate), and
+ahead of it (results starting after the run are staged, not forwarded,
+even when the rest of the same probe output is due); one
+receiver (the columnar fast branch) and two (always staged); and a
+flagged run or flagged partner state, which the kernel does not model and
+hands to the generic element protocol.
+"""
+
+import itertools
+
+import pytest
+
+from repro.operators import CostMeter, equi_join
+from repro.temporal import NEW, OLD, element
+from repro.temporal.batch import Batch
+from repro.temporal.columnar import ColumnarBatch
+from repro.temporal.time import MAX_TIME
+
+#: ``(start, key)`` runs fed on the port under test.
+RUNS = {
+    "uniform": [(5, 0), (5, 1), (5, 0), (5, 3)],
+    "non-uniform": [(5, 0), (5, 2), (6, 1), (8, 0)],
+    # Against a partner ahead, the tail's first result starts at the run
+    # start and its last after it: one probe output, only part of it due.
+    "ahead-tail": [(5, 1), (5, 1), (5, 0)],
+}
+
+#: Partner-input start timestamps (keys 0, 1, 0, 2); the first partner
+#: element ends at its start + 4, so a partner at 1 expires at 5.
+PARTNERS = {"behind": (1, 1, 1, 1), "level": (1, 3, 5, 5), "ahead": (1, 3, 7, 7)}
+
+FLAGS = ("none", "run", "partner")
+
+
+class Probe:
+    """A receiver recording its stream, promised watermark and batch types."""
+
+    arity = 1
+
+    def __init__(self):
+        self.trace = []
+        self.batch_types = []
+        self.watermark = 0
+
+    def process(self, e, port=0):
+        self.trace.append((e.payload, e.start, e.end, e.flag))
+
+    def process_batch(self, batch, port=0):
+        self.batch_types.append(type(batch))
+        for e in batch.elements:
+            self.process(e, port)
+        self.process_heartbeat(batch.watermark, port)
+
+    def process_heartbeat(self, t, port=0):
+        self.watermark = max(self.watermark, t)
+
+
+def as_tuples(elements):
+    return [(e.payload, e.start, e.end, e.flag) for e in elements]
+
+
+def observe(feed, port, partner, flags, receivers):
+    """Run ``feed(join)`` after a fixed prefix; everything observable after."""
+    join = equi_join(0, 0)
+    join.meter = CostMeter()
+    selectivity = [0, 0]
+
+    def tally(tested, matched):
+        selectivity[0] += tested
+        selectivity[1] += matched
+
+    join.selectivity_probe = tally
+    probes = [Probe() for _ in range(receivers)]
+    for probe in probes:
+        join.subscribe(probe, 0)
+    for i, (start, key) in enumerate(zip(PARTNERS[partner], (0, 1, 0, 2))):
+        e = element((key, "p"), start, start + (4 if i == 0 else 12))
+        join.process(e.with_flag(OLD) if flags == "partner" else e, 1 - port)
+    join.process(element((0, "own"), 2, 6), port)
+    feed(join)
+
+    def snapshot():
+        progress = join.progress_state()
+        return (
+            [probe.trace[:] for probe in probes],
+            [probe.watermark for probe in probes],
+            list(join.meter.by_category.items()),
+            list(selectivity),
+            progress["watermarks"],
+            progress["emitted_watermark"],
+            progress["purged_watermark"],
+            as_tuples(progress["staged"]),
+            [as_tuples(join.state_of_port(p)) for p in (0, 1)],
+            join.state_value_count(),
+        )
+
+    after_run = snapshot()
+    join.process_heartbeat(MAX_TIME, 0)
+    join.process_heartbeat(MAX_TIME, 1)
+    return (after_run, snapshot()), [probe.batch_types for probe in probes]
+
+
+@pytest.mark.parametrize(
+    "port,run,trailing,partner,receivers,flags",
+    itertools.product((0, 1), sorted(RUNS), (0, 3), sorted(PARTNERS), (1, 2), FLAGS),
+)
+def test_kernel_run_equals_elementwise_process(
+    port, run, trailing, partner, receivers, flags
+):
+    elements = [
+        element((key, i), start, start + 12) for i, (start, key) in enumerate(RUNS[run])
+    ]
+    if flags == "run":
+        elements[1] = elements[1].with_flag(NEW)
+    watermark = elements[-1].start + trailing
+
+    def elementwise(join):
+        for e in elements:
+            join.process(e, port)
+        join.process_heartbeat(watermark, port)
+
+    reference, _ = observe(elementwise, port, partner, flags, receivers)
+    assert reference[1][0][0], "the case must produce results"
+    for layout in (ColumnarBatch, Batch):
+
+        def batched(join):
+            join.process_batch(layout(elements, watermark=watermark, source="s"), port)
+
+        observed, batch_types = observe(batched, port, partner, flags, receivers)
+        assert observed == reference, layout.__name__
+        forwarded = {kind for types in batch_types for kind in types}
+        assert forwarded <= {ColumnarBatch}
+        if receivers == 2 or flags != "none":
+            assert not forwarded, "staged results leave one element at a time"
+        elif partner == "level":
+            assert forwarded, "the fast branch forwards one columnar run"

@@ -201,6 +201,20 @@ class TestRestoreGuards:
         with pytest.raises(RecoveryError, match="unsupported checkpoint version 1"):
             restore_service(payload, policy=quiet_policy())
 
+    def test_rejects_version_2_checkpoint_of_the_columnar_switch(self):
+        """A checkpoint whose ``builder`` section still carries the retired
+        ``columnar`` switch is refused by version, with the typed error,
+        instead of failing in the ``PhysicalBuilder`` constructor."""
+        payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
+        assert payload["version"] == 3
+        assert "columnar" not in payload["builder"]
+        payload["version"] = 2
+        payload["builder"]["columnar"] = True
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 2"):
+            validate_snapshot(payload)
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 2"):
+            restore_service(payload, policy=quiet_policy())
+
     def test_plan_signature_mismatch_detected(self, tmp_path):
         feed = make_feed()
         path = snapshot_of(make_service(("q", JOIN_CQL)), feed, 50, tmp_path)

@@ -1,6 +1,5 @@
 """Tests for the struct-of-arrays ColumnarBatch."""
 
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -74,14 +73,6 @@ class TestMaterialisation:
         batch = ColumnarBatch(items)
         assert batch.elements == items
 
-    def test_to_batch_is_row_wise(self):
-        batch = ColumnarBatch(elements_at(1, 2), watermark=8, source="A")
-        plain = batch.to_batch()
-        assert type(plain) is Batch
-        assert plain.elements == batch.elements
-        assert plain.watermark == 8
-        assert plain.source == "A"
-
     def test_with_elements_returns_plain_batch(self):
         # Element-wise rewrites already paid materialisation: the result
         # deliberately drops the columnar layout.
@@ -101,30 +92,6 @@ class TestMaterialisation:
         assert converted.elements is plain.elements  # shared, not copied
         assert converted.watermark == 9
         assert converted.source == "A"
-
-
-class TestColumnAccessor:
-    def test_integer_column_packs_into_array(self):
-        batch = ColumnarBatch(elements_at(1, 2, 3))
-        column = batch.column(1)
-        assert isinstance(column, array)
-        assert column.typecode == "q"
-        assert list(column) == [0, 10, 20]
-
-    def test_mixed_column_falls_back_to_list(self):
-        items = [
-            element(("x", 1), 1, 6),
-            element((None, 2), 2, 7),
-        ]
-        column = ColumnarBatch(items).column(0)
-        assert isinstance(column, list)
-        assert column == ["x", None]
-
-    def test_overflow_falls_back_to_list(self):
-        items = [element((1 << 80,), 1, 6)]
-        column = ColumnarBatch(items).column(0)
-        assert isinstance(column, list)
-        assert column == [1 << 80]
 
 
 class TestFractionTimestamps:
