@@ -85,6 +85,14 @@ what they guarded, and the numbers are not reused.)
     ``StatelessOperator``, and a second copy is where the batch path
     and the element path drift apart.
 
+``RLB011``
+    ``fractions`` is importable only by ``recovery/snapshot.py``, whose
+    payload codec round-trips rational values.  Sub-chronon time is the
+    half-chronon ``float`` :func:`~repro.temporal.time.half_before`
+    builds; comparing an ``int`` with a rational costs about ten ``int <
+    float`` comparisons, and a rational that reaches a split time, a
+    heartbeat or a staged-heap key pays that on every migrating element.
+
 Run locally or in CI::
 
     PYTHONPATH=src python -m repro.analysis.lint [paths...] [--format github]
@@ -192,6 +200,10 @@ MUTABLE_GLOBAL_SCOPE = ("engine", "operators")
 
 #: Module-level names RLB009 never flags.
 MUTABLE_GLOBAL_EXEMPT = frozenset({"__all__"})
+
+#: The one module allowed to import ``fractions`` (RLB011): the snapshot
+#: codec, whose payloads may hold any codec type.
+FRACTIONS_MODULE = ("recovery", "snapshot.py")
 
 
 @dataclass(frozen=True)
@@ -527,6 +539,31 @@ def _mutable_global_findings(tree: ast.AST, path: str) -> List[LintFinding]:
     return findings
 
 
+def _fractions_import_findings(tree: ast.AST, path: str) -> List[LintFinding]:
+    """RLB011: ``fractions`` is imported only by the snapshot codec."""
+    findings: List[LintFinding] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == "fractions" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "fractions"
+        else:
+            continue
+        if hit:
+            findings.append(
+                LintFinding(
+                    path,
+                    node.lineno,
+                    "RLB011",
+                    "fractions imported outside recovery/snapshot.py: "
+                    "sub-chronon time is the half-chronon float that "
+                    "temporal.time.half_before builds, and a rational on "
+                    "the migration path costs ~10x per comparison",
+                )
+            )
+    return findings
+
+
 # --------------------------------------------------------------------- #
 # The linter
 # --------------------------------------------------------------------- #
@@ -589,6 +626,8 @@ class Linter:
                 findings.extend(_transport_internal_findings(tree, path))
             if any(scope in parts for scope in MUTABLE_GLOBAL_SCOPE):
                 findings.extend(_mutable_global_findings(tree, path))
+            if parts[-2:] != FRACTIONS_MODULE:
+                findings.extend(_fractions_import_findings(tree, path))
             for cls in classes:
                 findings.extend(self._class_findings(path, cls))
         return findings
@@ -681,7 +720,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Project-specific AST lint rules (RLB001-RLB010).",
+        description="Project-specific AST lint rules (RLB001-RLB011).",
     )
     parser.add_argument("paths", nargs="*", help="files/directories to lint")
     parser.add_argument(

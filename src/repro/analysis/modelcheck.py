@@ -840,7 +840,7 @@ def _early_split_strategy():
     migration after deliveries.
     """
     from ..core.genmig import GenMig
-    from ..temporal.time import EPSILON
+    from ..temporal.time import half_before
 
     class _EarlySplitGenMig(GenMig):
         name = "genmig-early-split"
@@ -854,7 +854,7 @@ def _early_split_strategy():
                 ),
                 default=0,
             )
-            return latest + executor.interval_bound - EPSILON
+            return half_before(latest + executor.interval_bound)
 
     return _EarlySplitGenMig()
 

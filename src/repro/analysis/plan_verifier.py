@@ -50,7 +50,7 @@ from ..plans.logical import (
     Source,
     UnionNode,
 )
-from ..temporal.time import EPSILON, MAX_TIME, Time
+from ..temporal.time import MAX_TIME, Time, half_before
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.box import Box
@@ -466,7 +466,7 @@ class SplitBound:
 
     def recommended_split(self, latest_starts: Mapping[str, Time]) -> Time:
         """The paper's choice: ``max(t_Si) + w + b - EPSILON`` (Remark 3)."""
-        return max(latest_starts.values()) + self.offset - EPSILON
+        return half_before(max(latest_starts.values()) + self.offset)
 
     def check(
         self, t_split: Time, latest_starts: Mapping[str, Time]

@@ -46,7 +46,6 @@ seeded state joins precisely the post-flip arrivals.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -137,7 +136,7 @@ class FluidMigration(GenMig):
     name = "fluid"
     verdict_key = "fluid"
 
-    def __init__(self, ranges: int = 8, pace: Optional[Time] = None) -> None:
+    def __init__(self, ranges: int = 8, pace: Optional[int] = None) -> None:
         super().__init__()
         if ranges < 1:
             raise ValueError(f"ranges must be >= 1, got {ranges}")
@@ -182,13 +181,15 @@ class FluidMigration(GenMig):
         them over and the outputs are unchanged.
         """
         if not self._flip_at:
+            # Range r is due once the integer clock reaches r (w + b) / R,
+            # that is, its ceiling: the schedule stays in whole chronons.
             span = executor.global_window + executor.interval_bound
-            pace = (
-                self._pace_override
-                if self._pace_override is not None
-                else Fraction(span, self.ranges)
-            )
-            self._flip_at = [self._started_at + r * pace for r in range(self.ranges)]
+            pace = self._pace_override
+            self._flip_at = [
+                self._started_at
+                + (r * pace if pace is not None else -(-r * span // self.ranges))
+                for r in range(self.ranges)
+            ]
         next_range = len(self._migrated)
         while next_range < self.ranges:
             due = (

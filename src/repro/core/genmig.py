@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional
 
 from ..engine.box import Box, operator_digest
 from ..operators.base import Operator
-from ..temporal.time import EPSILON, Time
+from ..temporal.time import Time, half_before
 from .coalesce import Coalesce
 from .split import Split, _TwoSidedRouter
 from .strategy import MigrationReport, MigrationStrategy
@@ -166,12 +166,17 @@ class GenMig(MigrationStrategy):
 
     def _compute_t_split(self, executor) -> Time:
         """The standard split time (Algorithm 1, line 5; see module doc)."""
+        return half_before(self._horizon(executor))
+
+    @staticmethod
+    def _horizon(executor) -> int:
+        """``max(t_Si) + w + b``: the first chronon only the new box covers."""
         latest = max(
             (wm for name, wm in executor.source_watermarks.items()
              if executor.source_seen[name]),
             default=0,
         )
-        return latest + executor.global_window + executor.interval_bound - EPSILON
+        return latest + executor.global_window + executor.interval_bound
 
     def _make_split(self, name: str) -> _TwoSidedRouter:
         return Split(self.t_split, name=f"split[{name}]")
@@ -248,7 +253,10 @@ class ShortenedGenMig(GenMig):
 
     def _compute_t_split(self, executor) -> Time:
         # Time instants lie strictly below an (integer) end timestamp, so
-        # subtracting EPSILON stays above every instant in the old box.
+        # the half chronon before it stays above every instant in the old
+        # box.  Taking the min first never asks for the half chronon
+        # before an unbounded end (MAX_TIME), which has none.  An arm at
+        # end of stream with no input seen has max_end 0 and an empty old
+        # box; the first half chronon serves.
         max_end = max(executor.source_max_ends.values())
-        standard = GenMig._compute_t_split(self, executor)
-        return min(standard, max_end - EPSILON)
+        return half_before(max(1, min(self._horizon(executor), max_end)))

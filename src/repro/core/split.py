@@ -36,7 +36,7 @@ from ..temporal.time import MAX_TIME, MIN_TIME, Time
 def _covers_instants(interval) -> bool:
     """Whether a (possibly fractional) interval contains any time instant.
 
-    The time domain is discrete; a fragment like ``[T_split, T_split + 1/2)``
+    The time domain is discrete; a fragment like ``[T_split, T_split + 0.5)``
     covers no integer instant and can be dropped without changing any
     snapshot — this keeps sub-chronon slivers out of the boxes.
     """
@@ -168,9 +168,7 @@ class _TwoSidedRouter(Operator):
             self._old_watermark = old_promise
             for operator, target_port in self._old_targets:
                 operator.process_heartbeat(old_promise, target_port)
-        # Below T_split the new side is promised the very same T_split
-        # object over and over; identity spares a Fraction comparison.
-        if new_promise is not self._new_watermark and new_promise > self._new_watermark:
+        if new_promise > self._new_watermark:
             self._new_watermark = new_promise
             for operator, target_port in self._new_targets:
                 operator.process_heartbeat(new_promise, target_port)
@@ -184,10 +182,6 @@ class Split(_TwoSidedRouter):
     def __init__(self, t_split: Time, name: str = "") -> None:
         super().__init__(name or f"split[{t_split}]")
         self.t_split = t_split
-        #: The first chronon at or past ``T_split``.  An ``int`` lies
-        #: below ``T_split`` exactly when it lies below this chronon, and
-        #: two ints compare ten times faster than int and Fraction.
-        self._split_chronon = math.ceil(t_split)
 
     def _route(self, element: StreamElement):
         """Algorithm 2: split the validity interval at ``T_split``."""
@@ -198,7 +192,7 @@ class Split(_TwoSidedRouter):
 
     def _promises(self, raw: Time) -> Tuple[Time, Time]:
         """``raw | T_split`` below the split time, ``MAX | raw`` past it."""
-        if raw < (self._split_chronon if type(raw) is int else self.t_split):
+        if raw < self.t_split:
             return raw, self.t_split
         return MAX_TIME, raw
 

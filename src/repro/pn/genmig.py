@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..recovery.errors import RecoveryError
 from ..temporal.element import Payload, PNElement
-from ..temporal.time import EPSILON, MAX_TIME, Time
+from ..temporal.time import MAX_TIME, Time, half_before
 from .operators import PNCollector, PNOperator, PNWindow
 
 
@@ -220,7 +220,8 @@ def run_pn_migration(
             bound += 1
         if t_split is None and timestamp >= migrate_at:
             # Arm the migration: Algorithm 1's split time, PN flavour.
-            t_split = max(last_seen.values()) + global_window + 1 + EPSILON
+            # max(t_Si) + w + 1 + EPSILON: the half chronon before + 2.
+            t_split = half_before(max(last_seen.values()) + global_window + 2)
             for split in splits.values():
                 split.t_split = t_split
                 split.migrating = True

@@ -29,7 +29,9 @@ FORMAT = "repro-checkpoint"
 #: 2: the ``builder`` section lost ``fuse`` and no operator record names a
 #: fused chain — the plans a version-1 checkpoint describes cannot be
 #: rebuilt by this build.  3: the ``builder`` section lost ``columnar``.
-FORMAT_VERSION = 3
+#: 4: element timestamps are ints or half-chronon floats; a version-3
+#: checkpoint taken after a migration holds rational split times.
+FORMAT_VERSION = 4
 
 
 class CheckpointManager:

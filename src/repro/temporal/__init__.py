@@ -34,7 +34,16 @@ from .snapshot import (
     snapshot,
     snapshot_equivalent,
 )
-from .time import CHRONON, EPSILON, MAX_TIME, MIN_TIME, Time, is_finite, validate_time
+from .time import (
+    CHRONON,
+    EPSILON,
+    MAX_TIME,
+    MIN_TIME,
+    Time,
+    half_before,
+    is_finite,
+    validate_time,
+)
 
 __all__ = [
     "Batch",
@@ -60,6 +69,7 @@ __all__ = [
     "element",
     "first_divergence",
     "first_duplicate_instant",
+    "half_before",
     "has_snapshot_duplicates",
     "is_finite",
     "negative",

@@ -29,8 +29,8 @@ element path it accelerates:
   underscore slots — lint rule ``RLB005`` enforces this, so the
   internal layout can change without a tree-wide audit.
 
-The columns are plain lists: ``Time`` is ``int | Fraction`` (migration
-split times are sub-chronon, Remark 3 of the paper), which no packed
+The columns are plain lists: ``Time`` is ``int | float`` (migration
+split times are half chronons, Remark 3 of the paper), which no packed
 ``array`` can hold, and the probe kernels read whole payload rows.
 
 A batch still contains at least one element — a "watermark-only batch"

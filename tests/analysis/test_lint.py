@@ -1,4 +1,4 @@
-"""Tests for the project-specific AST lint rules (RLB001–RLB010; RLB003 and RLB004 retired)."""
+"""Tests for the project-specific AST lint rules (RLB001–RLB011; RLB003 and RLB004 retired)."""
 
 from pathlib import Path
 
@@ -352,6 +352,32 @@ class TestMutableGlobals:
     def test_outside_scope_allowed(self):
         code = "REGISTRY = {}\n"
         assert lint_source(code, path="src/repro/service/registry.py") == []
+
+
+class TestFractionsImports:
+    def test_fractions_import_flagged(self):
+        for code in (
+            "from fractions import Fraction\n",
+            "import fractions\n",
+            "import math, fractions as fr\n",
+            "def pace(span, ranges):\n    from fractions import Fraction\n",
+        ):
+            findings = lint_source(code, path="src/repro/core/fluid.py")
+            assert codes(findings) == ["RLB011"], code
+        assert "half_before" in findings[0].message
+
+    def test_flagged_in_every_layer(self):
+        code = "from fractions import Fraction\n"
+        for path in ("src/repro/temporal/time.py", "src/repro/recovery/checkpoint.py"):
+            assert codes(lint_source(code, path=path)) == ["RLB011"], path
+
+    def test_snapshot_codec_exempt(self):
+        code = "from fractions import Fraction\n"
+        assert lint_source(code, path="src/repro/recovery/snapshot.py") == []
+
+    def test_similar_names_allowed(self):
+        code = "from .fractions_util import half\nimport fractional\n"
+        assert lint_source(code, path="src/repro/core/split.py") == []
 
 
 class TestOutputFormats:

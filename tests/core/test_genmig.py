@@ -170,6 +170,16 @@ class TestShortenedGenMig:
             migrate_and_compare(streams, windows, old, new,
                                 ShortenedGenMig(), migrate_at=120)
 
+    def test_arm_with_no_input_seen_uses_the_first_half_chronon(self):
+        """Silent inputs arm at end of stream with no end timestamp seen;
+        the split time still lies in the time domain."""
+        streams = {"A": timestamped_stream([]), "B": timestamped_stream([])}
+        _, executor = run_query(
+            streams, W2, left_two_way(),
+            migrate_at=0, new_box=left_two_way(), strategy=ShortenedGenMig(),
+        )
+        assert executor.migration_log[0].t_split == 0.5
+
     def test_no_gain_for_window_fed_boxes(self):
         """Directly behind window operators both bounds coincide."""
         streams = three_random_streams()

@@ -1,7 +1,5 @@
 """Property-based tests for the temporal substrate."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

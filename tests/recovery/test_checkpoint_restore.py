@@ -9,6 +9,7 @@ down to results, metrics epochs and event-log bookkeeping.
 import pytest
 
 from repro import Catalog
+from repro.core import GenMig
 from repro.recovery import (
     CheckpointManager,
     RecoveryError,
@@ -153,6 +154,60 @@ class TestKillAndRecover:
         assert restored.hub.offsets == victim.hub.offsets
 
 
+def migrate_until_complete(service, feed, trigger=60):
+    """Feed up to ``trigger``, migrate "q" by GenMig + Coalesce onto a
+    rebuilt copy of its plan, and feed on until the migration completes;
+    returns the number of elements fed, the first consistent cut after it.
+    """
+    handle = service.registry.get("q")
+    for source, item in feed[:trigger]:
+        service.hub.push(source, item)
+    new_box = service.registry.builder.build(handle.plan, label="rebuilt")
+    handle.executor.start_migration(new_box, GenMig())
+    cut = trigger
+    while handle.executor.migration_active:
+        source, item = feed[cut]
+        service.hub.push(source, item)
+        cut += 1
+    return cut
+
+
+def split_time_stamps(value):
+    """Every half-chronon float anywhere in a decoded checkpoint payload."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [stamp for item in value for stamp in split_time_stamps(item)]
+    return []
+
+
+class TestCheckpointAfterMigration:
+    def test_genmig_coalesce_state_restores_byte_identical(self, tmp_path):
+        """Right after a GenMig + Coalesce migration completes, state holds
+        elements stamped at the half-chronon ``T_split``: they survive
+        the checkpoint as floats and the restored service delivers what
+        the uninterrupted one does."""
+        feed = make_feed()
+        baseline = make_service(("q", JOIN_CQL))
+        cut = migrate_until_complete(baseline, feed)
+        run_to_end(baseline, feed, start=cut)
+
+        victim = make_service(("q", JOIN_CQL))
+        assert migrate_until_complete(victim, feed) == cut < len(feed)
+        path = str(tmp_path / "service.ckpt")
+        CheckpointManager(victim).checkpoint(path)
+        (report,) = victim.registry.get("q").migrations
+        assert report.strategy == "genmig" and report.t_split % 1 == 0.5
+        assert report.t_split in split_time_stamps(read_snapshot(path))
+
+        restored = restore_service(path, policy=quiet_policy())
+        assert replay_tail(restored, feed) == len(feed) - cut
+        restored.finish()
+        assert_same_observable_state(restored, baseline, ["q"])
+
+
 class TestConsistentCutGuards:
     def test_cannot_checkpoint_finished_service(self):
         service = run_to_end(make_service(("q", SELECT_CQL)), make_feed(20))
@@ -206,13 +261,24 @@ class TestRestoreGuards:
         ``columnar`` switch is refused by version, with the typed error,
         instead of failing in the ``PhysicalBuilder`` constructor."""
         payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         assert "columnar" not in payload["builder"]
         payload["version"] = 2
         payload["builder"]["columnar"] = True
         with pytest.raises(RecoveryError, match="unsupported checkpoint version 2"):
             validate_snapshot(payload)
         with pytest.raises(RecoveryError, match="unsupported checkpoint version 2"):
+            restore_service(payload, policy=quiet_policy())
+
+    def test_rejects_version_3_checkpoint_of_fraction_split_times(self):
+        """Version 3 stamped post-migration state with ``Fraction`` split
+        times, which this build's time domain refuses; the version check
+        says so before any element is rebuilt."""
+        payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
+        payload["version"] = 3
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 3"):
+            validate_snapshot(payload)
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 3"):
             restore_service(payload, policy=quiet_policy())
 
     def test_plan_signature_mismatch_detected(self, tmp_path):

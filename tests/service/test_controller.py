@@ -9,6 +9,7 @@ decision history per query.  Output correctness is checked against the
 snapshot-by-snapshot relational reference of ``tests/helpers.py``.
 """
 
+import json
 import random
 
 import pytest
@@ -81,21 +82,25 @@ def assert_no_overlap(kinds):
     assert not in_flight, "a migration never completed"
 
 
-@pytest.mark.parametrize(
-    "strategy_policy, expected_strategy",
-    [("coalesce", "genmig"), ("auto", "genmig-rp")],
-)
-def test_autonomous_drift_migration_end_to_end(strategy_policy, expected_strategy):
-    policy = ControllerPolicy(
+def drift_policy(strategy):
+    """A policy that migrates ``join3`` once on the drifting feed."""
+    return ControllerPolicy(
         period=300,
         warmup_observations=25,
         cooldown=1500,
         improvement_threshold=0.85,
         migration_cost_per_value=0.01,
         savings_horizon=500.0,
-        strategy=strategy_policy,
+        strategy=strategy,
     )
-    service = ContinuousQueryService(catalog=catalog(), policy=policy)
+
+
+@pytest.mark.parametrize(
+    "strategy_policy, expected_strategy",
+    [("coalesce", "genmig"), ("auto", "genmig-rp")],
+)
+def test_autonomous_drift_migration_end_to_end(strategy_policy, expected_strategy):
+    service = ContinuousQueryService(catalog=catalog(), policy=drift_policy(strategy_policy))
     joined = service.register("join3", JOIN_CQL)
     filtered = service.register("filt", FILTER_CQL)
 
@@ -154,6 +159,26 @@ def test_autonomous_drift_migration_end_to_end(strategy_policy, expected_strateg
         filtered_reference.check(filtered.query.plan, filtered.results, instants)
         is None
     )
+
+
+@pytest.mark.parametrize("strategy_policy", ["coalesce", "auto"])
+def test_migration_events_are_json_serialisable(strategy_policy):
+    """``DecisionEvent.to_dict`` promises a flat JSON view: that holds for
+    every event of a migrating query, the ``completed`` event carrying the
+    half-chronon split time included, and for the metrics export that
+    mirrors the events."""
+    service = ContinuousQueryService(catalog=catalog(), policy=drift_policy(strategy_policy))
+    joined = service.register("join3", JOIN_CQL)
+    for source, payload, t in drifting_feed():
+        service.publish(source, payload, t)
+    service.finish()
+
+    (completed,) = joined.events.of_kind(ev.COMPLETED)
+    assert completed["t_split"] % 1 == 0.5
+    views = [event.to_dict() for event in joined.events]
+    assert json.loads(json.dumps(views)) == views
+    export = joined.metrics.to_dict()
+    assert json.loads(json.dumps(export))["events"] == export["events"]
 
 
 def test_rounds_skip_while_statistics_cold():

@@ -1,7 +1,5 @@
 """Tests for the struct-of-arrays ColumnarBatch."""
 
-from fractions import Fraction
-
 import pytest
 
 from repro.temporal import Batch, ColumnarBatch, NEW, OLD, element
@@ -94,11 +92,11 @@ class TestMaterialisation:
         assert converted.source == "A"
 
 
-class TestFractionTimestamps:
+class TestHalfChrononTimestamps:
     def test_sub_chronon_starts_survive(self):
-        # Migration split times are sub-chronon (Remark 3): Fraction must
-        # flow through the timestamp columns unchanged.
-        half = Fraction(7, 2)
+        # Migration split times are half chronons (Remark 3): the float
+        # must flow through the timestamp columns unchanged.
+        half = 3.5
         items = [element(("a",), 1, 6), element(("b",), half, 8)]
         batch = ColumnarBatch(items)
         assert batch.starts == [1, half]
