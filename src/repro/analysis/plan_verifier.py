@@ -180,61 +180,37 @@ def classify_logical(node: LogicalPlan) -> OperatorClassification:
     return OperatorClassification.of_kind(label, "general")
 
 
-def _columnar_state_diagnostic(op: object, label: str) -> Optional[Diagnostic]:
-    """CLS003: columnar state must stay drainable and seedable.
-
-    An operator advertising ``columnar_state`` keeps its state in
-    struct-of-arrays form; GenMig's drain/seed protocol reaches it only
-    through ``state_of_port`` / ``seed_state``, which must materialise
-    the columns into elements and back.  Missing either hook means a
-    mid-flight migration cannot move the operator's state.
-    """
-    if not getattr(op, "columnar_state", False):
-        return None
-    if callable(getattr(op, "state_of_port", None)) and callable(
-        getattr(op, "seed_state", None)
-    ):
-        return None
-    return Diagnostic(
-        WARNING,
-        "CLS003",
-        "operator holds columnar state but lacks state_of_port/seed_state: "
-        "GenMig cannot drain or seed its struct-of-arrays state mid-flight",
-        operator=label,
-    )
-
-
 def _checkpoint_state_diagnostic(
     op: object, classification: OperatorClassification
 ) -> Optional[Diagnostic]:
-    """CKP001: stateful operators must drain and seed symmetrically.
+    """CKP001: stateful operators must drain and absorb symmetrically.
 
-    The crash-recovery subsystem serializes operator state through the
-    same ``state_of_port`` / ``seed_state`` pair GenMig's Moving States
-    uses; a stateful operator missing either hook makes every plan that
-    contains it non-checkpointable (the CheckpointManager refuses at
-    runtime with a :class:`~repro.recovery.errors.RecoveryError`).  This
-    generalizes CLS003 from columnar state to all stateful operators;
-    columnar operators are CLS003's business and are skipped here.
+    Checkpoints, Moving States, fluid migration and sharded restore all
+    move operator state through the one ``state_of_port`` /
+    ``absorb_state`` pair — columnar state included, which the hooks
+    materialise into elements and back.  A stateful operator missing
+    either hook makes every plan that contains it non-checkpointable
+    (the CheckpointManager refuses at runtime with a
+    :class:`~repro.recovery.errors.RecoveryError`).  The hooks are
+    duck-typed on purpose: a base-class default drain would turn "not
+    checkpointable" into silently lost state.
     """
     if not classification.stateful:
         return None
-    if getattr(op, "columnar_state", False):
-        return None
     has_drain = callable(getattr(op, "state_of_port", None))
-    has_seed = callable(getattr(op, "seed_state", None))
-    if has_drain and has_seed:
+    has_absorb = callable(getattr(op, "absorb_state", None))
+    if has_drain and has_absorb:
         return None
-    if has_drain != has_seed:
-        missing = "seed_state" if has_drain else "state_of_port"
-        detail = f"has {'state_of_port' if has_drain else 'seed_state'} but lacks {missing}"
+    if has_drain != has_absorb:
+        missing = "absorb_state" if has_drain else "state_of_port"
+        detail = f"has {'state_of_port' if has_drain else 'absorb_state'} but lacks {missing}"
     else:
-        detail = "lacks both state_of_port and seed_state"
+        detail = "lacks both state_of_port and absorb_state"
     return Diagnostic(
         WARNING,
         "CKP001",
         f"stateful operator {detail}: its state cannot be drained and "
-        "seeded symmetrically, so plans containing it are not "
+        "absorbed symmetrically, so plans containing it are not "
         "checkpointable (and Moving States cannot migrate it)",
         operator=classification.label,
     )
@@ -248,9 +224,7 @@ def classify_operator(op: object) -> Tuple[OperatorClassification, Optional[Diag
     user-defined operators; otherwise the built-in operator types are
     recognised structurally.  Unknown operators degrade to ``general``
     with a warning: that is always sound for GenMig provided the operator
-    is snapshot-reducible, which only its author can promise.  Operators
-    advertising ``columnar_state`` (the columnar hash join) additionally
-    pass the CLS003 drainability check.
+    is snapshot-reducible, which only its author can promise.
     """
     from ..operators.aggregate import Aggregate
     from ..operators.base import StatelessOperator
@@ -280,7 +254,7 @@ def classify_operator(op: object) -> Tuple[OperatorClassification, Optional[Diag
             OperatorClassification.of_kind(
                 label, declared, reducible, keyed=bool(getattr(op, "keyed_state", False))
             ),
-            _columnar_state_diagnostic(op, label),
+            None,
         )
     if isinstance(op, _JoinBase):
         return (

@@ -94,26 +94,6 @@ class FrontierRouter(_TwoSidedRouter):
         return element, None
 
 
-class _RangeSeeder(_StateSeeder):
-    """The Moving States computation, merged instead of installed.
-
-    Identical bottom-up state derivation, but the result is *absorbed*
-    into the new box's join sides (which already hold the live state of
-    previously migrated ranges) rather than replacing them wholesale.
-    """
-
-    def seed(self) -> int:
-        seeded = 0
-        for operator in self._box.operators:
-            if not isinstance(operator, _JoinBase):
-                continue
-            for port in (0, 1):
-                state = self._input_stream(operator, port)
-                operator.absorb_state(port, state)
-                seeded += len(state)
-        return seeded
-
-
 class FluidMigration(GenMig):
     """Migrate keyed join state one key range at a time.
 
@@ -232,9 +212,7 @@ class FluidMigration(GenMig):
         # Past the last range's split time nothing keyed is left and every
         # staged result has been released by watermark; at end-of-stream
         # the explicit flush delivers whatever the old box still owes.
-        for _ in range(len(self.old_box.operators)):
-            for operator in self.old_box.operators:
-                operator.flush()
+        self.old_box.flush()
         super()._detach_output(executor)
 
     def _report_extra(self) -> Dict[str, Any]:
@@ -310,7 +288,7 @@ class FluidMigration(GenMig):
                 # — its keys never probe the old box again — so the
                 # extraction above reclaims it; nothing to seed from it,
                 # the seeder recomputes intermediate states bottom-up.
-        self._seeded += _RangeSeeder(self.new_box, alive, executor.meter).seed()
+        self._seeded += _StateSeeder(self.new_box, alive, executor.meter).seed()
 
     def _replay_staged(self, executor, index: int) -> None:
         """Deliver the flipped range's staged intermediate results downstream.

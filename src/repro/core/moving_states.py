@@ -53,9 +53,7 @@ class MovingStates(MigrationStrategy):
         # gate) yet; flushing delivers them exactly as continued execution
         # would have.  The box is discarded right after, so the premature
         # flush cannot interleave with later arrivals.
-        for _ in range(len(old_box.operators)):
-            for operator in old_box.operators:
-                operator.flush()
+        old_box.flush()
 
         # Step 2: alive base elements per input, from the leaf join states.
         alive: Dict[str, List[StreamElement]] = {}
@@ -120,14 +118,18 @@ class _StateSeeder:
         self._memo: Dict[int, List[StreamElement]] = {}
 
     def seed(self) -> int:
-        """Install the computed state into every join; return element count."""
+        """Absorb the computed state into every join; return element count.
+
+        Absorbing merges: Moving States seeds an empty box, fluid migration
+        a new box already holding the ranges migrated before.
+        """
         seeded = 0
         for operator in self._box.operators:
             if not isinstance(operator, _JoinBase):
                 continue
             for port in (0, 1):
                 state = self._input_stream(operator, port)
-                operator.seed_state(port, state)
+                operator.absorb_state(port, state)
                 seeded += len(state)
         return seeded
 

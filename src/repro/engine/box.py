@@ -77,6 +77,17 @@ class Box:
         for op in self.operators:
             op.meter = meter
 
+    def flush(self) -> None:
+        """Flush every operator until nothing staged is left in the box.
+
+        ``operators`` is in no topological order, so one pass may deliver
+        into an operator it already flushed; ``len(operators)`` passes
+        cover the longest chain.
+        """
+        for _ in range(len(self.operators)):
+            for op in self.operators:
+                op.flush()
+
     def sever(self) -> None:
         """Disconnect the box's internal root output (teardown helper)."""
         self.root.clear_subscribers()
@@ -117,7 +128,6 @@ def operator_digest(op: Operator) -> tuple:
         )
     else:
         state = (tuple(sorted(_element_key(e) for e in op.state_elements())),)
-    extras = getattr(op, "checkpoint_extras", None)
     return (
         op.name,
         type(op).__name__,
@@ -126,7 +136,6 @@ def operator_digest(op: Operator) -> tuple:
         progress["purged_watermark"],
         tuple(_element_key(e) for e in progress["staged"]),
         state,
-        repr(extras()) if callable(extras) else None,
     )
 
 

@@ -570,20 +570,17 @@ class QueryExecutor:
                 "progress": op.progress_state(),
             }
             drain = getattr(op, "state_of_port", None)
-            seed = getattr(op, "seed_state", None)
-            if callable(drain) and callable(seed):
+            absorb = getattr(op, "absorb_state", None)
+            if callable(drain) and callable(absorb):
                 record["ports"] = [list(drain(port)) for port in range(op.arity)]
             elif type(op).state_elements is not Operator.state_elements:
                 raise RecoveryError(
                     f"operator {op.name!r} ({type(op).__name__}) holds state "
-                    "but lacks the state_of_port/seed_state drain hooks — "
+                    "but lacks the state_of_port/absorb_state drain hooks — "
                     "the plan is not checkpointable (verifier check CKP001)"
                 )
             else:
                 record["ports"] = None
-            extras = getattr(op, "checkpoint_extras", None)
-            if callable(extras):
-                record["extras"] = extras()
             operators.append(record)
         return {
             "clock": self.clock,
@@ -606,8 +603,8 @@ class QueryExecutor:
         box is expected to be structurally identical to the checkpointed
         one — same operators in the same discovery order — which holds
         whenever both were built by ``PhysicalBuilder`` from the same
-        logical plan.  Progress is restored before state is seeded: the
-        seeding hooks of Aggregate/Difference derive their finalisation
+        logical plan.  Progress is restored before state is absorbed: the
+        absorbing hooks of Aggregate/Difference derive their finalisation
         frontiers from the purged watermark.
         """
         if (
@@ -634,10 +631,7 @@ class QueryExecutor:
             op.restore_progress(record["progress"])
             if record["ports"] is not None:
                 for port, elements in enumerate(record["ports"]):
-                    op.seed_state(port, list(elements))
-            extras = record.get("extras")
-            if extras is not None:
-                op.restore_extras(extras)
+                    op.absorb_state(port, list(elements))
         self.clock = state["clock"]
         self.source_watermarks = dict(state["source_watermarks"])
         self.source_max_ends = dict(state["source_max_ends"])

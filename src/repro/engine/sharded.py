@@ -690,19 +690,17 @@ def _repartition(
                 )
         staged = _repartition_staged(name, record["type"], peers, count, root_key)
         ports = _repartition_ports(name, peers, count, state_keys.get(name))
-        extras = _repartition_extras(name, peers, count, state_keys.get(name))
         for shard in range(count):
             progress = dict(record["progress"])
             progress["staged"] = staged[shard]
-            new_record: Dict[str, Any] = {
-                "type": record["type"],
-                "name": name,
-                "progress": progress,
-                "ports": None if ports is None else ports[shard],
-            }
-            if extras is not None:
-                new_record["extras"] = extras[shard]
-            seeds[shard]["operators"].append(new_record)
+            seeds[shard]["operators"].append(
+                {
+                    "type": record["type"],
+                    "name": name,
+                    "progress": progress,
+                    "ports": None if ports is None else ports[shard],
+                }
+            )
     return seeds
 
 
@@ -773,37 +771,3 @@ def _repartition_ports(
         for row in rows:
             out[shard_of(row.payload[key_index], count)][port].append(row)
     return out
-
-
-def _repartition_extras(
-    name: str,
-    peers: List[dict],
-    count: int,
-    keys: Optional[Tuple[Optional[int], ...]],
-) -> Optional[List[dict]]:
-    """Re-deal checkpoint extras (the difference payload-order index)."""
-    if "extras" not in peers[0]:
-        return None
-    extras = [peer.get("extras") or {} for peer in peers]
-    if all(set(extra) <= {"payload_order"} for extra in extras):
-        if keys is None or keys[0] is None:
-            # No shard key: only valid when the payload orders are empty.
-            if any(extra.get("payload_order") for extra in extras):
-                raise RecoveryError(
-                    f"operator {name!r}: cannot re-partition payload order "
-                    "without a shard key"
-                )
-            return [{"payload_order": []} for _ in range(count)]
-        key_index = keys[0]
-        seen: Dict[object, None] = {}
-        for extra in extras:
-            for payload in extra.get("payload_order", ()):
-                seen.setdefault(payload, None)
-        out: List[dict] = [{"payload_order": []} for _ in range(count)]
-        for payload in seen:
-            out[shard_of(payload[key_index], count)]["payload_order"].append(payload)
-        return out
-    raise RecoveryError(
-        f"operator {name!r} carries checkpoint extras this sharded restore "
-        "does not understand"
-    )

@@ -276,8 +276,8 @@ class Aggregate(StatefulOperator):
         self._check_port(port)
         return list(self._open)
 
-    def seed_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Replace the open state wholesale — the seed hook.
+    def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
+        """Merge elements into the open state — the absorb hook.
 
         The finalisation frontier resumes at the purged watermark: the
         two trail each other in lock-step (``_on_watermark`` runs exactly
@@ -285,9 +285,8 @@ class Aggregate(StatefulOperator):
         ``restore_progress`` applied first.
         """
         self._check_port(port)
-        area = SweepArea(self._retention)
-        area.replace(elements)
-        self._open = area
+        for element in elements:
+            self._open.insert(element)
         self._frontier = self._purged_watermark
         self._rebuild(self._frontier)
 

@@ -401,7 +401,7 @@ class Operator:
         Covers the machinery every operator shares — per-port watermarks,
         the emitted/purged progress marks, and staged-but-unreleased
         output in heap pop order.  Operator-specific state travels
-        separately through ``state_of_port``/``seed_state``.
+        separately through ``state_of_port``/``absorb_state``.
         """
         staged = [entry[-1] for entry in sorted(self._heap)]
         return {
@@ -414,8 +414,8 @@ class Operator:
     def restore_progress(self, progress: dict) -> None:
         """Re-install progress captured by :meth:`progress_state`.
 
-        Must run *before* ``seed_state`` on a freshly built operator:
-        seeding hooks derive their internal frontiers from the purged
+        Must run *before* ``absorb_state`` on a freshly built operator:
+        absorbing hooks derive their internal frontiers from the purged
         watermark set here.  Staged elements re-enter the heap with fresh
         sequence numbers in their original pop order, so release order is
         identical to the uninterrupted run.

@@ -57,7 +57,7 @@ class ColumnarJoinState:
 
     The array attributes and ``buckets`` are the read surface of the
     compiled probe kernels; mutation goes through :meth:`insert` /
-    :meth:`insert_run` / :meth:`expire` / :meth:`replace` only.
+    :meth:`insert_run` / :meth:`expire` / :meth:`extract` only.
     """
 
     __slots__ = (
@@ -225,32 +225,6 @@ class ColumnarJoinState:
         self._last_end = last
         if broke_order:
             self._enter_heap_mode()
-
-    def replace(self, key_index: int, elements: List[StreamElement]) -> None:
-        """Rebuild the whole side from scratch (Moving States seeding);
-        each element's key is its payload at ``key_index``."""
-        self.starts = []
-        self.ends = []
-        self.rows = []
-        self.flags = []
-        self.keys = []
-        self.buckets = {}
-        self._heap = []
-        self._dead = set()
-        self._sweep_pos = 0
-        self._sorted = self._retention is None
-        self._last_end = MIN_TIME
-        self._live = 0
-        self._values = 0
-        self._flag_count = 0
-        for element in elements:
-            self.insert(
-                element.payload[key_index],
-                element.interval.start,
-                element.interval.end,
-                element.payload,
-                element.flag,
-            )
 
     def expire(self, watermark: Time) -> None:
         """Remove every element whose expiry has been reached.

@@ -148,22 +148,29 @@ class Difference(StatefulOperator):
             yield from right
 
     def state_of_port(self, port: int) -> List[StreamElement]:
-        """The not-yet-finalised elements of one input side — the drain hook."""
-        self._check_port(port)
-        return [element for sides in self._state.values() for element in sides[port]]
+        """The not-yet-finalised elements of one input side — the drain hook.
 
-    def seed_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Replace one side's state wholesale — the seed hook.
+        Content-ordered (payloads by ``repr``, insertion order within a
+        payload), so the drain does not depend on the payload dict's
+        first-touch order and a drain → absorb → drain round trip is
+        byte-stable; ``_finalise`` sorts across payloads anyway.
+        """
+        self._check_port(port)
+        state = self._state
+        return [
+            element
+            for payload in sorted(state, key=repr)
+            for element in state[payload][port]
+        ]
+
+    def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
+        """Merge elements into one side's state — the absorb hook.
 
         Finalisation resumes at the purged watermark (see
-        :meth:`Aggregate.seed_state` for the lock-step argument), so
+        :meth:`Aggregate.absorb_state` for the lock-step argument), so
         ``restore_progress`` must run first.
         """
         self._check_port(port)
-        for payload, sides in self._state.items():
-            self._drop(list(sides[port]))
-            fresh = SweepArea(self._retention)
-            self._state[payload] = (fresh, sides[1]) if port == 0 else (sides[0], fresh)
         for element in elements:
             sides = self._state.get(element.payload)
             if sides is None:
@@ -176,30 +183,7 @@ class Difference(StatefulOperator):
                 (area.expiry_of(element), next(self._seq), element.payload),
             )
             self._values += len(element.payload)
-        for payload in [p for p, s in self._state.items() if not s[0] and not s[1]]:
-            del self._state[payload]
         self._frontier = self._purged_watermark
-
-    def checkpoint_extras(self) -> dict:
-        """Non-element state a drain/seed round-trip cannot preserve.
-
-        ``_finalise`` iterates the payload dict in first-touch insertion
-        order.  Since the cross-payload content sort above, that order is
-        output-neutral — but it still fixes the iteration order of
-        ``state_elements``/``state_of_port`` drains, so a checkpoint
-        records it to keep subsequent checkpoints byte-stable.
-        """
-        return {"payload_order": list(self._state.keys())}
-
-    def restore_extras(self, extras: dict) -> None:
-        """Re-impose the recorded payload first-touch order after seeding."""
-        ordered: Dict[Payload, Tuple[SweepArea, SweepArea]] = {}
-        for payload in extras["payload_order"]:
-            sides = self._state.pop(payload, None)
-            if sides is not None:
-                ordered[payload] = sides
-        ordered.update(self._state)
-        self._state = ordered
 
 
 def _merge_copies(results: List[StreamElement]) -> List[StreamElement]:

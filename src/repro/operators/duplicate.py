@@ -129,18 +129,14 @@ class DuplicateElimination(StatefulOperator):
         self._check_port(port)
         return list(self.state_elements())
 
-    def seed_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Rebuild per-payload coverage from drained elements — the seed hook.
+    def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
+        """Merge drained elements into per-payload coverage — the absorb hook.
 
         Seeded intervals are already watermark-truncated (the drain view
         cut them), so subtraction and expiry behave as if this operator
         had processed the original input itself.
         """
         self._check_port(port)
-        self._coverage = {}
-        self._expiry_heap = []
-        self._seq = itertools.count()
-        self._values = 0
         for element in elements:
             covered = self._coverage.get(element.payload)
             if covered is None:

@@ -114,12 +114,12 @@ class NestedLoopsJoin(_JoinBase):
         self._check_port(port)
         return list(self._states[port])
 
-    def seed_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Replace one input's state wholesale — used by Moving States."""
+    def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
+        """Merge elements into one input's state — used by Moving States."""
         self._check_port(port)
-        area = SweepArea(self._retention)
-        area.replace(elements)
-        self._states[port] = area
+        insert = self._states[port].insert
+        for element in elements:
+            insert(element)
 
     def pair_matches(self, left: Payload, right: Payload) -> bool:
         """Whether two payloads satisfy the join predicate."""
@@ -148,8 +148,8 @@ class HashJoin(_JoinBase):
     #: key, so a key-range drain touches only the matching buckets.
     keyed_state = True
     #: Verifier hints: self-declared classification (CLS001 path) and the
-    #: columnar-state marker checked by CLS003; the executor feeds a plan
-    #: holding such an operator columnar runs.
+    #: columnar-state marker; the executor feeds a plan holding such an
+    #: operator columnar runs.
     migration_profile = "join"
     columnar_state = True
 
@@ -353,11 +353,6 @@ class HashJoin(_JoinBase):
         self._check_port(port)
         return list(self._states[port])
 
-    def seed_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Replace one input's state wholesale — used by Moving States."""
-        self._check_port(port)
-        self._states[port].replace(self.key_fields[port], elements)
-
     def extract_state_of_port(
         self, port: int, key_predicate: Callable[[Any], bool]
     ) -> List[StreamElement]:
@@ -370,9 +365,8 @@ class HashJoin(_JoinBase):
         return self._states[port].extract(key_predicate)
 
     def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Merge elements into one input's state without clearing it —
-        the fluid-migration per-range counterpart of :meth:`seed_state`.
-        Seeded intervals may lie below the port watermark; they enter
+        """Merge elements into one input's state — used by Moving States,
+        fluid migration and checkpoint restore.  Seeded intervals may lie below the port watermark; they enter
         state directly (never ``process``), so ordering checks don't
         apply, and an already-expired straggler simply never intersects
         a live probe.

@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter, deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..temporal.element import Payload, StreamElement
 from ..temporal.time import Time
@@ -116,17 +116,6 @@ class SweepArea:
         self._elements[seq] = element
         heapq.heappush(self._heap, (self.expiry_of(element), seq))
         self._values += _payload_values(element)
-
-    def replace(self, elements: Iterable[StreamElement]) -> None:
-        """Swap the whole content (Moving States seeding)."""
-        self.clear()
-        for element in elements:
-            self.insert(element)
-
-    def clear(self) -> None:
-        self._elements.clear()
-        self._heap.clear()
-        self._values = 0
 
     def expire(self, watermark: Time) -> List[StreamElement]:
         """Remove and return every element whose expiry has been reached."""

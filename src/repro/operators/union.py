@@ -29,8 +29,8 @@ class Union(StatefulOperator):
         self._check_port(port)
         return []
 
-    def seed_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Accept (only) an empty seed, for drain/seed symmetry."""
+    def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
+        """Accept (only) an empty seed, for drain/absorb symmetry."""
         self._check_port(port)
         if elements:
             raise ValueError(f"{self.name} holds no per-port state to seed")

@@ -2,10 +2,10 @@
 bounded-disorder admission.
 
 The subsystem leans on the serialization boundary GenMig already forces
-on every stateful operator — the ``state_of_port``/``seed_state`` drain
+on every stateful operator — the ``state_of_port``/``absorb_state`` drain
 hooks — so a checkpoint is "drain every box at a consistent cut, pack
 the elements into columns, write one checksummed file", and a restore
-is "rebuild the plan from the registered CQL, seed the state back,
+is "rebuild the plan from the registered CQL, absorb the state back,
 rewind the hub, replay the tail".  See ``docs/recovery.md``.
 
 Only :mod:`repro.recovery.errors` is imported eagerly: the engine,

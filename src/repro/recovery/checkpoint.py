@@ -3,12 +3,12 @@
 A checkpoint is taken at a *consistent cut*: between hub ingestion turns,
 with every executor quiescent — no migration in flight, no scheduled
 actions pending.  At such a cut, per-query operator state (drained through
-the GenMig ``state_of_port`` hooks), the output gate and metrics epochs,
-and the hub's per-source offsets together determine the service's entire
-observable future: restoring them and replaying each source's feed from
-its recorded offset reproduces the uninterrupted run byte for byte (the
-snapshot-equivalence guarantee the integration suite asserts through
-``RelationalReference``).
+the ``state_of_port`` hooks, absorbed back through ``absorb_state``), the
+output gate and metrics epochs, and the hub's per-source offsets together
+determine the service's entire observable future: restoring them and
+replaying each source's feed from its recorded offset reproduces the
+uninterrupted run byte for byte (the snapshot-equivalence guarantee the
+integration suite asserts through ``RelationalReference``).
 
 The captured payload is a pure tree of builtins, written through the
 pickle-free codec in :mod:`repro.recovery.snapshot`; stream elements pack
@@ -31,7 +31,9 @@ FORMAT = "repro-checkpoint"
 #: rebuilt by this build.  3: the ``builder`` section lost ``columnar``.
 #: 4: element timestamps are ints or half-chronon floats; a version-3
 #: checkpoint taken after a migration holds rational split times.
-FORMAT_VERSION = 4
+#: 5: operator records lost ``extras`` and difference drains are
+#: content-ordered; state re-enters through ``absorb_state`` alone.
+FORMAT_VERSION = 5
 
 
 class CheckpointManager:

@@ -6,7 +6,7 @@ captured catalog/builder/registry configuration, each query is
 re-registered from its recorded CQL text (so the physical plan comes out
 of ``PhysicalBuilder`` exactly as it originally did — recovery never
 constructs operators directly, lint rule RLB006), operator state is
-seeded back through the GenMig ``seed_state`` hooks, and the hub is
+absorbed back through the ``absorb_state`` hooks, and the hub is
 rewound to the captured per-source offsets.  Feeding the original input
 from those offsets onward then yields output byte-identical to the
 uninterrupted run.

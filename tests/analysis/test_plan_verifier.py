@@ -298,13 +298,18 @@ class TestOperatorClassification:
                 self._emit(element)
 
         from repro.analysis import classify_operator
-        from repro.analysis.plan_verifier import WARNING
+        from repro.analysis.plan_verifier import (
+            WARNING,
+            _checkpoint_state_diagnostic,
+        )
 
         classification, diagnostic = classify_operator(Undrainable())
         assert classification.kind == "join"
-        assert diagnostic is not None and diagnostic.code == "CLS003"
+        assert diagnostic is None
+        diagnostic = _checkpoint_state_diagnostic(Undrainable(), classification)
+        assert diagnostic is not None and diagnostic.code == "CKP001"
         assert diagnostic.severity == WARNING
-        assert "state_of_port" in diagnostic.message
+        assert "lacks both state_of_port and absorb_state" in diagnostic.message
 
     def test_stateful_operator_without_state_hooks_is_not_checkpointable(self):
         class Opaque(Operator):
@@ -344,10 +349,10 @@ class TestOperatorClassification:
         classification, _ = classify_operator(DrainOnly())
         diagnostic = _checkpoint_state_diagnostic(DrainOnly(), classification)
         assert diagnostic is not None and diagnostic.code == "CKP001"
-        assert "lacks seed_state" in diagnostic.message
+        assert "lacks absorb_state" in diagnostic.message
 
     def test_builtin_stateful_operators_are_checkpointable(self):
-        # Every stateful operator the builder can emit drains and seeds:
+        # Every stateful operator the builder can emit drains and absorbs:
         # no CKP001 on any built plan.
         for node in (JoinNode(A, B, AB), DistinctNode(JoinNode(A, B, AB))):
             verdict = verify_box(build(node))
@@ -355,15 +360,17 @@ class TestOperatorClassification:
 
     def test_columnar_hash_join_passes_drainability_check(self):
         # The real columnar join materialises its struct-of-arrays state
-        # through state_of_port/seed_state, so no CLS003.
+        # through state_of_port/absorb_state, so no CKP001.
         box = build(JoinNode(A, B, AB))
         join = box.root
         assert getattr(join, "columnar_state", False)
         from repro.analysis import classify_operator
+        from repro.analysis.plan_verifier import _checkpoint_state_diagnostic
 
         classification, diagnostic = classify_operator(join)
         assert classification.kind == "join"
         assert diagnostic is None
+        assert _checkpoint_state_diagnostic(join, classification) is None
         assert verify_box(box).ok
 
 

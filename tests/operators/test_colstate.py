@@ -4,7 +4,7 @@ import pytest
 
 from repro.operators import colstate, sweep
 from repro.operators.colstate import ColumnarJoinState
-from repro.temporal.element import NEW, OLD, element
+from repro.temporal.element import NEW, OLD
 
 
 @pytest.fixture(autouse=True)
@@ -140,9 +140,10 @@ def test_flagged_tracks_pt_flags_through_insert_expire_extract():
     assert state.flagged
     assert [e.flag for e in state.extract(lambda key: key == "c")] == [NEW]
     assert not state.flagged
-    state.replace(0, [element("z", 5, 15).with_flag(OLD)])
-    assert state.flagged and contents(state) == [(("z",), 5, 15, OLD)]
-    state.replace(0, [])
+    state.insert("z", 5, 15, ("z",), OLD)
+    assert state.flagged
+    assert contents(state) == [(("b",), 1, 11, None), (("z",), 5, 15, OLD)]
+    state.expire(15)
     assert not state.flagged and state.value_count() == 0
 
 

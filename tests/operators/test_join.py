@@ -136,11 +136,18 @@ class TestExpirationAndOrdering:
         assert [e.payload for e in join.state_of_port(0)] == [("a",)]
         assert [e.payload for e in join.state_of_port(1)] == [("b",)]
 
-    def test_seed_state(self):
+    def test_absorb_state(self):
         join = equi_join(0, 0)
-        join.seed_state(0, [element("k", 0, 50)])
+        join.absorb_state(0, [element("k", 0, 50)])
         out = drive(join, [], [element("k", 5, 55)])
         assert len(out) == 1
+
+    def test_absorb_state_merges_into_live_state(self):
+        for join in (equi_join(0, 0), theta_join(lambda l, r: l[0] == r[0])):
+            join.process(element("a", 0, 50), 0)
+            join.absorb_state(0, [element("k", 0, 50)])
+            assert sorted(e.payload for e in join.state_of_port(0)) == [("a",), ("k",)]
+            assert len(drive(join, [], [element("k", 5, 55)])) == 1
 
     def test_pair_matches(self):
         assert equi_join(0, 0).pair_matches(("k",), ("k",))

@@ -9,9 +9,9 @@ rescans and refolds all open state for every segment
 steps are computed by ``_scan`` alone runs beside the real operator, and
 everything observable is compared after every event — element arrivals,
 heartbeat-only steps, uniform-start batches, a retention rule installed
-mid-life (Parallel Track's, and one shorter than validity), state seeded
-mid-run (in and out of insertion
-order, with elements that have yet to start) and the end-of-stream flush.
+mid-life (Parallel Track's, and one shorter than validity), elements that
+have yet to start absorbed into live state mid-run (in and out of start
+order) and the end-of-stream flush.
 ``sweep.DEBUG`` is on throughout, so every incremental step also asserts
 itself against the scan from the inside.
 """
@@ -99,8 +99,8 @@ event = st.one_of(
     # open but not live for the step that admits the first.
     st.tuples(st.just("batch"), st.integers(0, 6), st.lists(member, min_size=2, max_size=4)),
     st.tuples(st.just("retention"), st.sampled_from(sorted(RETENTION))),
-    # Drain and seed the state back, as is or reversed, plus elements
-    # that start only `ahead` chronons from now.
+    # Absorb elements that start only `ahead` chronons from now into the
+    # live state, as listed or reversed (out of start order).
     st.tuples(
         st.just("seed"),
         st.booleans(),
@@ -131,11 +131,10 @@ def apply(op, kind, args, t):
         op.retention = RETENTION[args[0]]
     else:
         reverse, future = args
-        state = op.state_of_port(0)
+        elements = [element_at(t + ahead, spec) for ahead, spec in future]
         if reverse:
-            state.reverse()
-        state += [element_at(t + ahead, spec) for ahead, spec in future]
-        op.seed_state(0, state)
+            elements.reverse()
+        op.absorb_state(0, elements)
     return t
 
 

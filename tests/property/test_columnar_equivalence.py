@@ -18,7 +18,7 @@ columnar box from an element-wise one, and the executor switches to the
 columnar feed at the migration, so the output must again be
 byte-identical with the element-wise run of the same migration —
 including the seed of the join's struct-of-arrays state through
-``seed_state``.
+``absorb_state``.
 
 The whole suite runs under the stream-invariant sanitizer (see
 ``conftest.py``), so any columnar-path violation of ordering, watermark
@@ -181,7 +181,7 @@ def test_migration_onto_columnar_box_matches_element_wise(
     """GenMig from a kernel-free old box onto a *columnar* new box must
     be indistinguishable from the element-wise run of the same migration
     — columnar layout is just another snapshot-equivalent box, and the
-    seed travels through seed_state into the struct-of-arrays join
+    seed travels through absorb_state into the struct-of-arrays join
     state."""
     args = dict(build="nested-loops", migrate_at=migrate_at, build_new="columnar")
     reference = run_once(raw_a, raw_b, plan, scheduler, batch_size=1, **args)

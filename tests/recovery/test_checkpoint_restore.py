@@ -261,7 +261,7 @@ class TestRestoreGuards:
         ``columnar`` switch is refused by version, with the typed error,
         instead of failing in the ``PhysicalBuilder`` constructor."""
         payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         assert "columnar" not in payload["builder"]
         payload["version"] = 2
         payload["builder"]["columnar"] = True
@@ -279,6 +279,17 @@ class TestRestoreGuards:
         with pytest.raises(RecoveryError, match="unsupported checkpoint version 3"):
             validate_snapshot(payload)
         with pytest.raises(RecoveryError, match="unsupported checkpoint version 3"):
+            restore_service(payload, policy=quiet_policy())
+
+    def test_rejects_version_4_checkpoint_of_difference_extras(self):
+        """Version 4 operator records carried ``extras`` (the difference
+        payload order) and drained difference state in first-touch order;
+        this build neither writes nor reads them, and says so by version."""
+        payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
+        payload["version"] = 4
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 4"):
+            validate_snapshot(payload)
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 4"):
             restore_service(payload, policy=quiet_policy())
 
     def test_plan_signature_mismatch_detected(self, tmp_path):
