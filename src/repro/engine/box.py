@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..operators import base as _operator_base
-from ..operators.base import Operator, StatelessOperator
+from ..operators.base import Operator, StatelessOperator, deliver_to_sink
 from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
 from ..temporal.time import MIN_TIME, Time
@@ -198,10 +198,32 @@ class OutputGate:
             sink.process(element)
 
     def process_batch(self, batch: Batch) -> None:
-        """Deliver a whole batch of results, element-wise semantics."""
-        process = self.process
-        for element in batch.elements:
-            process(element)
+        """Deliver a run of results with one order check.
+
+        A batch is start-ordered, so a run starting at or after the last
+        delivered start violates nothing: it is counted in one step,
+        ``on_delivery`` sees each result, and every sink gets the run
+        whole through its ``process_batch`` when it has one.  Under a
+        sanitizer, or for a run starting below the last delivered start,
+        each result goes through :meth:`process`, so ``order_violations``
+        and SAN009 stay exact.
+        """
+        if (
+            _operator_base.SANITIZER is not None
+            or batch.first_start < self._last_start
+        ):
+            process = self.process
+            for element in batch.elements:
+                process(element)
+            return
+        self._last_start = batch.last_start
+        self.delivered += len(batch)
+        on_delivery = self.on_delivery
+        if on_delivery is not None:
+            for element in batch.elements:
+                on_delivery(element)
+        for sink in self._sinks:
+            deliver_to_sink(sink, batch)
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
         """Forward progress information to every sink."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
@@ -71,6 +71,18 @@ NULL_METER = _NullMeter()
 #: this module global so the engine need not import it; when unset, every
 #: hook below is a single ``is None`` test (the ``sweep.DEBUG`` pattern).
 SANITIZER = None
+
+
+def deliver_to_sink(sink: Any, batch: Batch) -> None:
+    """Hand a run to a sink: whole when it exposes ``process_batch``,
+    otherwise one element at a time through its ``process``."""
+    handler = getattr(sink, "process_batch", None)
+    if handler is not None:
+        handler(batch)
+    else:
+        process = sink.process
+        for element in batch.elements:
+            process(element)
 
 
 class Operator:
@@ -316,13 +328,7 @@ class Operator:
         for downstream, port in self._subscribers:
             downstream.process_batch(batch, port)
         for sink in self._sinks:
-            handler = getattr(sink, "process_batch", None)
-            if handler is not None:
-                handler(batch)
-            else:
-                process = sink.process
-                for element in batch.elements:
-                    process(element)
+            deliver_to_sink(sink, batch)
 
     def _emit_heartbeat(self, t: Time) -> None:
         """Forward a heartbeat to all subscribers."""
@@ -591,6 +597,11 @@ class StatefulOperator(Operator):
         they would release come out of the final advance in the identical
         ``(start, sequence)`` order; deferring them is observation-
         preserving.  Non-uniform batches fall back to the element loop.
+
+        The split stays even when the first advance cannot purge or
+        promise (the hash join drops it then): an aggregate or a
+        difference can stage results that start *below* the run start, so
+        the first advance's release is not a prefix of one joint release.
         """
         elements = batch.elements
         if len(elements) < 2 or not batch.uniform_start:

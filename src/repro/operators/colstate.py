@@ -24,23 +24,32 @@ arrives with non-decreasing end timestamps, so in the common case the
 the live suffix plus O(1) bucket pops — no per-element heap traffic at
 all (*sorted mode*).  The first out-of-order end, or any retention-rule
 override (the Parallel Track baseline's tuple-timestamp rule), switches
-the instance permanently to *heap mode*, a ``(expiry, index)`` heap with
-the same pop-until-watermark discipline as the sweep areas.  Dead array
-prefixes left behind by the sorted sweep are compacted away once they
-dominate the array.
+the instance permanently to *heap mode*: an expiry *calendar* — a dict
+expiry → indices due then, plus a heap of the *distinct* expiries — so
+an insert whose expiry is already filed is one list append, and a purge
+pops one heap entry per expiry, not per element.
+
+Both modes compact.  Sorted mode drops the dead array prefix once it is
+over ``_COMPACT_THRESHOLD`` long and half the array; heap mode, whose
+dead rows are scattered, rebuilds the arrays from the live buckets (in
+bucket order, so iteration and drains are unchanged) and re-files the
+calendar once the arrays are over ``_COMPACT_THRESHOLD`` and twice the
+live count.
 
 Why ``bucket[0]`` is always the dying index in sorted mode: inserts
 append strictly increasing indices to each bucket, and the sorted sweep
 retires indices in increasing order (the dead prefix grows left to
 right), so within any bucket the next index to die is always the
-smallest live one — its head.
+smallest live one — its head.  In heap mode it usually is too (ends are
+only mildly out of order), so the purge tries the head before
+``list.remove``.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
@@ -48,7 +57,9 @@ from ..temporal.time import MIN_TIME, Time
 from . import sweep
 from .sweep import RetentionRule
 
-#: Compact the dead prefix once it is this long *and* over half the array.
+#: Compaction floor: sorted mode drops a dead prefix longer than this and
+#: than half the array; heap mode rebuilds arrays longer than this and
+#: than twice the live count.
 _COMPACT_THRESHOLD = 512
 
 
@@ -67,7 +78,8 @@ class ColumnarJoinState:
         "flags",
         "keys",
         "buckets",
-        "_heap",
+        "_calendar",
+        "_expiries",
         "_dead",
         "_sweep_pos",
         "_sorted",
@@ -85,7 +97,8 @@ class ColumnarJoinState:
         self.flags: List[Optional[str]] = []
         self.keys: List[Any] = []
         self.buckets: dict = {}
-        self._heap: List[tuple] = []
+        self._calendar: Dict[Time, List[int]] = {}
+        self._expiries: List[Time] = []
         self._dead: set = set()
         self._sweep_pos = 0
         self._sorted = True
@@ -124,16 +137,47 @@ class ColumnarJoinState:
 
     def _enter_heap_mode(self) -> None:
         self._sorted = False
-        heap = [
-            (self._expiry_at(index), index)
-            for bucket in self.buckets.values()
-            for index in bucket
-        ]
-        heapq.heapify(heap)
-        self._heap = heap
-        # The heap is rebuilt from the live buckets only, so extracted
-        # indices can no longer surface from it — drop their markers.
+        self._refile()
+
+    def _refile(self) -> None:
+        """Rebuild the arrays from the live buckets and file the calendar.
+
+        Heap mode's compaction, also its entry: the live rows move to the
+        front in bucket order, then insertion order within a bucket, so
+        iteration and drains see exactly the order they saw before.  The
+        calendar is filed from the live rows only, so extracted indices
+        can no longer surface from it — their markers go.
+        """
+        buckets = self.buckets
+        order = [index for bucket in buckets.values() for index in bucket]
+        if self._retention is None:
+            expiries = [self.ends[index] for index in order]
+        else:
+            expiries = [self._expiry_at(index) for index in order]
+        self.starts = [self.starts[index] for index in order]
+        self.ends = [self.ends[index] for index in order]
+        self.rows = [self.rows[index] for index in order]
+        self.flags = [self.flags[index] for index in order]
+        self.keys = [self.keys[index] for index in order]
+        fresh = 0
+        for key, bucket in buckets.items():
+            buckets[key] = list(range(fresh, fresh + len(bucket)))
+            fresh += len(bucket)
+        self._calendar = {}
+        self._expiries = []
+        for index, expiry in enumerate(expiries):
+            self._file(index, expiry)
         self._dead.clear()
+        self._sweep_pos = 0
+
+    def _file(self, index: int, expiry: Time) -> None:
+        """Enter ``index`` in the calendar under ``expiry`` (heap mode)."""
+        slot = self._calendar.get(expiry)
+        if slot is None:
+            self._calendar[expiry] = [index]
+            heapq.heappush(self._expiries, expiry)
+        else:
+            slot.append(index)
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -169,7 +213,7 @@ class ColumnarJoinState:
             else:
                 self._last_end = end
         else:
-            heapq.heappush(self._heap, (self._expiry_at(index), index))
+            self._file(index, end if self._retention is None else self._expiry_at(index))
 
     def insert_run(
         self,
@@ -197,6 +241,8 @@ class ColumnarJoinState:
         in_sorted = self._sorted
         broke_order = False
         values = 0
+        retention = self._retention
+        file = self._file
         for i in range(lo, hi):
             row = rows[i]
             end = ends[i]
@@ -218,7 +264,7 @@ class ColumnarJoinState:
                 else:
                     last = end
             else:
-                heapq.heappush(self._heap, (self._expiry_at(index), index))
+                file(index, end if retention is None else self._expiry_at(index))
             index += 1
         self._live += hi - lo
         self._values += values
@@ -230,14 +276,18 @@ class ColumnarJoinState:
         """Remove every element whose expiry has been reached.
 
         Sorted mode: one bisect over the live suffix of the ``ends``
-        column, then O(1) bucket-head pops.  Heap mode: pop the
-        ``(expiry, index)`` heap until it clears the watermark.
+        column, then O(1) bucket-head pops.  Heap mode: pop the distinct
+        expiries until they clear the watermark, retiring each one's
+        calendar entry.
         """
         debug = sweep.DEBUG
         if debug:
             survivors = self._scan_survivors(watermark)
         if not self._sorted:
-            self._expire_heap(watermark)
+            self._expire_calendar(watermark)
+            size = len(self.starts)
+            if size > _COMPACT_THRESHOLD and size > 2 * self._live:
+                self._refile()
         else:
             pos = self._sweep_pos
             cut = bisect_right(self.ends, watermark, pos)
@@ -286,27 +336,39 @@ class ColumnarJoinState:
             if self._expiry_at(index) > watermark
         ]
 
-    def _expire_heap(self, watermark: Time) -> None:
-        heap = self._heap
+    def _expire_calendar(self, watermark: Time) -> None:
+        expiries = self._expiries
+        calendar = self._calendar
         buckets = self.buckets
+        keys = self.keys
+        rows = self.rows
+        flags = self.flags
         dead = self._dead
-        while heap and heap[0][0] <= watermark:
-            index = heapq.heappop(heap)[1]
-            if index in dead:  # drained by a range extraction
-                dead.discard(index)
-                continue
-            key = self.keys[index]
-            bucket = buckets[key]
-            bucket.remove(index)
-            if not bucket:
-                del buckets[key]
-            self._values -= len(self.rows[index])
-            if self.flags[index] is not None:
-                self._flag_count -= 1
-            self._live -= 1
+        removed = values = flagged = 0
+        while expiries and expiries[0] <= watermark:
+            for index in calendar.pop(heapq.heappop(expiries)):
+                if index in dead:  # drained by a range extraction
+                    dead.discard(index)
+                    continue
+                key = keys[index]
+                bucket = buckets[key]
+                if bucket[0] == index:
+                    del bucket[0]
+                else:
+                    bucket.remove(index)
+                if not bucket:
+                    del buckets[key]
+                values += len(rows[index])
+                if flags[index] is not None:
+                    flagged += 1
+                removed += 1
+        self._live -= removed
+        self._values -= values
+        self._flag_count -= flagged
 
     def _compact(self) -> None:
-        """Drop the dead array prefix and re-base every bucket index."""
+        """Drop the dead array prefix and re-base every bucket index
+        (sorted mode's compaction; heap mode's is :meth:`_refile`)."""
         pos = self._sweep_pos
         self.starts = self.starts[pos:]
         self.ends = self.ends[pos:]
@@ -324,9 +386,9 @@ class ColumnarJoinState:
 
         Touches only the matching buckets; the arrays keep the drained
         rows, whose indices are marked dead and skipped by both expiry
-        modes (and rebased by :meth:`_compact`) until the sweep passes
-        them.  Returned in iteration order: bucket first-touch order,
-        insertion order within a bucket.
+        modes (rebased by :meth:`_compact`, dropped by :meth:`_refile`)
+        until the sweep passes them.  Returned in iteration order: bucket
+        first-touch order, insertion order within a bucket.
         """
         drained: List[StreamElement] = []
         dead = self._dead

@@ -180,15 +180,21 @@ class HashJoin(_JoinBase):
     # ------------------------------------------------------------------ #
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
-        """Kernel-probe a run, one uniform-start slice at a time.
+        """Kernel-probe a run, one uniform-start run at a time.
 
-        Each uniform run is split around the watermark purge exactly like
+        A uniform run whose start moves the minimum watermark past the
+        purged or promised mark is split around the purge exactly like
         :meth:`StatefulOperator.process_batch`: the first element probes
         *pre-purge* partner state (expired-but-unpurged partners still
         match, as in the element protocol), the purge runs once, and the
-        tail probes post-purge state.  Flagged input or flagged state
-        (Parallel Track lineage) takes that generic protocol element by
-        element instead, since the kernels do not model flags.
+        tail probes post-purge state.  Otherwise — under global
+        heartbeats, every executor run — the first element's advance
+        would neither purge nor promise, so the run is probed in one
+        slice: every result due then starts at the run start, and one
+        release in ``(start, sequence)`` order (or one forwarded batch) is
+        the two slices' releases concatenated.  Flagged input or flagged
+        state (Parallel Track lineage) takes the generic protocol element
+        by element instead, since the kernels do not model flags.
         """
         if type(batch) is not ColumnarBatch:
             batch = batch.to_columnar()
@@ -209,10 +215,19 @@ class HashJoin(_JoinBase):
             base.SANITIZER.on_batch(self, batch, port)
         starts = batch.starts
         t = starts[0]
-        if t < self._watermarks[port]:
+        watermarks = self._watermarks
+        if t < watermarks[port]:
             raise self._out_of_order(t, port)
-        self._watermarks[port] = t
+        watermarks[port] = t
         n = len(starts)
+        watermark = min(watermarks)
+        if n == 1 or (
+            watermark <= self._purged_watermark
+            and watermark <= self._emitted_watermark
+        ):
+            slices: Tuple[Tuple[int, int], ...] = ((0, n),)
+        else:
+            slices = ((0, 1), (1, n))
         ends = batch.ends
         rows = batch.rows
         own = self._states[port]
@@ -221,7 +236,7 @@ class HashJoin(_JoinBase):
         key_index = self.key_fields[port]
         probe = self.selectivity_probe
         charge = self.meter.charge
-        for lo, hi in ((0, 1), (1, n)) if n > 1 else ((0, 1),):
+        for lo, hi in slices:
             out_s: List[Time] = []
             out_e: List[Time] = []
             out_r: List[Payload] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
 from ..temporal.time import Time
 from .stream import PhysicalStream
@@ -23,6 +24,10 @@ class CollectorSink:
     def process(self, element: StreamElement, port: int = 0) -> None:
         """Receive one result element."""
         self.elements.append(element)
+
+    def process_batch(self, batch: Batch) -> None:
+        """Receive a run of results in one step."""
+        self.elements.extend(batch.elements)
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
         """Heartbeats carry no results; nothing to record."""
@@ -58,6 +63,11 @@ class RateSink(CollectorSink):
         bucket = int(self._clock() // self.bucket_size)
         self.counts[bucket] = self.counts.get(bucket, 0) + 1
 
+    def process_batch(self, batch: Batch) -> None:
+        """Count each result as :meth:`process` does (one clock read each)."""
+        for element in batch.elements:
+            self.process(element)
+
     def rate_series(self, first_bucket: int = 0, last_bucket: Optional[int] = None) -> List[int]:
         """Return the dense per-bucket output counts, zero-filled."""
         if not self.counts and last_bucket is None:
@@ -83,6 +93,11 @@ class LatencySink(CollectorSink):
     def process(self, element: StreamElement, port: int = 0) -> None:
         super().process(element, port)
         self.delays.append(max(0, self._clock() - element.start))
+
+    def process_batch(self, batch: Batch) -> None:
+        """Record each result's delay as :meth:`process` does."""
+        for element in batch.elements:
+            self.process(element)
 
     def max_delay(self) -> Time:
         """The worst emission delay observed (0 when nothing was emitted)."""

@@ -6,8 +6,8 @@ parallel arrays — start timestamps, end timestamps, payload rows and
 Parallel-Track flags — instead of a list of boxed
 :class:`~repro.temporal.element.StreamElement` objects.  The compiled
 stateful kernels (hash-join probe, window assignment)
-iterate these arrays directly, skipping one attribute dereference and one
-frozen-dataclass allocation per element per operator.
+iterate these arrays directly, skipping one attribute dereference and two
+object allocations (element and interval) per element per operator.
 
 Three design points keep the columnar path *observably identical* to the
 element path it accelerates:

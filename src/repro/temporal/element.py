@@ -54,21 +54,58 @@ def combine_flags(left: "str | None", right: "str | None") -> "str | None":
     return OLD
 
 
-@dataclass(frozen=True, slots=True)
 class StreamElement:
     """An element ``(e, [t_S, t_E))`` of an interval-based physical stream.
 
     ``flag`` is ``None`` except while a Parallel Track migration is running,
     when it records old/new lineage (see :data:`OLD`, :data:`NEW`).
+
+    Immutable and compared by value.  Like :class:`TimeInterval`, a
+    hand-written ``__slots__`` class whose constructor writes the slots
+    through their descriptors, because every delivered result is one.
     """
+
+    __slots__ = ("payload", "interval", "flag")
 
     payload: Payload
     interval: TimeInterval
-    flag: "str | None" = None
+    flag: "str | None"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.payload, tuple):
-            raise TypeError(f"payload must be a tuple, got {type(self.payload).__name__}")
+    def __init__(
+        self, payload: Payload, interval: TimeInterval, flag: "str | None" = None
+    ) -> None:
+        if not isinstance(payload, tuple):
+            raise TypeError(f"payload must be a tuple, got {type(payload).__name__}")
+        _set_payload(self, payload)
+        _set_interval(self, interval)
+        _set_flag(self, flag)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, StreamElement) and other.__class__ is self.__class__:
+            return (self.payload, self.interval, self.flag) == (
+                other.payload,
+                other.interval,
+                other.flag,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.payload, self.interval, self.flag))
+
+    def __repr__(self) -> str:
+        return (
+            f"StreamElement(payload={self.payload!r}, "
+            f"interval={self.interval!r}, flag={self.flag!r})"
+        )
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Payload, TimeInterval, "str | None"]]:
+        return (StreamElement, (self.payload, self.interval, self.flag))
 
     @property
     def start(self) -> Time:
@@ -98,6 +135,13 @@ class StreamElement:
 
     def __str__(self) -> str:
         return f"({self.payload}, {self.interval})"
+
+
+# The slot descriptors: the constructor writes through these, since
+# ``__setattr__`` refuses every assignment.
+_set_payload = StreamElement.__dict__["payload"].__set__
+_set_interval = StreamElement.__dict__["interval"].__set__
+_set_flag = StreamElement.__dict__["flag"].__set__
 
 
 def element(payload: Any, start: Time, end: Time) -> StreamElement:

@@ -7,33 +7,59 @@ the paper).  The interval denotes the contiguous set of time instants —
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from .time import MAX_TIME, MIN_TIME, Time, validate_time
 
 
-@dataclass(frozen=True, slots=True)
 class TimeInterval:
     """A half-open application-time interval ``[start, end)``.
+
+    Immutable and compared by value.  A hand-written ``__slots__`` class
+    rather than a frozen dataclass: every join result builds one, and
+    writing the slots through their descriptors (instead of a generated
+    ``__init__`` that calls ``object.__setattr__`` and then
+    ``__post_init__``) costs about a third less per element.
 
     Attributes:
         start: inclusive start timestamp ``t_S``.
         end: exclusive end timestamp ``t_E``; must satisfy ``end > start``.
     """
 
+    __slots__ = ("start", "end")
+
     start: Time
     end: Time
 
-    def __post_init__(self) -> None:
-        start, end = self.start, self.end
-        if type(start) is int and type(end) is int and MIN_TIME <= start < end:
-            # Plain chronons in order: all the checks below would pass.
-            return
-        validate_time(start)
-        validate_time(end)
-        if end <= start:
-            raise ValueError(f"empty or inverted interval [{start}, {end})")
+    def __init__(self, start: Time, end: Time) -> None:
+        # Plain chronons in order pass every check below.
+        if not (type(start) is int and type(end) is int and MIN_TIME <= start < end):
+            validate_time(start)
+            validate_time(end)
+            if end <= start:
+                raise ValueError(f"empty or inverted interval [{start}, {end})")
+        _set_start(self, start)
+        _set_end(self, end)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TimeInterval) and other.__class__ is self.__class__:
+            return (self.start, self.end) == (other.start, other.end)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __repr__(self) -> str:
+        return f"TimeInterval(start={self.start!r}, end={self.end!r})"
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Time, Time]]:
+        return (TimeInterval, (self.start, self.end))
 
     # ------------------------------------------------------------------ #
     # Predicates
@@ -136,3 +162,9 @@ class TimeInterval:
 
     def __str__(self) -> str:
         return f"[{self.start}, {self.end})"
+
+
+# The slot descriptors: the constructor writes through these, since
+# ``__setattr__`` refuses every assignment.
+_set_start = TimeInterval.__dict__["start"].__set__
+_set_end = TimeInterval.__dict__["end"].__set__

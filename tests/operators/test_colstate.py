@@ -1,5 +1,7 @@
 """Direct unit tests for the hash join's keyed state container."""
 
+import random
+
 import pytest
 
 from repro.operators import colstate, sweep
@@ -127,6 +129,44 @@ def test_compaction_rebases_bucket_indices_and_dead_markers(monkeypatch):
     assert [e.payload for e in state] == [("c", 10)]
     state.expire(20)
     assert not state and not state.buckets
+
+
+def _heap_mode_trace(run_length, steps):
+    """Feed runs with out-of-order ends through one state, expiring and
+    (once) extracting as a join would; every observation per step."""
+    rng = random.Random(5)
+    state = ColumnarJoinState()
+    trace = []
+    sizes = []
+    for t in range(steps):
+        starts = [t] * run_length
+        ends = [t + 1 + rng.randrange(40) for _ in range(run_length)]
+        rows = [(rng.randrange(30), t, i) for i in range(run_length)]
+        state.insert_run(0, starts, ends, rows, 0, run_length)
+        sizes.append((len(state.starts), len(state)))
+        if t == steps // 2:
+            trace.append(contents(state.extract(lambda key: key % 7 == 0)))
+        state.expire(t)
+        sizes.append((len(state.starts), len(state)))
+        trace.append((contents(state), state.value_count(), list(state.buckets)))
+    assert "heap" in repr(state)
+    return trace, sizes
+
+
+def test_heap_mode_compacts_and_compaction_is_invisible(monkeypatch):
+    run_length = 8
+    monkeypatch.setattr(colstate, "_COMPACT_THRESHOLD", 10**9)
+    reference, grown = _heap_mode_trace(run_length, 240)
+    monkeypatch.undo()
+    limit = colstate._COMPACT_THRESHOLD
+    assert max(size for size, _ in grown) > 3 * limit, "the feed must outgrow the floor"
+    trace, sizes = _heap_mode_trace(run_length, 240)
+    for size, live in sizes:
+        assert size <= max(limit, 2 * live) + run_length
+    assert any(later < earlier for (earlier, _), (later, _) in zip(sizes, sizes[1:]))
+    # Iteration order, bucket order, value counts and the extraction
+    # are exactly those of the state that never compacted.
+    assert trace == reference
 
 
 def test_flagged_tracks_pt_flags_through_insert_expire_extract():

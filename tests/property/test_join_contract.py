@@ -15,9 +15,13 @@ the run, level with it (the purge between the first element and the tail
 drops a partner that the first element still counts as a candidate), and
 ahead of it (results starting after the run are staged, not forwarded,
 even when the rest of the same probe output is due); one
-receiver (the columnar fast branch) and two (always staged); and a
+receiver (the columnar fast branch) and two (always staged); a
 flagged run or flagged partner state, which the kernel does not model and
-hands to the generic element protocol.
+hands to the generic element protocol; and the port's progress before
+the run (``PROGRESS``), which decides whether a uniform run is probed in
+one kernel call or split around its first element's purge or promise.
+Receivers record every promise that raises their watermark in place, so
+a promise released after results it preceded is a difference.
 """
 
 import itertools
@@ -46,15 +50,26 @@ PARTNERS = {"behind": (1, 1, 1, 1), "level": (1, 3, 5, 5), "ahead": (1, 3, 7, 7)
 FLAGS = ("none", "run", "partner")
 
 
+#: What the port under test has been told before the run: nothing beyond
+#: the prefix; a heartbeat at the run start (the executor's global
+#: heartbeats); or that heartbeat, then a restore into a fresh join whose
+#: emitted mark lags its purged mark (a checkpoint taken between a purge
+#: and its promise), so the run's first advance still owes a promise.
+PROGRESS = ("none", "heartbeat", "restored")
+
+RUN_START = 5
+
+
 class Probe:
-    """A receiver recording its stream, promised watermark and batch types."""
+    """A receiver recording its stream — each promise that raises its
+    watermark included, in place — and the batch types it was handed."""
 
     arity = 1
 
-    def __init__(self):
+    def __init__(self, watermark):
         self.trace = []
         self.batch_types = []
-        self.watermark = 0
+        self.watermark = watermark
 
     def process(self, e, port=0):
         self.trace.append((e.payload, e.start, e.end, e.flag))
@@ -66,16 +81,45 @@ class Probe:
         self.process_heartbeat(batch.watermark, port)
 
     def process_heartbeat(self, t, port=0):
-        self.watermark = max(self.watermark, t)
+        if t > self.watermark:
+            self.trace.append(("promise", t))
+            self.watermark = t
 
 
 def as_tuples(elements):
     return [(e.payload, e.start, e.end, e.flag) for e in elements]
 
 
-def observe(feed, port, partner, flags, receivers):
-    """Run ``feed(join)`` after a fixed prefix; everything observable after."""
+class Counted:
+    """A probe kernel recording the ``(lo, hi)`` slice of each call."""
+
+    def __init__(self, kernel, calls):
+        self.kernel = kernel
+        self.calls = calls
+
+    def __call__(self, *args):
+        self.calls.append(args[:2])
+        return self.kernel(*args)
+
+
+def observe(feed, port, partner, flags, receivers, progress):
+    """Run ``feed(join)`` after a fixed prefix; everything observable after,
+    and the ``(lo, hi)`` slice of every kernel call the run made."""
     join = equi_join(0, 0)
+    for i, (start, key) in enumerate(zip(PARTNERS[partner], (0, 1, 0, 2))):
+        e = element((key, "p"), start, start + (4 if i == 0 else 12))
+        join.process(e.with_flag(OLD) if flags == "partner" else e, 1 - port)
+    join.process(element((0, "own"), 2, 6), port)
+    if progress != "none":
+        join.process_heartbeat(RUN_START, port)
+    if progress == "restored":
+        saved = join.progress_state()
+        saved["emitted_watermark"] = saved["purged_watermark"] - 1
+        restored = equi_join(0, 0)
+        restored.restore_progress(saved)
+        for p in (0, 1):
+            restored.absorb_state(p, join.state_of_port(p))
+        join = restored
     join.meter = CostMeter()
     selectivity = [0, 0]
 
@@ -84,13 +128,12 @@ def observe(feed, port, partner, flags, receivers):
         selectivity[1] += matched
 
     join.selectivity_probe = tally
-    probes = [Probe() for _ in range(receivers)]
+    # Receivers join after the prefix, holding what it already promised.
+    probes = [Probe(join.progress_state()["emitted_watermark"]) for _ in range(receivers)]
     for probe in probes:
         join.subscribe(probe, 0)
-    for i, (start, key) in enumerate(zip(PARTNERS[partner], (0, 1, 0, 2))):
-        e = element((key, "p"), start, start + (4 if i == 0 else 12))
-        join.process(e.with_flag(OLD) if flags == "partner" else e, 1 - port)
-    join.process(element((0, "own"), 2, 6), port)
+    calls = []
+    join._kernels = tuple(Counted(kernel, calls) for kernel in join._kernels)
     feed(join)
 
     def snapshot():
@@ -111,19 +154,22 @@ def observe(feed, port, partner, flags, receivers):
     after_run = snapshot()
     join.process_heartbeat(MAX_TIME, 0)
     join.process_heartbeat(MAX_TIME, 1)
-    return (after_run, snapshot()), [probe.batch_types for probe in probes]
+    return (after_run, snapshot()), [probe.batch_types for probe in probes], calls
 
 
 @pytest.mark.parametrize(
-    "port,run,trailing,partner,receivers,flags",
-    itertools.product((0, 1), sorted(RUNS), (0, 3), sorted(PARTNERS), (1, 2), FLAGS),
+    "port,run,trailing,partner,receivers,flags,progress",
+    itertools.product(
+        (0, 1), sorted(RUNS), (0, 3), sorted(PARTNERS), (1, 2), FLAGS, PROGRESS
+    ),
 )
 def test_kernel_run_equals_elementwise_process(
-    port, run, trailing, partner, receivers, flags
+    port, run, trailing, partner, receivers, flags, progress
 ):
     elements = [
         element((key, i), start, start + 12) for i, (start, key) in enumerate(RUNS[run])
     ]
+    assert elements[0].start == RUN_START
     if flags == "run":
         elements[1] = elements[1].with_flag(NEW)
     watermark = elements[-1].start + trailing
@@ -133,18 +179,31 @@ def test_kernel_run_equals_elementwise_process(
             join.process(e, port)
         join.process_heartbeat(watermark, port)
 
-    reference, _ = observe(elementwise, port, partner, flags, receivers)
+    reference, _, _ = observe(elementwise, port, partner, flags, receivers, progress)
     assert reference[1][0][0], "the case must produce results"
     for layout in (ColumnarBatch, Batch):
 
         def batched(join):
             join.process_batch(layout(elements, watermark=watermark, source="s"), port)
 
-        observed, batch_types = observe(batched, port, partner, flags, receivers)
+        observed, batch_types, calls = observe(
+            batched, port, partner, flags, receivers, progress
+        )
         assert observed == reference, layout.__name__
         forwarded = {kind for types in batch_types for kind in types}
         assert forwarded <= {ColumnarBatch}
         if receivers == 2 or flags != "none":
             assert not forwarded, "staged results leave one element at a time"
-        elif partner == "level":
+        elif partner == "level" and progress == "none":
             assert forwarded, "the fast branch forwards one columnar run"
+        if flags != "none":
+            assert not calls, "flags take the element protocol"
+        elif run != "non-uniform":
+            # The first element's advance would purge (the run moves the
+            # minimum watermark) or promise (restored) — unless the port
+            # already stands at the run start, or the partner lags anyway.
+            pending = progress == "restored" or (
+                progress == "none" and partner != "behind"
+            )
+            n = len(elements)
+            assert calls == ([(0, 1), (1, n)] if pending else [(0, n)])
