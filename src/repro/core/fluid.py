@@ -53,11 +53,11 @@ from ..engine.sharded import shard_of
 from ..operators.base import Operator, StatelessOperator
 from ..operators.join import _JoinBase
 from ..operators.union import Union
-from ..temporal.element import StreamElement
+from ..temporal.element import Payload, StreamElement
 from ..temporal.time import Time
 from .genmig import GenMig
 from .moving_states import _StateSeeder
-from .split import _TwoSidedRouter
+from .split import Route, _TwoSidedRouter
 from .strategy import UnsupportedPlanError
 
 
@@ -88,10 +88,10 @@ class FrontierRouter(_TwoSidedRouter):
         #: in the strategy flips it for every input at once.
         self._migrated = migrated
 
-    def _route(self, element: StreamElement):
-        if self._range_of(self._key_of(element.payload)) in self._migrated:
-            return None, element
-        return element, None
+    def _route(self, start: Time, end: Time, row: Payload) -> Route:
+        if self._range_of(self._key_of(row)) in self._migrated:
+            return None, start
+        return end, None
 
 
 class FluidMigration(GenMig):

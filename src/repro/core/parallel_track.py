@@ -31,9 +31,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..engine.box import Box
-from ..temporal.element import NEW, StreamElement
+from ..temporal.element import NEW, Payload, StreamElement
 from ..temporal.time import Time
-from .split import _TwoSidedRouter
+from .split import Route, _TwoSidedRouter
 from .strategy import MigrationReport, MigrationStrategy
 
 
@@ -44,8 +44,10 @@ class _DualTap(_TwoSidedRouter):
     charged to the meter ([1]'s cost model has no such operator).
     """
 
-    def _route(self, element: StreamElement):
-        return element.with_flag(NEW), element
+    _old_flag = NEW
+
+    def _route(self, start: Time, end: Time, row: Payload) -> Route:
+        return end, start
 
 
 class _OldOutputFilter:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
 from ..temporal.time import Time
 from .genmig import GenMig
@@ -45,6 +46,19 @@ class _ReferencePointFilter:
             self.dropped += 1
             return
         self._gate.process(element)
+
+    def process_batch(self, batch: Batch) -> None:
+        """A start-ordered run: passed whole when no result in it starts
+        at ``T_split``, dropped whole when every one does, and taken
+        result by result otherwise."""
+        t = self.t_split
+        if batch.first_start > t or batch.last_start < t:
+            self._gate.process_batch(batch)
+        elif batch.first_start == batch.last_start:
+            self.dropped += len(batch)
+        else:
+            for element in batch.elements:
+                self.process(element)
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
         self._gate.process_heartbeat(t)
@@ -68,6 +82,13 @@ class _OldOutputMonitor:
         if element.start >= self.t_split:
             self.violations += 1
         self._gate.process(element)
+
+    def process_batch(self, batch: Batch) -> None:
+        """Count a run's violations, then pass it on whole."""
+        t = self.t_split
+        if batch.last_start >= t:
+            self.violations += sum(1 for element in batch.elements if element.start >= t)
+        self._gate.process_batch(batch)
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
         self._gate.process_heartbeat(t)

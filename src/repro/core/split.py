@@ -23,26 +23,19 @@ Beyond Algorithm 2's element routing, the implementation also forwards
 
 from __future__ import annotations
 
-import math
+from math import ceil
 from typing import List, Optional, Tuple
 
 from ..engine.box import InputPort
 from ..operators.base import Operator
 from ..temporal.batch import Batch
-from ..temporal.element import StreamElement
+from ..temporal.columnar import ColumnarBatch
+from ..temporal.element import Payload, StreamElement
+from ..temporal.interval import TimeInterval
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
 
-
-def _covers_instants(interval) -> bool:
-    """Whether a (possibly fractional) interval contains any time instant.
-
-    The time domain is discrete; a fragment like ``[T_split, T_split + 0.5)``
-    covers no integer instant and can be dropped without changing any
-    snapshot — this keeps sub-chronon slivers out of the boxes.
-    """
-    if interval is None:
-        return False
-    return math.ceil(interval.start) < interval.end
+#: What a router's rule decides for one element: ``(old_end, new_start)``.
+Route = Tuple[Optional[Time], Optional[Time]]
 
 
 class _TwoSidedRouter(Operator):
@@ -51,8 +44,9 @@ class _TwoSidedRouter(Operator):
     The paper's architecture has exactly one of these per input for the
     duration of a migration, whatever the strategy.  What differs between
     strategies is only *which part of an element goes to which box* —
-    :meth:`_route` — and *what progress each box may be promised* —
-    :meth:`_promises`; wiring, the element and batch paths and the
+    :meth:`_route`, the router's one statement of its rule — and *what
+    progress each box may be promised* — :meth:`_promises`; wiring, the
+    element and run paths (both derived from :meth:`_route`) and the
     per-side watermark forwarding live here once.  (Underscore-prefixed
     on purpose: tools that wrap every public operator class must not wrap
     this base under its subclasses.)
@@ -61,6 +55,8 @@ class _TwoSidedRouter(Operator):
     #: Meter category charged one unit per routed element; ``None`` for a
     #: router whose work the reproduced cost figures do not account.
     _category: Optional[str] = None
+    #: The PT flag every old-side part carries; ``None`` keeps the input's.
+    _old_flag: Optional[str] = None
 
     def __init__(self, name: str) -> None:
         super().__init__(arity=1, name=name, ordered_output=False)
@@ -88,54 +84,82 @@ class _TwoSidedRouter(Operator):
     def process(self, element: StreamElement, port: int = 0) -> None:
         if self._category is not None:
             self.meter.charge(1, self._category)
-        old_part, new_part = self._route(element)
-        if old_part is not None:
+        interval = element.interval
+        start = interval.start
+        end = interval.end
+        payload = element.payload
+        flag = element.flag
+        old_end, new_start = self._route(start, end, payload)
+        if old_end is not None:
+            old_flag = self._old_flag or flag
+            old_part = (
+                element
+                if old_end == end and old_flag == flag
+                else StreamElement(payload, TimeInterval(start, old_end), old_flag)
+            )
             for operator, target_port in self._old_targets:
                 operator.process(old_part, target_port)
-        if new_part is not None:
+        if new_start is not None:
+            new_part = (
+                element
+                if new_start == start
+                else StreamElement(payload, TimeInterval(new_start, end), flag)
+            )
             for operator, target_port in self._new_targets:
                 operator.process(new_part, target_port)
-        self._forward_watermarks(element.start)
+        self._forward_watermarks(start)
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
-        """Route a whole run, forwarding each side as one sub-batch.
+        """Route a whole run by its columns, forwarding each side as one run.
 
-        Both part streams inherit the input's start order, so each side
-        sees exactly the element sequence it would see element-wise; only
-        the *interleaving* between the two sides changes, which the boxes
-        cannot observe (they are disjoint) and the merge on top of them
-        resolves.  This path is reached only when the executor batches
-        through an active migration (``batch_during_migration``); the
-        default executor ticks migrations element-wise through
-        :meth:`process`.
+        A row batch is converted once (``to_columnar``); no element is
+        built.  Each side receives a :class:`ColumnarBatch` of its parts in
+        the input's start order, so it sees exactly the element sequence
+        it would see element-wise; only the *interleaving* between the two
+        sides changes, which the boxes cannot observe (they are disjoint)
+        and the merge on top of them resolves.  A side's run promises its
+        own last start; the input's progress follows through
+        :meth:`_forward_watermarks`, as after :meth:`process`.  This path is
+        reached only when the executor batches through an active migration
+        (``batch_during_migration``); the default executor ticks
+        migrations element-wise through :meth:`process`.
         """
-        elements = batch.elements
+        if type(batch) is not ColumnarBatch:
+            batch = batch.to_columnar()
+        starts = batch.starts
+        ends = batch.ends
+        rows = batch.rows
+        n = len(starts)
         if self._category is not None:
-            self.meter.charge(len(elements), self._category)
+            self.meter.charge(n, self._category)
         route = self._route
-        old_parts: List[StreamElement] = []
-        new_parts: List[StreamElement] = []
-        for element in elements:
-            old_part, new_part = route(element)
-            if old_part is not None:
-                old_parts.append(old_part)
-            if new_part is not None:
-                new_parts.append(new_part)
-        for parts, targets in (
-            (old_parts, self._old_targets),
-            (new_parts, self._new_targets),
-        ):
-            if not parts:
-                continue
-            side = Batch._trusted(
-                parts,
-                parts[-1].start,
-                batch.source,
-                parts[0].start == parts[-1].start,
+        old_picked: List[int] = []
+        old_ends: List[Time] = []
+        new_picked: List[int] = []
+        new_starts: List[Time] = []
+        for i in range(n):
+            old_end, new_start = route(starts[i], ends[i], rows[i])
+            if old_end is not None:
+                old_picked.append(i)
+                old_ends.append(old_end)
+            if new_start is not None:
+                new_picked.append(i)
+                new_starts.append(new_start)
+        flags = batch.flags
+        if old_picked:
+            old_flags: Optional[List[Optional[str]]] = (
+                flags if self._old_flag is None else [self._old_flag] * n
             )
-            for operator, target_port in targets:
-                operator.process_batch(side, target_port)
-        last = elements[-1].start
+            _forward_run(
+                self._old_targets, batch, old_picked,
+                _pick(starts, old_picked, n), old_ends, old_flags,
+            )
+        if new_picked:
+            _forward_run(
+                self._new_targets, batch, new_picked,
+                new_starts, _pick(ends, new_picked, n), flags,
+            )
+        last = starts[-1]
         self._forward_watermarks(last)
         if batch.watermark > last:
             self._forward_watermarks(batch.watermark)
@@ -147,10 +171,15 @@ class _TwoSidedRouter(Operator):
     # What a strategy's router decides
     # ------------------------------------------------------------------ #
 
-    def _route(
-        self, element: StreamElement
-    ) -> Tuple[Optional[StreamElement], Optional[StreamElement]]:
-        """The ``(old_part, new_part)`` of one element; ``None`` = nothing."""
+    def _route(self, start: Time, end: Time, row: Payload) -> Route:
+        """Where one element's validity ``[start, end)`` goes.
+
+        Returns ``(old_end, new_start)``: the old side receives
+        ``[start, old_end)``, the new side ``[new_start, end)``, each with
+        the element's row; ``None`` sends nothing to that side.  This is
+        the router's whole routing rule — :meth:`process` and
+        :meth:`process_batch` both derive from it.
+        """
         raise NotImplementedError
 
     def _promises(self, raw: Time) -> Tuple[Time, Time]:
@@ -174,6 +203,36 @@ class _TwoSidedRouter(Operator):
                 operator.process_heartbeat(new_promise, target_port)
 
 
+def _pick(column: list, picked: List[int], n: int) -> list:
+    """The entries ``picked`` (ascending indices) of a length-``n`` column;
+    the column itself when every row is picked."""
+    return column if len(picked) == n else [column[i] for i in picked]
+
+
+def _forward_run(
+    targets: List[InputPort],
+    batch: ColumnarBatch,
+    picked: List[int],
+    starts: List[Time],
+    ends: List[Time],
+    flags: Optional[List[Optional[str]]],
+) -> None:
+    """Hand one side its parts of ``batch`` — the rows ``picked``, with
+    the side's ``starts``, ``ends`` and ``flags`` — as one columnar run."""
+    n = len(batch)
+    run = ColumnarBatch.from_columns(
+        starts,
+        ends,
+        _pick(batch.rows, picked, n),
+        None if flags is None else _pick(flags, picked, n),
+        starts[-1],
+        batch.source,
+        starts[0] == starts[-1],
+    )
+    for operator, target_port in targets:
+        operator.process_batch(run, target_port)
+
+
 class Split(_TwoSidedRouter):
     """Route each input element's sub-``T_split`` part old, the rest new."""
 
@@ -183,12 +242,21 @@ class Split(_TwoSidedRouter):
         super().__init__(name or f"split[{t_split}]")
         self.t_split = t_split
 
-    def _route(self, element: StreamElement):
-        """Algorithm 2: split the validity interval at ``T_split``."""
-        below, above = element.interval.split_at(self.t_split)
-        old_part = element.with_interval(below) if _covers_instants(below) else None
-        new_part = element.with_interval(above) if _covers_instants(above) else None
-        return old_part, new_part
+    def _route(self, start: Time, end: Time, row: Payload) -> Route:
+        """Algorithm 2: cut the validity interval at ``T_split``.
+
+        A part covering no time instant — a sub-chronon sliver such as
+        ``[T_split, T_split + 0.5)`` — goes nowhere: the time domain is
+        discrete, so dropping it changes no snapshot and keeps slivers out
+        of the boxes.
+        """
+        t = self.t_split
+        old_end = end if end < t else t
+        new_start = start if start > t else t
+        return (
+            old_end if ceil(start) < old_end else None,
+            new_start if ceil(new_start) < end else None,
+        )
 
     def _promises(self, raw: Time) -> Tuple[Time, Time]:
         """``raw | T_split`` below the split time, ``MAX | raw`` past it."""
@@ -206,8 +274,8 @@ class ReferencePointSplit(Split):
     suppression then happens at the output via the reference-point rule.
     """
 
-    def _route(self, element: StreamElement):
-        below, above = element.interval.split_at(self.t_split)
-        old_part = element if element.start < self.t_split else None
-        new_part = element.with_interval(above) if _covers_instants(above) else None
-        return old_part, new_part
+    def _route(self, start: Time, end: Time, row: Payload) -> Route:
+        return (
+            end if start < self.t_split else None,
+            super()._route(start, end, row)[1],
+        )

@@ -18,7 +18,7 @@ to know what is inside a box — the black-box property of GenMig.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..operators import base as _operator_base
 from ..operators.base import Operator, StatelessOperator, deliver_to_sink
@@ -176,7 +176,9 @@ class OutputGate:
         self.delivered = 0
         self.order_violations = 0
         self._last_start: Time = MIN_TIME
-        self.on_delivery: Optional[object] = None
+        #: Called with the number of results each delivery hands on: 1
+        #: from :meth:`process`, the run's length from :meth:`process_batch`.
+        self.on_delivery: Optional[Callable[[int], None]] = None
 
     def add_sink(self, sink: object) -> None:
         """Attach a sink (``process``/``process_heartbeat`` duck type)."""
@@ -193,7 +195,7 @@ class OutputGate:
             self._last_start = element.start
         self.delivered += 1
         if self.on_delivery is not None:
-            self.on_delivery(element)
+            self.on_delivery(1)
         for sink in self._sinks:
             sink.process(element)
 
@@ -202,11 +204,11 @@ class OutputGate:
 
         A batch is start-ordered, so a run starting at or after the last
         delivered start violates nothing: it is counted in one step,
-        ``on_delivery`` sees each result, and every sink gets the run
-        whole through its ``process_batch`` when it has one.  Under a
-        sanitizer, or for a run starting below the last delivered start,
-        each result goes through :meth:`process`, so ``order_violations``
-        and SAN009 stay exact.
+        ``on_delivery`` is called once with the run's length, and every
+        sink gets the run whole through its ``process_batch`` when it has
+        one.  Under a sanitizer, or for a run starting below the last
+        delivered start, each result goes through :meth:`process`, so
+        ``order_violations`` and SAN009 stay exact.
         """
         if (
             _operator_base.SANITIZER is not None
@@ -218,10 +220,8 @@ class OutputGate:
             return
         self._last_start = batch.last_start
         self.delivered += len(batch)
-        on_delivery = self.on_delivery
-        if on_delivery is not None:
-            for element in batch.elements:
-                on_delivery(element)
+        if self.on_delivery is not None:
+            self.on_delivery(len(batch))
         for sink in self._sinks:
             deliver_to_sink(sink, batch)
 

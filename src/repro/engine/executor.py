@@ -153,7 +153,7 @@ class QueryExecutor:
 
         if self.metrics is not None:
             recorder = self.metrics
-            self.gate.on_delivery = lambda element: recorder.record_output(self.clock)
+            self.gate.on_delivery = lambda count: recorder.record_output(self.clock, count)
 
     # ------------------------------------------------------------------ #
     # Topology

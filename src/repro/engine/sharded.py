@@ -302,7 +302,7 @@ class ShardedExecutor:
         self._equalized: Optional[Time] = None
 
         if metrics is not None:
-            self.gate.on_delivery = lambda element: metrics.record_output(self.clock)
+            self.gate.on_delivery = lambda count: metrics.record_output(self.clock, count)
 
     # ------------------------------------------------------------------ #
     # Command plumbing

@@ -27,10 +27,13 @@ and purge their sweep areas once per run instead of once per element.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .element import StreamElement
 from .time import Time
+
+if TYPE_CHECKING:
+    from .columnar import ColumnarBatch
 
 
 def validate_run(
@@ -153,7 +156,7 @@ class Batch:
         """
         return Batch._trusted(elements, self.watermark, self.source, self._uniform)
 
-    def to_columnar(self) -> "Batch":
+    def to_columnar(self) -> "ColumnarBatch":
         """This run in struct-of-arrays layout (no copy of the payloads).
 
         Returns a :class:`~repro.temporal.columnar.ColumnarBatch`, the

@@ -9,7 +9,9 @@ from repro.core import FrontierRouter, ReferencePointSplit, Split
 from repro.core.parallel_track import _DualTap
 from repro.operators import Select
 from repro.streams import CollectorSink
-from repro.temporal import EPSILON, Batch, element, snapshot_equivalent
+from repro.temporal import EPSILON, OLD, Batch, element, snapshot_equivalent
+from repro.temporal.columnar import ColumnarBatch
+from repro.temporal.element import StreamElement
 from repro.temporal.time import MAX_TIME
 
 T_SPLIT = 100 + EPSILON
@@ -132,18 +134,23 @@ ROUTERS = {
 
 
 class _Side:
-    """Records what one side of a router is handed, in order."""
+    """Records what one side of a router is handed, in order, and the
+    types of the runs it was handed; reads runs by their columns only."""
 
     def __init__(self):
         self.elements = []
         self.promises = []
+        self.batch_types = set()
 
     def process(self, element, port=0):
         self.elements.append((element.payload, element.start, element.end, element.flag))
 
     def process_batch(self, batch, port=0):
-        for e in batch.elements:
-            self.process(e, port)
+        self.batch_types.add(type(batch))
+        assert batch.uniform_start == (batch.starts[0] == batch.starts[-1])
+        assert batch.watermark == batch.starts[-1]
+        flags = batch.flags or [None] * len(batch)
+        self.elements.extend(zip(batch.rows, batch.starts, batch.ends, flags))
 
     def process_heartbeat(self, t, port=0):
         if not self.promises or t > self.promises[-1]:
@@ -151,41 +158,81 @@ class _Side:
 
 
 def _random_runs(seed):
-    """Uniform-start runs (the executor's batch currency) straddling
-    ``T_SPLIT``, some closed by a watermark beyond their start."""
+    """Uniform-start runs (the executor's batch currency) straddling the
+    half-chronon ``T_SPLIT``, some closed by a watermark beyond their
+    start, about a third of the elements PT-flagged, and every run below
+    ``T_SPLIT`` holding an element that ends at 101, whose part above
+    ``T_SPLIT``, ``[100.5, 101)``, is a sliver covering no instant."""
     rng = random.Random(seed)
     t, runs = 80, []
     for _ in range(12):
-        t += rng.randint(0, 6)
         run = [
             element(rng.randint(0, 5), t, t + rng.randint(1, 40))
             for _ in range(rng.randint(1, 4))
         ]
-        runs.append((run, t + rng.choice([0, 0, 2])))
+        if t < T_SPLIT:
+            run.append(element(rng.randint(0, 5), t, 101))
+        run = [e.with_flag(OLD) if rng.random() < 0.3 else e for e in run]
+        watermark = t + rng.choice([0, 0, 2])
+        runs.append((run, watermark))
+        t = watermark + rng.randint(0, 4)
     return runs
+
+
+def _columns(run, watermark):
+    """``run`` as a columnar batch with no element list behind it."""
+    flags = [e.flag for e in run]
+    return ColumnarBatch.from_columns(
+        [e.start for e in run],
+        [e.end for e in run],
+        [e.payload for e in run],
+        flags if any(flags) else None,
+        watermark,
+        "s",
+        run[0].start == run[-1].start,
+    )
 
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("kind", sorted(ROUTERS))
-def test_batch_path_equals_element_path(kind, seed):
-    """``process_batch`` hands each side exactly the element sequence and
-    the same distinct watermark promises as element-wise ``process``
-    followed by the run's trailing heartbeat."""
+def test_batch_path_equals_element_path(kind, seed, monkeypatch):
+    """``process_batch`` — given a row or a columnar run — hands each side
+    exactly the element sequence and the same distinct watermark promises
+    as element-wise ``process`` followed by the run's trailing heartbeat,
+    always as columnar runs, and builds no element on the way."""
+    built = []
+    element_init = StreamElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        element_init(self, *args, **kwargs)
+
     sides = {}
-    for mode in ("element", "batch"):
+    for mode in ("element", "row", "columnar"):
         router = ROUTERS[kind]()
         old, new = _Side(), _Side()
         router.connect_old(old)
         router.connect_new(new)
         for run, watermark in _random_runs(seed):
-            if mode == "batch":
-                router.process_batch(Batch(run, watermark))
-            else:
+            if mode == "element":
                 for e in run:
                     router.process(e)
                 router.process_heartbeat(watermark)
+            elif mode == "row":
+                router.process_batch(Batch(run, watermark))
+            else:
+                batch = _columns(run, watermark)
+                with monkeypatch.context() as patch:
+                    patch.setattr(StreamElement, "__init__", counting_init)
+                    router.process_batch(batch)
+                assert not built, "the column path built an element"
         sides[mode] = (old, new)
-    for by_element, by_batch in zip(sides["element"], sides["batch"]):
-        assert by_batch.elements == by_element.elements
-        assert by_batch.promises == by_element.promises
-    assert sides["batch"][0].elements or sides["batch"][1].elements
+    for mode in ("row", "columnar"):
+        for by_element, by_batch in zip(sides["element"], sides[mode]):
+            assert by_batch.elements == by_element.elements, mode
+            assert by_batch.promises == by_element.promises, mode
+            assert by_batch.batch_types <= {ColumnarBatch}, mode
+            assert bool(by_batch.batch_types) == bool(by_batch.elements), mode
+    old, new = sides["element"]
+    assert old.elements and new.elements
+    assert any(flag is not None for *_, flag in old.elements + new.elements)

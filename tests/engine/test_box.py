@@ -3,7 +3,7 @@
 from repro.engine import Box, OutputGate, Router
 from repro.operators import DuplicateElimination, Select, equi_join
 from repro.streams import CollectorSink
-from repro.temporal import element
+from repro.temporal import Batch, element
 
 
 def join_distinct_box():
@@ -114,7 +114,8 @@ class TestOutputGate:
         seen = []
         gate.on_delivery = seen.append
         gate.process(element("a", 0, 5))
-        assert len(seen) == 1
+        gate.process_batch(Batch([element("b", 1, 5), element("c", 2, 5)]))
+        assert sum(seen) == gate.delivered == 3
 
     def test_heartbeats_forwarded(self):
         gate = OutputGate()

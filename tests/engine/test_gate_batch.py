@@ -5,7 +5,8 @@ run in one step and hands it whole to every sink that takes batches.  For
 every sequence of runs that must equal delivering each result through
 ``OutputGate.process``: the sinks' contents, ``delivered``,
 ``order_violations`` (including a run starting below the last delivered
-start), the ``on_delivery`` calls, and — under a strict sanitizer — SAN009.
+start), the results ``on_delivery`` is told of and the ``MetricsRecorder``
+series it feeds, and — under a strict sanitizer — SAN009.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import pytest
 
 from repro.analysis.sanitizer import SanitizerViolation, StreamSanitizer, sanitized
 from repro.engine.box import OutputGate
+from repro.engine.metrics import MetricsRecorder
 from repro.operators import base
 from repro.streams.sinks import CallbackSink, CollectorSink, LatencySink, RateSink
 from repro.temporal import element
@@ -71,8 +73,17 @@ def deliver(feed, layout, batched):
     for sink in (collector, rate, latency, callback, plain):
         gate.add_sink(sink)
     hooked = []
-    gate.on_delivery = hooked.append
-    for run in runs_of(feed, layout):
+    recorder = MetricsRecorder(bucket_size=4)
+    # The executor's clock stands still while one run is delivered.
+    clock = [0]
+
+    def on_delivery(count):
+        hooked.append(count)
+        recorder.record_output(clock[0], count)
+
+    gate.on_delivery = on_delivery
+    for index, run in enumerate(runs_of(feed, layout)):
+        clock[0] = 3 * index
         if batched:
             gate.process_batch(run)
         else:
@@ -84,7 +95,8 @@ def deliver(feed, layout, batched):
         "latency": (latency.elements, latency.delays),
         "callback": (called, callback.count),
         "plain": plain.seen,
-        "on_delivery": hooked,
+        "on_delivery": sum(hooked),
+        "series": (recorder.series.output, recorder.series.results),
         "delivered": gate.delivered,
         "violations": gate.order_violations,
         "progress": gate.progress_state(),
@@ -103,6 +115,7 @@ def test_batch_delivery_equals_element_delivery(unsanitized, feed, layout):
     expected = deliver(FEEDS[feed], layout, batched=False)
     assert deliver(FEEDS[feed], layout, batched=True) == expected
     assert expected["delivered"] == sum(len(run) for run in FEEDS[feed])
+    assert expected["on_delivery"] == expected["delivered"]
     assert (expected["violations"] > 0) == feed.startswith("below")
 
 

@@ -12,13 +12,17 @@ scheduler's bounded application-time skew, at several batch sizes, and
 compare against ``batch_size=1`` — one element per turn, the
 reference.  A second property schedules a GenMig migration mid-run: the
 executor drops to element-wise processing while the strategy is installed,
-so the migration, too, must leave the output byte-identical.
+so the migration, too, must leave the output byte-identical.  A third
+keeps batching through the migration (``batch_during_migration``) for
+every strategy that allows it, so routers, merges and output adapters
+take whole runs: the output must stay snapshot-equal to the element-mode
+run and — under the package's strict sanitizer — in start order.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GenMig
+from repro.core import FluidMigration, GenMig, ReferencePointGenMig, ShortenedGenMig
 from repro.engine import Box, GlobalOrderScheduler, QueryExecutor, RoundRobinScheduler
 from repro.operators import (
     Aggregate,
@@ -31,6 +35,8 @@ from repro.operators import (
     equi_join,
 )
 from repro.streams import CollectorSink, timestamped_stream
+from repro.temporal import first_divergence
+from scenarios import left_deep_join_box, right_deep_join_box
 
 WINDOWS = {"A": 12, "B": 12}
 
@@ -96,9 +102,9 @@ raw_stream = st.lists(
 )
 
 
-def make_streams(raw_a, raw_b):
+def make_streams(**raws_by_name):
     streams = {}
-    for name, raws in (("A", raw_a), ("B", raw_b)):
+    for name, raws in raws_by_name.items():
         t, rows = 0, []
         for value, delta in raws:
             t += delta
@@ -110,7 +116,7 @@ def make_streams(raw_a, raw_b):
 def run_once(raw_a, raw_b, plan, scheduler, batch_size, migrate_at=None, new_plan=None):
     sink = CollectorSink()
     executor = QueryExecutor(
-        make_streams(raw_a, raw_b),
+        make_streams(A=raw_a, B=raw_b),
         WINDOWS,
         PLANS[plan]() if isinstance(plan, str) else plan(),
         scheduler=SCHEDULERS[scheduler](),
@@ -148,7 +154,7 @@ def test_batch_during_migration_stays_snapshot_equivalent():
     def run(batch_during_migration, batch_size):
         sink = CollectorSink()
         executor = QueryExecutor(
-            make_streams(raw_a, raw_b),
+            make_streams(A=raw_a, B=raw_b),
             WINDOWS,
             join_distinct_box(),
             batch_size=batch_size,
@@ -182,3 +188,74 @@ def test_batch_mode_matches_element_mode_across_migration(
         raw_a, raw_b, join_distinct_box, scheduler, batch_size=batch_size, **args
     )
     assert batched == reference
+
+
+#: Denser than ``raw_stream``: at least 10 elements, half the deltas 0,
+#: so runs are longer and one run often holds keys on both sides of a
+#: fluid frontier.
+burst_stream = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=5), st.sampled_from([0, 0, 1, 2])
+    ),
+    min_size=10,
+    max_size=30,
+)
+
+#: Every strategy that may keep batching through its parallel phase.
+BATCHABLE_STRATEGIES = {
+    "genmig": GenMig,
+    "genmig-rp": ReferencePointGenMig,
+    "genmig-short": ShortenedGenMig,
+    "fluid": FluidMigration,
+}
+
+#: ``(strategy, scheduler)`` pairs.  Reference point only under global
+#: order: under a skewed schedule an input can pass ``T_split`` while
+#: another still feeds the old box, and the new box's results overtake
+#: the old box's — element-wise as well (ROADMAP, reference-point order).
+STRATEGY_SCHEDULES = [
+    (strategy, scheduler)
+    for strategy in sorted(BATCHABLE_STRATEGIES)
+    for scheduler in sorted(SCHEDULERS)
+    if strategy != "genmig-rp" or scheduler == "global"
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    strategy_schedule=st.sampled_from(STRATEGY_SCHEDULES),
+    batch_size=st.sampled_from([2, 64]),
+    migrate_at=st.integers(min_value=0, max_value=30),
+    raw_a=burst_stream,
+    raw_b=burst_stream,
+    raw_c=burst_stream,
+)
+def test_every_strategy_batches_through_its_migration_in_order(
+    strategy_schedule, batch_size, migrate_at, raw_a, raw_b, raw_c
+):
+    """The 3-way join reordered by each strategy, batched through the
+    parallel phase: the same snapshots as the element-mode migration, and
+    no result delivered out of start order."""
+    strategy, scheduler = strategy_schedule
+
+    def run(batch_size, batch_during_migration):
+        sink = CollectorSink()
+        executor = QueryExecutor(
+            make_streams(A=raw_a, B=raw_b, C=raw_c),
+            {"A": 12, "B": 12, "C": 12},
+            left_deep_join_box(),
+            scheduler=SCHEDULERS[scheduler](),
+            batch_size=batch_size,
+            batch_during_migration=batch_during_migration,
+        )
+        executor.add_sink(sink)
+        executor.schedule_migration(
+            migrate_at, right_deep_join_box(), BATCHABLE_STRATEGIES[strategy]()
+        )
+        executor.run()
+        assert len(executor.migration_log) == 1
+        assert executor.gate.order_violations == 0
+        return sink.elements
+
+    reference = run(1, False)
+    assert first_divergence(run(batch_size, True), reference) is None
