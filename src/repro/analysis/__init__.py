@@ -12,7 +12,7 @@ Three tools, one package:
   monotonicity, emission promises, batch run-purity, state accounting),
   hooked into the engine at zero cost when off;
 * :mod:`~repro.analysis.lint` — AST-based project-specific lint rules for
-  the engine code itself (no wall clocks, purge via sweep-area APIs,
+  the engine code itself (no wall clocks, purge via expiry entry points,
   honest batch overrides), run locally and in CI;
 * :mod:`~repro.analysis.modelcheck` / :mod:`~repro.analysis.races` — a
   small-scope exhaustive schedule explorer for the migration protocols

@@ -13,9 +13,10 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     or replay code would make recovery itself nondeterministic.
 
 ``RLB002``
-    A class overriding ``_on_watermark`` must purge through a sweep-area
-    API (``expire``/``expire_before``/``evict``/``evict_until``/
-    ``drain``) somewhere in its body.  Hand-rolled purge loops bypass the
+    A class overriding ``_on_watermark`` must purge through an expiry
+    entry point (``expire``/``expire_before``/``evict``/``evict_until``/
+    ``drain``, or the aggregate's ``_sweep`` and the difference's
+    ``_purge``) somewhere in its body.  Hand-rolled purge loops bypass the
     expiry index and the incremental state accounting, which the memory
     metrics and migration-progress checks are built on.
 
@@ -108,8 +109,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-#: Sweep-area purge entry points recognised by RLB002.
-PURGE_APIS = frozenset({"expire", "expire_before", "evict", "evict_until", "drain"})
+#: Expiry entry points recognised by RLB002.
+PURGE_APIS = frozenset(
+    {"expire", "expire_before", "evict", "evict_until", "drain", "_sweep", "_purge"}
+)
 
 #: (module, attribute) pairs whose call is a wall-clock read (RLB001).
 WALL_CLOCKS = frozenset(
@@ -644,8 +647,8 @@ class Linter:
                     path,
                     cls.watermark_def.lineno,
                     "RLB002",
-                    f"{cls.name}._on_watermark purges without a sweep-area "
-                    f"API ({', '.join(sorted(PURGE_APIS))}): hand-rolled "
+                    f"{cls.name}._on_watermark purges without an expiry "
+                    f"entry point ({', '.join(sorted(PURGE_APIS))}): hand-rolled "
                     "purge loops bypass the expiry index and the "
                     "incremental state accounting",
                 )

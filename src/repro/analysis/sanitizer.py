@@ -207,10 +207,9 @@ class StreamSanitizer:
             raise SanitizerViolation(
                 "SAN007",
                 f"{getattr(op, 'name', op)}: incremental state count {fast} "
-                f"disagrees with full recount {slow} — a sweep-area "
-                "insert/purge path failed to maintain its running counter "
-                "(memory metrics and migration-progress checks are built "
-                "on it)",
+                f"disagrees with full recount {slow} — the operator's "
+                "running counter missed an insert or a purge (memory "
+                "metrics and migration-progress checks are built on it)",
             )
 
     def on_source(self, name: str, element: StreamElement, watermark: Time) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..engine.box import Box
+from ..operators.join import _JoinBase
 from ..temporal.element import NEW, Payload, StreamElement
 from ..temporal.time import Time
 from .split import Route, _TwoSidedRouter
@@ -129,9 +130,11 @@ class ParallelTrack(MigrationStrategy):
         self._next_check = self._purge_horizon
 
         # [1]'s purge rule: a state tuple lives until start + w, regardless
-        # of how short its validity interval is.
+        # of how short its validity interval is.  [1] defines it for join
+        # state, the only state _check_scope lets through unforced.
         for operator in self.old_box.operators:
-            operator.retention = _tuple_timestamp_retention(window)
+            if isinstance(operator, _JoinBase):
+                operator.set_retention(_tuple_timestamp_retention(window))
 
         self._old_filter = _OldOutputFilter(executor.gate)
         self.old_box.root.detach_sink(executor.gate)

@@ -33,7 +33,7 @@ from .scalar import (
     min_of,
     sum_of,
 )
-from .sweep import FifoSweepTable, SweepArea
+from .sweep import FifoSweepTable
 from .union import Union
 from .window import CountWindow, NowWindow, TimeWindow, UnboundedWindow
 
@@ -55,7 +55,6 @@ __all__ = [
     "Select",
     "StatefulOperator",
     "StatelessOperator",
-    "SweepArea",
     "TimeWindow",
     "UnboundedWindow",
     "Union",

@@ -25,7 +25,6 @@ from ..temporal.time import MAX_TIME, MIN_TIME, Time
 from . import sweep
 from .base import StatefulOperator
 from .scalar import AggregateFunction
-from .sweep import SweepArea
 
 
 def merge_flags(flags: Sequence[Optional[str]]) -> Optional[str]:
@@ -44,14 +43,13 @@ def merge_flags(flags: Sequence[Optional[str]]) -> Optional[str]:
 class Aggregate(StatefulOperator):
     """Snapshot aggregation over an interval stream.
 
-    ``_open`` is the operator's state: every element not yet purged, in
-    insertion order, counted for the memory metric.  Beside it the
-    operator keeps a *live view* — references only — of the elements
-    valid at the finalisation frontier, per group and in insertion
-    order, with an end-ordered index over them.  A watermark step walks
-    that index: it pays for the members that leave (and the ones the
-    step admits), not for the ones that stay, and a group nobody joined
-    or left re-emits its cached result without being refolded.
+    The operator's state is its *live view* — the elements valid at the
+    finalisation frontier, per group and in insertion order, with an
+    end-ordered index over them — plus the *pending* elements that start
+    at or beyond the frontier.  A watermark step walks the end index: it
+    pays for the members that leave (and the ones the step admits), not
+    for the ones that stay, and a group nobody joined or left re-emits
+    its cached result without being refolded.
 
     Args:
         functions: the aggregate functions evaluated per snapshot.
@@ -72,7 +70,6 @@ class Aggregate(StatefulOperator):
             raise ValueError("at least one aggregate function is required")
         self.functions = tuple(functions)
         self.group_key = group_key
-        self._open = SweepArea()
         self._frontier: Time = MIN_TIME
         #: Live members per group key (ungrouped: the single key ``()``),
         #: by insertion number, in insertion order.
@@ -89,6 +86,8 @@ class Aggregate(StatefulOperator):
         #: start at or beyond the frontier: open, not yet live.
         self._pending: List[Tuple[int, StreamElement]] = []
         self._live = 0
+        #: Payload values held by live and pending elements.
+        self._values = 0
         self._insertions = itertools.count()
 
     def _on_element(self, element: StreamElement, port: int) -> None:
@@ -100,17 +99,19 @@ class Aggregate(StatefulOperator):
                 f"{self.name}: element starts at {element.start} before "
                 f"finalisation frontier {self._frontier}"
             )
-        self._open.insert(element)
         self._pending.append((next(self._insertions), element))
+        self._values += len(element.payload)
 
     def _on_watermark(self, watermark: Time) -> None:
         lo = self._frontier
         if watermark <= lo:
             return
         hi = min(watermark, MAX_TIME)
+        if sweep.DEBUG:
+            reference = self._scan(lo, hi, self._open_elements())
         results, charged = self._sweep(lo, hi)
         if sweep.DEBUG:
-            assert (results, charged) == self._scan(lo, hi), (
+            assert (results, charged) == reference, (
                 f"{self.name}: incremental finalisation of [{lo}, {hi}) "
                 "diverged from the scan recomputation"
             )
@@ -122,17 +123,9 @@ class Aggregate(StatefulOperator):
         for merged in _merge_adjacent(results):
             self._emit(merged)
         self._frontier = watermark
-        expired = self._open.expire(watermark)
-        if expired and any(e.end > hi for e in expired):
-            # Purged while still valid — only a retention rule shorter
-            # than validity does that; the live view must forget it too.
-            self._rebuild(watermark)
-
-    def _on_retention_change(self) -> None:
-        self._open.set_retention(self._retention)
 
     def _state_value_count(self) -> int:
-        return self._open.value_count()
+        return self._values
 
     # ------------------------------------------------------------------ #
     # Finalisation
@@ -172,7 +165,7 @@ class Aggregate(StatefulOperator):
                     results.append(StreamElement(result[0], segment, result[1]))
             while ends and ends[0][0] <= b:
                 _, number, key = heapq.heappop(ends)
-                del members[key][number]
+                self._values -= len(members[key].pop(number).payload)
                 self._live -= 1
                 folded.pop(key, None)
                 if not members[key]:
@@ -222,35 +215,54 @@ class Aggregate(StatefulOperator):
                 return
         self._pending[:] = waiting
 
+    def _open_elements(self) -> List[StreamElement]:
+        """The pending and live elements, in insertion order.
+
+        Keyed by insertion number: after a failed :meth:`_admit`, an
+        entry already entered into the live view is still pending too.
+        """
+        entries = dict(self._pending)
+        for group in self._members.values():
+            entries.update(group)
+        return [entries[number] for number in sorted(entries)]
+
     def _rebuild(self, at: Time) -> None:
-        """Recompute the live view as of instant ``at`` by scanning ``_open``."""
+        """Recompute the live view as of instant ``at`` from the open
+        elements; those that ended by ``at`` leave the state."""
+        elements = self._open_elements()
         self._members.clear()
         self._folded.clear()
         self._order = None
         self._end_index.clear()
         self._pending.clear()
         self._live = 0
+        self._values = 0
         self._insertions = itertools.count()
-        for element in self._open:
+        for element in elements:
             number = next(self._insertions)
             if element.start > at:
                 self._pending.append((number, element))
             elif element.end > at:
                 self._enter(number, element)
+            else:
+                continue
+            self._values += len(element.payload)
 
-    def _scan(self, lo: Time, hi: Time) -> Tuple[List[StreamElement], int]:
-        """What :meth:`_sweep` must return, recomputed from ``_open`` alone.
+    def _scan(
+        self, lo: Time, hi: Time, elements: List[StreamElement]
+    ) -> Tuple[List[StreamElement], int]:
+        """What :meth:`_sweep` must return, recomputed from the open
+        ``elements`` alone.
 
         The reference: every segment rescans and refolds all open state.
-        Runs only under ``sweep.DEBUG`` (and as the oracle of the
-        aggregate equivalence suite).
+        Runs only under ``sweep.DEBUG``.
         """
         results: List[StreamElement] = []
         charged = 0
         if lo >= hi:
             return results, charged
         boundaries = {lo, hi}
-        for e in self._open:
+        for e in elements:
             if lo < e.start < hi:
                 boundaries.add(e.start)
             if lo < e.end < hi:
@@ -258,7 +270,7 @@ class Aggregate(StatefulOperator):
         ordered = sorted(boundaries)
         for a, b in zip(ordered, ordered[1:]):
             groups: Dict[Payload, List[StreamElement]] = {}
-            for e in self._open:
+            for e in elements:
                 if e.interval.contains(a):
                     groups.setdefault(self._key_of(e.payload), []).append(e)
             segment = TimeInterval(a, b)
@@ -269,12 +281,12 @@ class Aggregate(StatefulOperator):
         return results, charged
 
     def state_elements(self) -> Iterator[StreamElement]:
-        return iter(self._open)
+        return iter(self._open_elements())
 
     def state_of_port(self, port: int) -> List[StreamElement]:
         """The open (not yet finalised) elements — the drain hook."""
         self._check_port(port)
-        return list(self._open)
+        return self._open_elements()
 
     def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
         """Merge elements into the open state — the absorb hook.
@@ -285,8 +297,8 @@ class Aggregate(StatefulOperator):
         ``restore_progress`` applied first.
         """
         self._check_port(port)
-        for element in elements:
-            self._open.insert(element)
+        insertions = self._insertions
+        self._pending.extend((next(insertions), element) for element in elements)
         self._frontier = self._purged_watermark
         self._rebuild(self._frontier)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
@@ -246,32 +246,6 @@ class Operator:
         """Iterate over the elements currently held in operator state."""
         return iter(())
 
-    #: Optional retention override: maps a state element to the watermark at
-    #: which it may be purged.  ``None`` means the interval rule of Section
-    #: 2.2 (purge once ``t_E <= watermark``).  The Parallel Track baseline
-    #: installs the slower tuple-timestamp rule of Zhu et al. here, which is
-    #: what stretches its migration to ~2w (Section 4.4 of the paper).
-    #: Assigning it mid-life re-keys any expiry-ordered state indexes via
-    #: :meth:`_on_retention_change`.
-    _retention: Optional[Callable[[StreamElement], Time]] = None
-
-    @property
-    def retention(self) -> Optional[Callable[[StreamElement], Time]]:
-        return self._retention
-
-    @retention.setter
-    def retention(self, rule: Optional[Callable[[StreamElement], Time]]) -> None:
-        self._retention = rule
-        self._on_retention_change()
-
-    def _on_retention_change(self) -> None:
-        """Re-key expiry-indexed state; overridden by sweep-area operators."""
-
-    def _expired(self, element: StreamElement, watermark: Time) -> bool:
-        """Decide whether a state element may be purged at ``watermark``."""
-        expiry = self._retention(element) if self._retention is not None else element.end
-        return expiry <= watermark
-
     def state_value_count(self) -> int:
         """Number of payload values in state — the Figure 5 memory metric.
 
@@ -293,7 +267,7 @@ class Operator:
     def _state_value_count(self) -> int:
         """Payload values in operator state (excluding staged output).
 
-        Sweep-area operators override this with their O(1) running
+        Stateful operators override this with their O(1) running
         counters; the default recounts by iteration.
         """
         return sum(len(e.payload) for e in self.state_elements())

@@ -1,9 +1,11 @@
-"""Columnar per-key join state: the keyed container of the symmetric hash join.
+"""Columnar bucketed join state: the one container of both symmetric joins.
 
-One instance holds one hash-join side as five parallel append-only
-arrays — start, end, payload row, PT flag and bucket key per element —
-plus a ``buckets`` dict mapping key → list of live array indices in
-insertion order.  The join's element loop and the compiled probe kernels
+One instance holds one join side as five parallel append-only arrays —
+start, end, payload row, PT flag and bucket key per element — plus a
+``buckets`` dict mapping key → list of live array indices in insertion
+order.  The hash join buckets by its join key; the nested-loops join
+files every element under the one key ``None`` and walks that bucket.
+The joins' element loops and the compiled probe kernels
 (:func:`repro.plans.kernels.compile_probe_kernel`) read the arrays and
 ``buckets`` directly; everything else (iteration, drains, seeding)
 materialises :class:`StreamElement`\\ s on demand.
@@ -22,12 +24,14 @@ The expiry sweep is where the layout pays off.  Window-extended input
 arrives with non-decreasing end timestamps, so in the common case the
 ``ends`` array is sorted and a watermark purge is one ``bisect`` over
 the live suffix plus O(1) bucket pops — no per-element heap traffic at
-all (*sorted mode*).  The first out-of-order end, or any retention-rule
-override (the Parallel Track baseline's tuple-timestamp rule), switches
-the instance permanently to *heap mode*: an expiry *calendar* — a dict
-expiry → indices due then, plus a heap of the *distinct* expiries — so
-an insert whose expiry is already filed is one list append, and a purge
-pops one heap entry per expiry, not per element.
+all (*sorted mode*).  The first out-of-order end, or a retention rule
+(the Parallel Track baseline's tuple-timestamp rule, the one exception to
+Section 2.2's ``t_E <= watermark`` purge, installed through the join's
+``set_retention``), switches the instance permanently to *heap mode*:
+an expiry *calendar* — a dict expiry → indices due then, plus a heap of
+the *distinct* expiries — so an insert whose expiry is already filed is
+one list append, and a purge pops one heap entry per expiry, not per
+element.
 
 Both modes compact.  Sorted mode drops the dead array prefix once it is
 over ``_COMPACT_THRESHOLD`` long and half the array; heap mode, whose
@@ -55,7 +59,10 @@ from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import MIN_TIME, Time
 from . import sweep
-from .sweep import RetentionRule
+
+#: Maps a state element to the watermark at which it may be purged;
+#: ``None`` is the interval rule (purge once ``t_E <= watermark``).
+RetentionRule = Optional[Callable[[StreamElement], Time]]
 
 #: Compaction floor: sorted mode drops a dead prefix longer than this and
 #: than half the array; heap mode rebuilds arrays longer than this and
@@ -64,7 +71,7 @@ _COMPACT_THRESHOLD = 512
 
 
 class ColumnarJoinState:
-    """One hash-join side stored as parallel columns with keyed buckets.
+    """One join side stored as parallel columns with keyed buckets.
 
     The array attributes and ``buckets`` are the read surface of the
     compiled probe kernels; mutation goes through :meth:`insert` /

@@ -23,7 +23,6 @@ from ..temporal.time import MAX_TIME, MIN_TIME, Time
 from . import sweep
 from .aggregate import merge_flags
 from .base import StatefulOperator
-from .sweep import SweepArea
 
 
 class Difference(StatefulOperator):
@@ -31,10 +30,11 @@ class Difference(StatefulOperator):
 
     def __init__(self, name: str = "") -> None:
         super().__init__(arity=2, name=name or "difference")
-        # Per payload, the not-yet-finalised elements of each input side.
-        self._state: Dict[Payload, Tuple[SweepArea, SweepArea]] = {}
+        # Per payload, the not-yet-finalised elements of each input side,
+        # in insertion order.
+        self._state: Dict[Payload, Tuple[List[StreamElement], List[StreamElement]]] = {}
         # Payload-level expiry index: which payload entries to visit at a
-        # given watermark; the per-payload sweep areas pop the elements.
+        # given watermark, one entry per element, keyed by its end.
         self._expiry_heap: List[Tuple[Time, int, Payload]] = []
         self._seq = itertools.count()
         self._values = 0
@@ -42,15 +42,15 @@ class Difference(StatefulOperator):
 
     def _on_element(self, element: StreamElement, port: int) -> None:
         self.meter.charge(1, "difference")
+        self._insert(element, port)
+
+    def _insert(self, element: StreamElement, port: int) -> None:
         sides = self._state.get(element.payload)
         if sides is None:
-            sides = (SweepArea(self._retention), SweepArea(self._retention))
-            self._state[element.payload] = sides
-        area = sides[port]
-        area.insert(element)
+            sides = self._state[element.payload] = ([], [])
+        sides[port].append(element)
         heapq.heappush(
-            self._expiry_heap,
-            (area.expiry_of(element), next(self._seq), element.payload),
+            self._expiry_heap, (element.end, next(self._seq), element.payload)
         )
         self._values += len(element.payload)
 
@@ -62,43 +62,29 @@ class Difference(StatefulOperator):
         self._purge(watermark)
 
     def _purge(self, watermark: Time) -> None:
-        if sweep.FORCE_SCAN:
-            emptied = []
-            for payload, (left, right) in self._state.items():
-                self._drop(left.expire(watermark))
-                self._drop(right.expire(watermark))
-                if not left and not right:
-                    emptied.append(payload)
-            for payload in emptied:
-                del self._state[payload]
-            return
+        """Drop every element ending at or below ``watermark``, visiting
+        only the payloads the expiry heap names, each once."""
         heap = self._expiry_heap
+        state = self._state
+        visited = set()
         while heap and heap[0][0] <= watermark:
-            _, _, payload = heapq.heappop(heap)
-            sides = self._state.get(payload)
-            if sides is None:
+            payload = heapq.heappop(heap)[2]
+            sides = state.get(payload)
+            if sides is None or payload in visited:
                 continue
-            left, right = sides
-            self._drop(left.expire(watermark))
-            self._drop(right.expire(watermark))
-            if not left and not right:
-                del self._state[payload]
-
-    def _drop(self, expired: List[StreamElement]) -> None:
-        for element in expired:
-            self._values -= len(element.payload)
-
-    def _on_retention_change(self) -> None:
-        entries: List[Tuple[Time, int, Payload]] = []
-        for payload, sides in self._state.items():
-            for area in sides:
-                area.set_retention(self._retention)
-                for element in area:
-                    entries.append(
-                        (area.expiry_of(element), next(self._seq), payload)
-                    )
-        heapq.heapify(entries)
-        self._expiry_heap = entries
+            visited.add(payload)
+            left = [e for e in sides[0] if e.end > watermark]
+            right = [e for e in sides[1] if e.end > watermark]
+            dropped = len(sides[0]) + len(sides[1]) - len(left) - len(right)
+            self._values -= dropped * len(payload)
+            if left or right:
+                state[payload] = (left, right)
+            else:
+                del state[payload]
+        if sweep.DEBUG:
+            assert all(
+                e.end > watermark for sides in state.values() for side in sides for e in side
+            ), f"{self.name}: difference purge left an element ending by {watermark}"
 
     def _state_value_count(self) -> int:
         return self._values
@@ -172,17 +158,7 @@ class Difference(StatefulOperator):
         """
         self._check_port(port)
         for element in elements:
-            sides = self._state.get(element.payload)
-            if sides is None:
-                sides = (SweepArea(self._retention), SweepArea(self._retention))
-                self._state[element.payload] = sides
-            area = sides[port]
-            area.insert(element)
-            heapq.heappush(
-                self._expiry_heap,
-                (area.expiry_of(element), next(self._seq), element.payload),
-            )
-            self._values += len(element.payload)
+            self._insert(element, port)
         self._frontier = self._purged_watermark
 
 

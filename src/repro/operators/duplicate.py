@@ -80,22 +80,6 @@ class DuplicateElimination(StatefulOperator):
             )
 
     def _on_watermark(self, watermark: Time) -> None:
-        if sweep.FORCE_SCAN:
-            emptied = []
-            for payload, covered in self._coverage.items():
-                if covered.max_end() <= watermark:
-                    self._values -= len(covered) * len(payload)
-                    emptied.append(payload)
-                else:
-                    before = len(covered)
-                    covered.expire_before(watermark)
-                    self._values += (len(covered) - before) * len(payload)
-            for payload in emptied:
-                del self._coverage[payload]
-            heap = self._expiry_heap
-            while heap and heap[0][0] <= watermark:
-                heapq.heappop(heap)
-            return
         heap = self._expiry_heap
         while heap and heap[0][0] <= watermark:
             _, _, payload = heapq.heappop(heap)
@@ -107,6 +91,12 @@ class DuplicateElimination(StatefulOperator):
             self._values += (len(covered) - before) * len(payload)
             if not covered:
                 del self._coverage[payload]
+        if sweep.DEBUG:
+            assert all(
+                interval.end > watermark
+                for covered in self._coverage.values()
+                for interval in covered
+            ), f"{self.name}: coverage ending by {watermark} survived the purge"
 
     def _state_value_count(self) -> int:
         return self._values

@@ -5,13 +5,15 @@ predicate holds on their payloads and (b) their validity intervals
 intersect; the result's interval is the intersection and its payload the
 concatenation.  Both a symmetric nested-loops variant (arbitrary theta
 predicates, the paper's experimental setup) and a symmetric hash variant
-(positional equi-joins) are provided.  State expires by the watermark
-rule of Section 2.2.
+(positional equi-joins) are provided, both holding each side in a
+:class:`~repro.operators.colstate.ColumnarJoinState`.  State expires by
+the watermark rule of Section 2.2 unless a retention rule is installed
+(:meth:`_JoinBase.set_retention`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..temporal.batch import Batch
 from ..temporal.columnar import ColumnarBatch
@@ -20,8 +22,7 @@ from ..temporal.interval import TimeInterval
 from ..temporal.time import Time
 from . import base
 from .base import StatefulOperator
-from .colstate import ColumnarJoinState
-from .sweep import SweepArea
+from .colstate import ColumnarJoinState, RetentionRule
 
 # Metering note: both joins charge predicate work in aggregate — one
 # ``charge(cost * candidates)`` per probe instead of one call per
@@ -31,7 +32,13 @@ from .sweep import SweepArea
 
 
 class _JoinBase(StatefulOperator):
-    """Shared mechanics of the symmetric join variants."""
+    """Shared mechanics of the symmetric join variants.
+
+    Each input side is a :class:`~repro.operators.colstate.ColumnarJoinState`;
+    purging, retention, accounting and the state handover hooks touch only
+    those and live here.  A subclass probes the partner side and says
+    which bucket a payload is filed under (:meth:`_bucket_of`).
+    """
 
     def __init__(self, predicate_cost: int, name: str) -> None:
         super().__init__(arity=2, name=name)
@@ -42,65 +49,59 @@ class _JoinBase(StatefulOperator):
         self.statistics_key: Optional[str] = None
         #: Optional observer called with (candidates_tested, matches).
         self.selectivity_probe: Optional[Callable[[int, int], None]] = None
+        self._states: List[ColumnarJoinState] = [
+            ColumnarJoinState(),
+            ColumnarJoinState(),
+        ]
 
+    def _bucket_of(self, payload: Payload, port: int) -> Any:
+        """The bucket key under which ``port``'s side files ``payload``."""
+        raise NotImplementedError
 
-class NestedLoopsJoin(_JoinBase):
-    """Symmetric nested-loops join for arbitrary theta predicates.
-
-    The paper's experiments use 4-way nested-loops join trees; the
-    ``predicate_cost`` knob reproduces the "more expensive join predicate"
-    of the Figure 6 experiment.
-
-    Args:
-        predicate: ``(left_payload, right_payload) -> bool``.
-        predicate_cost: cost units charged per predicate evaluation.
-    """
-
-    def __init__(
+    def _stage_matches(
         self,
-        predicate: Callable[[Payload, Payload], bool],
-        predicate_cost: int = 1,
-        name: str = "",
+        element: StreamElement,
+        port: int,
+        partner: ColumnarJoinState,
+        indices: Iterable[int],
     ) -> None:
-        super().__init__(predicate_cost, name or "nl-join")
-        self.predicate = predicate
-        self._states: List[SweepArea] = [SweepArea(), SweepArea()]
-
-    def _on_element(self, element: StreamElement, port: int) -> None:
-        partner_state = self._states[1 - port]
-        tested = len(partner_state)
-        predicate = self.predicate
+        """Stage ``element`` joined with each partner row at ``indices``
+        whose interval intersects its own, in ``indices`` order."""
         payload = element.payload
-        if port == 0:
-            matched = [p for p in partner_state if predicate(payload, p.payload)]
-        else:
-            matched = [p for p in partner_state if predicate(p.payload, payload)]
-        if tested:
-            self.meter.charge(self.predicate_cost * tested, "join-predicate")
-        for partner in matched:
-            intersection = element.interval.intersect(partner.interval)
-            if intersection is None:
-                continue
-            left, right = (element, partner) if port == 0 else (partner, element)
-            self._stage(
-                StreamElement(
-                    left.payload + right.payload,
-                    intersection,
-                    combine_flags(left.flag, right.flag),
+        s = element.interval.start
+        e = element.interval.end
+        flag = element.flag
+        p_starts = partner.starts
+        p_ends = partner.ends
+        p_rows = partner.rows
+        p_flags = partner.flags
+        left = port == 0
+        stage = self._stage
+        for j in indices:
+            ps = p_starts[j]
+            pe = p_ends[j]
+            s2 = ps if ps > s else s
+            e2 = pe if pe < e else e
+            if s2 < e2:
+                stage(
+                    StreamElement(
+                        payload + p_rows[j] if left else p_rows[j] + payload,
+                        TimeInterval(s2, e2),
+                        combine_flags(flag, p_flags[j]),
+                    )
                 )
-            )
-        if self.selectivity_probe is not None and tested:
-            self.selectivity_probe(tested, len(matched))
-        self._states[port].insert(element)
-        self.meter.charge(1, "join-insert")
 
     def _on_watermark(self, watermark: Time) -> None:
         for side in (0, 1):
             self._states[side].expire(watermark)
 
-    def _on_retention_change(self) -> None:
+    def set_retention(self, rule: RetentionRule) -> None:
+        """Install the purge rule of both sides; ``None`` is Section 2.2's
+        ``t_E <= watermark``.  The Parallel Track baseline installs the
+        slower tuple-timestamp rule of Zhu et al. mid-life, which is what
+        stretches its migration to ~2w (Section 4.4 of the paper)."""
         for side in (0, 1):
-            self._states[side].set_retention(self._retention)
+            self._states[side].set_retention(rule)
 
     def _state_value_count(self) -> int:
         return self._states[0].value_count() + self._states[1].value_count()
@@ -115,11 +116,71 @@ class NestedLoopsJoin(_JoinBase):
         return list(self._states[port])
 
     def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Merge elements into one input's state — used by Moving States."""
+        """Merge elements into one input's state — used by Moving States,
+        fluid migration and checkpoint restore.
+
+        Seeded intervals may lie below the port watermark; they enter
+        state directly (never ``process``), so ordering checks don't
+        apply, and an already-expired straggler simply never intersects
+        a live probe.
+        """
         self._check_port(port)
         insert = self._states[port].insert
         for element in elements:
-            insert(element)
+            insert(
+                self._bucket_of(element.payload, port),
+                element.interval.start,
+                element.interval.end,
+                element.payload,
+                element.flag,
+            )
+
+
+class NestedLoopsJoin(_JoinBase):
+    """Symmetric nested-loops join for arbitrary theta predicates.
+
+    The paper's experiments use 4-way nested-loops join trees; the
+    ``predicate_cost`` knob reproduces the "more expensive join predicate"
+    of the Figure 6 experiment.  Each side files every element in one
+    bucket, which a probe walks in insertion order.
+
+    Args:
+        predicate: ``(left_payload, right_payload) -> bool``.
+        predicate_cost: cost units charged per predicate evaluation.
+    """
+
+    def __init__(
+        self,
+        predicate: Callable[[Payload, Payload], bool],
+        predicate_cost: int = 1,
+        name: str = "",
+    ) -> None:
+        super().__init__(predicate_cost, name or "nl-join")
+        self.predicate = predicate
+
+    def _bucket_of(self, payload: Payload, port: int) -> Any:
+        return None
+
+    def _on_element(self, element: StreamElement, port: int) -> None:
+        partner = self._states[1 - port]
+        tested = len(partner)
+        predicate = self.predicate
+        payload = element.payload
+        rows = partner.rows
+        candidates = partner.buckets.get(None, ())
+        if port == 0:
+            matched = [j for j in candidates if predicate(payload, rows[j])]
+        else:
+            matched = [j for j in candidates if predicate(rows[j], payload)]
+        if tested:
+            self.meter.charge(self.predicate_cost * tested, "join-predicate")
+        self._stage_matches(element, port, partner, matched)
+        if self.selectivity_probe is not None and tested:
+            self.selectivity_probe(tested, len(matched))
+        self._states[port].insert(
+            None, element.interval.start, element.interval.end, payload, element.flag
+        )
+        self.meter.charge(1, "join-insert")
 
     def pair_matches(self, left: Payload, right: Payload) -> bool:
         """Whether two payloads satisfy the join predicate."""
@@ -134,8 +195,7 @@ class HashJoin(_JoinBase):
             be equal; results concatenate the left and the right payload.
         predicate_cost: cost units charged per candidate comparison.
 
-    Both sides live in a :class:`~repro.operators.colstate.ColumnarJoinState`
-    and are probed by two loops.  Every run — a
+    Both sides are bucketed by join key and probed by two loops.  Every run — a
     :class:`~repro.temporal.columnar.ColumnarBatch`, or a row
     :class:`~repro.temporal.batch.Batch` converted once — goes through the
     compiled probe kernels (:meth:`process_batch`); a single element goes
@@ -170,10 +230,9 @@ class HashJoin(_JoinBase):
             compile_probe_kernel(0, left_field).fn,
             compile_probe_kernel(1, right_field).fn,
         )
-        self._states: List[ColumnarJoinState] = [
-            ColumnarJoinState(),
-            ColumnarJoinState(),
-        ]
+
+    def _bucket_of(self, payload: Payload, port: int) -> Any:
+        return payload[self.key_fields[port]]
 
     # ------------------------------------------------------------------ #
     # Runs: the probe kernels
@@ -312,30 +371,8 @@ class HashJoin(_JoinBase):
         matches = 0
         bucket = partner.buckets.get(key)
         if bucket:
-            s = element.interval.start
-            e = element.interval.end
-            flag = element.flag
-            p_starts = partner.starts
-            p_ends = partner.ends
-            p_rows = partner.rows
-            p_flags = partner.flags
-            left = port == 0
-            stage = self._stage
-            for j in bucket:
-                matches += 1
-                ps = p_starts[j]
-                pe = p_ends[j]
-                s2 = ps if ps > s else s
-                e2 = pe if pe < e else e
-                if s2 < e2:
-                    stage(
-                        StreamElement(
-                            payload + p_rows[j] if left else p_rows[j] + payload,
-                            TimeInterval(s2, e2),
-                            combine_flags(flag, p_flags[j]),
-                        )
-                    )
-        if matches:
+            matches = len(bucket)
+            self._stage_matches(element, port, partner, bucket)
             self.meter.charge(self.predicate_cost * matches, "join-predicate")
         if self.selectivity_probe is not None:
             # Selectivity relative to the full partner state: the hash
@@ -348,26 +385,6 @@ class HashJoin(_JoinBase):
             key, element.interval.start, element.interval.end, payload, element.flag
         )
 
-    def _on_watermark(self, watermark: Time) -> None:
-        for side in (0, 1):
-            self._states[side].expire(watermark)
-
-    def _on_retention_change(self) -> None:
-        for side in (0, 1):
-            self._states[side].set_retention(self._retention)
-
-    def _state_value_count(self) -> int:
-        return self._states[0].value_count() + self._states[1].value_count()
-
-    def state_elements(self) -> Iterator[StreamElement]:
-        yield from self._states[0]
-        yield from self._states[1]
-
-    def state_of_port(self, port: int) -> List[StreamElement]:
-        """The alive elements received on one input — used by Moving States."""
-        self._check_port(port)
-        return list(self._states[port])
-
     def extract_state_of_port(
         self, port: int, key_predicate: Callable[[Any], bool]
     ) -> List[StreamElement]:
@@ -378,25 +395,6 @@ class HashJoin(_JoinBase):
         """
         self._check_port(port)
         return self._states[port].extract(key_predicate)
-
-    def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Merge elements into one input's state — used by Moving States,
-        fluid migration and checkpoint restore.  Seeded intervals may lie below the port watermark; they enter
-        state directly (never ``process``), so ordering checks don't
-        apply, and an already-expired straggler simply never intersects
-        a live probe.
-        """
-        self._check_port(port)
-        field = self.key_fields[port]
-        insert = self._states[port].insert
-        for element in elements:
-            insert(
-                element.payload[field],
-                element.interval.start,
-                element.interval.end,
-                element.payload,
-                element.flag,
-            )
 
     def pair_matches(self, left: Payload, right: Payload) -> bool:
         """Whether two payloads satisfy the equi-join predicate."""

@@ -45,6 +45,9 @@ class PhysicalBuilder:
         join_cost: cost units charged per join predicate evaluation,
             modelling cheap (1) or expensive predicates (Figure 6).
         select_cost: cost units per selection predicate evaluation.
+        force_nested_loops: compile equi-joins to nested-loops joins too,
+            the paper's experimental setup (4-way nested-loops join trees,
+            Section 5); by default they become hash joins.
     """
 
     def __init__(
@@ -55,8 +58,6 @@ class PhysicalBuilder:
     ) -> None:
         self.join_cost = join_cost
         self.select_cost = select_cost
-        #: Compile equi-joins to nested-loops joins too — the paper's
-        #: experimental setup (4-way nested-loops join trees, Section 5).
         self.force_nested_loops = force_nested_loops
 
     def config(self) -> Dict[str, object]:

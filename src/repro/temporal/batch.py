@@ -22,7 +22,7 @@ element-at-a-time protocol it replaces:
 A batch whose elements all share one start timestamp (``uniform_start``)
 is the currency of the executor's ingestion loop: within such a run no
 watermark can move between elements, which is what lets operators probe
-and purge their sweep areas once per run instead of once per element.
+and purge their state once per run instead of once per element.
 """
 
 from __future__ import annotations

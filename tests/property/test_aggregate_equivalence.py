@@ -2,16 +2,15 @@
 
 ``Aggregate`` finalises a watermark step from a live view it maintains
 incrementally — per-group members in insertion order, an end-ordered
-index, one cached fold per group.  The claim is that nobody can tell:
-elements, order, flags, state and meter totals are those of the scan that
-rescans and refolds all open state for every segment
-(``Aggregate._scan``).  Here the scan *is* the oracle: a subclass whose
-steps are computed by ``_scan`` alone runs beside the real operator, and
-everything observable is compared after every event — element arrivals,
-heartbeat-only steps, uniform-start batches, a retention rule installed
-mid-life (Parallel Track's, and one shorter than validity), elements that
-have yet to start absorbed into live state mid-run (in and out of start
-order) and the end-of-stream flush.
+index, one cached fold per group — and that view is its state.  The
+claim is that nobody can tell: elements, order, flags, state and meter
+totals are those of the scan that keeps a plain list of open elements
+and rescans and refolds it for every segment.  Here that scan is the
+oracle: a subclass holding its own list (``ScanAggregate``) runs beside
+the real operator, and everything observable is compared after every
+event — element arrivals, heartbeat-only steps, uniform-start batches,
+elements that have yet to start absorbed into live state mid-run (in and
+out of start order) and the end-of-stream flush.
 ``sweep.DEBUG`` is on throughout, so every incremental step also asserts
 itself against the scan from the inside.
 """
@@ -29,19 +28,48 @@ from repro.operators import (
     sum_of,
     sweep,
 )
+from repro.operators.aggregate import _merge_adjacent
 from repro.operators.scalar import AggregateFunction
 from repro.streams import CollectorSink
 from repro.temporal import NEW, OLD, StreamElement, TimeInterval
 from repro.temporal.batch import Batch
 from repro.temporal.time import MAX_TIME
 
-WINDOW = 25  # the Parallel Track tuple-timestamp retention window
-
 
 class ScanAggregate(Aggregate):
-    """The reference: every step is the scan recomputation."""
+    """The reference: a plain list of open elements — appended on element
+    and absorb, purged once ``end <= watermark`` — rescanned and refolded
+    per segment by ``Aggregate._scan``."""
 
-    _sweep = Aggregate._scan
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.open = []
+
+    def _on_element(self, element, port):
+        self.meter.charge(1, "aggregate")
+        self.open.append(element)
+
+    def _on_watermark(self, watermark):
+        lo = self._frontier
+        if watermark <= lo:
+            return
+        results, charged = self._scan(lo, min(watermark, MAX_TIME), self.open)
+        if charged:
+            self.meter.charge(charged, "aggregate")
+        for merged in _merge_adjacent(results):
+            self._emit(merged)
+        self._frontier = watermark
+        self.open = [e for e in self.open if e.end > watermark]
+
+    def _state_value_count(self):
+        return sum(len(e.payload) for e in self.open)
+
+    def state_elements(self):
+        return iter(self.open)
+
+    def absorb_state(self, port, elements):
+        self.open.extend(elements)
+        self._frontier = self._purged_watermark
 
 
 def functions():
@@ -56,19 +84,6 @@ def make(cls, grouped):
     sink = CollectorSink()
     op.attach_sink(sink)
     return op, sink
-
-
-def pt_retention(e):
-    """The Zhu et al. tuple-timestamp rule Parallel Track installs."""
-    return max(e.end, e.start + WINDOW)
-
-
-def short_retention(e):
-    """A rule that purges elements while they are still valid."""
-    return e.start + 3
-
-
-RETENTION = {"pt": pt_retention, "short": short_retention, "interval": None}
 
 
 def observe(op, sink):
@@ -98,7 +113,6 @@ event = st.one_of(
     # A uniform-start run: all but the first start *at* the new frontier,
     # open but not live for the step that admits the first.
     st.tuples(st.just("batch"), st.integers(0, 6), st.lists(member, min_size=2, max_size=4)),
-    st.tuples(st.just("retention"), st.sampled_from(sorted(RETENTION))),
     # Absorb elements that start only `ahead` chronons from now into the
     # live state, as listed or reversed (out of start order).
     st.tuples(
@@ -127,8 +141,6 @@ def apply(op, kind, args, t):
         delta, specs = args
         t += delta
         op.process_batch(Batch([element_at(t, spec) for spec in specs]))
-    elif kind == "retention":
-        op.retention = RETENTION[args[0]]
     else:
         reverse, future = args
         elements = [element_at(t + ahead, spec) for ahead, spec in future]
@@ -158,6 +170,28 @@ def test_incremental_finalisation_matches_scan(grouped, events):
             reference, reference_sink
         )
         assert not list(incremental.state_elements())
+    finally:
+        sweep.set_debug(False)
+
+
+def test_failed_admission_keeps_each_open_element_once():
+    """A step admits ``c`` into its group, then fails to admit ``b`` after
+    ``a`` (absorbed out of start order) and rebuilds: ``c`` is a member
+    and still pending at that moment, and must stay in the state once."""
+    sweep.set_debug(True)
+    try:
+        c = StreamElement((1, 1), TimeInterval(5, 20))
+        b = StreamElement((0, 2), TimeInterval(5, 20))
+        a = StreamElement((0, 3), TimeInterval(2, 20))
+        observed = []
+        for cls in (Aggregate, ScanAggregate):
+            op, sink = make(cls, grouped=True)
+            op.absorb_state(0, [c])
+            op.absorb_state(0, [b, a])
+            op.process_heartbeat(10)
+            observed.append(observe(op, sink))
+            assert list(op.state_elements()) == [c, b, a]
+        assert observed[0] == observed[1]
     finally:
         sweep.set_debug(False)
 

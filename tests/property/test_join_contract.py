@@ -22,17 +22,26 @@ the run (``PROGRESS``), which decides whether a uniform run is probed in
 one kernel call or split around its first element's purge or promise.
 Receivers record every promise that raises their watermark in place, so
 a promise released after results it preceded is a difference.
+
+Both joins keep their sides in the same container, so the nested-loops
+join under an equality predicate must be the hash join, observably: a
+differential property feeds both the same events — flagged elements,
+out-of-order ends, uniform runs, and Parallel Track's retention rule
+installed mid-run — and compares them after every one: output, state per
+join key, value counts, progress and staged results.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.operators import CostMeter, equi_join
+from repro.operators import CostMeter, NestedLoopsJoin, equi_join, sweep
 from repro.temporal import NEW, OLD, element
 from repro.temporal.batch import Batch
 from repro.temporal.columnar import ColumnarBatch
-from repro.temporal.time import MAX_TIME
+from repro.temporal.time import MAX_TIME, MIN_TIME
 
 #: ``(start, key)`` runs fed on the port under test.
 RUNS = {
@@ -207,3 +216,106 @@ def test_kernel_run_equals_elementwise_process(
             )
             n = len(elements)
             assert calls == ([(0, 1), (1, n)] if pending else [(0, n)])
+
+
+#: The Parallel Track tuple-timestamp retention window.
+WINDOW = 25
+
+
+def pt_retention(e):
+    """The Zhu et al. rule Parallel Track installs on old-box joins."""
+    return max(e.end, e.start + WINDOW)
+
+
+flag = st.sampled_from([None, None, NEW, OLD])
+differential_event = st.one_of(
+    # (port, key, delta, length, flag): lengths vary, so ends arrive out
+    # of order and the sides drop to heap mode.
+    st.tuples(
+        st.just("element"), st.integers(0, 1), st.integers(0, 3),
+        st.integers(0, 4), st.integers(1, 30), flag,
+    ),
+    st.tuples(st.just("heartbeat"), st.integers(0, 1), st.integers(1, 6)),
+    # A uniform-start run of (key, length) on one port.
+    st.tuples(
+        st.just("batch"), st.integers(0, 1), st.integers(0, 4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 30)), min_size=2, max_size=3),
+    ),
+    st.tuples(st.just("retention")),
+)
+
+
+def differential_observation(join, probe):
+    """The observable behaviour; state per join key, since the hash join
+    iterates bucket by bucket and the nested-loops join in arrival order
+    (within a key both keep arrival order)."""
+    progress = join.progress_state()
+    return (
+        list(probe.trace),
+        [
+            as_tuples(sorted(join.state_of_port(p), key=lambda e: e.payload[0]))
+            for p in (0, 1)
+        ],
+        join.state_value_count(),
+        progress["watermarks"],
+        as_tuples(progress["staged"]),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(differential_event, min_size=1, max_size=30))
+def test_nested_loops_equality_join_equals_hash_join(events):
+    sweep.set_debug(True)
+    try:
+        joins = [NestedLoopsJoin(lambda l, r: l[0] == r[0]), equi_join(0, 0)]
+        probes = [Probe(MIN_TIME) for _ in joins]
+        for join, probe in zip(joins, probes):
+            join.subscribe(probe, 0)
+        t = 0
+        serial = itertools.count()
+        for kind, *args in events:
+            if kind == "element":
+                port, key, delta, length, element_flag = args
+                t += delta
+                e = element((key, next(serial)), t, t + length).with_flag(element_flag)
+                for join in joins:
+                    join.process(e, port)
+            elif kind == "heartbeat":
+                port, delta = args
+                t += delta
+                for join in joins:
+                    join.process_heartbeat(t, port)
+            elif kind == "batch":
+                port, delta, specs = args
+                t += delta
+                run = [element((key, next(serial)), t, t + length) for key, length in specs]
+                for join in joins:
+                    join.process_batch(Batch(run, watermark=t), port)
+            else:
+                for join in joins:
+                    join.set_retention(pt_retention)
+            nested, hashed = (differential_observation(j, p) for j, p in zip(joins, probes))
+            assert nested == hashed
+        for join in joins:
+            join.process_heartbeat(MAX_TIME, 0)
+            join.process_heartbeat(MAX_TIME, 1)
+        nested, hashed = (differential_observation(j, p) for j, p in zip(joins, probes))
+        assert nested == hashed
+        assert nested[1] == [[], []]
+    finally:
+        sweep.set_debug(False)
+
+
+def test_retention_rule_delays_purging():
+    """Under a retention rule both join kinds keep an element past its end
+    and purge it when the rule says: here at ``start + 100``."""
+    for join in (NestedLoopsJoin(lambda l, r: l[0] == r[0]), equi_join(0, 0)):
+        join.set_retention(lambda e: e.start + 100)
+        join.process(element((0, "a"), 0, 5), 0)
+        for t in (50, 99):
+            join.process_heartbeat(t, 0)
+            join.process_heartbeat(t, 1)
+            assert as_tuples(join.state_of_port(0)) == [((0, "a"), 0, 5, None)]
+        join.process_heartbeat(100, 0)
+        join.process_heartbeat(100, 1)
+        assert join.state_of_port(0) == []

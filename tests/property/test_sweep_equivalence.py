@@ -1,17 +1,29 @@
-"""Equivalence of the indexed sweep purge with the reference scan purge.
+"""The purged state of every stateful operator against an in-test model.
 
-The sweep containers (``repro.operators.sweep``) claim to be *observably
-identical* to the full-scan purge they replaced: same state contents in the
-same iteration order, same outputs, same value counts — at every single
-event, including under the Parallel Track retention override installed
-mid-run.  These properties drive hypothesis-generated streams through each
-stateful operator twice — once with ``FORCE_SCAN`` (the pre-index
-algorithm) and once with the expiry index — and compare the full
-per-event trace.  ``DEBUG`` mode additionally cross-checks every indexed
-expiry and running value count internally.
+Each stateful operator indexes its state for expiry (bisected columns, an
+expiry calendar, per-payload expiry heaps, start-ordered FIFO indexes) so
+that a watermark advance visits only what leaves.  The claim is that the
+index is invisible: after every event, ``state_of_port(p)`` holds exactly
+what the purge rule of Section 2.2 keeps, in the operator's documented
+order.  These properties drive hypothesis-generated streams through each
+operator and compare its state with a model kept here, from the inputs
+alone, after every single event:
+
+* nested-loops join, hash join, difference and aggregate — every element
+  inserted on the port whose ``end`` lies above the operator's minimum
+  watermark, in insertion order (the hash join groups that order by
+  bucket, buckets in creation order; the difference by payload, payloads
+  by ``repr``);
+* distinct — its input merged per payload and cut at the watermark, which
+  is the instants its output has covered;
+* coalesce's M0/M1 tables — the unmatched halves starting at or above the
+  watermark.
+
+``sweep.DEBUG`` is on throughout, so every purge and running value count
+also checks itself from the inside.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.coalesce import Coalesce
@@ -28,8 +40,6 @@ from repro.streams import CollectorSink
 from repro.temporal import element
 from repro.temporal.time import MAX_TIME
 
-WINDOW = 25  # the Parallel Track tuple-timestamp retention window
-
 BINARY_OPERATORS = {
     "nl-join": lambda: NestedLoopsJoin(lambda l, r: l[0] == r[0]),
     "hash-join": lambda: equi_join(0, 0),
@@ -42,47 +52,99 @@ UNARY_OPERATORS = {
     "distinct": DuplicateElimination,
 }
 
-#: (port, payload value, time delta, interval length, kind)
+#: (port, payload value, time delta, interval length, kind); few values
+#: and short intervals, so payloads and buckets empty and come back.
 raw_event = st.tuples(
     st.integers(min_value=0, max_value=1),
-    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
     st.integers(min_value=0, max_value=7),
-    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=20),
     st.sampled_from(["element", "heartbeat"]),
 )
 
 events_strategy = st.lists(raw_event, min_size=1, max_size=25)
 
-#: Event index at which the PT retention override is installed (or never).
-retention_strategy = st.one_of(st.none(), st.integers(min_value=0, max_value=10))
+
+def as_tuples(elements):
+    return [(e.payload, e.start, e.end, e.flag) for e in elements]
 
 
-def pt_retention(e):
-    """The Zhu et al. tuple-timestamp rule Parallel Track installs."""
-    return max(e.end, e.start + WINDOW)
+class KeyedModel:
+    """Elements filed per key — keys in creation order, a key dropped the
+    moment it empties — and purged by a predicate on each element."""
+
+    def __init__(self, key_of):
+        self.key_of = key_of
+        self.entries = {}
+
+    def insert(self, e):
+        self.entries.setdefault(self.key_of(e), []).append(e)
+
+    def purge(self, keep):
+        for key in list(self.entries):
+            self.entries[key] = [e for e in self.entries[key] if keep(e)]
+            if not self.entries[key]:
+                del self.entries[key]
+
+    def elements(self):
+        return [e for group in self.entries.values() for e in group]
 
 
-def fingerprint(op, sink):
-    """Everything externally observable about an operator at one instant."""
-    state = tuple((e.payload, e.start, e.end, e.flag) for e in op.state_elements())
-    outputs = tuple((e.payload, e.start, e.end, e.flag) for e in sink.elements)
-    return (state, op.state_value_count(), outputs)
+def merged_and_cut(intervals, watermark):
+    """The maximal intervals covering ``intervals`` at or after ``watermark``."""
+    merged = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return [(max(start, watermark), end) for start, end in merged if end > watermark]
 
 
-def run_trace(make_op, events, arity, retention_at, force_scan):
-    """Replay ``events`` and fingerprint the operator after every one."""
-    sweep.set_force_scan(force_scan)
+def expected_state(name, models, port, watermark):
+    """What ``state_of_port(port)`` must return, from the model."""
+    if name == "distinct":
+        return [
+            (payload, start, end, None)
+            for payload, group in models[port].entries.items()
+            for start, end in merged_and_cut([(e.start, e.end) for e in group], watermark)
+        ]
+    elements = models[port].elements()
+    if name == "difference":
+        elements = sorted(elements, key=lambda e: repr(e.payload))
+    return as_tuples(elements)
+
+
+def model_for(name):
+    if name == "hash-join":
+        return KeyedModel(lambda e: e.payload[0])
+    if name in ("difference", "distinct"):
+        return KeyedModel(lambda e: e.payload)
+    return KeyedModel(lambda e: None)
+
+
+def run_against_model(name, make_op, events, arity):
+    """Replay ``events``; after each, compare the state with the model."""
     sweep.set_debug(True)
     try:
         op = make_op()
         sink = CollectorSink()
         op.attach_sink(sink)
+        models = [model_for(name) for _ in range(arity)]
+        inputs = []
+
+        def check():
+            watermark = op.min_watermark
+            for model in models:
+                model.purge(lambda e: e.end > watermark)
+            for port in range(arity):
+                assert as_tuples(op.state_of_port(port)) == expected_state(
+                    name, models, port, watermark
+                )
+
         t = 0
-        trace = []
-        for index, (port, value, delta, length, kind) in enumerate(events):
+        for port, value, delta, length, kind in events:
             port %= arity
-            if retention_at is not None and index == retention_at:
-                op.retention = pt_retention
             t += delta
             if kind == "heartbeat":
                 op.process_heartbeat(t, port)
@@ -90,63 +152,87 @@ def run_trace(make_op, events, arity, retention_at, force_scan):
                 # Advance all ports first, like the global-order executor.
                 for p in range(arity):
                     op.process_heartbeat(t, p)
-                op.process(element(value, t, t + length), port)
-            trace.append(fingerprint(op, sink))
+                check()
+                e = element(value, t, t + length)
+                op.process(e, port)
+                models[port].insert(e)
+                inputs.append(e)
+            check()
         for p in range(arity):
             op.process_heartbeat(MAX_TIME, p)
-        trace.append(fingerprint(op, sink))
-        return trace
+        check()
+        assert not any(op.state_of_port(p) for p in range(arity))
+        if name == "distinct":
+            # Everything is emitted now: the output covers the input.
+            def coverage(elements):
+                out = {}
+                for e in elements:
+                    out.setdefault(e.payload, []).append((e.start, e.end))
+                return {p: merged_and_cut(iv, 0) for p, iv in out.items()}
+
+            assert coverage(sink.elements) == coverage(inputs)
     finally:
-        sweep.set_force_scan(False)
         sweep.set_debug(False)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    name=st.sampled_from(sorted(BINARY_OPERATORS)),
-    events=events_strategy,
-    retention_at=retention_strategy,
-)
-def test_binary_operator_purge_matches_scan(name, events, retention_at):
-    make_op = BINARY_OPERATORS[name]
-    reference = run_trace(make_op, events, 2, retention_at, force_scan=True)
-    indexed = run_trace(make_op, events, 2, retention_at, force_scan=False)
-    assert indexed == reference
+#: Two right elements of one payload outlive a purge that visits it.
+SURVIVORS = [(1, 0, 0, 10, "element"), (1, 0, 0, 20, "element"),
+             (0, 0, 0, 5, "element"), (0, 1, 6, 1, "element")]
+#: Key 0 empties while key 1 lives on, then comes back behind it —
+#: with ends in order, and out of order (a hash-join side in heap mode).
+COMEBACK = [(0, 0, 0, 3, "element"), (0, 1, 1, 30, "element"),
+            (1, 2, 4, 1, "element"), (0, 0, 1, 5, "element")]
+HEAP_COMEBACK = [(0, 0, 0, 3, "element"), (0, 1, 1, 30, "element"),
+                 (0, 2, 0, 4, "element"), (1, 2, 5, 1, "element"),
+                 (0, 0, 1, 5, "element")]
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    name=st.sampled_from(sorted(UNARY_OPERATORS)),
-    events=events_strategy,
-    retention_at=retention_strategy,
-)
-def test_unary_operator_purge_matches_scan(name, events, retention_at):
-    make_op = UNARY_OPERATORS[name]
-    reference = run_trace(make_op, events, 1, retention_at, force_scan=True)
-    indexed = run_trace(make_op, events, 1, retention_at, force_scan=False)
-    assert indexed == reference
+@settings(max_examples=200, deadline=None)
+@example(name="difference", events=SURVIVORS)
+@example(name="hash-join", events=COMEBACK)
+@example(name="hash-join", events=HEAP_COMEBACK)
+@given(name=st.sampled_from(sorted(BINARY_OPERATORS)), events=events_strategy)
+def test_binary_operator_state_matches_model(name, events):
+    run_against_model(name, BINARY_OPERATORS[name], events, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@example(name="distinct", events=COMEBACK)
+@given(name=st.sampled_from(sorted(UNARY_OPERATORS)), events=events_strategy)
+def test_unary_operator_state_matches_model(name, events):
+    run_against_model(name, UNARY_OPERATORS[name], events, 1)
 
 
 T_SPLIT = 30
 
 
-def run_coalesce(events, force_scan):
-    """Replay a coalesce workload: halves touching T_split plus bystanders."""
-    sweep.set_force_scan(force_scan)
+@settings(max_examples=60, deadline=None)
+@given(events=events_strategy)
+def test_coalesce_tables_match_model(events):
+    """A coalesce workload — halves touching T_split plus bystanders — with
+    M0 and M1 modelled as FIFO bags per payload."""
     sweep.set_debug(True)
     try:
         op = Coalesce(T_SPLIT)
-        sink = CollectorSink()
-        op.attach_sink(sink)
+        op.attach_sink(CollectorSink())
+        tables = [KeyedModel(lambda e: e.payload), KeyedModel(lambda e: e.payload)]
+
+        def check():
+            watermark = op.min_watermark
+            for table in tables:
+                table.purge(lambda e: e.start >= watermark)
+            assert as_tuples(op.state_elements()) == as_tuples(
+                tables[0].elements() + tables[1].elements()
+            )
+
         t = 0
         watermarks = [0, 0]
-        trace = []
         for port, value, delta, length, kind in events:
             t += delta
             if kind == "heartbeat":
                 watermarks[port] = max(watermarks[port], t)
                 op.process_heartbeat(t, port)
-                trace.append(fingerprint(op, sink))
+                check()
                 continue
             start = max(t, watermarks[port])
             if port == 0:
@@ -158,43 +244,42 @@ def run_coalesce(events, force_scan):
                     start = T_SPLIT
                 end = start + length
             watermarks[port] = start
-            op.process(element(value, start, end), port)
-            trace.append(fingerprint(op, sink))
+            e = element(value, start, end)
+            op.process(e, port)
+            if (end if port == 0 else start) == T_SPLIT:
+                # Match the oldest half of the payload on the other side,
+                # or wait in this side's table.
+                partner = tables[1 - port].entries.get(e.payload)
+                if partner:
+                    partner.pop(0)
+                    if not partner:
+                        del tables[1 - port].entries[e.payload]
+                else:
+                    tables[port].insert(e)
+            check()
         op.process_heartbeat(MAX_TIME, 0)
         op.process_heartbeat(MAX_TIME, 1)
+        check()
         op.flush()
-        trace.append(fingerprint(op, sink))
-        return trace, op.merged_count, op.peak_value_count
+        assert not list(op.state_elements())
     finally:
-        sweep.set_force_scan(False)
         sweep.set_debug(False)
-
-
-@settings(max_examples=30, deadline=None)
-@given(events=events_strategy)
-def test_coalesce_tables_match_scan(events):
-    reference = run_coalesce(events, force_scan=True)
-    indexed = run_coalesce(events, force_scan=False)
-    assert indexed == reference
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     name=st.sampled_from(sorted({**BINARY_OPERATORS, **UNARY_OPERATORS})),
     events=events_strategy,
-    retention_at=retention_strategy,
 )
-def test_incremental_value_count_matches_recount(name, events, retention_at):
+def test_incremental_value_count_matches_recount(name, events):
     """The O(1) running count equals a from-scratch recount after every event."""
     arity = 2 if name in BINARY_OPERATORS else 1
     make_op = {**BINARY_OPERATORS, **UNARY_OPERATORS}[name]
     op = make_op()
     op.attach_sink(CollectorSink())
     t = 0
-    for index, (port, value, delta, length, kind) in enumerate(events):
+    for port, value, delta, length, kind in events:
         port %= arity
-        if retention_at is not None and index == retention_at:
-            op.retention = pt_retention
         t += delta
         if kind == "heartbeat":
             op.process_heartbeat(t, port)
