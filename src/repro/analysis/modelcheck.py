@@ -195,9 +195,8 @@ class Scenario:
     conversion applies); ``old_box``/``new_box``/``make_strategy`` are
     factories because every schedule needs fresh instances; ``plan`` is
     the logical plan both boxes implement, evaluated by the oracle;
-    ``strategy`` names the verdict bucket (:data:`~repro.analysis.
-    plan_verifier.STRATEGIES`) a violation demotes in
-    :func:`~repro.analysis.plan_verifier.verify_migration`.
+    ``strategy`` names the strategy under test (one of
+    :data:`~repro.analysis.plan_verifier.STRATEGIES`).
     """
 
     name: str
@@ -231,11 +230,9 @@ class Scenario:
             for name, elements in self.build_streams().items()
         }
 
-    def run_check(
-        self, budget: Optional[int] = None, metrics: Optional[object] = None
-    ) -> "ModelCheckResult":
+    def run_check(self, budget: Optional[int] = None) -> "ModelCheckResult":
         """Explore this scenario; see :func:`check_scenario`."""
-        return check_scenario(self, budget=budget, metrics=metrics)
+        return check_scenario(self, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,7 @@ class ModelCheckResult:
         return not self.violations and self.complete
 
     def diagnostics(self) -> List[Diagnostic]:
-        """The verdict-mergeable view of this result (MCK001-MCK004)."""
+        """This result as diagnostics (MCK001-MCK004), as the CLI prints them."""
         diags: List[Diagnostic] = []
         if self.expect_violation:
             if self.violations:
@@ -457,112 +454,139 @@ def _run_schedule(scenario: Scenario, tape: _ChoiceTape, seen: set):
     return list(sink.elements)
 
 
-def check_scenario(
-    scenario: Scenario,
-    budget: Optional[int] = None,
-    metrics: Optional[object] = None,
+def explore(
+    result: ModelCheckResult,
+    budget: Optional[int],
+    run_one: Callable[[_ChoiceTape, set], object],
+    on_error: Callable[[Exception], Tuple[str, str]],
+    judge: Callable[[object, Tuple[str, ...]], Iterable[ScheduleViolation]],
 ) -> ModelCheckResult:
-    """Exhaustively explore every schedule of ``scenario``.
+    """Depth-first search over every schedule ``run_one`` can take.
 
+    ``run_one(tape, seen)`` drives one schedule through the choice tape
+    and returns its outcome, or ``_PRUNED`` when its state key is already
+    in ``seen``.  An exception raised by the schedule is a violation whose
+    ``(code, message)`` ``on_error`` names; every completed outcome goes to
+    ``judge(outcome, schedule)``, which returns the violations it finds.
     ``budget`` caps the total number of schedules (explored + pruned);
     exceeding it marks the result incomplete (``MCK003``) instead of
-    running away.  ``metrics`` (a :class:`~repro.engine.metrics.
-    MetricsRecorder`) receives the explored/pruned counters.
+    running away.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    result = ModelCheckResult(
-        scenario=scenario.name,
-        strategy=scenario.strategy,
-        expect_violation=scenario.expect_violation,
-    )
-    windowed = scenario.windowed_streams()
-    oracle = RelationalOracle(windowed)
-
     frontier: List[Tuple[int, ...]] = [()]
     seen: set = set()
-    baseline: Optional[List[StreamElement]] = None
     while frontier:
         if result.explored + result.pruned >= budget:
             result.complete = False
             break
-        prefix = frontier.pop()
-        tape = _ChoiceTape(prefix, frontier)
+        tape = _ChoiceTape(frontier.pop(), frontier)
         try:
-            outcome = _run_schedule(scenario, tape, seen)
+            outcome = run_one(tape, seen)
         except Exception as exc:
             result.explored += 1
-            # A strict-gate sanitizer (REPRO_SANITIZE) stops the schedule
-            # at the first out-of-order delivery: the order property.
-            out_of_order = getattr(exc, "code", None) == "SAN009"
+            code, message = on_error(exc)
             result.violations.append(
-                ScheduleViolation(
-                    "MCK004" if out_of_order else "MCK001",
-                    f"engine error under this schedule: "
-                    f"{type(exc).__name__}: {exc}",
-                    tuple(tape.labels),
-                )
+                ScheduleViolation(code, message, tuple(tape.labels))
             )
             continue
         if outcome is _PRUNED:
             result.pruned += 1
             continue
         result.explored += 1
-        output = outcome
+        result.violations.extend(judge(outcome, tuple(tape.labels)))
+    return result
+
+
+def _engine_error(exc: Exception) -> str:
+    """The violation message of a schedule the engine aborted."""
+    return f"engine error under this schedule: {type(exc).__name__}: {exc}"
+
+
+def check_scenario(
+    scenario: Scenario, budget: Optional[int] = None
+) -> ModelCheckResult:
+    """Exhaustively explore every schedule of ``scenario`` (:func:`explore`).
+
+    Each schedule's output is checked against the relational oracle
+    (``MCK001``), for snapshot-equivalence with the first clean schedule
+    (``MCK002``) and — every strategy but Parallel Track — for in-order
+    delivery (``MCK004``).
+    """
+    from ..temporal import first_divergence
+
+    windowed = scenario.windowed_streams()
+    oracle = RelationalOracle(windowed)
+    baseline: Optional[List[StreamElement]] = None
+
+    def on_error(exc: Exception) -> Tuple[str, str]:
+        # A strict-gate sanitizer (REPRO_SANITIZE) stops the schedule at
+        # the first out-of-order delivery: the order property.
+        out_of_order = getattr(exc, "code", None) == "SAN009"
+        return ("MCK004" if out_of_order else "MCK001"), _engine_error(exc)
+
+    def judge(output, schedule: Tuple[str, ...]) -> List[ScheduleViolation]:
+        nonlocal baseline
+        violations = []
         if scenario.strategy != PARALLEL_TRACK:
             late = next(
                 (b for a, b in zip(output, output[1:]) if b.start < a.start), None
             )
             if late is not None:
-                result.violations.append(
+                violations.append(
                     ScheduleViolation(
                         "MCK004",
                         f"a result starting at {late.start} is delivered "
                         "after a later one: the output is not a physical "
                         "stream (non-decreasing start timestamps)",
-                        tuple(tape.labels),
+                        schedule,
                         instant=late.start,
                     )
                 )
         instants = critical_instants(*windowed.values(), output)
         divergence = oracle.check(scenario.plan, output, instants)
         if divergence is not None:
-            result.violations.append(
+            violations.append(
                 ScheduleViolation(
                     "MCK001",
                     f"output diverges from the relational oracle at "
                     f"instant {divergence}",
-                    tuple(tape.labels),
+                    schedule,
                     instant=divergence,
                 )
             )
-            continue
-        if baseline is None:
-            baseline = list(output)
+        elif baseline is None:
+            baseline = output
         else:
             # Snapshot-equivalence, not byte-equality: migration legally
             # fragments results differently per schedule (GenMig's
             # ``T_split`` depends on when the migration triggers), but
             # every snapshot must agree with the first clean schedule.
-            from ..temporal import first_divergence
-
-            instant = first_divergence(baseline, list(output))
+            instant = first_divergence(baseline, output)
             if instant is not None:
-                result.violations.append(
+                violations.append(
                     ScheduleViolation(
                         "MCK002",
                         f"oracle-clean outputs of two schedules are not "
                         f"snapshot-equivalent at instant {instant}: the "
                         "protocol's result depends on event ordering",
-                        tuple(tape.labels),
+                        schedule,
                         instant=instant,
                     )
                 )
-    if metrics is not None:
-        metrics.record_modelcheck(
-            scenario.name, result.explored, result.pruned, len(result.violations)
-        )
-    return result
+        return violations
+
+    return explore(
+        ModelCheckResult(
+            scenario=scenario.name,
+            strategy=scenario.strategy,
+            expect_violation=scenario.expect_violation,
+        ),
+        budget,
+        lambda tape, seen: _run_schedule(scenario, tape, seen),
+        on_error,
+        judge,
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -14,8 +14,7 @@ verdicts *before* a migration runs against live traffic:
   broken transformation rule or a hand-built subclass is caught as a
   diagnostic rather than a corrupt result;
 * **per-operator classification** — snapshot-reducible / start-preserving
-  / stateful-non-join, for logical nodes and physical operators alike
-  (subsuming :func:`repro.core.strategy.classify_box`);
+  / stateful-non-join, for logical nodes and physical operators alike;
 * **migration-safety verdicts** per strategy (PT / RP / GenMig), each with
   a machine-readable diagnostic list.  The paper's Figure 2
   counter-example — duplicate elimination pushed below a join, then
@@ -35,7 +34,7 @@ the re-optimizer's candidate gate, the DOT renderer and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from ..plans.expressions import Schema
 from ..plans.logical import (
@@ -382,7 +381,9 @@ def _strategy_verdicts(
 
 
 def _profile(operators: Tuple[OperatorClassification, ...]) -> str:
-    """The legacy three-way profile of ``classify_box``."""
+    """The three-way migration profile: ``"join-only"`` (Parallel Track's
+    scope), ``"start-preserving"`` (the reference-point optimization's) or
+    ``"general"`` (GenMig with coalesce)."""
     join_only = True
     start_preserving = True
     for cls in operators:
@@ -935,8 +936,9 @@ class MigrationVerdict:
     ``recommended`` is the cheapest strategy sound for *both* boxes under
     the default policy (reference-point when both are start-preserving,
     GenMig with coalesce otherwise; Parallel Track is never recommended —
-    it exists as a baseline), and ``reason`` states the justification the
-    controller logs.
+    it exists as a baseline) — the strategy ``select_strategy(old, new)``
+    instantiates — and ``reason`` states why, as the controller logs it
+    under ``strategy="auto"``.
     """
 
     old: PlanVerdict
@@ -950,23 +952,16 @@ class MigrationVerdict:
         return frozenset((self.old.profile, self.new.profile))
 
 
-def verify_migration(
-    old_box: "Box",
-    new_box: "Box",
-    scenarios: Optional[Sequence[object]] = None,
-    modelcheck_budget: Optional[int] = None,
-) -> MigrationVerdict:
+def verify_migration(old_box: "Box", new_box: "Box") -> MigrationVerdict:
     """Analyse an old/new box pair and recommend a sound strategy.
 
-    ``scenarios`` optionally supplies bounded model-check scenarios
-    (:class:`repro.analysis.modelcheck.Scenario` or
-    :class:`repro.analysis.races.ShardScenario`): each is exhaustively
-    explored and its diagnostics are merged into the verdict — a failed
-    check demotes the exercised strategy's bucket to unsafe (``MCK001`` /
-    ``MCK002``; transport scenarios, which are strategy-agnostic, demote
-    every bucket via ``RAC001``/``RAC002``), and the recommendation is
-    recomputed over the demoted verdict.  ``modelcheck_budget`` bounds
-    the schedules explored per scenario.
+    The verdict is static — a function of the two boxes alone: a strategy
+    is safe for the pair when it is safe for both boxes, and
+    ``recommended`` is the reference-point optimization when that holds
+    for it (§4.5), GenMig with coalesce otherwise (Theorem 1).  The
+    bounded model checker (``python -m repro.analysis modelcheck``)
+    certifies the strategies themselves on fixed scenarios; it is a
+    build-time gate, not part of this verdict.
     """
     old = verify_box(old_box)
     new = verify_box(new_box)
@@ -976,35 +971,11 @@ def verify_migration(
         diagnostics = old.strategies[name].diagnostics + new.strategies[name].diagnostics
         strategies[name] = StrategyVerdict(name, safe, diagnostics)
 
-    statically_safe = {name for name in STRATEGIES if strategies[name].safe}
-    modelcheck_failed: set = set()
-    for scenario in scenarios or ():
-        result = scenario.run_check(budget=modelcheck_budget)
-        buckets = (
-            [result.strategy] if result.strategy in STRATEGIES else list(STRATEGIES)
-        )
-        extra = tuple(result.diagnostics())
-        for bucket in buckets:
-            base = strategies[bucket]
-            demoted = not result.passed
-            if demoted:
-                modelcheck_failed.add(bucket)
-            strategies[bucket] = StrategyVerdict(
-                bucket, base.safe and not demoted, base.diagnostics + extra
-            )
-
     if strategies[REFERENCE_POINT].safe:
         recommended = REFERENCE_POINT
         reason = (
             "both boxes are start-preserving: the reference-point "
             "optimization saves the coalesce operator's memory and CPU"
-        )
-    elif REFERENCE_POINT in modelcheck_failed and REFERENCE_POINT in statically_safe:
-        recommended = GENMIG
-        reason = (
-            "the model checker found a schedule that breaks snapshot-"
-            "equivalence under the reference-point optimization; falling "
-            "back to GenMig with coalesce"
         )
     else:
         recommended = GENMIG

@@ -43,17 +43,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..temporal.time import Time
 from .modelcheck import (
-    DEFAULT_BUDGET,
     ModelCheckResult,
     ScheduleViolation,
     _PRUNED,
     _ChoiceTape,
     _element_identity,
+    _engine_error,
+    explore,
 )
 
-#: The verdict bucket shard-race findings demote: transport races are not
-#: specific to one migration strategy, so ``verify_migration`` applies
-#: them to every strategy.
+#: The ``strategy`` a shard scenario's result reports: transport races
+#: belong to the sharded router, not to any migration strategy.
 TRANSPORT = "transport"
 
 
@@ -89,11 +89,6 @@ class RecordingTransport:
         self.events: List[Dict[str, Any]] = []
         self.router_vector: List[int] = []
         self._drop_adv_on_shard = drop_adv_on_shard
-
-    def source_queue(self, name: str, elements=()):  # pragma: no cover
-        from ..engine.queues import SourceQueue
-
-        return SourceQueue(name, elements)
 
     def launch(self, count: int, bootstrap: Dict[str, Any]) -> List["RecordingChannel"]:
         from ..engine.sharded import ShardServer
@@ -262,11 +257,9 @@ class ShardScenario:
             for source, payload, t in self.events
         ]
 
-    def run_check(
-        self, budget: Optional[int] = None, metrics: Optional[object] = None
-    ) -> ModelCheckResult:
+    def run_check(self, budget: Optional[int] = None) -> ModelCheckResult:
         """Explore this scenario; see :func:`check_shard_scenario`."""
-        return check_shard_scenario(self, budget=budget, metrics=metrics)
+        return check_shard_scenario(self, budget=budget)
 
 
 def _reference_output(scenario: ShardScenario) -> List[tuple]:
@@ -390,11 +383,9 @@ class _ConcatSink:
 
 
 def check_shard_scenario(
-    scenario: ShardScenario,
-    budget: Optional[int] = None,
-    metrics: Optional[object] = None,
+    scenario: ShardScenario, budget: Optional[int] = None
 ) -> ModelCheckResult:
-    """Explore every reply-release schedule of ``scenario``.
+    """Explore every reply-release schedule of ``scenario`` (:func:`explore`).
 
     Each schedule's merged output is byte-compared against the
     single-process reference; emission-order regressions surface as
@@ -402,74 +393,47 @@ def check_shard_scenario(
     """
     from ..engine.transport import TransportError
 
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    result = ModelCheckResult(
-        scenario=scenario.name,
-        strategy=scenario.strategy,
-        expect_violation=scenario.expect_violation,
-    )
     reference = _reference_output(scenario)
-    frontier: List[Tuple[int, ...]] = [()]
-    seen: set = set()
-    while frontier:
-        if result.explored + result.pruned >= budget:
-            result.complete = False
-            break
-        prefix = frontier.pop()
-        tape = _ChoiceTape(prefix, frontier)
-        try:
-            outcome = _run_shard_schedule(scenario, tape, seen)
-        except TransportError as exc:
-            result.explored += 1
-            result.violations.append(
-                ScheduleViolation(
-                    "RAC002",
-                    f"lost or unaccounted reply under this schedule: {exc}",
-                    tuple(tape.labels),
-                )
-            )
-            continue
-        except Exception as exc:
-            result.explored += 1
-            result.violations.append(
-                ScheduleViolation(
-                    "RAC001",
-                    f"engine error under this schedule: "
-                    f"{type(exc).__name__}: {exc}",
-                    tuple(tape.labels),
-                )
-            )
-            continue
-        if outcome is _PRUNED:
-            result.pruned += 1
-            continue
-        result.explored += 1
+
+    def on_error(exc: Exception) -> Tuple[str, str]:
+        if isinstance(exc, TransportError):
+            return "RAC002", f"lost or unaccounted reply under this schedule: {exc}"
+        return "RAC001", _engine_error(exc)
+
+    def judge(outcome, schedule: Tuple[str, ...]) -> List[ScheduleViolation]:
         output, emission_races, transport = outcome
         if emission_races:
-            result.violations.append(
+            return [
                 ScheduleViolation(
                     "RAC001",
                     f"merge-reordering race: {emission_races[0]} "
                     f"({transport.concurrent_deliveries()} concurrent reply "
                     "deliveries by vector clock)",
-                    tuple(tape.labels),
+                    schedule,
                 )
-            )
-        elif output != reference:
-            result.violations.append(
+            ]
+        if output != reference:
+            return [
                 ScheduleViolation(
                     "RAC001",
                     "merged output diverges from the single-process "
                     "reference run (lost update or merge reorder)",
-                    tuple(tape.labels),
+                    schedule,
                 )
-            )
-    if metrics is not None:
-        metrics.record_modelcheck(
-            scenario.name, result.explored, result.pruned, len(result.violations)
-        )
-    return result
+            ]
+        return []
+
+    return explore(
+        ModelCheckResult(
+            scenario=scenario.name,
+            strategy=scenario.strategy,
+            expect_violation=scenario.expect_violation,
+        ),
+        budget,
+        lambda tape, seen: _run_shard_schedule(scenario, tape, seen),
+        on_error,
+        judge,
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -25,7 +25,6 @@ from .strategy import (
     MigrationStrategy,
     UnsoundPreferenceError,
     UnsupportedPlanError,
-    classify_box,
     select_strategy,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "Split",
     "UnsoundPreferenceError",
     "UnsupportedPlanError",
-    "classify_box",
     "select_strategy",
 ]

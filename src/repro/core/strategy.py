@@ -18,13 +18,13 @@ new box at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..engine.executor import MigrationError
 from ..temporal.time import Time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..analysis.plan_verifier import MigrationVerdict, PlanVerdict
+    from ..analysis.plan_verifier import MigrationVerdict
     from ..engine.box import Box
 
 
@@ -231,100 +231,57 @@ class MigrationStrategy:
         return self._report
 
 
-class BoxClassification(str):
-    """The migration profile of a box, enriched with the verifier verdict.
-
-    Compares equal to the legacy profile strings (``"join-only"``,
-    ``"start-preserving"``, ``"general"``) — the compat shim for existing
-    callers — while carrying the full structured analysis as ``verdict``
-    (a :class:`~repro.analysis.plan_verifier.PlanVerdict`): per-operator
-    classifications, per-strategy safety and machine-readable diagnostics.
-    New code should consume ``verdict`` rather than the string.
-    """
-
-    verdict: "PlanVerdict"
-
-    def __new__(cls, verdict: "PlanVerdict") -> "BoxClassification":
-        self = str.__new__(cls, verdict.profile)
-        self.verdict = verdict
-        return self
-
-
-def classify_box(box: "Box") -> BoxClassification:
-    """Classify a box by the migration strategies that are sound for it.
-
-    Returns ``"join-only"`` (joins plus stateless operators — the shapes
-    the Parallel Track baseline handles), ``"start-preserving"`` (adds the
-    order-restoring union — the reference-point optimization's scope) or
-    ``"general"`` (everything else: duplicate elimination, aggregation,
-    difference — GenMig-with-coalesce territory).
-
-    The classification is delegated to the plan verifier
-    (:func:`repro.analysis.plan_verifier.verify_box`); the returned value
-    is string-compatible but carries the structured verdict as
-    ``.verdict``.
-    """
-    from ..analysis.plan_verifier import verify_box
-
-    return BoxClassification(verify_box(box))
-
-
 def select_strategy(
-    old_box: "Box",
-    new_box: "Box",
-    prefer: str = "auto",
-    scenarios: Optional[Sequence[object]] = None,
-    modelcheck_budget: Optional[int] = None,
+    old_box: "Box", new_box: "Box", prefer: str = "auto"
 ) -> MigrationStrategy:
-    """Pick the cheapest sound migration strategy for an old/new box pair.
+    """Instantiate the migration strategy for an old/new box pair.
 
-    The default policy (``prefer="auto"``) uses the reference-point
-    optimization whenever both boxes are start-preserving (it saves the
-    coalesce operator's memory and CPU) and falls back to general GenMig
-    with coalesce otherwise — which is always sound.  ``prefer`` may name a
-    strategy explicitly (``"coalesce"``, ``"reference-point"``,
+    The choice is a function of the two boxes alone: the plan verifier's
+    :func:`~repro.analysis.plan_verifier.verify_migration` verdict.  The
+    default policy (``prefer="auto"``) instantiates its ``recommended``
+    strategy — the reference-point optimization when both boxes are
+    start-preserving (it saves the coalesce operator's memory and CPU),
+    GenMig with coalesce otherwise, which is always sound.  ``prefer`` may
+    name a strategy explicitly (``"coalesce"``, ``"reference-point"``,
     ``"parallel-track"``, ``"fluid"``); a preference the verifier finds
     unsound for this pair raises :class:`UnsoundPreferenceError` with the
     verifier codes — nothing is chosen in its place.  Fluid is opt-in only:
     it beats GenMig on mid-migration latency for keyed join trees, but the
     auto policy stays on the paper's strategies.
 
-    Soundness is decided by the plan verifier
-    (:func:`repro.analysis.plan_verifier.verify_migration`); the verdict —
-    including the per-strategy diagnostics that justify the choice — is
-    attached to the returned strategy as ``selection_verdict``.
-
-    ``scenarios`` optionally names bounded model-check scenarios
-    (:mod:`repro.analysis.modelcheck` :class:`Scenario` objects); each is
-    exhaustively explored and any schedule that diverges from the
-    relational oracle demotes the exercised strategy to unsafe via an
-    ``MCK001`` diagnostic — dynamic certification on top of the static
-    verdict.  ``modelcheck_budget`` bounds the exploration per scenario.
+    The verdict — including the per-strategy diagnostics that justify the
+    choice — is attached to the returned strategy as
+    ``selection_verdict``.
     """
-    from ..analysis.plan_verifier import REFERENCE_POINT, verify_migration
+    from ..analysis.plan_verifier import (
+        FLUID,
+        GENMIG,
+        PARALLEL_TRACK,
+        REFERENCE_POINT,
+        verify_migration,
+    )
     from .fluid import FluidMigration
     from .genmig import GenMig
     from .parallel_track import ParallelTrack
     from .reference_point import ReferencePointGenMig
 
-    preferred = {
-        "reference-point": ReferencePointGenMig,
-        "parallel-track": ParallelTrack,
-        "fluid": FluidMigration,
+    strategies = {
+        GENMIG: GenMig,
+        REFERENCE_POINT: ReferencePointGenMig,
+        PARALLEL_TRACK: ParallelTrack,
+        FLUID: FluidMigration,
     }
-    if prefer not in ("auto", "coalesce", *preferred):
+    if prefer not in ("auto", "coalesce", REFERENCE_POINT, PARALLEL_TRACK, FLUID):
         raise ValueError(f"unknown strategy preference {prefer!r}")
-    verdict = verify_migration(
-        old_box, new_box, scenarios=scenarios, modelcheck_budget=modelcheck_budget
-    )
-    strategy: MigrationStrategy
-    if prefer in preferred:
-        if not verdict.strategies[prefer].safe:
-            raise UnsoundPreferenceError(prefer, verdict)
-        strategy = preferred[prefer]()
-    elif prefer == "auto" and verdict.strategies[REFERENCE_POINT].safe:
-        strategy = ReferencePointGenMig()
+    verdict = verify_migration(old_box, new_box)
+    if prefer == "auto":
+        choice = verdict.recommended
+    elif prefer == "coalesce":
+        choice = GENMIG
+    elif verdict.strategies[prefer].safe:
+        choice = prefer
     else:
-        strategy = GenMig()
+        raise UnsoundPreferenceError(prefer, verdict)
+    strategy = strategies[choice]()
     strategy.selection_verdict = verdict
     return strategy

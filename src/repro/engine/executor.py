@@ -30,8 +30,8 @@ from ..temporal.element import StreamElement
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
 from .box import Box, OutputGate, Router
 from .metrics import MetricsRecorder
+from .queues import SourceQueue
 from .scheduler import GlobalOrderScheduler, Scheduler
-from .transport import LocalTransport, Transport
 from .statistics import StatisticsCatalog
 
 
@@ -67,10 +67,6 @@ class QueryExecutor:
             (:mod:`repro.analysis.sanitizer`) for this run.  Defaults to
             the ``REPRO_SANITIZE`` environment variable; when off, the
             engine's sanitizer hooks cost a single ``is None`` test.
-        transport: supplies the source queues :meth:`run` drains (see
-            :mod:`repro.engine.transport`).  The default in-process
-            :class:`~repro.engine.transport.LocalTransport` reproduces
-            the historical behaviour exactly.
     """
 
     def __init__(
@@ -86,7 +82,6 @@ class QueryExecutor:
         batch_size: int = 64,
         batch_during_migration: bool = False,
         sanitize: Optional[bool] = None,
-        transport: Optional["Transport"] = None,
     ) -> None:
         missing = set(sources) - set(windows)
         if missing:
@@ -118,7 +113,6 @@ class QueryExecutor:
 
             ensure_installed()
         self.statistics = StatisticsCatalog()
-        self.transport = transport if transport is not None else LocalTransport()
 
         self.gate = OutputGate()
         self.routers: Dict[str, Router] = {}
@@ -319,10 +313,7 @@ class QueryExecutor:
             batch_size = self.batch_size
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        queues = [
-            self.transport.source_queue(name, stream)
-            for name, stream in self.sources.items()
-        ]
+        queues = [SourceQueue(name, stream) for name, stream in self.sources.items()]
         # Undelivered elements per source.  The idle-source promises below
         # key off this countdown rather than live queue emptiness: the
         # batching scheduler pops a lookahead element to detect run

@@ -64,12 +64,6 @@ class MetricsRecorder:
         #: Structured events (controller decisions, migration lifecycle)
         #: interleaved with the numeric series; see :meth:`record_event`.
         self.events: List[Dict[str, object]] = []
-        #: Model-checker counters (:mod:`repro.analysis.modelcheck`):
-        #: schedules explored/pruned and violations found, summed over
-        #: every check recorded into this recorder.  Exported by
-        #: :meth:`to_dict` only when a check actually ran, so snapshots of
-        #: ordinary runs are unchanged.
-        self.modelcheck: Dict[str, int] = {}
         # Baseline of the never-reset lifetime kernel-cache counters, so
         # to_dict() can report this query's own compile traffic even when
         # clear_kernel_cache() resets the epoch counters mid-run.
@@ -119,30 +113,6 @@ class MetricsRecorder:
             entry["query"] = query
         entry.update(detail)
         self.events.append(entry)
-
-    def record_modelcheck(
-        self,
-        scenario: str,
-        explored: int,
-        pruned: int,
-        violations: int,
-    ) -> None:
-        """Accumulate one model-check run's schedule counters."""
-        counters = self.modelcheck
-        counters["checks"] = counters.get("checks", 0) + 1
-        counters["schedules_explored"] = (
-            counters.get("schedules_explored", 0) + explored
-        )
-        counters["schedules_pruned"] = counters.get("schedules_pruned", 0) + pruned
-        counters["violations"] = counters.get("violations", 0) + violations
-        self.record_event(
-            0,
-            "modelcheck",
-            scenario=scenario,
-            explored=explored,
-            pruned=pruned,
-            violations=violations,
-        )
 
     # ------------------------------------------------------------------ #
     # Convenience accessors used by the benchmark harness
@@ -218,7 +188,7 @@ class MetricsRecorder:
 
         stats = kernel_cache_stats()
         baseline = self._kernel_baseline
-        snapshot = {
+        return {
             "bucket_size": self.series.bucket_size,
             "output": self.output_rate(),
             "memory": self.memory_usage(),
@@ -237,9 +207,6 @@ class MetricsRecorder:
                 },
             },
         }
-        if self.modelcheck:
-            snapshot["modelcheck"] = dict(self.modelcheck)
-        return snapshot
 
     @classmethod
     def aggregate(cls, parts: List[dict]) -> dict:

@@ -1,19 +1,16 @@
-"""Pluggable transport: where the executor's queues and shard workers live.
+"""Pluggable transport: where the sharded router's shard workers live.
 
-The executor historically hard-wired two assumptions: source elements sit
-in in-process :class:`~repro.engine.queues.SourceQueue` objects, and every
-operator runs in the calling thread.  This module turns both into a
-*transport* decision, so a shard boundary is just a different queue
-implementation:
+A shard boundary is a *transport* decision: the
+:class:`~repro.engine.sharded.ShardedExecutor` router talks to its shards
+through channels, and the transport decides whether a shard is an object
+in the calling thread or a worker process.  (``QueryExecutor.run`` drains
+plain in-process :class:`~repro.engine.queues.SourceQueue` objects; the
+transport plays no part in single-process execution.)
 
-* :class:`Transport` — the abstraction.  ``source_queue`` supplies the
-  queues ``QueryExecutor.run`` drains; ``launch`` starts shard workers and
-  returns one :class:`ShardChannel` per shard for the
-  :class:`~repro.engine.sharded.ShardedExecutor` router.
-* :class:`LocalTransport` — the zero-overhead default: plain in-process
-  queues, and shard "workers" that are ordinary objects called
-  synchronously.  Single-process behaviour is byte-identical to the
-  pre-transport engine.
+* :class:`Transport` — the abstraction.  ``launch`` starts shard workers
+  and returns one :class:`ShardChannel` per shard for the router.
+* :class:`LocalTransport` — the zero-overhead default: shard "workers"
+  that are ordinary objects called synchronously.
 * :class:`ProcessTransport` — shared-nothing ``multiprocessing`` workers
   (spawn context, so it is fork-safety- and Windows-clean), one duplex
   pipe per shard, with a reader thread per channel draining replies so a
@@ -41,10 +38,7 @@ from __future__ import annotations
 
 import queue as _queue
 import threading
-from typing import Any, Dict, Iterable, List, Optional
-
-from ..temporal.element import StreamElement
-from .queues import SourceQueue
+from typing import Any, Dict, List, Optional
 
 
 class TransportError(RuntimeError):
@@ -76,15 +70,7 @@ class ShardChannel:
 
 
 class Transport:
-    """Where queues live and how shard workers are reached."""
-
-    def source_queue(self, name: str, elements: Iterable[StreamElement] = ()) -> SourceQueue:
-        """Build the queue ``QueryExecutor.run`` drains for ``name``.
-
-        The default is the plain in-process queue; a distributed transport
-        could hand back a proxy draining a remote partition instead.
-        """
-        return SourceQueue(name, elements)
+    """How the sharded router reaches its shard workers."""
 
     def launch(self, count: int, bootstrap: Dict[str, Any]) -> List[ShardChannel]:
         """Start ``count`` shard workers; return one channel per shard.

@@ -14,8 +14,9 @@ tempered by the guards that make the loop safe to leave unattended:
   cannot oscillate state back and forth;
 * **migration-cost awareness** — the decide step vetoes migrations whose
   projected savings do not amortise the state that must drain;
-* **automatic strategy selection** — reference-point when both boxes are
-  start-preserving, GenMig with coalesce otherwise; an explicit policy
+* **automatic strategy selection** — the plan verifier's recommendation
+  for the two boxes (reference-point when both are start-preserving,
+  GenMig with coalesce otherwise); an explicit policy
   preference the plan verifier finds unsound for a round's plans is
   refused and logged, never replaced by another strategy (see
   :func:`repro.core.strategy.select_strategy`).
@@ -28,7 +29,7 @@ migration activity is fully auditable per query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..optimizer.cost import CostModel
 from ..optimizer.optimizer import ReOptimizer
@@ -59,13 +60,6 @@ class ControllerPolicy:
             round whose plans the preferred strategy cannot migrate
             soundly records ``skipped-unsound-strategy`` with the
             verifier codes and migrates nothing.
-        modelcheck: names of bounded model-check presets
-            (:data:`repro.analysis.modelcheck.PRESETS`) run at every
-            strategy selection; a failed check demotes the exercised
-            strategy before the choice is made.  Empty (the default)
-            skips dynamic certification.
-        modelcheck_budget: schedule cap per preset (``None`` uses the
-            checker's default).
     """
 
     period: Time = 500
@@ -75,8 +69,6 @@ class ControllerPolicy:
     migration_cost_per_value: float = 0.01
     savings_horizon: float = 1000.0
     strategy: str = "auto"
-    modelcheck: Tuple[str, ...] = ()
-    modelcheck_budget: Optional[int] = None
 
 
 class AutonomicController:
@@ -188,19 +180,9 @@ class AutonomicController:
         new_box = self.registry.builder.build(
             decision.chosen, label=f"{handle.name}/{version}"
         )
-        scenarios = None
-        if self.policy.modelcheck:
-            from ..analysis.modelcheck import build_scenario
-
-            scenarios = [build_scenario(name) for name in self.policy.modelcheck]
+        prefer = self.policy.strategy
         try:
-            strategy = select_strategy(
-                executor.box,
-                new_box,
-                prefer=self.policy.strategy,
-                scenarios=scenarios,
-                modelcheck_budget=self.policy.modelcheck_budget,
-            )
+            strategy = select_strategy(executor.box, new_box, prefer=prefer)
         except UnsoundPreferenceError as refusal:
             handle.events.record(
                 now,
@@ -212,6 +194,13 @@ class AutonomicController:
             return
         handle.pending_plan = decision.chosen
         verdict = strategy.selection_verdict
+        if prefer == "auto":
+            justification = verdict.reason
+        else:
+            justification = (
+                f"the policy prefers {prefer!r}, which the plan verifier "
+                "finds sound for both boxes"
+            )
         handle.events.record(
             now,
             ev.MIGRATED,
@@ -222,10 +211,9 @@ class AutonomicController:
             migration_cost=decision.migration_cost,
             projected_savings=decision.projected_savings,
             # The static analysis justifying the strategy choice: the two
-            # boxes' migration profiles and the verifier's reasoning.
-            profiles=sorted(verdict.profiles) if verdict is not None else None,
-            justification=verdict.reason if verdict is not None else None,
-            modelchecked=list(self.policy.modelcheck) or None,
+            # boxes' migration profiles and why this strategy runs.
+            profiles=sorted(verdict.profiles),
+            justification=justification,
         )
         executor.start_migration(new_box, strategy)
 

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from repro.analysis import verify_plan, verify_query
+from repro.analysis import verify_box, verify_plan, verify_query
 from repro.analysis.__main__ import main
 from repro.analysis.plan_verifier import ERROR, GENMIG
-from repro.core import classify_box
 from repro.cql import Catalog, compile_query
 from repro.plans import (
     AggregateNode,
@@ -61,9 +60,9 @@ class TestFixturePlans:
     @pytest.mark.parametrize(
         "plan", FIXTURE_PLANS, ids=lambda p: p.signature()
     )
-    def test_profile_matches_classify_box(self, plan):
+    def test_profile_matches_verify_box(self, plan):
         box = PhysicalBuilder().build(plan)
-        assert verify_plan(plan).profile == str(classify_box(box))
+        assert verify_plan(plan).profile == verify_box(box).profile
 
     def test_cql_query_verifies(self):
         catalog = Catalog({"a": ("x",), "b": ("y",)})

@@ -4,8 +4,7 @@ The explorer must (a) exhaust every schedule of the bounded preset
 scenarios, (b) reproduce the paper's Figure 2 Parallel Track defect as an
 *expected* violation, (c) certify GenMig / reference-point clean on the
 same scenarios, and (d) fail loudly — MCK001 errors, non-zero exit — when
-a deliberate protocol bug is seeded.  The verdict merge into
-``verify_migration`` / ``select_strategy`` is pinned here too.
+a deliberate protocol bug is seeded.
 """
 
 import json
@@ -22,15 +21,6 @@ from repro.analysis.modelcheck import (
     run_cli,
     seed_bug,
 )
-from repro.analysis.plan_verifier import GENMIG, PARALLEL_TRACK, figure2_plans, verify_migration
-from repro.engine.metrics import MetricsRecorder
-from repro.plans.physical import PhysicalBuilder
-
-
-def boxes():
-    original, pushed = figure2_plans()
-    builder = PhysicalBuilder()
-    return builder.build(original), builder.build(pushed)
 
 
 class TestPresets:
@@ -113,61 +103,6 @@ class TestSeededBug:
         """PT's end-of-migration burst interleaves by design (Figure 4)."""
         result = build_scenario("pt-joins").run_check()
         assert result.passed
-
-
-class TestMetrics:
-    def test_counters_recorded(self):
-        metrics = MetricsRecorder()
-        build_scenario("pt-joins").run_check(metrics=metrics)
-        snapshot = metrics.to_dict()
-        assert snapshot["modelcheck"]["checks"] == 1
-        assert snapshot["modelcheck"]["schedules_explored"] > 0
-        assert any(e["kind"] == "modelcheck" for e in snapshot["events"])
-
-    def test_absent_without_a_check(self):
-        assert "modelcheck" not in MetricsRecorder().to_dict()
-
-
-class TestVerdictMerge:
-    def test_failed_scenario_demotes_its_strategy(self):
-        old_box, new_box = boxes()
-        bugged = seed_bug(build_scenario("genmig-figure2"), "early-split")
-        verdict = verify_migration(old_box, new_box, scenarios=[bugged])
-        assert not verdict.strategies[GENMIG].safe
-        assert any(
-            d.code == "MCK001" for d in verdict.strategies[GENMIG].diagnostics
-        )
-
-    def test_clean_scenario_keeps_the_verdict(self):
-        old_box, new_box = boxes()
-        scenario = build_scenario("genmig-figure2")
-        verdict = verify_migration(old_box, new_box, scenarios=[scenario])
-        assert verdict.strategies[GENMIG].safe
-        assert verdict.recommended == GENMIG
-
-    def test_expected_violation_does_not_demote(self):
-        # pt-figure2 *reproducing* its known defect is a pass: the INFO
-        # diagnostics ride along, PT's (already unsafe) bucket gains no
-        # new unsafety, and nothing else is touched.
-        old_box, new_box = boxes()
-        scenario = build_scenario("pt-figure2")
-        verdict = verify_migration(old_box, new_box, scenarios=[scenario])
-        assert verdict.strategies[GENMIG].safe
-        assert any(
-            d.code == "MCK001" and d.severity == "info"
-            for d in verdict.strategies[PARALLEL_TRACK].diagnostics
-        )
-
-    def test_select_strategy_accepts_scenarios(self):
-        from repro.core.strategy import select_strategy
-
-        old_box, new_box = boxes()
-        strategy = select_strategy(
-            old_box, new_box, scenarios=[build_scenario("genmig-figure2")]
-        )
-        assert strategy.name == "genmig"
-        diags = strategy.selection_verdict.strategies[GENMIG].diagnostics
-        assert any(d.code == "MCK001" for d in diags)
 
 
 class TestCli:

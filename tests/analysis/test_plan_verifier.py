@@ -18,8 +18,7 @@ from repro.analysis.plan_verifier import (
     REFERENCE_POINT,
     SplitBound,
 )
-from repro.core import classify_box, select_strategy
-from repro.core.strategy import BoxClassification
+from repro.core import select_strategy
 from repro.operators.base import Operator
 from repro.plans import (
     AggregateNode,
@@ -232,18 +231,7 @@ class TestMigrationVerdict:
         assert "distinct" in verdict.reason
 
 
-class TestCompatShim:
-    def test_classify_box_is_string_compatible(self):
-        classification = classify_box(build(JoinNode(A, B, AB)))
-        assert classification == "join-only"
-        assert isinstance(classification, str)
-        assert isinstance(classification, BoxClassification)
-
-    def test_classify_box_carries_verdict(self):
-        classification = classify_box(build(DistinctNode(JoinNode(A, B, AB))))
-        assert classification == "general"
-        assert not classification.verdict.strategies[PARALLEL_TRACK].safe
-
+class TestSelectionVerdict:
     def test_select_strategy_attaches_verdict(self):
         strategy = select_strategy(build(JoinNode(A, B, AB)), build(JoinNode(A, B, AB)))
         verdict = strategy.selection_verdict

@@ -10,15 +10,12 @@ flag).  Vector clocks must show genuine concurrency on racy schedules.
 
 import pytest
 
-from repro.analysis.plan_verifier import GENMIG, REFERENCE_POINT, figure2_plans, verify_migration
 from repro.analysis.races import (
     SHARD_PRESETS,
     SHARD_SEED_BUGS,
     build_shard_scenario,
     seed_shard_bug,
 )
-from repro.engine.metrics import MetricsRecorder
-from repro.plans.physical import PhysicalBuilder
 
 
 class TestPresets:
@@ -105,26 +102,6 @@ class TestRecordingTransport:
         scenario = build_shard_scenario("shard-merge")
         _, _, transport = _run_shard_schedule(scenario, _ChoiceTape((), []), set())
         assert transport.concurrent_deliveries() > 0
-
-
-class TestMetricsAndVerdict:
-    def test_counters_recorded(self):
-        metrics = MetricsRecorder()
-        build_shard_scenario("shard-merge").run_check(metrics=metrics)
-        assert metrics.to_dict()["modelcheck"]["checks"] == 1
-
-    def test_transport_scenario_demotes_every_strategy(self):
-        original, pushed = figure2_plans()
-        builder = PhysicalBuilder()
-        old_box, new_box = builder.build(original), builder.build(pushed)
-        bugged = seed_shard_bug(build_shard_scenario("shard-merge"), "drop-command")
-        verdict = verify_migration(old_box, new_box, scenarios=[bugged])
-        # Transport races are strategy-agnostic: every bucket is demoted.
-        assert not verdict.strategies[GENMIG].safe
-        assert not verdict.strategies[REFERENCE_POINT].safe
-        assert any(
-            d.code == "RAC002" for d in verdict.strategies[GENMIG].diagnostics
-        )
 
 
 class TestCliIntegration:

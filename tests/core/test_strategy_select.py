@@ -1,13 +1,16 @@
 """Tests for box classification and automatic strategy selection."""
 
+import itertools
+
 import pytest
 
+from repro.analysis import verify_box, verify_migration
+from repro.analysis.plan_verifier import GENMIG, REFERENCE_POINT
 from repro.core import (
     GenMig,
     ParallelTrack,
     ReferencePointGenMig,
     UnsoundPreferenceError,
-    classify_box,
     select_strategy,
 )
 from repro.plans import (
@@ -24,6 +27,7 @@ from repro.plans import (
     Source,
     UnionNode,
 )
+from tests.analysis.test_fixture_plans import FIXTURE_PLANS
 
 A = Source("A", ["x"])
 B = Source("B", ["y"])
@@ -68,19 +72,19 @@ def distinct_box():
 
 class TestClassifyBox:
     def test_pure_join_plan(self):
-        assert classify_box(join_box()) == "join-only"
+        assert verify_box(join_box()).profile == "join-only"
 
     def test_select_project_stay_join_only(self):
-        assert classify_box(filtered_join_box()) == "join-only"
+        assert verify_box(filtered_join_box()).profile == "join-only"
 
     def test_union_is_start_preserving(self):
-        assert classify_box(union_box()) == "start-preserving"
+        assert verify_box(union_box()).profile == "start-preserving"
 
     def test_aggregate_is_general(self):
-        assert classify_box(aggregate_box()) == "general"
+        assert verify_box(aggregate_box()).profile == "general"
 
     def test_distinct_is_general(self):
-        assert classify_box(distinct_box()) == "general"
+        assert verify_box(distinct_box()).profile == "general"
 
 
 class TestSelectStrategy:
@@ -128,3 +132,21 @@ class TestSelectStrategy:
     def test_unknown_preference_rejected(self):
         with pytest.raises(ValueError, match="prefer"):
             select_strategy(join_box(), join_box(), prefer="teleport")
+
+
+class TestSingleRule:
+    """``select_strategy(old, new)`` instantiates the verifier's verdict."""
+
+    NAMES = {REFERENCE_POINT: ReferencePointGenMig.name, GENMIG: GenMig.name}
+
+    @pytest.mark.parametrize(
+        "old, new",
+        list(itertools.product(FIXTURE_PLANS, repeat=2)),
+        ids=lambda plan: plan.signature(),
+    )
+    def test_auto_choice_is_the_recommendation(self, old, new):
+        old_box, new_box = build(old), build(new)
+        recommended = verify_migration(old_box, new_box).recommended
+        strategy = select_strategy(old_box, new_box)
+        assert strategy.name == self.NAMES[recommended]
+        assert strategy.selection_verdict.recommended == recommended

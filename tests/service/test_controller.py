@@ -181,6 +181,27 @@ def test_migration_events_are_json_serialisable(strategy_policy):
     assert json.loads(json.dumps(export))["events"] == export["events"]
 
 
+@pytest.mark.parametrize("strategy_policy", ["coalesce", "fluid", "auto"])
+def test_migrated_event_justifies_the_chosen_strategy(strategy_policy):
+    """The ``migrated`` event explains the strategy that actually runs:
+    the verifier's reason under ``auto``, the policy's preference
+    otherwise — never the auto recommendation for an explicit choice."""
+    service = ContinuousQueryService(catalog=catalog(), policy=drift_policy(strategy_policy))
+    joined = service.register("join3", JOIN_CQL)
+    for source, payload, t in drifting_feed():
+        service.publish(source, payload, t)
+    service.finish()
+
+    events = joined.events.of_kind(ev.MIGRATED)
+    assert events
+    assert [e["strategy"] for e in events] == [r.strategy for r in joined.migrations]
+    for event in events:
+        names_reference_point = "reference-point" in event["justification"]
+        assert names_reference_point == (strategy_policy == "auto")
+        if strategy_policy != "auto":
+            assert repr(strategy_policy) in event["justification"]
+
+
 def test_rounds_skip_while_statistics_cold():
     policy = ControllerPolicy(period=100, warmup_observations=1000)
     service = ContinuousQueryService(catalog=catalog(), policy=policy)
