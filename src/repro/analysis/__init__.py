@@ -1,6 +1,6 @@
 """Static analysis for snapshot-equivalence and migration safety.
 
-Three tools, one package:
+Four tools, one package:
 
 * :mod:`~repro.analysis.plan_verifier` — walks logical plans and physical
   boxes, re-validates schemas, classifies every operator (snapshot-
@@ -14,10 +14,9 @@ Three tools, one package:
 * :mod:`~repro.analysis.lint` — AST-based project-specific lint rules for
   the engine code itself (no wall clocks, purge via expiry entry points,
   honest batch overrides), run locally and in CI;
-* :mod:`~repro.analysis.modelcheck` / :mod:`~repro.analysis.races` — a
-  small-scope exhaustive schedule explorer for the migration protocols
-  (checked against a relational oracle) and a happens-before race
-  detector for the transport / sharded layer.
+* :mod:`~repro.analysis.modelcheck` — a small-scope exhaustive schedule
+  explorer for the migration protocols, checked against a relational
+  oracle.
 
 Command line::
 
@@ -51,14 +50,6 @@ from .modelcheck import (
     check_scenario,
     seed_bug,
 )
-from .races import (
-    SHARD_PRESETS,
-    RecordingTransport,
-    ShardScenario,
-    build_shard_scenario,
-    check_shard_scenario,
-    seed_shard_bug,
-)
 from .sanitizer import (
     SanitizerViolation,
     StreamSanitizer,
@@ -67,7 +58,6 @@ from .sanitizer import (
     sanitized,
     uninstall,
 )
-from .sharding import ShardingPlan, classify_sharding
 
 __all__ = [
     "Diagnostic",
@@ -76,30 +66,22 @@ __all__ = [
     "OperatorClassification",
     "PRESETS",
     "PlanVerdict",
-    "RecordingTransport",
     "RelationalOracle",
-    "SHARD_PRESETS",
     "SanitizerViolation",
     "Scenario",
     "ScheduleViolation",
-    "ShardScenario",
-    "ShardingPlan",
     "SplitBound",
     "StrategyVerdict",
     "StreamSanitizer",
     "build_scenario",
-    "build_shard_scenario",
     "check_scenario",
-    "check_shard_scenario",
     "classify_logical",
-    "classify_sharding",
     "classify_operator",
     "ensure_installed",
     "figure2_plans",
     "install",
     "sanitized",
     "seed_bug",
-    "seed_shard_bug",
     "uninstall",
     "verify_box",
     "verify_migration",

@@ -15,8 +15,8 @@ Examples::
     python -m repro.analysis query.cql --source bids=item,price \
         --strategy parallel-track --json
 
-The ``modelcheck`` subcommand instead runs the bounded migration /
-transport model checker (:mod:`repro.analysis.modelcheck`)::
+The ``modelcheck`` subcommand instead runs the bounded migration model
+checker (:mod:`repro.analysis.modelcheck`)::
 
     python -m repro.analysis modelcheck --all
     python -m repro.analysis modelcheck --preset pt-figure2 --budget 2000

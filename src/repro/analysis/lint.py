@@ -41,34 +41,25 @@ what they guarded, and the numbers are not reused.)
     silently breaking the restore-time plan match.
 
 ``RLB007``
-    Process and thread primitives (``multiprocessing``, ``threading``,
-    ``concurrent.futures``, ``subprocess``, ``os.fork``/``os.pipe``/
-    ``os.exec*``) are importable only inside ``engine/transport.py`` —
-    the single module that owns cross-process plumbing.  Everywhere else
-    the engine must stay a deterministic single-threaded simulator that
-    reaches other shards exclusively through the ``Transport``
-    abstraction; a stray ``Process``/``Thread`` elsewhere would smuggle
-    scheduling nondeterminism past the snapshot-equivalence oracle.
+    No module may import process or thread primitives
+    (``multiprocessing``, ``threading``, ``concurrent.futures``,
+    ``subprocess``, ``os.fork``/``os.pipe``/``os.exec*``).  Every query
+    runs on one deterministic single-threaded executor; a stray
+    ``Process``/``Thread`` would smuggle scheduling nondeterminism past
+    the snapshot-equivalence oracle.
 
-``RLB008``
-    The router↔worker wire protocol is private: outside
-    ``engine/transport.py`` (its owner) and ``analysis/races.py`` (the
-    race-detector instrumentation) no code may construct a
-    ``ShardServer`` directly or reach into a channel's reply plumbing
-    (``_replies``/``_reader``).  Workers must be launched through
-    ``Transport.launch`` — a hand-built server or a poked reply buffer
-    bypasses the reply accounting the ordered merge pump and the race
-    detector are built on.
+(The eighth rule policed the sharded router's worker wire protocol; it
+was retired with partition-parallel execution, and the number is not
+reused.)
 
 ``RLB009``
     No module-level mutable literals (``[]``/``{}``/``list()``/
     ``dict()``/``set()``) under ``engine/`` or ``operators/`` (the
     conventional ``__all__`` excepted).  Module state is shared across
     every executor in the process: the model checker replays thousands
-    of schedules per process and sharded workers may be in-process, so a
-    module-level cache or registry would leak state between runs and
-    turn into a lost-update race under a threaded transport.  Use
-    immutable constants (tuples, ``frozenset``) or instance state.
+    of schedules per process, so a module-level cache or registry would
+    leak state between runs.  Use immutable constants (tuples,
+    ``frozenset``) or instance state.
 
 ``RLB010``
     A ``StatelessOperator`` subclass (``Router`` is one) must not
@@ -186,17 +177,6 @@ PROCESS_OS_ATTRS = frozenset(
     | {f"exec{s}" for s in ("l", "le", "lp", "lpe", "v", "ve", "vp", "vpe")}
     | {f"spawn{s}" for s in ("l", "le", "lp", "lpe", "v", "ve", "vp", "vpe")}
 )
-
-#: The one module allowed to touch process primitives (RLB007).
-TRANSPORT_MODULE = ("engine", "transport.py")
-
-#: Channel reply-plumbing attributes private to the transport (RLB008).
-CHANNEL_INTERNALS = frozenset({"_replies", "_reader"})
-
-#: Modules (trailing path components) allowed to construct ShardServer
-#: and touch channel internals (RLB008): the transport itself and the
-#: race-detector instrumentation built on it.
-TRANSPORT_INTERNAL_EXEMPT = (("engine", "transport.py"), ("analysis", "races.py"))
 
 #: Directories (path components) in which RLB009 applies.
 MUTABLE_GLOBAL_SCOPE = ("engine", "operators")
@@ -404,13 +384,13 @@ def _column_internal_findings(tree: ast.AST, path: str) -> List[LintFinding]:
 
 
 def _process_primitive_findings(tree: ast.AST, path: str) -> List[LintFinding]:
-    """RLB007: process/thread primitives live in ``engine/transport.py`` only.
+    """RLB007: no module imports process/thread primitives.
 
     Flags ``import multiprocessing``-style statements (module or
     ``from``-import, submodules included) and ``os.fork()``-family calls.
     Import detection is static and unconditional — even an import inside
     a function body or ``TYPE_CHECKING`` block is flagged, because the
-    capability itself is what the Transport abstraction quarantines.
+    capability itself is what the rule keeps out.
     """
 
     def module_hit(module: str) -> Optional[str]:
@@ -444,54 +424,10 @@ def _process_primitive_findings(tree: ast.AST, path: str) -> List[LintFinding]:
                     path,
                     line,
                     "RLB007",
-                    f"process primitive {hit!r} outside engine/transport.py: "
-                    "cross-process plumbing is the Transport abstraction's "
-                    "monopoly — everywhere else the engine is a deterministic "
-                    "single-threaded simulator, and a stray process/thread "
-                    "would smuggle scheduling nondeterminism past the "
-                    "snapshot-equivalence oracle",
-                )
-            )
-    return findings
-
-
-def _transport_internal_findings(tree: ast.AST, path: str) -> List[LintFinding]:
-    """RLB008: the router↔worker protocol is transport.py's monopoly.
-
-    Flags direct ``ShardServer(...)`` construction and any access to a
-    channel's reply plumbing (``_replies``/``_reader``).  Name-based like
-    the rest of this linter; both names are unique to the transport.
-    """
-    findings: List[LintFinding] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = None
-            if isinstance(callee, ast.Attribute):
-                name = callee.attr
-            elif isinstance(callee, ast.Name):
-                name = callee.id
-            if name == "ShardServer":
-                findings.append(
-                    LintFinding(
-                        path,
-                        node.lineno,
-                        "RLB008",
-                        "ShardServer constructed outside engine/transport.py: "
-                        "workers must be launched through Transport.launch so "
-                        "the reply accounting the ordered merge pump (and the "
-                        "race detector) depend on stays intact",
-                    )
-                )
-        elif isinstance(node, ast.Attribute) and node.attr in CHANNEL_INTERNALS:
-            findings.append(
-                LintFinding(
-                    path,
-                    node.lineno,
-                    "RLB008",
-                    f"access to channel internal {node.attr!r} outside "
-                    "engine/transport.py: the reply plumbing is private — "
-                    "use send/poll/recv, which the race detector instruments",
+                    f"process primitive {hit!r}: every query runs on one "
+                    "deterministic single-threaded executor, and a stray "
+                    "process/thread would smuggle scheduling nondeterminism "
+                    "past the snapshot-equivalence oracle",
                 )
             )
     return findings
@@ -502,8 +438,8 @@ def _mutable_global_findings(tree: ast.AST, path: str) -> List[LintFinding]:
 
     Flags top-level assignments whose value is a list/dict/set literal or
     a bare ``list()``/``dict()``/``set()`` call.  Module state is shared
-    by every executor in the process — schedule replays and in-process
-    shard workers would leak state through it.
+    by every executor in the process — schedule replays would leak state
+    through it.
     """
     findings: List[LintFinding] = []
     if not isinstance(tree, ast.Module):
@@ -623,10 +559,7 @@ class Linter:
                 findings.extend(_column_internal_findings(tree, path))
             if any(scope in parts for scope in RECOVERY_SCOPE):
                 findings.extend(_operator_construction_findings(tree, path))
-            if parts[-2:] != TRANSPORT_MODULE:
-                findings.extend(_process_primitive_findings(tree, path))
-            if all(parts[-2:] != exempt for exempt in TRANSPORT_INTERNAL_EXEMPT):
-                findings.extend(_transport_internal_findings(tree, path))
+            findings.extend(_process_primitive_findings(tree, path))
             if any(scope in parts for scope in MUTABLE_GLOBAL_SCOPE):
                 findings.extend(_mutable_global_findings(tree, path))
             if parts[-2:] != FRACTIONS_MODULE:

@@ -672,7 +672,7 @@ _JOINS_STREAMS = {"A": (("a", 5), ("a", 12)), "B": (("a", 8),), "C": (("a", 10),
 _JOINS_WINDOWS = {"A": 20, "B": 20, "C": 20}
 
 #: Fluid needs keys in *both* hash ranges of ``FluidMigration(ranges=2)``:
-#: ``shard_of('a', 2) == 0`` and ``shard_of('b', 2) == 1``, so the 'b'
+#: ``range_of('a', 2) == 0`` and ``range_of('b', 2) == 1``, so the 'b'
 #: element crosses the frontier while range 0 is in flight, and the late
 #: 'a' element probes range 0's seeded state after its flip.
 _FLUID_STREAMS = {
@@ -980,14 +980,12 @@ def seed_bug(scenario: Scenario, bug: str) -> Scenario:
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
 
-    from .races import SHARD_PRESETS, build_shard_scenario
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis modelcheck",
         description=(
-            "Exhaustively explore every schedule of bounded migration and "
-            "shard-merge scenarios, checking snapshot equivalence against "
-            "the relational oracle."
+            "Exhaustively explore every schedule of bounded migration "
+            "scenarios, checking snapshot equivalence against the "
+            "relational oracle."
         ),
     )
     parser.add_argument(
@@ -1011,7 +1009,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--seed-bug",
-        choices=SEED_BUGS + ("unordered-pump", "drop-command"),
+        choices=SEED_BUGS,
         help="inject a deliberate protocol bug (CI loud-failure check)",
     )
     parser.add_argument(
@@ -1022,32 +1020,22 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     if args.list:
         for name in sorted(PRESETS):
             print(f"{name:18} {PRESETS[name]().description}")
-        for name in sorted(SHARD_PRESETS):
-            print(f"{name:18} {build_shard_scenario(name).description}")
         return 0
 
     names = list(args.preset)
     if args.all or not names:
-        names = sorted(PRESETS) + sorted(SHARD_PRESETS)
+        names = sorted(PRESETS)
 
     results = []
     failed = False
     for name in names:
-        if name in PRESETS:
-            scenario = build_scenario(name)
-            if args.seed_bug in SEED_BUGS:
-                scenario = seed_bug(scenario, args.seed_bug)
-            result = check_scenario(scenario, budget=args.budget)
-        elif name in SHARD_PRESETS:
-            shard_scenario = build_shard_scenario(name)
-            if args.seed_bug in ("unordered-pump", "drop-command"):
-                from .races import seed_shard_bug
-
-                shard_scenario = seed_shard_bug(shard_scenario, args.seed_bug)
-            result = shard_scenario.run_check(budget=args.budget)
-        else:
+        if name not in PRESETS:
             print(f"error: unknown preset {name!r}", file=sys.stderr)
             return 2
+        scenario = build_scenario(name)
+        if args.seed_bug is not None:
+            scenario = seed_bug(scenario, args.seed_bug)
+        result = check_scenario(scenario, budget=args.budget)
         results.append(result)
         if not result.passed:
             failed = True

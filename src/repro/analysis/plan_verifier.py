@@ -184,10 +184,10 @@ def _checkpoint_state_diagnostic(
 ) -> Optional[Diagnostic]:
     """CKP001: stateful operators must drain and absorb symmetrically.
 
-    Checkpoints, Moving States, fluid migration and sharded restore all
-    move operator state through the one ``state_of_port`` /
-    ``absorb_state`` pair — columnar state included, which the hooks
-    materialise into elements and back.  A stateful operator missing
+    Checkpoints, Moving States and fluid migration all move operator
+    state through the one ``state_of_port`` / ``absorb_state`` pair —
+    columnar state included, which the hooks materialise into elements
+    and back.  A stateful operator missing
     either hook makes every plan that contains it non-checkpointable
     (the CheckpointManager refuses at runtime with a
     :class:`~repro.recovery.errors.RecoveryError`).  The hooks are
@@ -499,14 +499,6 @@ class PlanVerdict:
     diagnostics: Tuple[Diagnostic, ...]
     strategies: Dict[str, StrategyVerdict] = field(default_factory=dict)
     split_bound: Optional[SplitBound] = None
-    #: The key-shardability analysis (:class:`~repro.analysis.sharding.
-    #: ShardingPlan`), populated by :func:`verify_query` only — sharding is
-    #: decided against the *logical* query, windows included.  Its SHD001/
-    #: SHD002 diagnostics live on the plan itself rather than in
-    #: ``diagnostics``: a non-shardable plan is perfectly sound for
-    #: single-process execution, so shardability is a capability verdict,
-    #: not a defect.
-    sharding: Optional[object] = None
 
     @property
     def ok(self) -> bool:
@@ -559,24 +551,6 @@ class PlanVerdict:
             "strategies": {
                 name: verdict.safe for name, verdict in self.strategies.items()
             },
-            "sharding": (
-                None
-                if self.sharding is None
-                else {
-                    "shardable": self.sharding.shardable,
-                    "mode": self.sharding.mode,
-                    "explain": self.sharding.explain(),
-                    "diagnostics": [
-                        {
-                            "severity": d.severity,
-                            "code": d.code,
-                            "message": d.message,
-                            "operator": d.operator,
-                        }
-                        for d in self.sharding.diagnostics
-                    ],
-                }
-            ),
         }
 
     def report(self) -> str:
@@ -600,10 +574,6 @@ class PlanVerdict:
                 f"T_split bound: max(t_Si) + w + b with w={bound.global_window}, "
                 f"b={bound.interval_bound} (offset {bound.offset})"
             )
-        if self.sharding is not None:
-            lines.append(f"sharding: {self.sharding.explain()}")
-            for diag in self.sharding.diagnostics:
-                lines.append(f"  {diag}")
         if self.diagnostics:
             lines.append("diagnostics:")
             for diag in self.diagnostics:
@@ -796,9 +766,6 @@ def verify_query(query: Query, interval_bound: Time = 1) -> PlanVerdict:
         verdict.split_bound = SplitBound(
             interval_bound=interval_bound, windows=dict(windows)
         )
-    from .sharding import classify_sharding
-
-    verdict.sharding = classify_sharding(query)
     return verdict
 
 

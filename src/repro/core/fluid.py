@@ -11,7 +11,7 @@ cliff by migrating the keyed state one key range at a time behind a
    has been seen (or the streams end), so the per-range split times can be
    derived from real watermarks.
 2. **Arming** — partition the key domain into ``R`` hash ranges (the
-   stable ``crc32(repr(key)) % R`` of the sharding layer) and splice one
+   stable ``crc32(repr(key)) % R`` of :func:`range_of`) and splice one
    :class:`FrontierRouter` behind every input router.  The frontier routes
    each element by the range of its join key: not-yet-migrated ranges flow
    to the old box, migrated ranges to the new box.  Both box roots reach
@@ -46,10 +46,10 @@ seeded state joins precisely the post-flip arrivals.
 from __future__ import annotations
 
 import heapq
+import zlib
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..engine.sharded import shard_of
 from ..operators.base import Operator, StatelessOperator
 from ..operators.join import _JoinBase
 from ..operators.union import Union
@@ -59,6 +59,17 @@ from .genmig import GenMig
 from .moving_states import _StateSeeder
 from .split import Route, _TwoSidedRouter
 from .strategy import UnsupportedPlanError
+
+
+def range_of(key: Any, ranges: int) -> int:
+    """The hash range of one join-key value: ``crc32(repr(key)) % ranges``.
+
+    ``repr`` makes the assignment stable across processes and Python
+    builds (unlike ``hash``, which is salted for strings), so a range
+    schedule — and every model-checker trace built on it — replays
+    identically.
+    """
+    return zlib.crc32(repr(key).encode("utf-8")) % ranges
 
 
 class FrontierRouter(_TwoSidedRouter):
@@ -233,7 +244,7 @@ class FluidMigration(GenMig):
         """The owning range of one join-key value (stable across runs)."""
         owner = self._range_cache.get(key)
         if owner is None:
-            owner = self._range_cache[key] = shard_of(key, self.ranges)
+            owner = self._range_cache[key] = range_of(key, self.ranges)
         return owner
 
     def _key_extractor(self, source: str) -> Callable[[Any], Any]:

@@ -6,40 +6,23 @@ from .executor import MigrationError, QueryExecutor
 from .metrics import MetricsRecorder, MetricsSeries
 from .queues import SourceQueue
 from .scheduler import GlobalOrderScheduler, RoundRobinScheduler, Scheduler
-from .sharded import ShardedExecutor, ShardRouter, ShardServer, shard_of
 from .statistics import RateEstimator, SelectivityEstimator, StatisticsCatalog
-from .transport import (
-    LocalTransport,
-    ProcessTransport,
-    ShardChannel,
-    Transport,
-    TransportError,
-)
 
 __all__ = [
     "Box",
     "MaterializedStream",
     "GlobalOrderScheduler",
     "InputPort",
-    "LocalTransport",
     "MetricsRecorder",
     "MetricsSeries",
     "MigrationError",
     "OutputGate",
-    "ProcessTransport",
     "QueryExecutor",
     "RateEstimator",
     "RoundRobinScheduler",
     "Scheduler",
     "SelectivityEstimator",
-    "ShardChannel",
-    "ShardRouter",
-    "ShardServer",
-    "ShardedExecutor",
     "SourceQueue",
     "StatisticsCatalog",
-    "Transport",
-    "TransportError",
     "materialize",
-    "shard_of",
 ]

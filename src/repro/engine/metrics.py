@@ -208,79 +208,6 @@ class MetricsRecorder:
             },
         }
 
-    @classmethod
-    def aggregate(cls, parts: List[dict]) -> dict:
-        """Sum per-shard :meth:`to_dict` snapshots into one fleet view.
-
-        Used by the sharded executor: each shard worker runs its own
-        recorder over its slice of the key space, and the per-bucket
-        series of a hash-partitioned run sum to the single-process
-        series — outputs are disjointly owned, memory is disjointly
-        held, cost is disjointly charged.  Columns with carry-forward
-        semantics (memory, cumulative cost/results) are padded with
-        their last value before summing, so shards whose series end in
-        different buckets still align; the output column pads with
-        zero.  An optional per-part ``meter`` entry (shard worker stats)
-        is summed by category; kernel-cache deltas are summed as-is, so
-        under a process transport the total counts each worker's own
-        compile traffic.
-        """
-        if not parts:
-            raise ValueError("cannot aggregate zero metrics snapshots")
-        bucket_size = parts[0]["bucket_size"]
-        for part in parts[1:]:
-            if part["bucket_size"] != bucket_size:
-                raise ValueError(
-                    f"cannot aggregate mixed bucket sizes: "
-                    f"{part['bucket_size']} != {bucket_size}"
-                )
-
-        def summed(column: str, carry: bool) -> List[int]:
-            series = [part[column] for part in parts]
-            top = max(len(s) for s in series)
-            out = []
-            for bucket in range(top):
-                total = 0
-                for s in series:
-                    if bucket < len(s):
-                        total += s[bucket]
-                    elif carry and s:
-                        total += s[-1]
-                out.append(total)
-            return out
-
-        events = [event for part in parts for event in part["events"]]
-        events.sort(key=lambda event: event.get("at", 0))
-        caches = [part["kernel_cache"] for part in parts]
-        aggregated = {
-            "bucket_size": bucket_size,
-            "shards": len(parts),
-            "output": summed("output", carry=False),
-            "memory": summed("memory", carry=True),
-            "cost": summed("cost", carry=True),
-            "results": summed("results", carry=True),
-            "events": events,
-            "kernel_cache": {
-                "hits": sum(c["hits"] for c in caches),
-                "misses": sum(c["misses"] for c in caches),
-                "compiled": sum(c["compiled"] for c in caches),
-                "per_shard": [
-                    {k: c[k] for k in ("hits", "misses", "compiled")}
-                    for c in caches
-                ],
-            },
-        }
-        if all("meter" in part for part in parts):
-            categories: Dict[str, int] = {}
-            for part in parts:
-                for category, charge in part["meter"]["by_category"].items():
-                    categories[category] = categories.get(category, 0) + charge
-            aggregated["meter"] = {
-                "total": sum(part["meter"]["total"] for part in parts),
-                "by_category": categories,
-            }
-        return aggregated
-
     def dump(self, path: str) -> None:
         """Write the recorded series as JSON to ``path``."""
         import json

@@ -320,8 +320,7 @@ class Operator:
         equal-start output order is semantically arbitrary (snapshots are
         unordered bags) may override this with a content key, making the
         equal-start release order *canonical*: independent of arrival
-        interleaving, and therefore reproducible by merging the output of
-        hash-partitioned shards (see ``engine/sharded.py``).
+        interleaving, so the output order is fixed by the input's content.
         """
         return 0
 

@@ -120,9 +120,9 @@ class Difference(StatefulOperator):
         # Canonical cross-payload order: without it, equal-start results
         # would be staged in payload first-touch order, which depends on
         # arrival interleaving.  Snapshots are unordered bags, so sorting
-        # by content is snapshot-equivalent — and it makes the emission
-        # order reproducible by merging hash-partitioned shards.  The sort
-        # is stable, so equal copies of one payload keep their
+        # by content is snapshot-equivalent, and it fixes the emission
+        # order independently of how the inputs interleaved.  The sort is
+        # stable, so equal copies of one payload keep their
         # ``_merge_copies`` order.
         staged.sort(key=lambda e: (e.start, e.end, repr(e.payload)))
         for merged in staged:

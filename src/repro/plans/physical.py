@@ -61,10 +61,10 @@ class PhysicalBuilder:
         self.force_nested_loops = force_nested_loops
 
     def config(self) -> Dict[str, object]:
-        """The constructor arguments as a picklable dict.
+        """The constructor arguments as a plain dict.
 
-        Shard workers rebuild an identical builder from this on the other
-        side of a process boundary (``repro.engine.sharded``).
+        A checkpoint records it, and restore rebuilds an identical builder
+        from it (``PhysicalBuilder(**config)``).
         """
         return {
             "join_cost": self.join_cost,

@@ -33,7 +33,9 @@ FORMAT = "repro-checkpoint"
 #: checkpoint taken after a migration holds rational split times.
 #: 5: operator records lost ``extras`` and difference drains are
 #: content-ordered; state re-enters through ``absorb_state`` alone.
-FORMAT_VERSION = 5
+#: 6: query records lost ``shards`` and no executor state has the
+#: ``sharded`` shape — every query restores onto one plain executor.
+FORMAT_VERSION = 6
 
 
 class CheckpointManager:
@@ -76,7 +78,6 @@ class CheckpointManager:
                     "name": handle.name,
                     "cql": handle.cql,
                     "state": handle.state,
-                    "shards": getattr(handle, "shards", 1),
                     "plan_signature": handle.plan.signature(),
                     "last_migration_completed": handle.last_migration_completed,
                     "executor": _pack_executor_state(executor_state),
@@ -117,14 +118,6 @@ class CheckpointManager:
 
 
 def _pack_executor_state(state: dict) -> dict:
-    if state.get("sharded"):
-        # A sharded checkpoint wraps one per-shard executor state each;
-        # the router-level fields are already plain builtins.
-        packed = dict(state)
-        packed["shards"] = [
-            _pack_executor_state(shard_state) for shard_state in state["shards"]
-        ]
-        return packed
     packed = dict(state)
     packed["operators"] = [
         {

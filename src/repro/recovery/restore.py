@@ -41,7 +41,6 @@ def restore_service(
     *,
     queries: Optional[Dict[str, Query]] = None,
     policy: Optional[ControllerPolicy] = None,
-    shards: Optional[Dict[str, int]] = None,
 ) -> ContinuousQueryService:
     """Rebuild a service from a snapshot file path or decoded payload.
 
@@ -54,12 +53,6 @@ def restore_service(
             be recompiled from the snapshot alone).
         policy: controller policy for the rebuilt service; the controller
             restarts its warm-up either way.
-        shards: per-query shard-count overrides.  A query checkpointed
-            under ``N`` shards restores under any ``M >= 1`` — keyed
-            operator state is re-partitioned through the sharding
-            analysis — including ``N > 1 -> M = 1`` (scale back to a
-            plain executor) and ``N = 1 -> M > 1`` (scale out a
-            single-process checkpoint).
     """
     payload = validate_snapshot(
         read_snapshot(snapshot) if isinstance(snapshot, str) else snapshot
@@ -90,10 +83,7 @@ def restore_service(
                 "text: pass a replacement via restore_service(queries={...})"
             )
         recorder = MetricsRecorder(registry_config["bucket_size"])
-        target_shards = (shards or {}).get(name, record.get("shards", 1))
-        handle = service.register(
-            name, source, metrics=recorder, shards=target_shards
-        )
+        handle = service.register(name, source, metrics=recorder)
         signature = handle.plan.signature()
         if signature != record["plan_signature"]:
             raise RecoveryError(
@@ -102,10 +92,7 @@ def restore_service(
                 "it was checkpointed after a migration and cannot be "
                 "restored from its registered query alone"
             )
-        state = _unpack_executor_state(record["executor"])
-        if target_shards == 1 and state.get("sharded"):
-            state = _collapse_sharded_state(handle.query, state)
-        handle.executor.restore_checkpoint(state)
+        handle.executor.restore_checkpoint(_unpack_executor_state(record["executor"]))
         recorder.restore_epoch(record["metrics"])
         handle.sink.elements.extend(unpack_elements(record["sink"]))
         handle.last_migration_completed = record["last_migration_completed"]
@@ -161,37 +148,7 @@ def replay_tail(
     return replayed
 
 
-def _collapse_sharded_state(query: Query, state: dict) -> dict:
-    """Fold an ``N``-shard checkpoint into one plain executor state.
-
-    The inverse of scaling out: keyed state concatenates through the same
-    re-partitioning helper the sharded executor uses (with one target
-    shard everything lands on it, in merged canonical order), and the
-    router-level clock and gate — the merged view a single process would
-    have had — replace the per-shard template's.
-    """
-    from ..analysis.sharding import classify_sharding
-    from ..engine.sharded import _repartition
-
-    plan = classify_sharding(query)
-    if not plan.shardable:
-        raise RecoveryError(
-            f"checkpoint holds sharded state but the plan is not "
-            f"key-shardable: {plan.explain()}"
-        )
-    flat = _repartition(state["shards"], 1, plan.state_keys, plan.root_key)[0]
-    flat["clock"] = state["clock"]
-    flat["gate"] = dict(state["gate"])
-    return flat
-
-
 def _unpack_executor_state(packed: dict) -> dict:
-    if packed.get("sharded"):
-        state = dict(packed)
-        state["shards"] = [
-            _unpack_executor_state(shard_state) for shard_state in packed["shards"]
-        ]
-        return state
     state = dict(packed)
     operators: List[dict] = []
     for record in packed["operators"]:

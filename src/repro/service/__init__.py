@@ -49,7 +49,6 @@ from .events import (
     SKIPPED_COOLDOWN,
     SKIPPED_IN_FLIGHT,
     SKIPPED_MIGRATION_COST,
-    SKIPPED_SHARDED,
     SKIPPED_UNSOUND_STRATEGY,
     DecisionEvent,
     QueryEventLog,
@@ -96,18 +95,9 @@ class ContinuousQueryService:
         name: str,
         query: Union[str, Query],
         metrics: Optional[MetricsRecorder] = None,
-        shards: int = 1,
-        transport: Optional[object] = None,
     ) -> RegisteredQuery:
-        """Register a query and place it under autonomic control.
-
-        ``shards > 1`` deploys the query hash-partitioned across shard
-        workers (the plan must be key-shardable); the controller then
-        skips in-place re-optimization for it (``skipped-sharded``).
-        """
-        handle = self.registry.register(
-            name, query, metrics=metrics, shards=shards, transport=transport
-        )
+        """Register a query and place it under autonomic control."""
+        handle = self.registry.register(name, query, metrics=metrics)
         self.controller.manage(handle)
         return handle
 
@@ -182,7 +172,6 @@ __all__ = [
     "SKIPPED_COOLDOWN",
     "SKIPPED_IN_FLIGHT",
     "SKIPPED_MIGRATION_COST",
-    "SKIPPED_SHARDED",
     "SKIPPED_UNSOUND_STRATEGY",
     "STOPPED",
 ]

@@ -134,9 +134,6 @@ class AutonomicController:
         log = handle.events
         log.record(now, ev.CONSIDERED, plan=handle.plan.signature())
         executor = handle.executor
-        if getattr(executor, "shard_count", 1) > 1:
-            log.record(now, ev.SKIPPED_SHARDED, shards=executor.shard_count)
-            return
         if executor.migration_active:
             log.record(now, ev.SKIPPED_IN_FLIGHT)
             return

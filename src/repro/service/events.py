@@ -26,9 +26,6 @@ SKIPPED_COLD = "skipped-cold"
 SKIPPED_COOLDOWN = "skipped-cooldown"
 #: A migration is still in flight on this executor.
 SKIPPED_IN_FLIGHT = "skipped-in-flight"
-#: The query runs hash-partitioned across shard workers; in-place plan
-#: migration is not defined there — re-deploy from a checkpoint instead.
-SKIPPED_SHARDED = "skipped-sharded"
 #: A better plan exists, but moving the current state would cost more than
 #: the projected savings over the amortisation horizon.
 SKIPPED_MIGRATION_COST = "skipped-migration-cost"
@@ -50,7 +47,6 @@ EVENT_KINDS = (
     SKIPPED_COOLDOWN,
     SKIPPED_IN_FLIGHT,
     SKIPPED_MIGRATION_COST,
-    SKIPPED_SHARDED,
     SKIPPED_UNSOUND_STRATEGY,
     KEPT,
     MIGRATED,

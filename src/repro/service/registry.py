@@ -73,9 +73,6 @@ class RegisteredQuery:
         self.pending_plan: Optional[LogicalPlan] = None
         #: Application time the last migration completed (cooldown anchor).
         self.last_migration_completed: Optional[Time] = None
-        #: Shard count this query runs under (1 = plain single-process
-        #: executor; > 1 = hash-partitioned ``ShardedExecutor``).
-        self.shards: int = 1
 
     @property
     def active(self) -> bool:
@@ -141,21 +138,10 @@ class QueryRegistry:
         name: str,
         query: Union[str, Query],
         metrics: Optional[MetricsRecorder] = None,
-        shards: int = 1,
-        transport: Optional[object] = None,
     ) -> RegisteredQuery:
-        """Register a query under ``name`` and build its executor.
-
-        With ``shards > 1`` the query runs hash-partitioned on a
-        :class:`~repro.engine.sharded.ShardedExecutor` — the plan must be
-        key-shardable (see :mod:`repro.analysis.sharding`), and the
-        optional ``transport`` picks where the shard workers live
-        (default: in-process).
-        """
+        """Register a query under ``name`` and build its executor."""
         if name in self._queries:
             raise ValueError(f"a query named {name!r} is already registered")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         cql_text: Optional[str] = None
         if isinstance(query, str):
             if self.catalog is None:
@@ -168,30 +154,17 @@ class QueryRegistry:
                 default_window=self.default_window,
             )
         recorder = metrics or MetricsRecorder(self.bucket_size)
-        if shards > 1:
-            from ..engine.sharded import ShardedExecutor
-
-            executor: object = ShardedExecutor(
-                query,
-                shards,
-                transport=transport,
-                builder_config=self.builder.config(),
-                metrics=recorder,
-                bucket_size=self.bucket_size,
-            )
-        else:
-            box = self.builder.build(query.plan, label=f"{name}/0")
-            executor = QueryExecutor(
-                {source: PhysicalStream(name=source) for source in query.windows},
-                dict(query.windows),
-                box,
-                metrics=recorder,
-            )
+        box = self.builder.build(query.plan, label=f"{name}/0")
+        executor = QueryExecutor(
+            {source: PhysicalStream(name=source) for source in query.windows},
+            dict(query.windows),
+            box,
+            metrics=recorder,
+        )
         sink = CollectorSink()
         executor.add_sink(sink)
         handle = RegisteredQuery(name, query, executor, sink, recorder)
         handle.cql = cql_text
-        handle.shards = shards
         self._queries[name] = handle
         return handle
 

@@ -140,7 +140,7 @@ class TestProcessPrimitiveRule:
         code = "import multiprocessing\n"
         findings = lint_source(code, path="src/repro/engine/executor.py")
         assert codes(findings) == ["RLB007"]
-        assert "Transport abstraction" in findings[0].message
+        assert "single-threaded executor" in findings[0].message
 
     def test_submodule_and_from_imports_flagged(self):
         for code in (
@@ -156,7 +156,7 @@ class TestProcessPrimitiveRule:
 
     def test_function_local_import_flagged(self):
         code = "def launch():\n    import multiprocessing\n"
-        assert codes(lint_source(code, path="src/repro/engine/sharded.py")) == [
+        assert codes(lint_source(code, path="src/repro/engine/scheduler.py")) == [
             "RLB007"
         ]
 
@@ -166,13 +166,16 @@ class TestProcessPrimitiveRule:
             "RLB007"
         ]
 
-    def test_transport_module_exempt(self):
+    def test_transport_module_flagged(self):
+        """No module is exempt: a transport module is flagged like any other."""
         code = (
             "import multiprocessing\n"
             "import threading\n"
             "from multiprocessing import Pipe\n"
         )
-        assert lint_source(code, path="src/repro/engine/transport.py") == []
+        assert codes(lint_source(code, path="src/repro/engine/transport.py")) == [
+            "RLB007"
+        ] * 3
 
     def test_plain_os_use_allowed(self):
         code = "import os\nsanitize = os.environ.get('REPRO_SANITIZE')\n"
@@ -289,31 +292,10 @@ class TestWallClockRecoveryScope:
         findings = lint_source(code, path="src/repro/recovery/checkpoint.py")
         assert codes(findings) == ["RLB001"]
 
-    def test_transport_is_in_scope(self):
+    def test_engine_is_in_scope(self):
         code = "from time import monotonic\n\nx = monotonic()\n"
-        findings = lint_source(code, path="src/repro/engine/transport.py")
+        findings = lint_source(code, path="src/repro/engine/executor.py")
         assert codes(findings) == ["RLB001"]
-
-
-class TestTransportInternals:
-    def test_shard_server_construction_flagged(self):
-        code = "server = ShardServer(bootstrap, 0)\n"
-        findings = lint_source(code, path="src/repro/engine/sharded.py")
-        assert codes(findings) == ["RLB008"]
-        assert "Transport.launch" in findings[0].message
-
-    def test_channel_internal_access_flagged(self):
-        code = "def peek(channel):\n    return channel._replies\n"
-        findings = lint_source(code, path="src/repro/service/hub.py")
-        assert codes(findings) == ["RLB008"]
-
-    def test_transport_module_exempt(self):
-        code = "server = ShardServer(bootstrap, 0)\nx = channel._replies\n"
-        assert lint_source(code, path="src/repro/engine/transport.py") == []
-
-    def test_races_module_exempt(self):
-        code = "server = ShardServer(bootstrap, 0)\n"
-        assert lint_source(code, path="src/repro/analysis/races.py") == []
 
 
 class TestMutableGlobals:

@@ -105,11 +105,22 @@ class TestSeededBug:
         assert result.passed
 
 
+MIGRATION_PRESETS = (
+    "fluid-joins",
+    "fluid-order",
+    "genmig-figure2",
+    "pt-figure2",
+    "pt-joins",
+    "rp-joins",
+)
+
+
 class TestCli:
     def test_all_presets_exit_zero(self, capsys):
         assert run_cli(["--all"]) == 0
         out = capsys.readouterr().out
-        assert "pt-figure2" in out and "shard-merge" in out
+        for name in MIGRATION_PRESETS:
+            assert name in out
 
     def test_seeded_bug_exits_nonzero(self, capsys):
         assert run_cli(["--preset", "genmig-figure2", "--seed-bug", "early-split"]) == 1
@@ -127,9 +138,8 @@ class TestCli:
 
     def test_list(self, capsys):
         assert run_cli(["--list"]) == 0
-        out = capsys.readouterr().out
-        for name in PRESETS:
-            assert name in out
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == sorted(PRESETS) == list(MIGRATION_PRESETS)
 
     def test_budget_flag(self, capsys):
         assert run_cli(["--preset", "genmig-figure2", "--budget", "3"]) == 1

@@ -13,6 +13,7 @@ from repro.core import (
     UnsupportedPlanError,
     select_strategy,
 )
+from repro.core.fluid import range_of
 from repro.operators import NestedLoopsJoin, sweep
 from repro.engine import (
     Box,
@@ -251,6 +252,17 @@ class TestRunAheadInput:
             (e.payload, e.start, e.end) for e in base
         )
         assert executor.gate.order_violations == 0
+
+
+class TestRangeOf:
+    def test_pinned_assignments(self):
+        """The ``fluid-joins`` preset relies on these two values to put its
+        keys in both ranges of ``FluidMigration(ranges=2)``."""
+        assert range_of("a", 2) == 0
+        assert range_of("b", 2) == 1
+
+    def test_spreads_a_small_key_domain(self):
+        assert len({range_of((k,), 4) for k in range(5)}) > 1
 
 
 class TestFrontierRouter:

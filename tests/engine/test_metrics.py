@@ -105,69 +105,3 @@ class TestPersistence:
         assert loaded["output"] == [1]
         assert loaded["memory"] == [100]
         assert loaded["cost"] == [42]
-
-
-class TestShardAggregation:
-    """``MetricsRecorder.aggregate``: per-shard snapshots sum to one
-    fleet view with single-process column semantics."""
-
-    @staticmethod
-    def part(outputs=(), memory=(), cost=(), bucket_size=10):
-        recorder = MetricsRecorder(bucket_size=bucket_size)
-        for at in outputs:
-            recorder.record_output(at)
-        for at, value in memory:
-            recorder.sample_memory(at, value)
-        for at, value in cost:
-            recorder.sample_cost(at, value)
-        return recorder.to_dict()
-
-    def test_output_column_sums_without_carry(self):
-        merged = MetricsRecorder.aggregate(
-            [self.part(outputs=[5, 15]), self.part(outputs=[5])]
-        )
-        assert merged["shards"] == 2
-        assert merged["output"] == [2, 1]
-
-    def test_carry_forward_columns_pad_with_last_value(self):
-        """A shard whose series ends early still *holds* its last memory
-        level — shorter series pad with it, not with zero."""
-        merged = MetricsRecorder.aggregate(
-            [
-                self.part(memory=[(5, 100), (25, 120)]),
-                self.part(memory=[(5, 7)]),
-            ]
-        )
-        assert merged["memory"] == [107, 107, 127]
-
-    def test_events_interleave_by_time(self):
-        left = MetricsRecorder(bucket_size=10)
-        left.record_event(30, "considered", query="q")
-        right = MetricsRecorder(bucket_size=10)
-        right.record_event(10, "kept", query="q")
-        merged = MetricsRecorder.aggregate([left.to_dict(), right.to_dict()])
-        assert [event["at"] for event in merged["events"]] == [10, 30]
-
-    def test_meter_entries_sum_by_category(self):
-        parts = [self.part(), self.part()]
-        parts[0]["meter"] = {"total": 5, "by_category": {"join": 5}}
-        parts[1]["meter"] = {"total": 3, "by_category": {"join": 2, "select": 1}}
-        merged = MetricsRecorder.aggregate(parts)
-        assert merged["meter"] == {
-            "total": 8,
-            "by_category": {"join": 7, "select": 1},
-        }
-
-    def test_kernel_cache_keeps_per_shard_detail(self):
-        merged = MetricsRecorder.aggregate([self.part(), self.part()])
-        assert len(merged["kernel_cache"]["per_shard"]) == 2
-
-    def test_mixed_bucket_sizes_rejected(self):
-        with pytest.raises(ValueError, match="bucket size"):
-            MetricsRecorder.aggregate(
-                [self.part(bucket_size=10), self.part(bucket_size=20)]
-            )
-
-    def test_zero_parts_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRecorder.aggregate([])

@@ -366,82 +366,3 @@ class TestShuffledArrival:
         service.finish()
         starts = [item.start for item in handle.results]
         assert starts == sorted(starts)
-
-
-class TestShardedKillAndRecover:
-    """Kill a hash-partitioned service; restore under a *different* shard
-    count.  Keyed state is re-dealt through the sharding analysis, so the
-    replayed tail completes byte-identical to the uninterrupted run —
-    elasticity is just recovery with a different target topology."""
-
-    CRASH_AT = 120
-
-    def baseline(self):
-        service = recovery_service()
-        handle = service.register("q", RECOVERY_JOIN_CQL)
-        for source, item in recovery_feed():
-            service.hub.push(source, item)
-        service.finish()
-        return handle
-
-    def crash_sharded_and_recover(self, shards_before, shards_after, tmp_path):
-        from repro.recovery import CheckpointManager, replay_tail, restore_service
-        from repro.service import ControllerPolicy
-
-        feed = recovery_feed()
-        victim = recovery_service()
-        victim.register("q", RECOVERY_JOIN_CQL, shards=shards_before)
-        for source, item in feed[: self.CRASH_AT]:
-            victim.hub.push(source, item)
-        path = str(tmp_path / "sharded.ckpt")
-        CheckpointManager(victim).checkpoint(path)
-        victim.registry.get("q").executor.close()
-        del victim  # only the snapshot file survives the crash
-
-        restored = restore_service(
-            path,
-            policy=ControllerPolicy(period=10**9),
-            shards=None if shards_after is None else {"q": shards_after},
-        )
-        replay_tail(restored, feed)
-        restored.finish()
-        return restored.registry.get("q")
-
-    @pytest.mark.parametrize("shards_after", [3, 1])
-    def test_recover_into_different_shard_count(self, shards_after, tmp_path):
-        baseline = self.baseline()
-        recovered = self.crash_sharded_and_recover(2, shards_after, tmp_path)
-        assert recovered.shards == shards_after
-        assert recovered.results == baseline.results
-
-    def test_recover_keeps_recorded_shard_count_by_default(self, tmp_path):
-        baseline = self.baseline()
-        recovered = self.crash_sharded_and_recover(2, None, tmp_path)
-        assert recovered.shards == 2
-        assert recovered.executor.shard_count == 2
-        assert recovered.results == baseline.results
-
-    def test_scale_out_a_single_process_checkpoint(self, tmp_path):
-        """The inverse elasticity: a plain (shards=1) checkpoint restores
-        straight into a sharded deployment."""
-        from repro.recovery import CheckpointManager, replay_tail, restore_service
-        from repro.service import ControllerPolicy
-
-        feed = recovery_feed()
-        baseline = self.baseline()
-        victim = recovery_service()
-        victim.register("q", RECOVERY_JOIN_CQL)
-        for source, item in feed[: self.CRASH_AT]:
-            victim.hub.push(source, item)
-        path = str(tmp_path / "plain.ckpt")
-        CheckpointManager(victim).checkpoint(path)
-        del victim
-
-        restored = restore_service(
-            path, policy=ControllerPolicy(period=10**9), shards={"q": 3}
-        )
-        replay_tail(restored, feed)
-        restored.finish()
-        recovered = restored.registry.get("q")
-        assert recovered.executor.shard_count == 3
-        assert recovered.results == baseline.results

@@ -261,7 +261,7 @@ class TestRestoreGuards:
         ``columnar`` switch is refused by version, with the typed error,
         instead of failing in the ``PhysicalBuilder`` constructor."""
         payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
-        assert payload["version"] == 5
+        assert payload["version"] == 6
         assert "columnar" not in payload["builder"]
         payload["version"] = 2
         payload["builder"]["columnar"] = True
@@ -291,6 +291,26 @@ class TestRestoreGuards:
             validate_snapshot(payload)
         with pytest.raises(RecoveryError, match="unsupported checkpoint version 4"):
             restore_service(payload, policy=quiet_policy())
+
+    def test_rejects_version_5_checkpoint(self, monkeypatch):
+        """Version 5 query records carried a ``shards`` count, and a query
+        could hold a ``sharded`` executor state; this build writes neither
+        and refuses the payload by version before it registers a query."""
+        payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
+        assert "shards" not in payload["queries"][0]
+        payload["version"] = 5
+        payload["queries"][0]["shards"] = 2
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 5"):
+            validate_snapshot(payload)
+        registered = []
+        monkeypatch.setattr(
+            ContinuousQueryService,
+            "register",
+            lambda self, *args, **kwargs: registered.append(args),
+        )
+        with pytest.raises(RecoveryError, match="unsupported checkpoint version 5"):
+            restore_service(payload, policy=quiet_policy())
+        assert registered == []
 
     def test_plan_signature_mismatch_detected(self, tmp_path):
         feed = make_feed()

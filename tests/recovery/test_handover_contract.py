@@ -1,7 +1,7 @@
 """The state hand-over contract: ``state_of_port`` out, ``absorb_state`` in.
 
-Checkpoints, Moving States, fluid migration and sharded restore move
-operator state through one drain hook and one absorb hook.  For every
+Checkpoints, Moving States and fluid migration move operator state
+through one drain hook and one absorb hook.  For every
 stateful operator shape the builder emits, a checkpoint taken at a random
 cut of a seeded two-source feed must be a fixed point of the round trip —
 checkpoint → restore into a fresh executor → checkpoint again yields

@@ -171,8 +171,7 @@ class TestProgressFanOut:
         "ticks": ("n",),
     }
     #: Join, stateless chain (filter + projection) and a grouped aggregate
-    #: over two of the three sources; GROUP BY the join key keeps it
-    #: key-shardable.
+    #: over two of the three sources.
     QUERY = (
         "SELECT bids.item, COUNT(*), SUM(sales.amount) "
         "FROM bids [RANGE 20], sales [RANGE 20] "
@@ -190,12 +189,12 @@ class TestProgressFanOut:
         ("ticks", (4,), 60),
     ]
 
-    def run(self, shards, per_source):
+    def run(self, per_source):
         """Feed FEED; foreign elements become progress — through the hub,
         or (the reference) as one ``advance`` per source by hand."""
         registry = QueryRegistry(catalog=Catalog(self.CATALOG))
         hub = IngestHub(registry)
-        handle = registry.register("q", self.QUERY, shards=shards)
+        handle = registry.register("q", self.QUERY)
         executor = handle.executor
         promises = []
         advance = executor.advance
@@ -217,17 +216,13 @@ class TestProgressFanOut:
         results = [(e.payload, e.start, e.end, e.flag) for e in handle.results]
         return promises, results
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_one_progress_call_per_foreign_publish(self, shards):
-        promises, results = self.run(shards, per_source=False)
+    def test_one_progress_call_per_foreign_publish(self):
+        promises, results = self.run(per_source=False)
         assert promises == [(None, 3), (None, 9), (None, 30), (None, 60)]
-        per_source_promises, reference = self.run(shards, per_source=True)
+        per_source_promises, reference = self.run(per_source=True)
         assert len(per_source_promises) == 2 * len(promises)
         assert results == reference
         assert results  # the feed does produce aggregates
-
-    def test_sharded_results_match_unsharded(self):
-        assert self.run(2, per_source=False)[1] == self.run(1, per_source=False)[1]
 
     def test_hub_heartbeat_is_one_call_per_executor(self, registry, hub):
         handle = registry.register("j", JOIN)

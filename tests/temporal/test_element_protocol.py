@@ -4,19 +4,13 @@ Both are hand-written ``__slots__`` classes that replaced frozen
 dataclasses.  These tests pin what the dataclasses did, so the two cannot
 drift apart: equality and hashing by the same field tuples (set and dict
 orders under a fixed ``PYTHONHASHSEED`` depend on the hash formula), the
-``repr`` text, immutability, the validation messages, and pickling — which
-is how elements cross a ``ProcessTransport``.
+``repr`` text, immutability, the validation messages, and pickling.
 """
 
 import pickle
 
 import pytest
 
-from repro.engine import ProcessTransport, ShardedExecutor
-from repro.engine.transport import LocalTransport
-from repro.plans import Comparison, Field, JoinNode, Source
-from repro.plans.logical import Query
-from repro.streams import CollectorSink
 from repro.temporal import NEW, OLD, StreamElement, TimeInterval, element
 from repro.temporal.time import half_before
 
@@ -143,27 +137,3 @@ class TestPickling:
         copy = pickle.loads(pickle.dumps(e, protocol))
         assert type(copy) is StreamElement and type(copy.interval) is TimeInterval
         assert copy == e and hash(copy) == hash(e) and repr(copy) == repr(e)
-
-    def test_one_element_through_a_process_transport(self):
-        a = Source("A", ["k", "v"])
-        b = Source("B", ["k"])
-        query = Query(
-            JoinNode(a, b, Comparison("=", Field("A.k"), Field("B.k"))),
-            {"A": 12, "B": 12},
-        )
-        outputs = []
-        for transport in (LocalTransport(), ProcessTransport()):
-            executor = ShardedExecutor(query, 1, transport=transport)
-            sink = CollectorSink()
-            executor.add_sink(sink)
-            try:
-                executor.push("A", element((1, "x"), 3, 4))
-                executor.push("B", element(1, 3, 4))
-                executor.finish()
-            finally:
-                executor.close()
-            outputs.append(sink.elements)
-        local, spawned = outputs
-        assert len(spawned) == 1 and type(spawned[0]) is StreamElement
-        assert spawned == local
-        assert hash(spawned[0]) == hash(fields(spawned[0]))
