@@ -30,7 +30,6 @@ from .plan_verifier import (
     MigrationVerdict,
     OperatorClassification,
     PlanVerdict,
-    SplitBound,
     StrategyVerdict,
     classify_logical,
     classify_operator,
@@ -70,7 +69,6 @@ __all__ = [
     "SanitizerViolation",
     "Scenario",
     "ScheduleViolation",
-    "SplitBound",
     "StrategyVerdict",
     "StreamSanitizer",
     "build_scenario",

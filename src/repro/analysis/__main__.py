@@ -82,12 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="additionally fail (exit 1) when this strategy is unsafe",
     )
     parser.add_argument(
-        "--interval-bound",
-        type=int,
-        default=1,
-        help="bound b on raw input interval lengths (default 1)",
-    )
-    parser.add_argument(
         "--dot", metavar="PATH", help="write an annotated DOT rendering"
     )
     parser.add_argument(
@@ -116,7 +110,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    verdict: PlanVerdict = verify_query(query, interval_bound=args.interval_bound)
+    verdict: PlanVerdict = verify_query(query)
 
     if args.dot:
         from ..plans.dot import plan_to_dot

@@ -25,12 +25,12 @@ inputs of the operator-fusion kernel compiler; both were retired with
 what they guarded, and the numbers are not reused.)
 
 ``RLB005``
-    Code outside ``temporal/`` must not reach into a batch's column
-    internals (``_starts``/``_ends``/``_rows``/``_flags``/``_cached``) —
-    only the ``ColumnarBatch`` read API (``starts``/``ends``/``rows``/
-    ``flags``/``runs``) is stable.  Direct pokes bypass the
-    lazy-materialisation cache and would silently desynchronise the
-    columns from the boxed-element view.
+    Code outside ``temporal/`` must not reach into a batch's private
+    slots (``_starts``/``_ends``/``_rows``/``_flags``/``_cached``/
+    ``_uniform``) — only the ``Batch`` read API (``elements``/``starts``/
+    ``ends``/``rows``/``flags``/``runs``) is stable.  Direct pokes bypass
+    the lazily built views and would silently desynchronise the columns
+    from the boxed-element view.
 
 ``RLB006``
     Code under ``recovery/`` must not construct physical operators
@@ -132,12 +132,15 @@ RELAY_BYPASSED_HOOKS = ("_on_heartbeat", "_on_watermark", "_output_watermark")
 RUN_PROTOCOL_ENTRY_POINTS = ("process", "process_batch")
 RUN_PROTOCOL_MODULE = ("operators", "base.py")
 
-#: Column-storage slots of ``ColumnarBatch`` that are private to the
-#: temporal layer (RLB005); everything else goes through the read API.
-COLUMN_INTERNALS = frozenset({"_starts", "_ends", "_rows", "_flags", "_cached"})
+#: Private slots of ``Batch`` (its two views and the uniform flag) that
+#: belong to the temporal layer (RLB005); everything else goes through
+#: the read API.
+COLUMN_INTERNALS = frozenset(
+    {"_starts", "_ends", "_rows", "_flags", "_cached", "_uniform"}
+)
 
 #: Directory (path component) exempt from RLB005: the layer that owns
-#: the columnar layout.
+#: the batch layout.
 COLUMN_SCOPE_EXEMPT = ("temporal",)
 
 #: Physical operator classes recovery code must not construct (RLB006);
@@ -358,12 +361,12 @@ def _operator_construction_findings(tree: ast.AST, path: str) -> List[LintFindin
 
 
 def _column_internal_findings(tree: ast.AST, path: str) -> List[LintFinding]:
-    """RLB005: no column-internal attribute access outside ``temporal/``.
+    """RLB005: no batch-internal attribute access outside ``temporal/``.
 
     Any ``x._starts``-style read or write is flagged; the rule is
     attribute-name based (like the rest of this linter) because the
-    columnar slots are deliberately named to collide with nothing else
-    in the codebase.
+    batch slots are deliberately named to collide with nothing else in
+    the codebase.
     """
     findings: List[LintFinding] = []
     for node in ast.walk(tree):
@@ -374,9 +377,9 @@ def _column_internal_findings(tree: ast.AST, path: str) -> List[LintFinding]:
                     node.lineno,
                     "RLB005",
                     f"direct access to column internal {node.attr!r} outside "
-                    "temporal/: use the ColumnarBatch read API (starts/ends/"
+                    "temporal/: use the Batch read API (elements/starts/ends/"
                     "rows/flags/runs) — poking the slots bypasses the "
-                    "lazy-materialisation cache and can desynchronise the "
+                    "lazily built views and can desynchronise the "
                     "columns from the boxed-element view",
                 )
             )

@@ -19,11 +19,7 @@ verdicts *before* a migration runs against live traffic:
   a machine-readable diagnostic list.  The paper's Figure 2
   counter-example — duplicate elimination pushed below a join, then
   migrated with Parallel Track — surfaces here as a ``PT001`` lint
-  failure naming the offending operator;
-* a **static ``T_split`` bound**: the latest time instant reachable
-  inside the old box, derived from the window sizes along each source
-  path (``max(t_Si) + w + b``), against which a proposed split time can
-  be checked.
+  failure naming the offending operator.
 
 Verdicts are plain data (:class:`PlanVerdict`), consumed by
 :func:`repro.core.strategy.select_strategy`, the autonomic controller,
@@ -34,7 +30,7 @@ the re-optimizer's candidate gate, the DOT renderer and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..plans.expressions import Schema
 from ..plans.logical import (
@@ -49,7 +45,7 @@ from ..plans.logical import (
     Source,
     UnionNode,
 )
-from ..temporal.time import MAX_TIME, Time, half_before
+from ..temporal.time import MAX_TIME
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.box import Box
@@ -76,7 +72,7 @@ class Diagnostic:
 
     ``operator`` names the offending operator or plan node when the
     finding is local to one; codes are stable identifiers (``PT001``,
-    ``SCH002``, ``TS001``, ...) intended for machine consumption.
+    ``SCH002``, ``WIN001``, ...) intended for machine consumption.
     """
 
     severity: str
@@ -401,90 +397,6 @@ def _profile(operators: Tuple[OperatorClassification, ...]) -> str:
 
 
 # --------------------------------------------------------------------- #
-# The static T_split bound
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class SplitBound:
-    """The reachable-time-instant bound of Lemma 1, statically derived.
-
-    Every raw element of source ``s`` with start timestamp ``t`` has, after
-    windowing, a validity contained in ``[t, t + b + w_s)`` where ``b``
-    bounds raw interval lengths (1 chronon for ordinary timestamped
-    inputs) and ``w_s`` is the source's window.  The old box can therefore
-    never reference a time instant at or beyond
-    ``max_s(latest_start_s + b + w_s)``; a sound ``T_split`` must lie
-    strictly above every instant *below* that horizon.
-    """
-
-    interval_bound: Time
-    windows: Mapping[str, Time]
-
-    @property
-    def global_window(self) -> Time:
-        """The global window constraint ``w`` (maximum over all inputs)."""
-        return max(self.windows.values())
-
-    @property
-    def offset(self) -> Time:
-        """``w + b``: the horizon's distance from the latest start seen."""
-        return self.global_window + self.interval_bound
-
-    def horizon(self, latest_starts: Mapping[str, Time]) -> Time:
-        """Exclusive upper bound on instants reachable inside the old box."""
-        return max(
-            latest_starts[name] + self.interval_bound + window
-            for name, window in self.windows.items()
-            if name in latest_starts
-        )
-
-    def recommended_split(self, latest_starts: Mapping[str, Time]) -> Time:
-        """The paper's choice: ``max(t_Si) + w + b - EPSILON`` (Remark 3)."""
-        return half_before(max(latest_starts.values()) + self.offset)
-
-    def check(
-        self, t_split: Time, latest_starts: Mapping[str, Time]
-    ) -> List[Diagnostic]:
-        """Validate a proposed split time against the static bound."""
-        diagnostics: List[Diagnostic] = []
-        horizon = self.horizon(latest_starts)
-        # The last *integer* instant the old box can reference is
-        # horizon - 1; T_split must lie strictly above it.
-        if t_split <= horizon - 1:
-            diagnostics.append(
-                Diagnostic(
-                    ERROR,
-                    "TS001",
-                    f"T_split={t_split} does not exceed the reachable horizon "
-                    f"of the old box (instants up to {horizon - 1} are still "
-                    f"referenced by consumed input): old-box state would be "
-                    f"truncated mid-validity, corrupting snapshots",
-                )
-            )
-        if isinstance(t_split, int) or t_split == int(t_split):
-            diagnostics.append(
-                Diagnostic(
-                    WARNING,
-                    "TS002",
-                    f"T_split={t_split} lies on the chronon grid: Remark 3 "
-                    "requires sub-chronon granularity so the split never "
-                    "coincides with a start or end timestamp",
-                )
-            )
-        if t_split > horizon:
-            diagnostics.append(
-                Diagnostic(
-                    INFO,
-                    "TS003",
-                    f"T_split={t_split} exceeds the horizon {horizon}: sound, "
-                    "but the parallel phase is prolonged by the slack",
-                )
-            )
-        return diagnostics
-
-
-# --------------------------------------------------------------------- #
 # The verdict
 # --------------------------------------------------------------------- #
 
@@ -498,7 +410,6 @@ class PlanVerdict:
     operators: Tuple[OperatorClassification, ...]
     diagnostics: Tuple[Diagnostic, ...]
     strategies: Dict[str, StrategyVerdict] = field(default_factory=dict)
-    split_bound: Optional[SplitBound] = None
 
     @property
     def ok(self) -> bool:
@@ -568,12 +479,6 @@ class PlanVerdict:
             lines.append(f"  {name:<16} {state}")
             for diag in verdict.diagnostics:
                 lines.append(f"    {diag}")
-        if self.split_bound is not None:
-            bound = self.split_bound
-            lines.append(
-                f"T_split bound: max(t_Si) + w + b with w={bound.global_window}, "
-                f"b={bound.interval_bound} (offset {bound.offset})"
-            )
         if self.diagnostics:
             lines.append("diagnostics:")
             for diag in self.diagnostics:
@@ -733,7 +638,7 @@ def verify_plan(plan: LogicalPlan) -> PlanVerdict:
     )
 
 
-def verify_query(query: Query, interval_bound: Time = 1) -> PlanVerdict:
+def verify_query(query: Query) -> PlanVerdict:
     """Verify a complete query: the plan plus its window metadata."""
     verdict = verify_plan(query.plan)
     diagnostics = list(verdict.diagnostics)
@@ -758,14 +663,7 @@ def verify_query(query: Query, interval_bound: Time = 1) -> PlanVerdict:
                     "never drains)",
                 )
             )
-    windows = {
-        name: window for name, window in query.windows.items() if window < MAX_TIME
-    }
     verdict.diagnostics = tuple(diagnostics)
-    if windows:
-        verdict.split_bound = SplitBound(
-            interval_bound=interval_bound, windows=dict(windows)
-        )
     return verdict
 
 

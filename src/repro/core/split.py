@@ -29,7 +29,6 @@ from typing import List, Optional, Tuple
 from ..engine.box import InputPort
 from ..operators.base import Operator
 from ..temporal.batch import Batch
-from ..temporal.columnar import ColumnarBatch
 from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
@@ -112,20 +111,17 @@ class _TwoSidedRouter(Operator):
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Route a whole run by its columns, forwarding each side as one run.
 
-        A row batch is converted once (``to_columnar``); no element is
-        built.  Each side receives a :class:`ColumnarBatch` of its parts in
-        the input's start order, so it sees exactly the element sequence
-        it would see element-wise; only the *interleaving* between the two
-        sides changes, which the boxes cannot observe (they are disjoint)
-        and the merge on top of them resolves.  A side's run promises its
+        No element is built.  Each side receives a batch of its parts'
+        columns in the input's start order, so it sees exactly the element
+        sequence it would see element-wise; only the *interleaving* between
+        the two sides changes, which the boxes cannot observe (they are
+        disjoint) and the merge on top of them resolves.  A side's run promises its
         own last start; the input's progress follows through
         :meth:`_forward_watermarks`, as after :meth:`process`.  This path is
         reached only when the executor batches through an active migration
         (``batch_during_migration``); the default executor ticks
         migrations element-wise through :meth:`process`.
         """
-        if type(batch) is not ColumnarBatch:
-            batch = batch.to_columnar()
         starts = batch.starts
         ends = batch.ends
         rows = batch.rows
@@ -211,16 +207,16 @@ def _pick(column: list, picked: List[int], n: int) -> list:
 
 def _forward_run(
     targets: List[InputPort],
-    batch: ColumnarBatch,
+    batch: Batch,
     picked: List[int],
     starts: List[Time],
     ends: List[Time],
     flags: Optional[List[Optional[str]]],
 ) -> None:
     """Hand one side its parts of ``batch`` — the rows ``picked``, with
-    the side's ``starts``, ``ends`` and ``flags`` — as one columnar run."""
+    the side's ``starts``, ``ends`` and ``flags`` — as one run of columns."""
     n = len(batch)
-    run = ColumnarBatch.from_columns(
+    run = Batch.from_columns(
         starts,
         ends,
         _pick(batch.rows, picked, n),

@@ -203,21 +203,21 @@ class OutputGate:
         """Deliver a run of results with one order check.
 
         A batch is start-ordered, so a run starting at or after the last
-        delivered start violates nothing: it is counted in one step,
-        ``on_delivery`` is called once with the run's length, and every
-        sink gets the run whole through its ``process_batch`` when it has
-        one.  Under a sanitizer, or for a run starting below the last
-        delivered start, each result goes through :meth:`process`, so
-        ``order_violations`` and SAN009 stay exact.
+        delivered start violates nothing: a sanitizer checks it once
+        (``on_batch``; no SAN009 can occur in it), it is counted in one
+        step, ``on_delivery`` is called once with the run's length, and
+        every sink gets the run whole through its ``process_batch`` when
+        it has one.  For a run starting below the last delivered start,
+        each result goes through :meth:`process`, so ``order_violations``
+        and SAN009 stay exact.
         """
-        if (
-            _operator_base.SANITIZER is not None
-            or batch.first_start < self._last_start
-        ):
+        if batch.first_start < self._last_start:
             process = self.process
             for element in batch.elements:
                 process(element)
             return
+        if _operator_base.SANITIZER is not None:
+            _operator_base.SANITIZER.on_batch(self, batch, 0)
         self._last_start = batch.last_start
         self.delivered += len(batch)
         if self.on_delivery is not None:

@@ -25,7 +25,6 @@ from ..operators.window import TimeWindow
 from ..recovery.errors import RecoveryError
 from ..streams.stream import PhysicalStream
 from ..temporal.batch import Batch
-from ..temporal.columnar import ColumnarBatch
 from ..temporal.element import StreamElement
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
 from .box import Box, OutputGate, Router
@@ -167,13 +166,6 @@ class QueryExecutor:
         box.set_meter(self.meter)
         self._wire_statistics(box)
         self.box = box
-        # Feed columnar runs whenever the installed plan holds columnar
-        # state (a hash join): the struct-of-arrays layout is built once
-        # at ingestion and flows through windows and routers untouched.
-        # Join-free plans keep the cheaper row feed.
-        self._columnar_feed = any(
-            getattr(op, "columnar_state", False) for op in box.operators
-        )
 
     def _wire_statistics(self, box: Box) -> None:
         """Point operators' selectivity probes at the statistics catalog.
@@ -219,8 +211,6 @@ class QueryExecutor:
         # begin() before it touches anything; only a strategy that has
         # begun is installed, so a refusal leaves the executor as it was.
         strategy.begin(self, new_box)
-        if any(getattr(op, "columnar_state", False) for op in new_box.operators):
-            self._columnar_feed = True
         self.strategy = strategy
         self._poll_strategy()
 
@@ -420,10 +410,7 @@ class QueryExecutor:
         if len(group) == 1:
             window_op.process(group[0], 0)
         elif group:
-            make_batch = (
-                ColumnarBatch.from_elements if self._columnar_feed else Batch._trusted
-            )
-            window_op.process_batch(make_batch(group, start, name, True), 0)
+            window_op.process_batch(Batch._trusted(group, start, name, True), 0)
         self._poll_strategy()
 
     def _fire_actions(self, up_to: Time) -> None:

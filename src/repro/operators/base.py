@@ -547,7 +547,7 @@ class StatelessOperator(Operator):
 
         The default boxes the run through :meth:`evaluate`; operators that
         can rewrite whole columns (windows) or pass the run on untouched
-        (``Router``) override this so a columnar run stays columnar.
+        (``Router``) override this so a run's columns pass on unboxed.
         """
         survivors = self.evaluate(batch.elements)
         return batch.with_elements(survivors) if survivors else None

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..temporal.batch import Batch
-from ..temporal.columnar import ColumnarBatch
 from ..temporal.element import Payload, StreamElement, combine_flags
 from ..temporal.interval import TimeInterval
 from ..temporal.time import Time
@@ -195,23 +194,17 @@ class HashJoin(_JoinBase):
             be equal; results concatenate the left and the right payload.
         predicate_cost: cost units charged per candidate comparison.
 
-    Both sides are bucketed by join key and probed by two loops.  Every run — a
-    :class:`~repro.temporal.columnar.ColumnarBatch`, or a row
-    :class:`~repro.temporal.batch.Batch` converted once — goes through the
-    compiled probe kernels (:meth:`process_batch`); a single element goes
-    through :meth:`_on_element`.  Measured on ``service_fanout``, which
-    pushes one element per call: routing that element through the run
-    loop instead read about 9 % lower ``throughput_eps``.
+    Both sides are bucketed by join key and probed by two loops.  Every run
+    goes through the compiled probe kernels (:meth:`process_batch`), which
+    read the batch's column view; a single element goes through
+    :meth:`_on_element`.  Measured on ``service_fanout``, which pushes one
+    element per call: routing that element through the run loop instead
+    read about 9 % lower ``throughput_eps``.
     """
 
     #: Verifier/fluid-migration marker: state is partitioned by the join
     #: key, so a key-range drain touches only the matching buckets.
     keyed_state = True
-    #: Verifier hints: self-declared classification (CLS001 path) and the
-    #: columnar-state marker; the executor feeds a plan holding such an
-    #: operator columnar runs.
-    migration_profile = "join"
-    columnar_state = True
 
     def __init__(
         self,
@@ -255,8 +248,6 @@ class HashJoin(_JoinBase):
         state (Parallel Track lineage) takes the generic protocol element
         by element instead, since the kernels do not model flags.
         """
-        if type(batch) is not ColumnarBatch:
-            batch = batch.to_columnar()
         if (
             batch.flags is not None
             or self._states[0].flagged
@@ -326,7 +317,7 @@ class HashJoin(_JoinBase):
     ) -> None:
         """Purge, then fast-emit or stage the probe output, then advance.
 
-        The fast branch forwards the probe output as one columnar batch: it
+        The fast branch forwards the probe output as one batch of columns: it
         applies only when the element path would have released exactly
         these results, in this order, right now — heap empty, every
         result starting at the run start (``not ahead``), the watermark
@@ -348,7 +339,7 @@ class HashJoin(_JoinBase):
                 and len(self._subscribers) + len(self._sinks) <= 1
             ):
                 self._emit_batch(
-                    ColumnarBatch.from_columns(
+                    Batch.from_columns(
                         out_s, out_e, out_r, None, out_s[-1], None, True
                     )
                 )

@@ -10,10 +10,9 @@ state and make stateful operators non-blocking over infinite streams.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, Optional
+from typing import Deque, Iterator
 
 from ..temporal.batch import Batch
-from ..temporal.columnar import ColumnarBatch
 from ..temporal.element import StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import MAX_TIME, Time
@@ -24,22 +23,12 @@ class _MappingWindow(StatelessOperator):
     """The element-wise (stateless) window variants: a validity rewrite.
 
     Each variant states its rewrite twice — :meth:`_apply` on a boxed
-    element and :meth:`_map_columnar` over the ``t_E`` column alone — so
-    columnar batches stay columnar end to end, which is how
-    struct-of-arrays runs reach the stateful kernels downstream without a
-    single element being boxed.
+    element (the per-element path) and :meth:`_map_batch` over the ``t_E``
+    column alone — so a run reaches the stateful kernels downstream as
+    columns, without a single element being boxed.
     """
 
     category = "window"
-
-    def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:
-        """The validity rewrite of :meth:`_apply` over whole columns."""
-        raise NotImplementedError
-
-    def _map_batch(self, batch: Batch) -> Optional[Batch]:
-        if type(batch) is ColumnarBatch:
-            return self._map_columnar(batch)
-        return super()._map_batch(batch)
 
 
 class TimeWindow(_MappingWindow):
@@ -54,9 +43,9 @@ class TimeWindow(_MappingWindow):
     def _apply(self, element: StreamElement) -> StreamElement:
         return element.with_interval(element.interval.extend(self.size))
 
-    def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:
+    def _map_batch(self, batch: Batch) -> Batch:
         size = self.size
-        return ColumnarBatch.from_columns(
+        return Batch.from_columns(
             batch.starts,
             [end + size for end in batch.ends],
             batch.rows,
@@ -77,7 +66,7 @@ class NowWindow(_MappingWindow):
     def _apply(self, element: StreamElement) -> StreamElement:
         return element
 
-    def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:
+    def _map_batch(self, batch: Batch) -> Batch:
         return batch
 
 
@@ -91,8 +80,8 @@ class UnboundedWindow(_MappingWindow):
     def _apply(self, element: StreamElement) -> StreamElement:
         return element.with_interval(TimeInterval(element.start, MAX_TIME))
 
-    def _map_columnar(self, batch: ColumnarBatch) -> ColumnarBatch:
-        return ColumnarBatch.from_columns(
+    def _map_batch(self, batch: Batch) -> Batch:
+        return Batch.from_columns(
             batch.starts,
             [MAX_TIME] * len(batch),
             batch.rows,

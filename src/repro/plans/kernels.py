@@ -87,8 +87,8 @@ def clear_kernel_cache() -> None:
 class StatefulKernel:
     """A generated kernel over columnar state, plus its cache identity.
 
-    The function reads parallel start/end/row columns (of a
-    :class:`~repro.temporal.columnar.ColumnarBatch` and of columnar
+    The function reads parallel start/end/row columns (a
+    :class:`~repro.temporal.batch.Batch`'s column view and columnar
     operator state) rather than boxed elements; ``key`` is the tagged
     cache-key tuple that produced the kernel.
     """

@@ -11,7 +11,7 @@ A snapshot is a plain tree of Python builtins (``None``, ``bool``,
 * body — one tag byte per value followed by its payload.  Homogeneous
   ``int`` lists (the dominant content: start/end time columns of
   drained operator state) pack as a single ``array('q')`` blob, the
-  same struct-of-arrays trick ``temporal/columnar.py`` uses, instead of
+  same struct-of-arrays trick a ``Batch``'s column view uses, instead of
   one tag per entry.
 
 ``pickle`` is deliberately not used: a snapshot may be read by a

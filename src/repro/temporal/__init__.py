@@ -8,7 +8,6 @@ every operator and for plan migration itself.
 """
 
 from .batch import Batch
-from .columnar import ColumnarBatch
 from .element import (
     NEW,
     OLD,
@@ -48,7 +47,6 @@ from .time import (
 __all__ = [
     "Batch",
     "CHRONON",
-    "ColumnarBatch",
     "EPSILON",
     "IntervalSet",
     "MAX_TIME",

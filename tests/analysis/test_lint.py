@@ -93,7 +93,7 @@ class TestColumnInternalRule:
         code = "def probe(batch):\n    return batch._starts[0]\n"
         findings = lint_source(code, path="src/repro/operators/bad.py")
         assert codes(findings) == ["RLB005"]
-        assert "ColumnarBatch read API" in findings[0].message
+        assert "Batch read API" in findings[0].message
 
     def test_column_internal_write_flagged(self):
         code = "def clobber(batch):\n    batch._cached = None\n"
@@ -103,7 +103,7 @@ class TestColumnInternalRule:
 
     def test_temporal_layer_exempt(self):
         code = "def probe(batch):\n    return batch._starts[0]\n"
-        assert lint_source(code, path="src/repro/temporal/columnar.py") == []
+        assert lint_source(code, path="src/repro/temporal/batch.py") == []
 
     def test_read_api_allowed(self):
         code = (

@@ -1,4 +1,4 @@
-"""Tests for the plan verifier: classifications, verdicts, T_split bound."""
+"""Tests for the plan verifier: classifications, verdicts, query checks."""
 
 import pytest
 
@@ -11,15 +11,14 @@ from repro.analysis import (
     verify_query,
 )
 from repro.analysis.plan_verifier import (
-    ERROR,
     FLUID,
     GENMIG,
     PARALLEL_TRACK,
     REFERENCE_POINT,
-    SplitBound,
 )
 from repro.core import select_strategy
 from repro.operators.base import Operator
+from repro.operators.join import HashJoin
 from repro.plans import (
     AggregateNode,
     AggregateSpec,
@@ -173,11 +172,11 @@ class TestSchemaValidation:
 
 class TestQueryVerification:
     def test_windows_bound_recorded(self):
+        # Every source has a finite window: no WIN diagnostic.
         query = Query(JoinNode(A, B, AB), {"A": 10, "B": 20})
-        verdict = verify_query(query, interval_bound=1)
-        assert verdict.split_bound is not None
-        assert verdict.split_bound.global_window == 20
-        assert verdict.split_bound.offset == 21
+        verdict = verify_query(query)
+        assert verdict.ok
+        assert not [d for d in verdict.diagnostics if d.code.startswith("WIN")]
 
     def test_missing_window_flagged(self):
         query = Query.__new__(Query)  # bypass the constructor's own check
@@ -186,35 +185,6 @@ class TestQueryVerification:
         verdict = verify_query(query)
         assert any(d.code == "WIN001" for d in verdict.diagnostics)
         assert not verdict.ok
-
-
-class TestSplitBound:
-    def test_recommended_split_matches_paper(self):
-        bound = SplitBound(interval_bound=1, windows={"A": 10, "B": 20})
-        # max(t_Si) + w + b - EPSILON (Remark 3).
-        assert bound.recommended_split({"A": 100, "B": 90}) == 120.5
-
-    def test_recommended_split_passes_check(self):
-        bound = SplitBound(interval_bound=1, windows={"A": 10, "B": 20})
-        latest = {"A": 100, "B": 90}
-        diagnostics = bound.check(bound.recommended_split(latest), latest)
-        assert not any(d.severity == ERROR for d in diagnostics)
-
-    def test_too_early_split_is_an_error(self):
-        bound = SplitBound(interval_bound=1, windows={"A": 10, "B": 20})
-        latest = {"A": 100, "B": 90}
-        diagnostics = bound.check(99.5, latest)
-        assert any(d.code == "TS001" for d in diagnostics)
-
-    def test_chronon_grid_split_is_warned(self):
-        bound = SplitBound(interval_bound=1, windows={"A": 10})
-        diagnostics = bound.check(200, {"A": 100})
-        assert any(d.code == "TS002" for d in diagnostics)
-
-    def test_horizon_uses_per_source_windows(self):
-        bound = SplitBound(interval_bound=1, windows={"A": 10, "B": 20})
-        # B's window dominates even though A saw the later element.
-        assert bound.horizon({"A": 100, "B": 95}) == 95 + 1 + 20
 
 
 class TestMigrationVerdict:
@@ -277,10 +247,9 @@ class TestOperatorClassification:
         _, diagnostic = classify_operator(Misdeclared())
         assert diagnostic is not None and diagnostic.code == "CLS001"
 
-    def test_columnar_state_without_drain_hooks_is_warned(self):
+    def test_undrainable_join_is_warned(self):
         class Undrainable(Operator):
             migration_profile = "join"
-            columnar_state = True
 
             def _on_element(self, element, port):
                 self._emit(element)
@@ -351,7 +320,7 @@ class TestOperatorClassification:
         # through state_of_port/absorb_state, so no CKP001.
         box = build(JoinNode(A, B, AB))
         join = box.root
-        assert getattr(join, "columnar_state", False)
+        assert isinstance(join, HashJoin)
         from repro.analysis import classify_operator
         from repro.analysis.plan_verifier import _checkpoint_state_diagnostic
 

@@ -95,6 +95,20 @@ class TestSplitTimeAndDuration:
         assert report.t_split <= 150 + 60 + 1 - EPSILON
         assert report.t_split > 150  # beyond the migration start
 
+    def test_t_split_from_latest_starts_and_largest_window(self):
+        # max(t_Si) + w + b - epsilon (Remark 3) with latest starts A=100,
+        # B=90: B's window (20) dominates, A's start (100) is the latest.
+        streams = {
+            "A": timestamped_stream([(1, 50), (1, 100), (2, 150)], name="A"),
+            "B": timestamped_stream([(1, 60), (1, 90), (2, 140)], name="B"),
+        }
+        windows = {"A": 10, "B": 20}
+        report, _ = migrate_and_compare(
+            streams, windows, distinct_over_join_box, join_over_distinct_box,
+            GenMig(), migrate_at=101,
+        )
+        assert report.t_split == 120.5
+
     def test_t_split_is_sub_chronon(self):
         report, _ = migrate_and_compare(
             three_random_streams(), W3, left_deep_join_box, right_deep_join_box,

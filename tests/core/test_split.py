@@ -5,12 +5,12 @@ import random
 
 import pytest
 
+from helpers import BATCH_BUILDERS
 from repro.core import FrontierRouter, ReferencePointSplit, Split
 from repro.core.parallel_track import _DualTap
 from repro.operators import Select
 from repro.streams import CollectorSink
-from repro.temporal import EPSILON, OLD, Batch, element, snapshot_equivalent
-from repro.temporal.columnar import ColumnarBatch
+from repro.temporal import EPSILON, OLD, element, snapshot_equivalent
 from repro.temporal.element import StreamElement
 from repro.temporal.time import MAX_TIME
 
@@ -134,19 +134,19 @@ ROUTERS = {
 
 
 class _Side:
-    """Records what one side of a router is handed, in order, and the
-    types of the runs it was handed; reads runs by their columns only."""
+    """Records what one side of a router is handed, in order, and how
+    many runs it was handed; reads runs by their columns only."""
 
     def __init__(self):
         self.elements = []
         self.promises = []
-        self.batch_types = set()
+        self.runs = 0
 
     def process(self, element, port=0):
         self.elements.append((element.payload, element.start, element.end, element.flag))
 
     def process_batch(self, batch, port=0):
-        self.batch_types.add(type(batch))
+        self.runs += 1
         assert batch.uniform_start == (batch.starts[0] == batch.starts[-1])
         assert batch.watermark == batch.starts[-1]
         flags = batch.flags or [None] * len(batch)
@@ -179,27 +179,14 @@ def _random_runs(seed):
     return runs
 
 
-def _columns(run, watermark):
-    """``run`` as a columnar batch with no element list behind it."""
-    flags = [e.flag for e in run]
-    return ColumnarBatch.from_columns(
-        [e.start for e in run],
-        [e.end for e in run],
-        [e.payload for e in run],
-        flags if any(flags) else None,
-        watermark,
-        "s",
-        run[0].start == run[-1].start,
-    )
-
-
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("kind", sorted(ROUTERS))
 def test_batch_path_equals_element_path(kind, seed, monkeypatch):
-    """``process_batch`` — given a row or a columnar run — hands each side
-    exactly the element sequence and the same distinct watermark promises
-    as element-wise ``process`` followed by the run's trailing heartbeat,
-    always as columnar runs, and builds no element on the way."""
+    """``process_batch`` — given a run built from elements or from
+    columns — hands each side exactly the element sequence and the same
+    distinct watermark promises as element-wise ``process`` followed by
+    the run's trailing heartbeat, always as runs, and builds no element
+    on the way."""
     built = []
     element_init = StreamElement.__init__
 
@@ -208,7 +195,7 @@ def test_batch_path_equals_element_path(kind, seed, monkeypatch):
         element_init(self, *args, **kwargs)
 
     sides = {}
-    for mode in ("element", "row", "columnar"):
+    for mode in ("element", *BATCH_BUILDERS):
         router = ROUTERS[kind]()
         old, new = _Side(), _Side()
         router.connect_old(old)
@@ -218,21 +205,18 @@ def test_batch_path_equals_element_path(kind, seed, monkeypatch):
                 for e in run:
                     router.process(e)
                 router.process_heartbeat(watermark)
-            elif mode == "row":
-                router.process_batch(Batch(run, watermark))
             else:
-                batch = _columns(run, watermark)
+                batch = BATCH_BUILDERS[mode](run, watermark, "s")
                 with monkeypatch.context() as patch:
                     patch.setattr(StreamElement, "__init__", counting_init)
                     router.process_batch(batch)
-                assert not built, "the column path built an element"
+                assert not built, "the run path built an element"
         sides[mode] = (old, new)
-    for mode in ("row", "columnar"):
+    for mode in BATCH_BUILDERS:
         for by_element, by_batch in zip(sides["element"], sides[mode]):
             assert by_batch.elements == by_element.elements, mode
             assert by_batch.promises == by_element.promises, mode
-            assert by_batch.batch_types <= {ColumnarBatch}, mode
-            assert bool(by_batch.batch_types) == bool(by_batch.elements), mode
+            assert bool(by_batch.runs) == bool(by_batch.elements), mode
     old, new = sides["element"]
     assert old.elements and new.elements
     assert any(flag is not None for *_, flag in old.elements + new.elements)

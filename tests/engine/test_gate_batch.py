@@ -18,9 +18,9 @@ from repro.engine.box import OutputGate
 from repro.engine.metrics import MetricsRecorder
 from repro.operators import base
 from repro.streams.sinks import CallbackSink, CollectorSink, LatencySink, RateSink
+from helpers import BATCH_BUILDERS
 from repro.temporal import element
 from repro.temporal.batch import Batch
-from repro.temporal.columnar import ColumnarBatch
 
 #: Runs of ``(payload, start)``; each list is delivered run by run.
 FEEDS = {
@@ -109,7 +109,9 @@ def unsanitized(monkeypatch):
     monkeypatch.setattr(base, "SANITIZER", None)
 
 
-@pytest.mark.parametrize("layout", [Batch, ColumnarBatch])
+@pytest.mark.parametrize(
+    "layout", list(BATCH_BUILDERS.values()), ids=list(BATCH_BUILDERS)
+)
 @pytest.mark.parametrize("feed", sorted(FEEDS))
 def test_batch_delivery_equals_element_delivery(unsanitized, feed, layout):
     expected = deliver(FEEDS[feed], layout, batched=False)
@@ -119,7 +121,9 @@ def test_batch_delivery_equals_element_delivery(unsanitized, feed, layout):
     assert (expected["violations"] > 0) == feed.startswith("below")
 
 
-def test_in_order_runs_reach_batch_sinks_whole(unsanitized):
+def hand_runs_to_a_batch_sink():
+    """Deliver the ``below-last`` feed run by run; returns the runs and
+    the ones a batch-taking sink received whole."""
     gate = OutputGate()
     handed = []
 
@@ -132,8 +136,23 @@ def test_in_order_runs_reach_batch_sinks_whole(unsanitized):
     runs = runs_of(FEEDS["below-last"], Batch)
     for run in runs:
         gate.process_batch(run)
+    return runs, handed
+
+
+def test_in_order_runs_reach_batch_sinks_whole(unsanitized):
+    runs, handed = hand_runs_to_a_batch_sink()
     # The run starting below the last start went element by element.
     assert handed == [runs[0], runs[2]]
+
+
+def test_in_order_runs_reach_batch_sinks_whole_under_the_sanitizer():
+    """A sanitizer checks an in-order run once and keeps the run path;
+    only the run starting below the last start goes element by element
+    (and records its one violation)."""
+    with sanitized(StreamSanitizer()) as sanitizer:
+        runs, handed = hand_runs_to_a_batch_sink()
+    assert handed == [runs[0], runs[2]]
+    assert [e.start for _, e in sanitizer.gate_violations] == [5]
 
 
 @pytest.mark.parametrize("feed", sorted(FEEDS))

@@ -1,6 +1,6 @@
 """Shared test utilities.
 
-Three pillars:
+Four pillars:
 
 * :func:`run_query` — drive a box (optionally with a scheduled migration)
   over finite streams and return the collected output.
@@ -15,6 +15,9 @@ Three pillars:
   snapshots against this oracle verifies snapshot-reducibility directly,
   with no reliance on the engine under test: it never builds an operator,
   a box or an executor.
+* :data:`BATCH_BUILDERS` — the two ways of building the same
+  :class:`~repro.temporal.batch.Batch`, for suites that must hold for
+  either view a run arrives in.
 """
 
 from __future__ import annotations
@@ -36,7 +39,26 @@ from repro.operators import (
 )
 from repro.operators.base import StatelessOperator
 from repro.streams import CollectorSink, PhysicalStream
-from repro.temporal import StreamElement, Time
+from repro.temporal import Batch, StreamElement, Time
+
+
+def columnar(
+    elements: Sequence[StreamElement],
+    watermark: Optional[Time] = None,
+    source: Optional[str] = None,
+) -> Batch:
+    """``Batch(elements, watermark, source)`` built from its four columns
+    instead, so only the column view exists until ``elements`` is read."""
+    run = Batch(elements, watermark, source)
+    return Batch.from_columns(
+        run.starts, run.ends, run.rows, run.flags,
+        run.watermark, run.source, run.uniform_start,
+    )
+
+
+#: The two ways of building a batch, by test id: from elements (the
+#: validating constructor) and from columns.
+BATCH_BUILDERS = {"Batch": Batch, "Columnar": columnar}
 
 
 #: A fresh instance of every concrete ``StatelessOperator`` subclass.

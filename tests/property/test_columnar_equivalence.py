@@ -12,13 +12,11 @@ compare against ``batch_size=1`` of the same plan — one element per
 turn, the element-wise reference oracle.
 
 A second property migrates a *running* query off a kernel-free box
-(``force_nested_loops``, fed row batches) onto a columnar hash-join box
-mid-stream via GenMig: the paper's black-box migration cannot tell a
-columnar box from an element-wise one, and the executor switches to the
-columnar feed at the migration, so the output must again be
-byte-identical with the element-wise run of the same migration —
-including the seed of the join's struct-of-arrays state through
-``absorb_state``.
+(``force_nested_loops``) onto a hash-join box mid-stream via GenMig: the
+paper's black-box migration cannot tell a kernel-probing box from an
+element-wise one, so the output must again be byte-identical with the
+element-wise run of the same migration — including the seed of the
+join's struct-of-arrays state through ``absorb_state``.
 
 The whole suite runs under the stream-invariant sanitizer (see
 ``conftest.py``), so any columnar-path violation of ordering, watermark

@@ -1,8 +1,8 @@
 """The run contract of the hash join: a batch is its elements.
 
-``HashJoin`` probes every run through its compiled kernel — a
-``ColumnarBatch`` directly, a row ``Batch`` after one conversion — and a
-single element through ``_on_element``.  For every shape of run the
+``HashJoin`` probes every run through its compiled kernel — over the
+batch's column view, whether the run was built from columns or from
+elements — and a single element through ``_on_element``.  For every shape of run the
 kernel path must be indistinguishable from element-wise ``process``
 followed by a heartbeat at the trailing watermark: the same stream at
 every receiver, the same meter charges per category, the same selectivity
@@ -37,10 +37,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import BATCH_BUILDERS
 from repro.operators import CostMeter, NestedLoopsJoin, equi_join, sweep
 from repro.temporal import NEW, OLD, element
 from repro.temporal.batch import Batch
-from repro.temporal.columnar import ColumnarBatch
 from repro.temporal.time import MAX_TIME, MIN_TIME
 
 #: ``(start, key)`` runs fed on the port under test.
@@ -71,20 +71,20 @@ RUN_START = 5
 
 class Probe:
     """A receiver recording its stream — each promise that raises its
-    watermark included, in place — and the batch types it was handed."""
+    watermark included, in place — and the batches it was handed."""
 
     arity = 1
 
     def __init__(self, watermark):
         self.trace = []
-        self.batch_types = []
+        self.batches = []
         self.watermark = watermark
 
     def process(self, e, port=0):
         self.trace.append((e.payload, e.start, e.end, e.flag))
 
     def process_batch(self, batch, port=0):
-        self.batch_types.append(type(batch))
+        self.batches.append(batch)
         for e in batch.elements:
             self.process(e, port)
         self.process_heartbeat(batch.watermark, port)
@@ -163,7 +163,7 @@ def observe(feed, port, partner, flags, receivers, progress):
     after_run = snapshot()
     join.process_heartbeat(MAX_TIME, 0)
     join.process_heartbeat(MAX_TIME, 1)
-    return (after_run, snapshot()), [probe.batch_types for probe in probes], calls
+    return (after_run, snapshot()), [probe.batches for probe in probes], calls
 
 
 @pytest.mark.parametrize(
@@ -190,21 +190,20 @@ def test_kernel_run_equals_elementwise_process(
 
     reference, _, _ = observe(elementwise, port, partner, flags, receivers, progress)
     assert reference[1][0][0], "the case must produce results"
-    for layout in (ColumnarBatch, Batch):
+    for layout, build in BATCH_BUILDERS.items():
 
         def batched(join):
-            join.process_batch(layout(elements, watermark=watermark, source="s"), port)
+            join.process_batch(build(elements, watermark=watermark, source="s"), port)
 
-        observed, batch_types, calls = observe(
+        observed, batches, calls = observe(
             batched, port, partner, flags, receivers, progress
         )
-        assert observed == reference, layout.__name__
-        forwarded = {kind for types in batch_types for kind in types}
-        assert forwarded <= {ColumnarBatch}
+        assert observed == reference, layout
+        forwarded = [batch for handed in batches for batch in handed]
         if receivers == 2 or flags != "none":
             assert not forwarded, "staged results leave one element at a time"
         elif partner == "level" and progress == "none":
-            assert forwarded, "the fast branch forwards one columnar run"
+            assert forwarded, "the fast branch forwards one run of columns"
         if flags != "none":
             assert not calls, "flags take the element protocol"
         elif run != "non-uniform":

@@ -26,13 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import BATCH_BUILDERS, columnar
 from repro.core.reference_point import _OldOutputMonitor, _ReferencePointFilter
 from repro.engine.box import OutputGate
 from repro.operators import CostMeter, Union, base
 from repro.streams import CollectorSink
 from repro.temporal import element
-from repro.temporal.batch import Batch
-from repro.temporal.columnar import ColumnarBatch
 from repro.temporal.time import MAX_TIME, half_before
 
 
@@ -127,9 +126,9 @@ def drive_union(schedule, receivers, layout):
 @given(schedule=schedules(), receivers=st.sampled_from([1, 2]))
 def test_union_run_equals_elementwise_process(schedule, receivers):
     reference, _ = drive_union(schedule, receivers, None)
-    for layout in (Batch, ColumnarBatch):
-        observed, _ = drive_union(schedule, receivers, layout)
-        assert observed == reference, layout.__name__
+    for layout, build in BATCH_BUILDERS.items():
+        observed, _ = drive_union(schedule, receivers, build)
+        assert observed == reference, layout
 
 
 #: ``(schedule, receivers, passes whole)``: a run on port 0 after a
@@ -150,7 +149,7 @@ CASES = {
 def test_union_passes_a_run_whole_only_when_each_element_would_leave_alone(case):
     schedule, receivers, whole = CASES[case]
     reference, _ = drive_union(schedule, receivers, None)
-    observed, runs = drive_union(schedule, receivers, ColumnarBatch)
+    observed, runs = drive_union(schedule, receivers, columnar)
     assert observed == reference
     assert (runs > 0) == whole
 
@@ -215,5 +214,5 @@ def test_reference_point_adapters_take_runs_as_their_elements(
         monkeypatch.setattr(base, "SANITIZER", None)
     runs = adapter_feed(seed, disorder)
     reference = drive_adapters(runs, None)
-    for layout in (Batch, ColumnarBatch):
-        assert drive_adapters(runs, layout) == reference, layout.__name__
+    for layout, build in BATCH_BUILDERS.items():
+        assert drive_adapters(runs, build) == reference, layout

@@ -9,25 +9,29 @@ element-wise ``process`` followed by a heartbeat at the trailing
 watermark: same emitted elements, same meter charges per category (keys
 in the same insertion order), same three progress marks — and the pure
 ``evaluate`` returns exactly what was emitted.  What a batch
-adds is only its layout: windows and ``Router`` hand a ``ColumnarBatch``
-on columnar, selections and projections box it.
+adds is only its views: the windows rewrite the columns and hand on a
+run whose element view is not built, ``NowWindow`` and ``Router`` hand on
+the run they got, selections and projections box it.
 """
 
 import itertools
 
 import pytest
 
+from helpers import BATCH_BUILDERS, columnar
 from helpers import STATELESS_FACTORIES as FACTORIES
 from repro.analysis.sanitizer import SanitizerViolation, StreamSanitizer, sanitized
 from repro.engine.box import Router
 from repro.operators import NowWindow, Select, TimeWindow, UnboundedWindow
+from repro.operators import base
 from repro.operators.base import CostMeter
 from repro.temporal import element
 from repro.temporal.batch import Batch
-from repro.temporal.columnar import ColumnarBatch
 
-#: Classes whose forwarded batch keeps a columnar run columnar.
-KEEPS_COLUMNAR = (TimeWindow, NowWindow, UnboundedWindow, Router)
+#: Classes that forward a rewrite of the run's columns.
+REWRITES_COLUMNS = (TimeWindow, UnboundedWindow)
+#: Classes that forward the run they got.
+PASSES_RUN_ON = (NowWindow, Router)
 
 #: ``(start, value)`` runs: uniform, non-uniform, and one ``Select`` drops whole.
 RUNS = {
@@ -40,15 +44,15 @@ RUNS = {
 
 class Probe:
     """A subscriber recording elements, the watermark it was promised,
-    and the type of every batch handed to it (intermediate heartbeats are
-    not part of the contract: a run dropped whole promises once, not per
-    element)."""
+    and every batch handed to it with whether its element view existed
+    yet (intermediate heartbeats are not part of the contract: a run
+    dropped whole promises once, not per element)."""
 
     arity = 1
 
     def __init__(self):
         self.trace = []
-        self.batch_types = []
+        self.batches = []
         self.watermark = 0
 
     def process(self, e, port=0):
@@ -56,7 +60,7 @@ class Probe:
         self.watermark = max(self.watermark, e.start)
 
     def process_batch(self, batch, port=0):
-        self.batch_types.append(type(batch))
+        self.batches.append((batch, batch._cached is not None))
         for e in batch.elements:
             self.process(e, port)
         self.process_heartbeat(batch.watermark, port)
@@ -80,14 +84,14 @@ def observe(cls, feed):
         list(op._watermarks),
         op._purged_watermark,
         op._emitted_watermark,
-    ), probe.batch_types
+    ), probe.batches
 
 
 @pytest.mark.parametrize(
     "cls,layout,run,ahead",
     itertools.product(
         sorted(FACTORIES, key=lambda c: c.__name__),
-        (Batch, ColumnarBatch),
+        sorted(BATCH_BUILDERS),
         sorted(RUNS),
         (0, 3),
     ),
@@ -102,18 +106,33 @@ def test_process_batch_equals_elementwise_process(cls, layout, run, ahead):
             op.process(e)
         op.process_heartbeat(watermark)
 
+    run_in = BATCH_BUILDERS[layout](elements, watermark=watermark, source="s")
+
     def batched(op):
-        op.process_batch(layout(elements, watermark=watermark, source="s"))
+        op.process_batch(run_in)
 
     reference, _ = observe(cls, elementwise)
-    observed, batch_types = observe(cls, batched)
+    observed, forwarded = observe(cls, batched)
     assert observed == reference
-    expected = ColumnarBatch if layout is ColumnarBatch and cls in KEEPS_COLUMNAR else Batch
-    assert all(forwarded is expected for forwarded in batch_types)
-    assert batch_types or (cls is Select and run == "all-odd")
+    if cls in PASSES_RUN_ON:
+        assert [batch for batch, _ in forwarded] == [run_in]
+    assert forwarded or (cls is Select and run == "all-odd")
     # The pure hook handover code computes with says the same thing.
     pure = FACTORIES[cls]().evaluate(elements)
     assert [(e.payload, e.start, e.end, e.flag) for e in pure] == reference[0][1:]
+
+
+@pytest.mark.parametrize(
+    "cls", REWRITES_COLUMNS + PASSES_RUN_ON, ids=lambda c: c.__name__
+)
+def test_a_run_of_columns_is_handed_on_unboxed(cls, monkeypatch):
+    """Windows and ``Router`` never build a run's element view: a run that
+    arrives as columns leaves as columns.  (The sanitizer reads every
+    element, so it is off here.)"""
+    monkeypatch.setattr(base, "SANITIZER", None)
+    elements = [element((value,), start, start + 2) for start, value in RUNS["non-uniform"]]
+    _, forwarded = observe(cls, lambda op: op.process_batch(columnar(elements)))
+    assert forwarded and not any(has_elements for _, has_elements in forwarded)
 
 
 @pytest.mark.parametrize(

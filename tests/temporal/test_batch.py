@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.temporal import Batch, element
+from helpers import columnar
+from repro.temporal import OLD, Batch, element
 
 
 def elements_at(*starts):
@@ -74,3 +75,34 @@ class TestDerivation:
         batch = Batch(elements_at(0, 3, 3, 3, 7))
         rejoined = [e for run in batch.runs() for e in run]
         assert rejoined == batch.elements
+
+
+class TestTwoViews:
+    """A batch built from elements and its twin built from columns are
+    the same run: every read agrees, and each view is built once."""
+
+    @pytest.mark.parametrize("starts", [(4, 4, 4), (1, 1, 4, 9, 9), (3,)])
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_built_from_elements_or_columns_alike(self, starts, flagged):
+        items = elements_at(*starts)
+        if flagged:
+            items[-1] = items[-1].with_flag(OLD)
+        watermark = starts[-1] + 2
+        twins = (Batch(items, watermark, "A"), columnar(items, watermark, "A"))
+        views = [
+            (
+                [(e.payload, e.start, e.end, e.flag) for e in batch.elements],
+                batch.starts, batch.ends, batch.rows, batch.flags,
+                batch.first_start, batch.last_start, len(batch),
+                batch.uniform_start, batch.watermark, batch.source,
+                [(run.starts, run.rows, run.flags, run.watermark) for run in batch.runs()],
+            )
+            for batch in twins
+        ]
+        assert views[0] == views[1]
+        for batch in twins:
+            assert batch.elements is batch.elements
+            assert batch.starts is batch.starts
+            assert batch.ends is batch.ends
+            assert batch.rows is batch.rows
+            assert batch.flags is batch.flags
