@@ -6,8 +6,8 @@ trades go quiet — and the autonomic controller detects the drift from its
 own statistics, migrates exactly the stale three-way join (the filter
 query is left alone), and records every decision it took.
 
-No manual ``start_migration`` or ``reoptimize`` call appears below: the
-controller does everything from the ingest hub's progress ticks.
+No manual ``start_migration`` call appears below: the controller does
+everything from the ingest hub's progress ticks.
 
 Run with:  python examples/multi_query_service.py
 """

@@ -3,19 +3,19 @@
 A security team correlates three event streams — connection attempts,
 IDS alerts, and firewall denies — joined on source address over sliding
 windows.  Early on, alerts are rare; later an incident makes them the
-dominant stream.  The re-optimizer watches the live statistics and, when
-the installed left-deep join order becomes inefficient, migrates to a
-better order with GenMig — without stopping the query.
+dominant stream.  The service's autonomic controller watches the live
+statistics and, when the installed left-deep join order becomes
+inefficient, migrates to a better order — with the strategy the plan
+verifier picks for the two boxes — without stopping the query.
 
 Run with:  python examples/network_monitoring.py
 """
 
 import random
 
-from repro import CollectorSink, GenMig, QueryExecutor, first_divergence
-from repro.optimizer import CostModel, ReOptimizer
+from repro import ContinuousQueryService, ControllerPolicy, first_divergence
+from repro.optimizer import CostModel
 from repro.plans import Comparison, Field, JoinNode, PhysicalBuilder, Query, Source
-from repro.streams import PhysicalStream, timestamped_stream
 
 WINDOW = 1_000  # 1 s sliding windows (millisecond chronons)
 
@@ -34,54 +34,44 @@ def initial_plan():
     )
 
 
-def make_streams(seed=23):
-    """Alerts are sparse for 5 s, then burst to 4x the connection rate."""
+def make_feed(seed=23):
+    """Alerts are sparse for 5 s, then burst to 4x the connection rate.
+
+    Returns ``(source, payload, t)`` triples in timestamp order.
+    """
     rng = random.Random(seed)
     hosts = [f"10.0.0.{k}" for k in range(12)]
-    conn = [(rng.choice(hosts), t) for t in range(0, 12_000, 20)]
-    deny = [(rng.choice(hosts), t) for t in range(3, 12_000, 60)]
-    alert = [(rng.choice(hosts), t) for t in range(7, 5_000, 400)]
-    alert += [(rng.choice(hosts), t) for t in range(5_000, 12_000, 5)]
-    return {
-        "conn": timestamped_stream(conn, name="conn"),
-        "alert": timestamped_stream(alert, name="alert"),
-        "deny": timestamped_stream(deny, name="deny"),
-    }
+    conn = [("conn", rng.choice(hosts), t) for t in range(0, 12_000, 20)]
+    deny = [("deny", rng.choice(hosts), t) for t in range(3, 12_000, 60)]
+    alert = [("alert", rng.choice(hosts), t) for t in range(7, 5_000, 400)]
+    alert += [("alert", rng.choice(hosts), t) for t in range(5_000, 12_000, 5)]
+    return sorted(conn + alert + deny, key=lambda item: item[2])
 
 
 def run(adaptive: bool):
-    streams = make_streams()
-    windows = {name: WINDOW for name in streams}
-    # Nested-loops joins, as in the paper's experiments: probe costs scale
-    # with state sizes, which is what makes join order matter.
-    builder = PhysicalBuilder(force_nested_loops=True)
-    query = Query(initial_plan(), windows)
-    executor = QueryExecutor(streams, windows, builder.build(initial_plan()))
-    sink = CollectorSink()
-    executor.add_sink(sink)
-
-    state = {"plan": initial_plan()}
-    if adaptive:
-        optimizer = ReOptimizer(
-            builder=builder,
-            cost_model=CostModel(default_selectivity=0.05),
-            strategy_factory=GenMig,
+    windows = {name: WINDOW for name in ("conn", "alert", "deny")}
+    service = ContinuousQueryService(
+        # Nested-loops joins, as in the paper's experiments: probe costs
+        # scale with state sizes, which is what makes join order matter.
+        builder=PhysicalBuilder(force_nested_loops=True),
+        cost_model=CostModel(default_selectivity=0.05),
+        # A re-optimization round every 2 s, as a DSMS would schedule them.
+        policy=ControllerPolicy(
+            period=2_000,
+            warmup_observations=2,
             improvement_threshold=0.9,
-        )
-
-        def reconsider():
-            chosen = optimizer.reoptimize(executor, query, state["plan"])
-            if chosen is not None:
-                print(f"  [t={executor.clock} ms] re-optimizer migrates to: "
-                      f"{chosen.signature()}")
-                state["plan"] = chosen
-
-        # Periodic re-optimization checks, as a DSMS would schedule them.
-        for at in range(2_000, 12_000, 2_000):
-            executor.schedule(at, reconsider)
-
-    executor.run()
-    return sink.elements, executor
+            migration_cost_per_value=0.0,
+        ),
+    )
+    handle = service.register("correlate", Query(initial_plan(), windows))
+    if not adaptive:
+        service.controller.release(handle)
+    for source, payload, t in make_feed():
+        service.publish(source, payload, t)
+    service.finish()
+    for event in handle.events.of_kind("migrated"):
+        print(f"  [t={event.at} ms] controller migrates to: {event['new_plan']}")
+    return handle.results, handle.executor
 
 
 def main():
@@ -93,7 +83,7 @@ def main():
     print(f"results: {len(static_out)}, "
           f"cost: {static_executor.meter.total:,} units")
 
-    print("\n-- adaptive run (re-optimizer + GenMig) --")
+    print("\n-- adaptive run (autonomic controller) --")
     adaptive_out, adaptive_executor = run(adaptive=True)
     print(f"results: {len(adaptive_out)}, "
           f"cost: {adaptive_executor.meter.total:,} units")

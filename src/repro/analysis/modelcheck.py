@@ -67,6 +67,7 @@ from .plan_verifier import (
     REFERENCE_POINT,
     WARNING,
     Diagnostic,
+    figure2_plans,
 )
 
 #: Default schedule budget: generous for the bundled presets (which need
@@ -606,19 +607,6 @@ def _figure2_old_box():
     )
 
 
-def _figure2_plan():
-    from ..plans.expressions import Comparison, Field
-    from ..plans.logical import DistinctNode, JoinNode, Source
-
-    return DistinctNode(
-        JoinNode(
-            Source("A", ["x"]),
-            Source("B", ["y"]),
-            Comparison("=", Field("A.x"), Field("B.y")),
-        )
-    )
-
-
 #: The Figure 2 / Example 1 data: two partially overlapping windows of the
 #: same value, so duplicate elimination must merge across the migration.
 _FIGURE2_STREAMS = {"A": (("a", 50), ("a", 70)), "B": (("a", 20), ("a", 90))}
@@ -710,7 +698,7 @@ def _pt_figure2() -> Scenario:
         old_box=_figure2_old_box,
         new_box=_figure2_pushdown_box,
         make_strategy=lambda: ParallelTrack(force=True),
-        plan=_figure2_plan(),
+        plan=figure2_plans()[0],
         expect_violation=True,
     )
 
@@ -744,7 +732,7 @@ def _genmig_figure2() -> Scenario:
         old_box=_figure2_old_box,
         new_box=_figure2_pushdown_box,
         make_strategy=GenMig,
-        plan=_figure2_plan(),
+        plan=figure2_plans()[0],
     )
 
 

@@ -80,11 +80,6 @@ class MigrationReport:
         to completion)."""
         return self.completed_at - self.started_at
 
-    @property
-    def total_duration(self) -> Time:
-        """Trigger-to-completion duration, including any monitoring phase."""
-        return self.completed_at - self.triggered_at
-
 
 class MigrationStrategy:
     """Base class: lifecycle scaffolding shared by all strategies.

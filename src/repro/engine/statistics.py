@@ -101,10 +101,10 @@ class StatisticsCatalog:
 
         ``RateEstimator.rate`` is 0.0 until the second observation, so cost
         estimates built from a cold catalog compare garbage against garbage.
-        Callers deciding plan migrations (``ReOptimizer.decide``, the
-        autonomic controller) must not act before every source named in
-        ``sources`` (default: every registered source) has at least
-        ``min_observations`` arrivals on record.
+        ``ReOptimizer.decide`` — the one place plan migrations are decided,
+        on the autonomic controller's behalf — does not act before every
+        source named in ``sources`` (default: every registered source) has
+        at least ``min_observations`` arrivals on record.
         """
         names = list(sources) if sources is not None else list(self.rates)
         if not names:

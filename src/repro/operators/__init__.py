@@ -26,7 +26,6 @@ from .join import (
 from .project import Project, ProjectFields
 from .scalar import (
     AggregateFunction,
-    apply_aggregates,
     avg_of,
     count,
     max_of,
@@ -58,7 +57,6 @@ __all__ = [
     "TimeWindow",
     "UnboundedWindow",
     "Union",
-    "apply_aggregates",
     "avg_of",
     "count",
     "equi_join",

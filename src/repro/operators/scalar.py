@@ -7,7 +7,7 @@ application time, so implementations stay simple single-pass folds.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence, Tuple
+from typing import Any, Callable, Iterable
 
 from ..temporal.element import Payload
 
@@ -65,10 +65,3 @@ def avg_of(field: int = 0) -> AggregateFunction:
         return total / n
 
     return AggregateFunction(f"avg[{field}]", fold)
-
-
-def apply_aggregates(
-    functions: Sequence[AggregateFunction], payloads: Sequence[Payload]
-) -> Tuple[Any, ...]:
-    """Evaluate several aggregates over one (materialised) bag."""
-    return tuple(fn(payloads) for fn in functions)

@@ -1,7 +1,6 @@
-"""Query re-optimization: transformation rules, cost model, migration driver."""
+"""Query re-optimization: transformation rules, cost model, decision step."""
 
 from .cost import CostModel, Estimate
-from .joinorder import best_join_order
 from .optimizer import OptimizationDecision, ReOptimizer
 from .rules import (
     JoinGraph,
@@ -13,7 +12,6 @@ from .rules import (
 
 __all__ = [
     "CostModel",
-    "best_join_order",
     "Estimate",
     "JoinGraph",
     "OptimizationDecision",

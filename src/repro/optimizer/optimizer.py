@@ -1,24 +1,24 @@
-"""The re-optimizer: statistics → candidate plans → dynamic migration.
+"""The re-optimizer: statistics → candidate plans → a migrate-or-keep decision.
 
-This closes the loop the paper's introduction describes: the DSMS monitors
-runtime statistics, the optimizer re-optimizes the logical plan with the
-conventional transformation rules (sound because all operators are
-snapshot-reducible), and — when a sufficiently better plan exists — the
-running box is replaced via a dynamic plan migration strategy, GenMig by
-default.
+This is the decision step of the loop the paper's introduction describes:
+the DSMS monitors runtime statistics, the optimizer re-optimizes the
+logical plan with the conventional transformation rules (sound because all
+operators are snapshot-reducible), and — when a sufficiently better plan
+exists — the running box is replaced via a dynamic plan migration.  The
+migration itself is the autonomic controller's
+(:class:`~repro.service.controller.AutonomicController`): it builds the new
+box, lets :func:`~repro.core.strategy.select_strategy` choose the strategy
+and records the outcome in the query's event log.  A :class:`ReOptimizer`
+holds only its thresholds, so one instance serves every query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from ..core.genmig import GenMig
-from ..core.strategy import MigrationStrategy
-from ..engine.executor import QueryExecutor
 from ..engine.statistics import StatisticsCatalog
 from ..plans.logical import LogicalPlan, Query
-from ..plans.physical import PhysicalBuilder
 from .cost import CostModel
 from .rules import join_orders, push_down_distinct, push_down_selections
 
@@ -29,7 +29,7 @@ class OptimizationDecision:
 
     ``reason`` explains a non-migration outcome: ``None`` while migrating,
     otherwise one of ``"no-better-plan"``, ``"below-threshold"``,
-    ``"cold-statistics"``, ``"migration-cost"`` or ``"migration-in-flight"``.
+    ``"cold-statistics"`` or ``"migration-cost"``.
     """
 
     current_cost: float
@@ -39,10 +39,6 @@ class OptimizationDecision:
     reason: Optional[str] = None
     migration_cost: float = 0.0
     projected_savings: float = 0.0
-    #: The chosen plan's static-analysis verdict
-    #: (:class:`~repro.analysis.plan_verifier.PlanVerdict`), or ``None``
-    #: when no plan was chosen.
-    verdict: Optional[object] = None
 
     @property
     def migrate(self) -> bool:
@@ -50,13 +46,10 @@ class OptimizationDecision:
 
 
 class ReOptimizer:
-    """Plan re-optimization driving dynamic migration.
+    """Cost-based choice between a running plan and its equivalents.
 
     Args:
-        builder: logical-to-physical compiler for the new box.
         cost_model: the plan cost model.
-        strategy_factory: builds a fresh migration strategy per migration
-            (default: GenMig).
         improvement_threshold: migrate only when the best candidate costs
             less than ``threshold`` times the current plan — re-optimization
             is not free, so small wins are ignored.
@@ -74,26 +67,17 @@ class ReOptimizer:
 
     def __init__(
         self,
-        builder: Optional[PhysicalBuilder] = None,
         cost_model: Optional[CostModel] = None,
-        strategy_factory: Callable[[], MigrationStrategy] = GenMig,
         improvement_threshold: float = 0.8,
         min_observations: int = 2,
         migration_cost_per_value: float = 0.0,
         savings_horizon: float = 1000.0,
     ) -> None:
-        self.builder = builder or PhysicalBuilder()
         self.cost_model = cost_model or CostModel()
-        self.strategy_factory = strategy_factory
         self.improvement_threshold = improvement_threshold
         self.min_observations = min_observations
         self.migration_cost_per_value = migration_cost_per_value
         self.savings_horizon = savings_horizon
-        self.decisions: List[OptimizationDecision] = []
-
-    # ------------------------------------------------------------------ #
-    # Candidate generation
-    # ------------------------------------------------------------------ #
 
     def candidates(self, plan: LogicalPlan) -> List[LogicalPlan]:
         """Equivalent plans produced by the transformation rules.
@@ -117,10 +101,6 @@ class ReOptimizer:
                         alternatives.append(candidate)
         return alternatives
 
-    # ------------------------------------------------------------------ #
-    # Decision and migration
-    # ------------------------------------------------------------------ #
-
     def decide(
         self,
         query: Query,
@@ -128,18 +108,16 @@ class ReOptimizer:
         statistics: StatisticsCatalog,
     ) -> OptimizationDecision:
         """Pick the cheapest equivalent plan; decide whether to migrate."""
+        current_cost = self.cost_model.cost(query, current, statistics)
         if not statistics.ready(set(current.sources()), self.min_observations):
-            decision = OptimizationDecision(
-                current_cost=self.cost_model.cost(query, current, statistics),
+            return OptimizationDecision(
+                current_cost=current_cost,
                 best_cost=0.0,
                 chosen=None,
                 candidates_considered=0,
                 reason="cold-statistics",
             )
-            self.decisions.append(decision)
-            return decision
 
-        current_cost = self.cost_model.cost(query, current, statistics)
         best_plan: Optional[LogicalPlan] = None
         best_cost = current_cost
         alternatives = self.candidates(current)
@@ -166,12 +144,7 @@ class ReOptimizer:
             if projected_savings <= migration_cost:
                 best_plan = None
                 reason = "migration-cost"
-        verdict = None
-        if best_plan is not None:
-            from ..analysis.plan_verifier import verify_plan
-
-            verdict = verify_plan(best_plan)
-        decision = OptimizationDecision(
+        return OptimizationDecision(
             current_cost=current_cost,
             best_cost=best_cost,
             chosen=best_plan,
@@ -179,39 +152,4 @@ class ReOptimizer:
             reason=reason,
             migration_cost=migration_cost,
             projected_savings=projected_savings,
-            verdict=verdict,
         )
-        self.decisions.append(decision)
-        return decision
-
-    def reoptimize(
-        self,
-        executor: QueryExecutor,
-        query: Query,
-        current: LogicalPlan,
-    ) -> Optional[LogicalPlan]:
-        """One re-optimization round against a running executor.
-
-        Uses the executor's live statistics; when a better plan is found,
-        builds its box and starts a dynamic migration immediately.  Returns
-        the newly installed logical plan, or ``None`` when no migration was
-        triggered.  A round that lands while a migration is still in flight
-        is skipped and recorded — never an error.
-        """
-        if executor.migration_active:
-            self.decisions.append(
-                OptimizationDecision(
-                    current_cost=0.0,
-                    best_cost=0.0,
-                    chosen=None,
-                    candidates_considered=0,
-                    reason="migration-in-flight",
-                )
-            )
-            return None
-        decision = self.decide(query, current, executor.statistics)
-        if not decision.migrate:
-            return None
-        new_box = self.builder.build(decision.chosen, label=decision.chosen.signature())
-        executor.start_migration(new_box, self.strategy_factory())
-        return decision.chosen

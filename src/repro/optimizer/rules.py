@@ -9,15 +9,15 @@ between.  Implemented rules:
 * selection push-down / pull-up,
 * duplicate-elimination push-down through joins (the Figure 2 rule:
   ``distinct(A ⋈ B)  →  distinct(A) ⋈ distinct(B)``) and its inverse,
-* join reordering over maximal equi-join subtrees (left-deep and bushy
-  shapes), re-projecting to the original column order so the rewritten
-  plan is equivalent *including schema*.
+* join reordering over maximal equi-join subtrees (left-deep orders),
+  re-projecting to the original column order so the rewritten plan is
+  equivalent *including schema*.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .. import plans
 from ..plans.expressions import Comparison, Expression, Field, conjunction, conjuncts
@@ -202,26 +202,6 @@ class JoinGraph:
             remaining = [p for p in remaining if p not in applicable]
             condition = conjunction(applicable) if applicable else None
             tree = JoinNode(tree, right, condition)
-        if remaining:
-            tree = SelectNode(tree, conjunction(remaining))
-        original = sum((leaf.schema for leaf in self.leaves), ())
-        if tree.schema != original:
-            tree = ProjectNode(tree, [(Field(name), name) for name in original])
-        return tree
-
-    def build_right_deep(self, order: Sequence[int]) -> LogicalPlan:
-        """Build a right-deep join tree over leaves in the given order."""
-        if sorted(order) != list(range(len(self.leaves))):
-            raise ValueError(f"order {order} is not a permutation of the leaves")
-        remaining = list(self.predicates)
-        tree: LogicalPlan = self.leaves[order[-1]]
-        for index in reversed(order[:-1]):
-            left = self.leaves[index]
-            available = set(tree.schema) | set(left.schema)
-            applicable = [p for p in remaining if p.columns() <= available]
-            remaining = [p for p in remaining if p not in applicable]
-            condition = conjunction(applicable) if applicable else None
-            tree = JoinNode(left, tree, condition)
         if remaining:
             tree = SelectNode(tree, conjunction(remaining))
         original = sum((leaf.schema for leaf in self.leaves), ())

@@ -153,7 +153,6 @@ def run_pn_migration(
     old_box: PNBox,
     new_box: PNBox,
     migrate_at: Time,
-    batch_size: int = 32,
 ) -> Tuple[List[PNElement], PNMigrationReport]:
     """Run a PN query over finite inputs with one GenMig migration.
 
@@ -162,18 +161,11 @@ def run_pn_migration(
         windows: per source, the time-based window size.
         old_box / new_box: snapshot-equivalent PN plans.
         migrate_at: application time at which the migration is triggered.
-        batch_size: cap on the equal-timestamp same-source runs the driver
-            loop processes per turn.  The arming check, the heartbeat
-            fan-out and the completion check are idempotent within such a
-            run, so every value produces byte-identical output; ``1``
-            restores the strict element-at-a-time loop.
 
     Returns:
         The accepted output (old box's results followed by the new box's,
         per the reference-point rule) and the migration report.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     global_window = max(windows.values())
     old_sink = _ReferencePointSink()
     new_sink = _ReferencePointSink()
@@ -206,18 +198,7 @@ def run_pn_migration(
     triggered_at: Time = migrate_at
     completed_at: Optional[Time] = None
 
-    index = 0
-    total = len(merged)
-    while index < total:
-        timestamp, _, source, _ = merged[index]
-        bound = index + 1
-        while (
-            bound < total
-            and bound - index < batch_size
-            and merged[bound][0] == timestamp
-            and merged[bound][2] == source
-        ):
-            bound += 1
+    for timestamp, _, source, element in merged:
         if t_split is None and timestamp >= migrate_at:
             # Arm the migration: Algorithm 1's split time, PN flavour.
             # max(t_Si) + w + 1 + EPSILON: the half chronon before + 2.
@@ -233,13 +214,10 @@ def run_pn_migration(
         # temporal processing order).
         for window_op in window_ops.values():
             window_op.process_heartbeat(timestamp, 0)
-        window_op = window_ops[source]
-        for position in range(index, bound):
-            window_op.process(merged[position][3], 0)
+        window_ops[source].process(element, 0)
         if t_split is not None and completed_at is None:
             if min(last_seen.values()) >= t_split:
                 completed_at = timestamp
-        index = bound
     for window_op in window_ops.values():
         window_op.process_heartbeat(MAX_TIME, 0)
     if t_split is None:

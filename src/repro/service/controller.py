@@ -3,12 +3,15 @@
 The controller closes the loop the paper's introduction sketches: the DSMS
 continuously maintains runtime statistics, and "whenever the need for a
 re-optimization is detected", replaces a stale plan via dynamic migration.
-Per managed query it periodically runs one :class:`ReOptimizer` round,
-tempered by the guards that make the loop safe to leave unattended:
+It is the only place a plan migration is decided and started.  Per managed
+query it periodically asks one shared, stateless :class:`ReOptimizer` to
+``decide``, tempered by the guards that make the loop safe to leave
+unattended:
 
 * **warmup** — rounds are skipped while the statistics are cold (the
   re-optimizer's minimum-observation check);
-* **in-flight guard** — a round never overlaps a running migration;
+* **in-flight guard** — a round never overlaps a running migration (the
+  controller's check alone: it runs before the re-optimizer is asked);
 * **hysteresis/cooldown** — after a migration completes, further
   migrations are suppressed for a configurable span so plan flapping
   cannot oscillate state back and forth;
@@ -22,18 +25,17 @@ tempered by the guards that make the loop safe to leave unattended:
   :func:`repro.core.strategy.select_strategy`).
 
 Every outcome lands in the query's :class:`~repro.service.events.
-QueryEventLog` (mirrored into its metrics recorder), so the service's
-migration activity is fully auditable per query.
+QueryEventLog` (mirrored into its metrics recorder) — the one audit trail
+of the service's migration activity, per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from ..optimizer.cost import CostModel
 from ..optimizer.optimizer import ReOptimizer
-from ..plans.physical import PhysicalBuilder
 from ..temporal.time import Time
 from . import events as ev
 from .registry import QueryRegistry, RegisteredQuery
@@ -82,8 +84,14 @@ class AutonomicController:
     ) -> None:
         self.registry = registry
         self.policy = policy or ControllerPolicy()
-        self.cost_model = cost_model
-        self._optimizers: Dict[str, ReOptimizer] = {}
+        self.optimizer = ReOptimizer(
+            cost_model=cost_model,
+            improvement_threshold=self.policy.improvement_threshold,
+            min_observations=self.policy.warmup_observations,
+            migration_cost_per_value=self.policy.migration_cost_per_value,
+            savings_horizon=self.policy.savings_horizon,
+        )
+        self._managed: Set[str] = set()
         self._due: Dict[str, Time] = {}
 
     # ------------------------------------------------------------------ #
@@ -92,28 +100,16 @@ class AutonomicController:
 
     def manage(self, handle: RegisteredQuery) -> None:
         """Put one registered query under autonomic control."""
-        policy = self.policy
-        self._optimizers[handle.name] = ReOptimizer(
-            builder=self.registry.builder,
-            cost_model=self.cost_model,
-            improvement_threshold=policy.improvement_threshold,
-            min_observations=policy.warmup_observations,
-            migration_cost_per_value=policy.migration_cost_per_value,
-            savings_horizon=policy.savings_horizon,
-        )
+        self._managed.add(handle.name)
         handle.executor.on_migration_complete = (
             lambda report, h=handle: self._completed(h, report)
         )
 
     def release(self, handle: RegisteredQuery) -> None:
         """Stop managing a query (its executor keeps running)."""
-        self._optimizers.pop(handle.name, None)
+        self._managed.discard(handle.name)
         self._due.pop(handle.name, None)
         handle.executor.on_migration_complete = None
-
-    def decisions(self, name: str) -> list:
-        """The raw :class:`OptimizationDecision` list of one query."""
-        return list(self._optimizers[name].decisions)
 
     # ------------------------------------------------------------------ #
     # The periodic loop
@@ -122,7 +118,7 @@ class AutonomicController:
     def on_progress(self, now: Time) -> None:
         """Hub callback: run every consideration round that has come due."""
         for handle in self.registry.active():
-            if handle.name not in self._optimizers:
+            if handle.name not in self._managed:
                 continue
             due = self._due.setdefault(handle.name, now + self.policy.period)
             if now < due:
@@ -141,8 +137,7 @@ class AutonomicController:
         if last is not None and now - last < self.policy.cooldown:
             log.record(now, ev.SKIPPED_COOLDOWN, until=last + self.policy.cooldown)
             return
-        optimizer = self._optimizers[handle.name]
-        decision = optimizer.decide(handle.query, handle.plan, executor.statistics)
+        decision = self.optimizer.decide(handle.query, handle.plan, executor.statistics)
         if decision.reason == "cold-statistics":
             log.record(
                 now,

@@ -24,17 +24,6 @@ def snapshot(elements: Iterable[StreamElement], t: Time) -> Multiset:
     return Multiset(e.payload for e in elements if e.is_valid_at(t))
 
 
-def covered_instants(elements: Sequence[StreamElement]) -> Set[int]:
-    """Return every integer time instant covered by any element's interval.
-
-    Used by the brute-force equivalence check; assumes bounded intervals.
-    """
-    instants: Set[int] = set()
-    for e in elements:
-        instants.update(e.interval.instants())
-    return instants
-
-
 def critical_instants(*streams: Sequence[StreamElement]) -> List[Time]:
     """Return integer probe instants covering every distinct snapshot.
 

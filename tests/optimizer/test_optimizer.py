@@ -1,20 +1,19 @@
-"""Tests for the re-optimizer driving dynamic migrations."""
+"""Tests for the re-optimizer's migrate-or-keep decision."""
 
-import random
+import copy
 
-from repro.core import GenMig
-from repro.engine import QueryExecutor, StatisticsCatalog
-from repro.optimizer import CostModel, ReOptimizer
+from repro.engine import StatisticsCatalog
+from repro.optimizer import ReOptimizer
 from repro.plans import (
     Comparison,
+    DistinctNode,
     Field,
     JoinNode,
-    PhysicalBuilder,
+    Literal,
     Query,
+    SelectNode,
     Source,
 )
-from repro.streams import CollectorSink, timestamped_stream
-from repro.temporal import first_divergence
 
 A = Source("A", ["x"])
 B = Source("B", ["y"])
@@ -36,6 +35,15 @@ def skewed_catalog():
         stats.rate_of("B").observe(t)
     for t in range(0, 10000, 500):
         stats.rate_of("C").observe(t)
+    return stats
+
+
+def uniform_catalog():
+    """A, B and C arrive at one rate: every join order costs the same."""
+    stats = StatisticsCatalog()
+    for t in range(0, 10000, 10):
+        for name in ("A", "B", "C"):
+            stats.rate_of(name).observe(t)
     return stats
 
 
@@ -67,21 +75,12 @@ class TestDecide:
         assert not decision.migrate
 
     def test_uniform_rates_keep_current_plan(self):
-        stats = StatisticsCatalog()
-        for t in range(0, 10000, 10):
-            for name in ("A", "B", "C"):
-                stats.rate_of(name).observe(t)
+        stats = uniform_catalog()
         optimizer = ReOptimizer(improvement_threshold=0.8)
         query = Query(left_deep(), {"A": 100, "B": 100, "C": 100})
         decision = optimizer.decide(query, left_deep(), stats)
         # All orders cost the same under uniform statistics.
         assert not decision.migrate
-
-    def test_decisions_logged(self):
-        optimizer = ReOptimizer()
-        query = Query(left_deep(), {"A": 100, "B": 100, "C": 100})
-        optimizer.decide(query, left_deep(), skewed_catalog())
-        assert len(optimizer.decisions) == 1
 
 
 class TestDecideGuards:
@@ -123,85 +122,44 @@ class TestDecideGuards:
         assert decision.migration_cost == 0.0
 
 
-class TestReoptimizeLoop:
-    def test_live_reoptimization_migrates_and_stays_correct(self):
-        rng = random.Random(77)
-        streams = {
-            "A": timestamped_stream([(rng.randint(0, 5), t) for t in range(0, 400, 2)]),
-            "B": timestamped_stream([(rng.randint(0, 5), t) for t in range(1, 400, 2)]),
-            "C": timestamped_stream([(rng.randint(0, 5), t) for t in range(2, 400, 40)]),
-        }
-        windows = {"A": 50, "B": 50, "C": 50}
-        builder = PhysicalBuilder()
-        query = Query(left_deep(), windows)
+def attributes(optimizer):
+    """An optimizer's attributes, its cost model's spelled out."""
+    return {
+        name: vars(value) if name == "cost_model" else value
+        for name, value in vars(optimizer).items()
+    }
 
-        def run(reoptimize):
-            sink = CollectorSink()
-            executor = QueryExecutor(streams, windows, builder.build(left_deep()))
-            executor.add_sink(sink)
-            if reoptimize:
-                optimizer = ReOptimizer(builder=builder, strategy_factory=GenMig,
-                                        improvement_threshold=0.95)
-                executor.schedule(
-                    200, lambda: optimizer.reoptimize(executor, query, left_deep())
-                )
-            executor.run()
-            return sink.elements, executor
 
-        base, _ = run(False)
-        migrated, executor = run(True)
-        assert len(executor.migration_log) == 1
-        assert first_divergence(base, migrated) is None
+class TestSharedInstance:
+    """The controller shares one re-optimizer across all its queries, so a
+    decision must depend on its arguments and the thresholds alone."""
 
-    def test_reoptimize_skips_while_migration_in_flight(self):
-        """Regression: a round during an active migration must not raise."""
-        rng = random.Random(13)
-        streams = {
-            "A": timestamped_stream([(rng.randint(0, 5), t) for t in range(0, 400, 2)]),
-            "B": timestamped_stream([(rng.randint(0, 5), t) for t in range(1, 400, 2)]),
-            "C": timestamped_stream([(rng.randint(0, 5), t) for t in range(2, 400, 40)]),
-        }
-        windows = {"A": 50, "B": 50, "C": 50}
-        builder = PhysicalBuilder()
-        executor = QueryExecutor(streams, windows, builder.build(left_deep()))
-        query = Query(left_deep(), windows)
-        optimizer = ReOptimizer(builder=builder, strategy_factory=GenMig,
-                                improvement_threshold=0.95)
-        outcome = {}
-        executor.schedule(
-            100, lambda: optimizer.reoptimize(executor, query, left_deep())
+    def test_alternating_queries_decide_as_fresh_instances(self):
+        settings = dict(
+            improvement_threshold=0.9,
+            migration_cost_per_value=0.001,
+            savings_horizon=500.0,
         )
-        # With a 50-chronon window the first migration is still in flight
-        # at t=110; this round must skip instead of raising MigrationError.
-        executor.schedule(
-            110,
-            lambda: outcome.update(
-                plan=optimizer.reoptimize(executor, query, left_deep())
-            ),
+        windows = {"A": 100, "B": 100, "C": 100}
+        joined = Query(left_deep(), windows)
+        filtered = Query(
+            DistinctNode(SelectNode(JoinNode(A, B, AB), Comparison(">", Field("A.x"), Literal(1)))),
+            windows,
         )
-        executor.run()
-        assert outcome["plan"] is None
-        assert len(executor.migration_log) == 1
-        assert optimizer.decisions[-1].reason == "migration-in-flight"
-
-    def test_reoptimize_returns_none_without_improvement(self):
-        streams = {
-            "A": timestamped_stream([(1, t) for t in range(0, 100, 5)]),
-            "B": timestamped_stream([(1, t) for t in range(1, 100, 5)]),
-            "C": timestamped_stream([(1, t) for t in range(2, 100, 5)]),
-        }
-        windows = {"A": 20, "B": 20, "C": 20}
-        builder = PhysicalBuilder()
-        executor = QueryExecutor(streams, windows, builder.build(left_deep()))
-        query = Query(left_deep(), windows)
-        optimizer = ReOptimizer(builder=builder, improvement_threshold=0.5)
-        outcome = {}
-        executor.schedule(
-            50,
-            lambda: outcome.update(
-                plan=optimizer.reoptimize(executor, query, left_deep())
-            ),
-        )
-        executor.run()
-        assert outcome["plan"] is None
-        assert executor.migration_log == []
+        rounds = [
+            (joined, joined.plan, skewed_catalog()),
+            (filtered, filtered.plan, skewed_catalog()),
+            (joined, joined.plan, uniform_catalog()),
+            (filtered, filtered.plan, StatisticsCatalog()),
+        ] * 2
+        shared = ReOptimizer(**settings)
+        before = copy.deepcopy(attributes(shared))
+        reasons = set()
+        for query, plan, statistics in rounds:
+            decision = shared.decide(query, plan, statistics)
+            alone = ReOptimizer(**settings).decide(query, plan, statistics)
+            assert decision == alone
+            reasons.add(decision.reason)
+        assert attributes(shared) == before
+        # The rounds cover a migration, a keep and a cold skip.
+        assert {None, "cold-statistics"} < reasons

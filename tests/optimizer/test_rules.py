@@ -143,12 +143,6 @@ class TestJoinGraph:
         rebuilt = graph.build([2, 0, 1])
         assert rebuilt.schema == three_way_join().schema
 
-    def test_right_deep_build(self):
-        graph = JoinGraph.extract(three_way_join())
-        rebuilt = graph.build_right_deep([0, 1, 2])
-        assert rebuilt.schema == three_way_join().schema
-        assert_plans_equivalent(three_way_join(), rebuilt)
-
     def test_invalid_order_rejected(self):
         graph = JoinGraph.extract(three_way_join())
         with pytest.raises(ValueError):

@@ -122,25 +122,3 @@ class TestSplitTimeAndAccounting:
         with pytest.raises(RecoveryError):
             run_pn_migration(raws, WINDOWS, join_only_box(), join_only_box(),
                              migrate_at=100)
-
-
-class TestBatchEquivalence:
-    """The batched PN runner is a pure re-chunking of the element loop."""
-
-    def run_with(self, batch_size, seed=9):
-        out, report = run_pn_migration(
-            raw_streams(seed=seed), WINDOWS, distinct_top_box(),
-            distinct_pushed_box(), migrate_at=100, batch_size=batch_size,
-        )
-        return out, report
-
-    @pytest.mark.parametrize("batch_size", [2, 7, 32])
-    def test_output_and_report_match_element_mode(self, batch_size):
-        base_out, base_report = self.run_with(1)
-        out, report = self.run_with(batch_size)
-        assert out == base_out
-        assert report == base_report
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            self.run_with(0)

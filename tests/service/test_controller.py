@@ -3,7 +3,7 @@
 The centrepiece is the end-to-end service scenario the paper's
 introduction describes: several continuous queries share one physical
 stream feed, the stream rates drift mid-run, and — with no manual
-``start_migration``/``reoptimize`` call anywhere — the controller detects
+``start_migration`` call anywhere — the controller detects
 the stale plan, migrates exactly the affected query, and records the whole
 decision history per query.  Output correctness is checked against the
 snapshot-by-snapshot relational reference of ``tests/helpers.py``.
@@ -200,6 +200,25 @@ def test_migrated_event_justifies_the_chosen_strategy(strategy_policy):
         assert names_reference_point == (strategy_policy == "auto")
         if strategy_policy != "auto":
             assert repr(strategy_policy) in event["justification"]
+
+
+def test_shared_optimizer_decides_each_query_as_if_alone():
+    """One re-optimizer serves every managed query: each query's audit log
+    is the one it gets when registered alone on the same feed."""
+
+    def logs(names):
+        service = ContinuousQueryService(catalog=catalog(), policy=drift_policy("auto"))
+        texts = {"join3": JOIN_CQL, "count3": AGGREGATE_CQL}
+        handles = [service.register(name, texts[name]) for name in names]
+        for source, payload, t in drifting_feed():
+            service.publish(source, payload, t)
+        service.finish()
+        return {h.name: [event.to_dict() for event in h.events] for h in handles}
+
+    together = logs(["join3", "count3"])
+    for name in ("join3", "count3"):
+        assert ev.MIGRATED in [event["kind"] for event in together[name]]
+        assert together[name] == logs([name])[name]
 
 
 def test_rounds_skip_while_statistics_cold():
