@@ -54,12 +54,15 @@ reused.)
 
 ``RLB009``
     No module-level mutable literals (``[]``/``{}``/``list()``/
-    ``dict()``/``set()``) under ``engine/`` or ``operators/`` (the
-    conventional ``__all__`` excepted).  Module state is shared across
-    every executor in the process: the model checker replays thousands
-    of schedules per process, so a module-level cache or registry would
-    leak state between runs.  Use immutable constants (tuples,
-    ``frozenset``) or instance state.
+    ``dict()``/``set()``) and no ``global`` statements under
+    ``engine/`` or ``operators/`` (the conventional ``__all__``
+    excepted).  Module state is shared across every executor in the
+    process: the model checker replays thousands of schedules per
+    process, so a module-level cache, registry or switch would leak
+    state between runs.  Use immutable constants (tuples,
+    ``frozenset``) or instance state; the one process-wide switch,
+    ``operators.base.SANITIZER``, is set by attribute from
+    ``analysis/``.
 
 ``RLB010``
     A ``StatelessOperator`` subclass (``Router`` is one) must not
@@ -437,16 +440,32 @@ def _process_primitive_findings(tree: ast.AST, path: str) -> List[LintFinding]:
 
 
 def _mutable_global_findings(tree: ast.AST, path: str) -> List[LintFinding]:
-    """RLB009: no module-level mutable literals in engine/operator code.
+    """RLB009: no mutable module state in engine/operator code.
 
     Flags top-level assignments whose value is a list/dict/set literal or
-    a bare ``list()``/``dict()``/``set()`` call.  Module state is shared
-    by every executor in the process — schedule replays would leak state
-    through it.
+    a bare ``list()``/``dict()``/``set()`` call, and every ``global``
+    statement (a function rebinding a module name is a process-wide
+    switch).  Module state is shared by every executor in the process —
+    schedule replays would leak state through it.  The one process-wide
+    switch, ``operators.base.SANITIZER``, is set by attribute from the
+    analysis layer, outside this scope.
     """
     findings: List[LintFinding] = []
     if not isinstance(tree, ast.Module):
         return findings
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            findings.append(
+                LintFinding(
+                    path,
+                    node.lineno,
+                    "RLB009",
+                    f"global statement rebinding {', '.join(node.names)} in "
+                    "engine/operator code: a module-level switch is shared "
+                    "across every executor and schedule replay in the "
+                    "process — use instance state",
+                )
+            )
     for node in tree.body:
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value

@@ -183,18 +183,28 @@ def _checkpoint_state_diagnostic(
     Checkpoints, Moving States and fluid migration all move operator
     state through the one ``state_of_port`` / ``absorb_state`` pair —
     columnar state included, which the hooks materialise into elements
-    and back.  A stateful operator missing
-    either hook makes every plan that contains it non-checkpointable
-    (the CheckpointManager refuses at runtime with a
-    :class:`~repro.recovery.errors.RecoveryError`).  The hooks are
-    duck-typed on purpose: a base-class default drain would turn "not
-    checkpointable" into silently lost state.
+    and back.  A stateful operator that does not override the base
+    ``state_of_port`` (which drains nothing) or lacks ``absorb_state``
+    makes every plan that contains it non-checkpointable (the
+    CheckpointManager refuses at runtime with a
+    :class:`~repro.recovery.errors.RecoveryError`).  ``absorb_state`` is
+    duck-typed on purpose: a base-class default would turn "not
+    checkpointable" into silently lost state.  An order-restoring
+    operator (the union) holds nothing per port — its staging heap
+    travels in ``progress_state`` — so the base drain is its answer.
     """
+    from ..operators.base import Operator
+
     if not classification.stateful:
         return None
-    has_drain = callable(getattr(op, "state_of_port", None))
+    has_drain = getattr(type(op), "state_of_port", None) not in (
+        None,
+        Operator.state_of_port,
+    )
     has_absorb = callable(getattr(op, "absorb_state", None))
     if has_drain and has_absorb:
+        return None
+    if classification.kind == "order-restoring" and not has_drain:
         return None
     if has_drain != has_absorb:
         missing = "absorb_state" if has_drain else "state_of_port"

@@ -17,8 +17,13 @@ explicitly enabled:
 * ``REPRO_SANITIZE=1`` in the environment — e.g. for a whole test run.
 
 When not installed the hooks are a single ``is None`` test on a module
-global (:data:`repro.operators.base.SANITIZER` — the same pattern as
-``sweep.DEBUG``), so production runs pay nothing.
+global (:data:`repro.operators.base.SANITIZER`), so production runs pay
+nothing.  The same global is the engine's one self-check switch: while a
+sanitizer is installed, every purge also checks itself from the inside
+(join sides against a scan of their live buckets, the aggregate's
+finalisation against a rescan-and-refold, the distinct, difference and
+coalesce purges against their purge condition), raising a plain
+``AssertionError`` on divergence.
 
 Violations raise :class:`SanitizerViolation` (an ``AssertionError``
 subclass, so plain ``pytest`` reporting and ``-O`` stripping semantics
@@ -75,16 +80,13 @@ class StreamSanitizer:
         strict_gate: raise on output-gate ordering violations instead of
             only recording them.  The Parallel Track buffer flush — the
             anomaly the gate counter exists to measure — stays tolerated.
-        check_state_counts: verify the incremental state accounting
-            against a full recount on every watermark advance.  O(state)
-            per advance; disable for long sanitized runs.
+
+    The incremental state accounting is checked against a full recount
+    on every watermark advance (SAN007) — O(state) per advance.
     """
 
-    def __init__(
-        self, strict_gate: bool = False, check_state_counts: bool = True
-    ) -> None:
+    def __init__(self, strict_gate: bool = False) -> None:
         self.strict_gate = strict_gate
-        self.check_state_counts = check_state_counts
         #: Recorded (gate name, element) pairs of tolerated SAN009 events.
         self.gate_violations: List[Tuple[str, StreamElement]] = []
 
@@ -196,8 +198,6 @@ class StreamSanitizer:
 
     def on_advance(self, op: object) -> None:
         """An operator finished a watermark advance (purge + release)."""
-        if not self.check_state_counts:
-            return
         counter = getattr(op, "_state_value_count", None)
         if counter is None:
             return

@@ -23,13 +23,106 @@ drained and no match can arrive anymore.
 
 from __future__ import annotations
 
-from typing import Iterator
+import heapq
+import itertools
+from collections import deque
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
+from ..operators import base
 from ..operators.base import StatefulOperator
-from ..operators.sweep import FifoSweepTable
-from ..temporal.element import StreamElement
+from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import Time
+
+
+class FifoSweepTable:
+    """Payload-keyed FIFO bags with start-ordered eviction.
+
+    The coalesce operator's M0/M1 tables: entries are matched away in FIFO
+    order per payload, and unmatched entries are evicted once the
+    watermark passes their start timestamp.  Eviction pops a global
+    ``(start, insertion)`` index; consumed entries leave stale index
+    entries that are skipped lazily.  Per-payload FIFO order and global
+    start order agree because each table is fed from one ordered port.
+    """
+
+    __slots__ = ("_bags", "_live", "_heap", "_counter", "_values")
+
+    def __init__(self) -> None:
+        self._bags: Dict[Payload, Deque[int]] = {}
+        self._live: Dict[int, StreamElement] = {}
+        self._heap: List[Tuple[Time, int]] = []
+        self._counter = itertools.count()
+        self._values = 0
+
+    # -- mutation ------------------------------------------------------ #
+
+    def add(self, element: StreamElement) -> None:
+        seq = next(self._counter)
+        self._bags.setdefault(element.payload, deque()).append(seq)
+        self._live[seq] = element
+        heapq.heappush(self._heap, (element.start, seq))
+        self._values += len(element.payload)
+
+    def match(self, payload: Payload) -> Optional[StreamElement]:
+        """Pop the oldest entry of ``payload``, or ``None`` if absent."""
+        bag = self._bags.get(payload)
+        if not bag:
+            return None
+        seq = bag.popleft()
+        if not bag:
+            del self._bags[payload]
+        element = self._live.pop(seq)
+        self._values -= len(element.payload)
+        return element
+
+    def evict_until(self, watermark: Time) -> List[StreamElement]:
+        """Remove entries starting strictly below ``watermark``.
+
+        Returned in global ``(start, insertion)`` order — the order in
+        which they are handed to the staging heap.
+        """
+        evicted: List[StreamElement] = []
+        heap = self._heap
+        while heap and heap[0][0] < watermark:
+            _, seq = heapq.heappop(heap)
+            element = self._live.pop(seq, None)
+            if element is None:  # consumed by an earlier match
+                continue
+            bag = self._bags[element.payload]
+            head = bag.popleft()
+            assert head == seq, "FIFO bag out of start order"
+            if not bag:
+                del self._bags[element.payload]
+            evicted.append(element)
+            self._values -= len(element.payload)
+        if base.SANITIZER is not None:
+            assert all(e.start >= watermark for e in self), (
+                f"fifo eviction left an entry starting below {watermark}"
+            )
+        return evicted
+
+    def drain(self) -> List[StreamElement]:
+        """Remove and return every remaining entry (migration teardown)."""
+        leftovers = [self._live[seq] for bag in self._bags.values() for seq in bag]
+        self._bags.clear()
+        self._live.clear()
+        self._heap.clear()
+        self._values = 0
+        return leftovers
+
+    # -- inspection ---------------------------------------------------- #
+
+    def value_count(self) -> int:
+        return self._values
+
+    def __iter__(self) -> Iterator[StreamElement]:
+        for bag in self._bags.values():
+            for seq in bag:
+                yield self._live[seq]
+
+    def __repr__(self) -> str:
+        return f"FifoSweepTable({len(self._live)} entries, {self._values} values)"
 
 
 class Coalesce(StatefulOperator):
@@ -90,6 +183,7 @@ class Coalesce(StatefulOperator):
             self._stage(entry)
         super().flush()
 
-    def state_elements(self) -> Iterator[StreamElement]:
-        yield from self._m0
-        yield from self._m1
+    def state_of_port(self, port: int) -> List[StreamElement]:
+        """The unmatched halves waiting on ``port``: M0 on 0, M1 on 1."""
+        self._check_port(port)
+        return list(self._m1 if port else self._m0)

@@ -163,11 +163,13 @@ class ParallelTrack(MigrationStrategy):
         self._complete(executor)
 
     def _old_elements_remain(self) -> bool:
-        for element in self.old_box.state_elements():
-            if element.flag == NEW:
-                continue
-            if element.flag is not None or element.start < self._migration_start:
-                return True
+        for op in self.old_box.operators:
+            for port in range(op.arity):
+                for element in op.state_of_port(port):
+                    if element.flag == NEW:
+                        continue
+                    if element.flag is not None or element.start < self._migration_start:
+                        return True
         return False
 
     def _complete(self, executor) -> None:

@@ -18,7 +18,7 @@ to know what is inside a box — the black-box property of GenMig.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..operators import base as _operator_base
 from ..operators.base import Operator, StatelessOperator, deliver_to_sink
@@ -67,11 +67,6 @@ class Box:
         """Payload values held across all operators — the memory metric."""
         return sum(op.state_value_count() for op in self.operators)
 
-    def state_elements(self) -> Iterator[StreamElement]:
-        """All elements held in any operator state of this box."""
-        for op in self.operators:
-            yield from op.state_elements()
-
     def set_meter(self, meter: object) -> None:
         """Point every operator's cost accounting at ``meter``."""
         for op in self.operators:
@@ -112,22 +107,17 @@ def operator_digest(op: Operator) -> tuple:
     """Canonical, hashable digest of one operator's complete state.
 
     Combines the shared progress machinery (per-port watermarks, progress
-    marks, staged output in release order) with the held state elements —
-    port-resolved through the ``state_of_port`` drain hook when the
-    operator has one, otherwise as one sorted bag.  Sorting makes the
-    digest independent of internal iteration order, so state reached
-    through different (but effect-equal) event interleavings compares
-    equal.
+    marks, staged output in release order) with the held state elements,
+    port by port through :meth:`~repro.operators.base.Operator.state_of_port`.
+    Sorting makes the digest independent of internal iteration order, so
+    state reached through different (but effect-equal) event
+    interleavings compares equal.
     """
     progress = op.progress_state()
-    drain = getattr(op, "state_of_port", None)
-    if callable(drain):
-        state: tuple = tuple(
-            tuple(sorted(_element_key(e) for e in drain(port)))
-            for port in range(op.arity)
-        )
-    else:
-        state = (tuple(sorted(_element_key(e) for e in op.state_elements())),)
+    state = tuple(
+        tuple(sorted(_element_key(e) for e in op.state_of_port(port)))
+        for port in range(op.arity)
+    )
     return (
         op.name,
         type(op).__name__,

@@ -533,11 +533,13 @@ class QueryExecutor:
     def checkpoint_state(self) -> dict:
         """Capture everything needed to rebuild this executor elsewhere.
 
-        Operator state leaves through the GenMig drain hooks
+        Operator state leaves through the GenMig drain hook
         (``state_of_port``), exactly the boundary Moving States already
-        trusts; a stateful operator lacking the hooks makes the plan
-        non-checkpointable and raises — the same condition verifier check
-        CKP001 flags statically.
+        trusts, and is recorded for every operator that can absorb it
+        back; an operator that holds state (overrides ``state_of_port``)
+        but lacks ``absorb_state`` makes the plan non-checkpointable and
+        raises — the same condition verifier check CKP001 flags
+        statically.
         """
         self.quiesce_for_checkpoint()
         operators = []
@@ -547,11 +549,9 @@ class QueryExecutor:
                 "name": op.name,
                 "progress": op.progress_state(),
             }
-            drain = getattr(op, "state_of_port", None)
-            absorb = getattr(op, "absorb_state", None)
-            if callable(drain) and callable(absorb):
-                record["ports"] = [list(drain(port)) for port in range(op.arity)]
-            elif type(op).state_elements is not Operator.state_elements:
+            if callable(getattr(op, "absorb_state", None)):
+                record["ports"] = [op.state_of_port(port) for port in range(op.arity)]
+            elif type(op).state_of_port is not Operator.state_of_port:
                 raise RecoveryError(
                     f"operator {op.name!r} ({type(op).__name__}) holds state "
                     "but lacks the state_of_port/absorb_state drain hooks — "

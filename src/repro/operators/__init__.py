@@ -32,7 +32,6 @@ from .scalar import (
     min_of,
     sum_of,
 )
-from .sweep import FifoSweepTable
 from .union import Union
 from .window import CountWindow, NowWindow, TimeWindow, UnboundedWindow
 
@@ -43,7 +42,6 @@ __all__ = [
     "CountWindow",
     "Difference",
     "DuplicateElimination",
-    "FifoSweepTable",
     "HashJoin",
     "NULL_METER",
     "NestedLoopsJoin",

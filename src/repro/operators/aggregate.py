@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..temporal.element import NEW, OLD, Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
-from . import sweep
+from . import base
 from .base import StatefulOperator
 from .scalar import AggregateFunction
 
@@ -107,10 +107,11 @@ class Aggregate(StatefulOperator):
         if watermark <= lo:
             return
         hi = min(watermark, MAX_TIME)
-        if sweep.DEBUG:
+        checking = base.SANITIZER is not None
+        if checking:
             reference = self._scan(lo, hi, self._open_elements())
         results, charged = self._sweep(lo, hi)
-        if sweep.DEBUG:
+        if checking:
             assert (results, charged) == reference, (
                 f"{self.name}: incremental finalisation of [{lo}, {hi}) "
                 "diverged from the scan recomputation"
@@ -255,7 +256,7 @@ class Aggregate(StatefulOperator):
         ``elements`` alone.
 
         The reference: every segment rescans and refolds all open state.
-        Runs only under ``sweep.DEBUG``.
+        Runs only under an installed sanitizer.
         """
         results: List[StreamElement] = []
         charged = 0
@@ -279,9 +280,6 @@ class Aggregate(StatefulOperator):
                 payload, flag = self._fold(key, groups[key])
                 results.append(StreamElement(payload, segment, flag))
         return results, charged
-
-    def state_elements(self) -> Iterator[StreamElement]:
-        return iter(self._open_elements())
 
     def state_of_port(self, port: int) -> List[StreamElement]:
         """The open (not yet finalised) elements — the drain hook."""

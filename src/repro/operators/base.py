@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
-from . import sweep
 
 
 class CostMeter:
@@ -69,7 +68,8 @@ NULL_METER = _NullMeter()
 #: The active stream-invariant sanitizer, or ``None`` (the default).
 #: Installed by :mod:`repro.analysis.sanitizer` — the analysis layer sets
 #: this module global so the engine need not import it; when unset, every
-#: hook below is a single ``is None`` test (the ``sweep.DEBUG`` pattern).
+#: hook below — and every operator's purge self-check — is a single
+#: ``is None`` test.
 SANITIZER = None
 
 
@@ -89,7 +89,7 @@ class Operator:
     """Base class of all physical operators.
 
     Subclasses implement :meth:`_on_element` (and optionally
-    :meth:`_on_watermark` / :meth:`state_elements`) and call :meth:`_stage`
+    :meth:`_on_watermark` / :meth:`state_of_port`) and call :meth:`_stage`
     or :meth:`_emit` to produce output.
 
     Args:
@@ -242,9 +242,15 @@ class Operator:
     def _on_watermark(self, watermark: Time) -> None:
         """Expire state up to ``watermark``; default does nothing."""
 
-    def state_elements(self) -> Iterator[StreamElement]:
-        """Iterate over the elements currently held in operator state."""
-        return iter(())
+    def state_of_port(self, port: int) -> List[StreamElement]:
+        """The elements held in state for input ``port`` — the one read hook.
+
+        Moving States, checkpoints, the model checker's digest and the
+        recount below all read operator state through it.  The default
+        holds nothing; an operator that keeps per-port state overrides it.
+        """
+        self._check_port(port)
+        return []
 
     def state_value_count(self) -> int:
         """Number of payload values in state — the Figure 5 memory metric.
@@ -252,30 +258,27 @@ class Operator:
         Counts attribute values rather than elements, matching the paper's
         "we only measured the memory allocated for the values"; staged but
         unreleased output is included since it occupies memory too.  The
-        count is maintained incrementally (O(1) here); the old iterator-
-        based recount survives as :meth:`state_value_count_slow` and is
-        asserted against under ``sweep.DEBUG``.
+        count is maintained incrementally (O(1) here); the recount through
+        :meth:`state_of_port` survives as :meth:`state_value_count_slow`,
+        and an installed sanitizer asserts the two equal on every advance
+        (SAN007).
         """
-        count = self._staged_values + self._state_value_count()
-        if sweep.DEBUG:
-            recount = self.state_value_count_slow()
-            assert count == recount, (
-                f"{self.name}: incremental value count {count} != recount {recount}"
-            )
-        return count
+        return self._staged_values + self._state_value_count()
 
     def _state_value_count(self) -> int:
         """Payload values in operator state (excluding staged output).
 
         Stateful operators override this with their O(1) running
-        counters; the default recounts by iteration.
+        counters; the default recounts by reading every port.
         """
-        return sum(len(e.payload) for e in self.state_elements())
+        return sum(
+            len(e.payload) for port in range(self.arity) for e in self.state_of_port(port)
+        )
 
     def state_value_count_slow(self) -> int:
-        """The pre-index count: recompute by iterating all held elements."""
+        """The pre-index count: recompute by reading every held element."""
         staged = sum(len(entry[-1].payload) for entry in self._heap)
-        return staged + sum(len(e.payload) for e in self.state_elements())
+        return staged + Operator._state_value_count(self)
 
     # ------------------------------------------------------------------ #
     # Output

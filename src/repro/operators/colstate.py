@@ -15,10 +15,11 @@ byte-identity property suites rely on:
 
 * buckets are created on first insert (dict position = first-touch
   order) and deleted the moment they empty, which fixes key iteration
-  order — and hence ``state_of_port`` / ``state_elements`` order;
+  order — and hence ``state_of_port`` order;
 * iteration yields bucket order then insertion order within the bucket;
 * ``expire`` removes exactly the elements whose expiry has been reached
-  (cross-checked against a scan of the live buckets under ``sweep.DEBUG``).
+  (cross-checked against a scan of the live buckets while a sanitizer is
+  installed).
 
 The expiry sweep is where the layout pays off.  Window-extended input
 arrives with non-decreasing end timestamps, so in the common case the
@@ -58,7 +59,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import MIN_TIME, Time
-from . import sweep
+from . import base
 
 #: Maps a state element to the watermark at which it may be purged;
 #: ``None`` is the interval rule (purge once ``t_E <= watermark``).
@@ -287,7 +288,7 @@ class ColumnarJoinState:
         expiries until they clear the watermark, retiring each one's
         calendar entry.
         """
-        debug = sweep.DEBUG
+        debug = base.SANITIZER is not None
         if debug:
             survivors = self._scan_survivors(watermark)
         if not self._sorted:
@@ -330,7 +331,7 @@ class ColumnarJoinState:
             )
 
     def _scan_survivors(self, watermark: Time) -> List[StreamElement]:
-        """What a full scan says outlives ``watermark`` (``sweep.DEBUG`` reference).
+        """What a full scan says outlives ``watermark`` (the sanitizer's reference).
 
         A method of its own so that :meth:`expire` holds no comprehension:
         one would turn its ``self`` and ``watermark`` into closure cells
@@ -419,10 +420,7 @@ class ColumnarJoinState:
         return self._flag_count > 0
 
     def value_count(self) -> int:
-        """Payload values held — O(1), cross-checked under ``sweep.DEBUG``."""
-        if sweep.DEBUG:
-            recount = sum(len(e.payload) for e in self)
-            assert self._values == recount, "columnar value count drifted"
+        """Payload values held — O(1); SAN007 checks the owning join's sum."""
         return self._values
 
     def __iter__(self) -> Iterator[StreamElement]:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.time import MAX_TIME, MIN_TIME, Time
-from . import sweep
+from . import base
 from .aggregate import merge_flags
 from .base import StatefulOperator
 
@@ -81,7 +81,7 @@ class Difference(StatefulOperator):
                 state[payload] = (left, right)
             else:
                 del state[payload]
-        if sweep.DEBUG:
+        if base.SANITIZER is not None:
             assert all(
                 e.end > watermark for sides in state.values() for side in sides for e in side
             ), f"{self.name}: difference purge left an element ending by {watermark}"
@@ -127,11 +127,6 @@ class Difference(StatefulOperator):
         staged.sort(key=lambda e: (e.start, e.end, repr(e.payload)))
         for merged in staged:
             self._stage(merged)
-
-    def state_elements(self) -> Iterator[StreamElement]:
-        for left, right in self._state.values():
-            yield from left
-            yield from right
 
     def state_of_port(self, port: int) -> List[StreamElement]:
         """The not-yet-finalised elements of one input side — the drain hook.

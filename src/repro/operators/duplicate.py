@@ -9,7 +9,7 @@ remainder of each incoming element's validity.
 Coverage is purged by an expiry heap over interval end timestamps: a
 watermark advance only visits payloads that actually have coverage ending
 at or below it, instead of sweeping every payload.  Stored intervals may
-therefore trail the watermark by a truncation; :meth:`state_elements`
+therefore trail the watermark by a truncation; :meth:`state_of_port`
 presents the watermark-truncated view, which is what the eager per-payload
 sweep used to materialise.  Subtraction is unaffected because incoming
 elements never start below the watermark.
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.intervalset import IntervalSet
 from ..temporal.time import Time
 from ..temporal.batch import Batch
-from . import sweep
+from . import base
 from .base import Operator, StatefulOperator
 
 
@@ -91,7 +91,7 @@ class DuplicateElimination(StatefulOperator):
             self._values += (len(covered) - before) * len(payload)
             if not covered:
                 del self._coverage[payload]
-        if sweep.DEBUG:
+        if base.SANITIZER is not None:
             assert all(
                 interval.end > watermark
                 for covered in self._coverage.values()
@@ -101,23 +101,23 @@ class DuplicateElimination(StatefulOperator):
     def _state_value_count(self) -> int:
         return self._values
 
-    def state_elements(self) -> Iterator[StreamElement]:
-        # Present stored coverage truncated at the purge watermark: lazily
-        # purged payloads may hold intervals reaching below it, but those
-        # instants are already unreachable (no input can start before the
-        # watermark) and the eager sweep would have cut them.
-        watermark = self._purged_watermark
-        for payload, covered in self._coverage.items():
-            for interval in covered:
-                if interval.start < watermark:
-                    yield StreamElement(payload, TimeInterval(watermark, interval.end))
-                else:
-                    yield StreamElement(payload, interval)
-
     def state_of_port(self, port: int) -> List[StreamElement]:
-        """The watermark-truncated coverage — the drain hook."""
+        """The coverage truncated at the purge watermark — the drain hook.
+
+        Lazily purged payloads may hold intervals reaching below the
+        watermark, but those instants are already unreachable (no input
+        can start before the watermark) and the eager sweep would have cut
+        them.
+        """
         self._check_port(port)
-        return list(self.state_elements())
+        watermark = self._purged_watermark
+        return [
+            StreamElement(payload, TimeInterval(watermark, interval.end))
+            if interval.start < watermark
+            else StreamElement(payload, interval)
+            for payload, covered in self._coverage.items()
+            for interval in covered
+        ]
 
     def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
         """Merge drained elements into per-payload coverage — the absorb hook.

@@ -13,7 +13,7 @@ the watermark rule of Section 2.2 unless a retention rule is installed
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from ..temporal.batch import Batch
 from ..temporal.element import Payload, StreamElement, combine_flags
@@ -104,10 +104,6 @@ class _JoinBase(StatefulOperator):
 
     def _state_value_count(self) -> int:
         return self._states[0].value_count() + self._states[1].value_count()
-
-    def state_elements(self) -> Iterator[StreamElement]:
-        yield from self._states[0]
-        yield from self._states[1]
 
     def state_of_port(self, port: int) -> List[StreamElement]:
         """The alive elements received on one input — used by Moving States."""

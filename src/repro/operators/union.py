@@ -59,14 +59,12 @@ class Union(StatefulOperator):
         self.meter.charge(1, "union")
         self._stage(element)
 
-    def state_of_port(self, port: int) -> List[StreamElement]:
-        """Union holds no per-port state; the staged merge heap is the
-        only memory, and that travels via ``progress_state``."""
-        self._check_port(port)
-        return []
-
     def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Accept (only) an empty seed, for drain/absorb symmetry."""
+        """Accept (only) an empty seed, for drain/absorb symmetry.
+
+        Union holds no per-port state (the inherited ``state_of_port``
+        drains nothing); the staged merge heap is its only memory, and
+        that travels via ``progress_state``."""
         self._check_port(port)
         if elements:
             raise ValueError(f"{self.name} holds no per-port state to seed")

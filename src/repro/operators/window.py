@@ -10,7 +10,7 @@ state and make stateful operators non-blocking over infinite streams.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator
+from typing import Deque, List
 
 from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
@@ -129,5 +129,7 @@ class CountWindow(Operator):
             return min(watermark, self._pending[0].start)
         return watermark
 
-    def state_elements(self) -> Iterator[StreamElement]:
-        return iter(self._pending)
+    def state_of_port(self, port: int) -> List[StreamElement]:
+        """The elements still waiting for their successor."""
+        self._check_port(port)
+        return list(self._pending)

@@ -1,7 +1,5 @@
-"""Stream substrate: physical streams, workload generators, sinks, heartbeats."""
+"""Stream substrate: physical streams, workload generators, sinks."""
 
-from .heartbeat import END_OF_STREAM, Heartbeat, StreamItem, with_periodic_heartbeats
-from .relation import relation_to_stream, snapshot_relation, stream_to_relation
 from .sinks import CallbackSink, CollectorSink, LatencySink, RateSink
 from .sources import (
     bursty_stream,
@@ -17,23 +15,16 @@ from .stream import PhysicalStream, StreamOrderError, merge_tagged
 __all__ = [
     "CallbackSink",
     "CollectorSink",
-    "END_OF_STREAM",
-    "Heartbeat",
     "LatencySink",
     "PhysicalStream",
     "RateSink",
-    "StreamItem",
     "StreamOrderError",
     "bursty_stream",
     "explicit_stream",
     "merge_tagged",
     "paper_workload",
-    "relation_to_stream",
     "skewed_arrival",
-    "snapshot_relation",
-    "stream_to_relation",
     "timestamped_stream",
     "uniform_stream",
-    "with_periodic_heartbeats",
     "zipf_stream",
 ]

@@ -315,6 +315,13 @@ class TestMutableGlobals:
         findings = lint_source(code, path="src/repro/engine/cache.py")
         assert codes(findings) == ["RLB009"]
 
+    def test_global_statement_flagged(self):
+        code = "DEBUG = False\n\n\ndef set_debug(enabled):\n    global DEBUG\n    DEBUG = enabled\n"
+        findings = lint_source(code, path="src/repro/operators/switch.py")
+        assert codes(findings) == ["RLB009"]
+        assert findings[0].line == 5 and "global statement" in findings[0].message
+        assert lint_source(code, path="src/repro/plans/switch.py") == []
+
     def test_dunder_all_exempt(self):
         code = "__all__ = ['QueryExecutor']\n"
         assert lint_source(code, path="src/repro/engine/__init__.py") == []

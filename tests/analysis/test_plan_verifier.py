@@ -275,8 +275,8 @@ class TestOperatorClassification:
             def _on_element(self, element, port):
                 self._emit(element)
 
-            def state_elements(self):
-                return iter(())
+            def state_of_port(self, port):
+                return []
 
         from repro.analysis import classify_operator
         from repro.analysis.plan_verifier import (

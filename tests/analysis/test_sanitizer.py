@@ -17,8 +17,18 @@ from repro.analysis.sanitizer import (
     StreamSanitizer,
     sanitized,
 )
+from repro.core.coalesce import Coalesce
 from repro.engine.box import Box, OutputGate
+from repro.operators import (
+    Aggregate,
+    Difference,
+    DuplicateElimination,
+    count,
+    equi_join,
+)
+from repro.operators import base as operator_base
 from repro.operators.base import Operator, StatefulOperator, StatelessOperator
+from repro.operators.colstate import ColumnarJoinState
 from repro.streams import PhysicalStream
 from repro.engine import QueryExecutor
 from repro.temporal.batch import Batch
@@ -74,8 +84,8 @@ class MiscountingOperator(StatefulOperator):
     def _on_element(self, elem, port):
         self._held.append(elem)
 
-    def state_elements(self):
-        return iter(self._held)
+    def state_of_port(self, port):
+        return list(self._held)
 
     def _state_value_count(self):
         return 0  # lies as soon as _held is non-empty
@@ -274,3 +284,95 @@ class TestZeroCostWhenOff:
         finally:
             uninstall()
         assert operator_base.SANITIZER is None
+
+
+# --------------------------------------------------------------------- #
+# The operators' own purge self-checks ride on the same switch
+# --------------------------------------------------------------------- #
+
+
+def _join_expiry_skips_a_removal():
+    state = ColumnarJoinState()
+    state.insert("a", 0, 10, ("a",))
+    state.insert("b", 1, 5, ("b",))  # out-of-order end: heap mode
+    state._calendar[5].remove(1)
+    state.expire(7)
+
+
+def _join_sweep_out_of_head_order():
+    state = ColumnarJoinState()
+    state.insert("k", 0, 10, ("k", 0))
+    state.insert("k", 1, 11, ("k", 1))
+    state.buckets["k"].reverse()
+    state.expire(10)
+
+
+def _aggregate_cached_fold_shifted():
+    op = Aggregate([count()])
+    op.process(element("a", 0, 10))
+    op.process_heartbeat(2)
+    op._folded[()] = ((99,), None)
+    op.process_heartbeat(4)
+
+
+def _difference_purge_skips_a_removal():
+    op = Difference()
+    op.process(element("a", 0, 5), 0)
+    op._expiry_heap.clear()
+    op.process_heartbeat(8, 0)
+    op.process_heartbeat(8, 1)
+
+
+def _distinct_purge_skips_a_removal():
+    op = DuplicateElimination()
+    op.process(element("a", 0, 5))
+    op._expiry_heap.clear()
+    op.process_heartbeat(8)
+
+
+def _coalesce_eviction_skips_a_removal():
+    op = Coalesce(30)
+    op.process(element("a", 5, 30), 0)
+    op._m0._heap.clear()
+    op.process_heartbeat(8, 0)
+    op.process_heartbeat(8, 1)
+
+
+def _join_running_count_shifted():
+    join = equi_join(0, 0)
+    join.process(element(("k",), 0, 10), 0)
+    join._states[0]._values += 1
+    join.process_heartbeat(2, 0)
+    join.process_heartbeat(2, 1)
+
+
+def _coalesce_running_count_shifted():
+    op = Coalesce(30)
+    op.process(element("b", 30, 40), 1)
+    op._m1._values += 1
+    op.process_heartbeat(8, 0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(_join_expiry_skips_a_removal, "columnar expiry diverged", id="join-expiry"),
+        pytest.param(_join_sweep_out_of_head_order, "sorted sweep out of order", id="join-sweep-head"),
+        pytest.param(_aggregate_cached_fold_shifted, "diverged from the scan", id="aggregate-finalise"),
+        pytest.param(_difference_purge_skips_a_removal, "difference purge left", id="difference-purge"),
+        pytest.param(_distinct_purge_skips_a_removal, "survived the purge", id="distinct-purge"),
+        pytest.param(_coalesce_eviction_skips_a_removal, "fifo eviction left", id="coalesce-evict"),
+        pytest.param(_join_running_count_shifted, "SAN007", id="join-count"),
+        pytest.param(_coalesce_running_count_shifted, "SAN007", id="coalesce-count"),
+    ],
+)
+def test_purge_self_checks_run_exactly_under_a_sanitizer(corrupt, message, monkeypatch):
+    """Each case corrupts a fresh container or operator behind its back —
+    one removal skipped, or one running counter shifted — and then drives
+    the step that checks it: it raises inside ``sanitized()`` and runs
+    silently (and wrongly) with no sanitizer installed."""
+    with sanitized():
+        with pytest.raises(AssertionError, match=message):
+            corrupt()
+    monkeypatch.setattr(operator_base, "SANITIZER", None)
+    corrupt()

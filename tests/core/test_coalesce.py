@@ -144,4 +144,4 @@ class TestOrderingAndState:
         op.process(element("a", 40, T_SPLIT), 0)
         op.process(element("b", T_SPLIT, 130), 1)
         op.flush()
-        assert list(op.state_elements()) == []
+        assert op.state_of_port(0) == op.state_of_port(1) == []

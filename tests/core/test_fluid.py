@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from helpers import run_query
+from repro.analysis.sanitizer import sanitized
 from repro.core import (
     FluidMigration,
     FrontierRouter,
@@ -14,7 +15,7 @@ from repro.core import (
     select_strategy,
 )
 from repro.core.fluid import range_of
-from repro.operators import NestedLoopsJoin, sweep
+from repro.operators import NestedLoopsJoin
 from repro.engine import (
     Box,
     GlobalOrderScheduler,
@@ -176,7 +177,7 @@ class TestDeliveryOrder:
 
     def test_what_the_merge_holds_counts_as_migration_state(self):
         """Fig. 5's metric covers the merge; the incremental count agrees
-        with the recount (asserted inside under ``sweep.DEBUG``)."""
+        with the recount (SAN007 checks the merge's advance)."""
         executor, _ = online_executor(left_deep_join_box())
         for name in "ABC":
             executor.push(name, element(0, 0, 1))
@@ -184,14 +185,11 @@ class TestDeliveryOrder:
         executor.start_migration(right_deep_join_box(), strategy)
         assert strategy.phase == "parallel"
         before = strategy.state_value_count()
-        # The old root runs ahead of the new one: its result must wait.
-        strategy.merge.process(element((7, 7, 7), 5, 9), 0)
-        sweep.set_debug(True)
-        try:
+        with sanitized():
+            # The old root runs ahead of the new one: its result must wait.
+            strategy.merge.process(element((7, 7, 7), 5, 9), 0)
             assert strategy.state_value_count() == before + 3
             assert strategy.merge.state_value_count_slow() == 3
-        finally:
-            sweep.set_debug(False)
         assert strategy.phase_state() != FluidMigration(ranges=1).phase_state()
 
 

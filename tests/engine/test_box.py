@@ -34,7 +34,10 @@ class TestBox:
         box = join_distinct_box()
         join = box.taps["A"][0][0]
         join.process(element("k", 0, 10), 0)
-        assert len(list(box.state_elements())) == 1
+        held = [
+            e for op in box.operators for port in range(op.arity) for e in op.state_of_port(port)
+        ]
+        assert held == [element("k", 0, 10)]
 
     def test_set_meter_reaches_all_operators(self):
         from repro.operators import CostMeter

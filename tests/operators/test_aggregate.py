@@ -137,13 +137,13 @@ class TestStateManagement:
         op = Aggregate([count()])
         op.process(element("a", 0, 10))
         op.process_heartbeat(10)
-        assert list(op.state_elements()) == []
+        assert op.state_of_port(0) == []
 
     def test_open_elements_kept_while_live(self):
         op = Aggregate([count()])
         op.process(element("a", 0, 10))
         op.process_heartbeat(5)
-        assert len(list(op.state_elements())) == 1
+        assert len(op.state_of_port(0)) == 1
 
 
 class TestMergeFlags:

@@ -30,8 +30,8 @@ class _Echo(Operator):
                 kept.append(e)
         self._state = kept
 
-    def state_elements(self):
-        return iter(self._state)
+    def state_of_port(self, port):
+        return list(self._state)
 
 
 class TestWiring:

@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from repro.operators import colstate, sweep
+from repro.analysis.sanitizer import sanitized
+from repro.operators import colstate
 from repro.operators.colstate import ColumnarJoinState
 from repro.temporal.element import NEW, OLD
 
 
 @pytest.fixture(autouse=True)
 def debug_cross_checks():
-    """Every expiry and value count self-checks against a scan/recount."""
-    sweep.set_debug(True)
-    yield
-    sweep.set_debug(False)
+    """Every expiry self-checks against a scan of the live buckets."""
+    with sanitized():
+        yield
 
 
 def contents(state):
@@ -148,6 +148,7 @@ def _heap_mode_trace(run_length, steps):
             trace.append(contents(state.extract(lambda key: key % 7 == 0)))
         state.expire(t)
         sizes.append((len(state.starts), len(state)))
+        assert state.value_count() == recount(state)
         trace.append((contents(state), state.value_count(), list(state.buckets)))
     assert "heap" in repr(state)
     return trace, sizes

@@ -96,13 +96,13 @@ class TestStateManagement:
         op = DuplicateElimination()
         op.process(element("a", 0, 10))
         op.process_heartbeat(10)
-        assert list(op.state_elements()) == []
+        assert op.state_of_port(0) == []
 
     def test_straddling_coverage_truncated(self):
         op = DuplicateElimination()
         op.process(element("a", 0, 10))
         op.process_heartbeat(6)
-        state = list(op.state_elements())
+        state = op.state_of_port(0)
         assert len(state) == 1
         assert state[0].interval.start == 6
 

@@ -94,14 +94,14 @@ class TestExpirationAndOrdering:
         join.process(element("k", 0, 10), 0)
         join.process_heartbeat(10, 0)
         join.process_heartbeat(10, 1)
-        assert list(join.state_elements()) == []
+        assert join.state_of_port(0) == join.state_of_port(1) == []
 
     def test_state_kept_while_overlap_possible(self):
         join = equi_join(0, 0)
         join.process(element("k", 0, 10), 0)
         join.process_heartbeat(9, 0)
         join.process_heartbeat(9, 1)
-        assert len(list(join.state_elements())) == 1
+        assert len(join.state_of_port(0)) == 1 and join.state_of_port(1) == []
 
     def test_output_ordered_under_input_skew(self):
         """A lagging input must not break output ordering."""

@@ -106,4 +106,4 @@ class TestDifference:
         op.process(element("a", 0, 12), 1)
         op.process_heartbeat(12, 0)
         op.process_heartbeat(12, 1)
-        assert list(op.state_elements()) == []
+        assert op.state_of_port(0) == op.state_of_port(1) == []

@@ -92,4 +92,4 @@ class TestCountWindow:
     def test_state_tracks_pending(self):
         window = CountWindow(3)
         window.process(element("a", 0, 1))
-        assert len(list(window.state_elements())) == 1
+        assert window.state_of_port(0) == [element("a", 0, 1)]

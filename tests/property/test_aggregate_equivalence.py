@@ -11,8 +11,8 @@ the real operator, and everything observable is compared after every
 event — element arrivals, heartbeat-only steps, uniform-start batches,
 elements that have yet to start absorbed into live state mid-run (in and
 out of start order) and the end-of-stream flush.
-``sweep.DEBUG`` is on throughout, so every incremental step also asserts
-itself against the scan from the inside.
+The package runs under the sanitizer (``conftest.py``), so every
+incremental step also asserts itself against the scan from the inside.
 """
 
 from hypothesis import given, settings
@@ -26,8 +26,8 @@ from repro.operators import (
     max_of,
     min_of,
     sum_of,
-    sweep,
 )
+from repro.operators import base
 from repro.operators.aggregate import _merge_adjacent
 from repro.operators.scalar import AggregateFunction
 from repro.streams import CollectorSink
@@ -64,8 +64,8 @@ class ScanAggregate(Aggregate):
     def _state_value_count(self):
         return sum(len(e.payload) for e in self.open)
 
-    def state_elements(self):
-        return iter(self.open)
+    def state_of_port(self, port):
+        return list(self.open)
 
     def absorb_state(self, port, elements):
         self.open.extend(elements)
@@ -90,7 +90,7 @@ def observe(op, sink):
     """Everything externally observable about the operator right now."""
     return (
         [(e.payload, e.start, e.end, e.flag) for e in sink.elements],
-        [(e.payload, e.start, e.end, e.flag) for e in op.state_elements()],
+        [(e.payload, e.start, e.end, e.flag) for e in op.state_of_port(0)],
         op.state_value_count(),
         op.meter.total,
         dict(op.meter.by_category),
@@ -153,58 +153,53 @@ def apply(op, kind, args, t):
 @settings(max_examples=150, deadline=None)
 @given(grouped=st.booleans(), events=st.lists(event, min_size=1, max_size=30))
 def test_incremental_finalisation_matches_scan(grouped, events):
-    sweep.set_debug(True)
-    try:
-        incremental, incremental_sink = make(Aggregate, grouped)
-        reference, reference_sink = make(ScanAggregate, grouped)
-        t_incremental = t_reference = 0
-        for kind, *args in events:
-            t_incremental = apply(incremental, kind, args, t_incremental)
-            t_reference = apply(reference, kind, args, t_reference)
-            assert observe(incremental, incremental_sink) == observe(
-                reference, reference_sink
-            )
-        incremental.process_heartbeat(MAX_TIME)
-        reference.process_heartbeat(MAX_TIME)
+    incremental, incremental_sink = make(Aggregate, grouped)
+    reference, reference_sink = make(ScanAggregate, grouped)
+    t_incremental = t_reference = 0
+    for kind, *args in events:
+        t_incremental = apply(incremental, kind, args, t_incremental)
+        t_reference = apply(reference, kind, args, t_reference)
         assert observe(incremental, incremental_sink) == observe(
             reference, reference_sink
         )
-        assert not list(incremental.state_elements())
-    finally:
-        sweep.set_debug(False)
+    incremental.process_heartbeat(MAX_TIME)
+    reference.process_heartbeat(MAX_TIME)
+    assert observe(incremental, incremental_sink) == observe(
+        reference, reference_sink
+    )
+    assert incremental.state_of_port(0) == []
 
 
 def test_failed_admission_keeps_each_open_element_once():
     """A step admits ``c`` into its group, then fails to admit ``b`` after
     ``a`` (absorbed out of start order) and rebuilds: ``c`` is a member
     and still pending at that moment, and must stay in the state once."""
-    sweep.set_debug(True)
-    try:
-        c = StreamElement((1, 1), TimeInterval(5, 20))
-        b = StreamElement((0, 2), TimeInterval(5, 20))
-        a = StreamElement((0, 3), TimeInterval(2, 20))
-        observed = []
-        for cls in (Aggregate, ScanAggregate):
-            op, sink = make(cls, grouped=True)
-            op.absorb_state(0, [c])
-            op.absorb_state(0, [b, a])
-            op.process_heartbeat(10)
-            observed.append(observe(op, sink))
-            assert list(op.state_elements()) == [c, b, a]
-        assert observed[0] == observed[1]
-    finally:
-        sweep.set_debug(False)
+    c = StreamElement((1, 1), TimeInterval(5, 20))
+    b = StreamElement((0, 2), TimeInterval(5, 20))
+    a = StreamElement((0, 3), TimeInterval(2, 20))
+    observed = []
+    for cls in (Aggregate, ScanAggregate):
+        op, sink = make(cls, grouped=True)
+        op.absorb_state(0, [c])
+        op.absorb_state(0, [b, a])
+        op.process_heartbeat(10)
+        observed.append(observe(op, sink))
+        assert op.state_of_port(0) == [c, b, a]
+    assert observed[0] == observed[1]
 
 
-def test_fold_work_is_linear_in_inserts_and_expiries():
+def test_fold_work_is_linear_in_inserts_and_expiries(monkeypatch):
     """Folds are paid per member admitted or retired, not per step.
 
     Fifty long-lived elements in five groups, then five hundred
     heartbeat-only steps during which nothing expires: a finalisation
     that refolds open state per step folds thousands of times; the
     incremental one folds at most once per admission and once per
-    retirement, whatever the number of steps in between.
+    retirement, whatever the number of steps in between.  The count is of
+    the production path, so the package sanitizer is off here: with it
+    installed, every step also refolds through the ``_scan`` reference.
     """
+    monkeypatch.setattr(base, "SANITIZER", None)
     folds = []
 
     def counting_sum(payloads):

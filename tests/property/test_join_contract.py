@@ -38,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BATCH_BUILDERS
-from repro.operators import CostMeter, NestedLoopsJoin, equi_join, sweep
+from repro.operators import CostMeter, NestedLoopsJoin, equi_join
 from repro.temporal import NEW, OLD, element
 from repro.temporal.batch import Batch
 from repro.temporal.time import MAX_TIME, MIN_TIME
@@ -264,45 +264,41 @@ def differential_observation(join, probe):
 @settings(max_examples=150, deadline=None)
 @given(events=st.lists(differential_event, min_size=1, max_size=30))
 def test_nested_loops_equality_join_equals_hash_join(events):
-    sweep.set_debug(True)
-    try:
-        joins = [NestedLoopsJoin(lambda l, r: l[0] == r[0]), equi_join(0, 0)]
-        probes = [Probe(MIN_TIME) for _ in joins]
-        for join, probe in zip(joins, probes):
-            join.subscribe(probe, 0)
-        t = 0
-        serial = itertools.count()
-        for kind, *args in events:
-            if kind == "element":
-                port, key, delta, length, element_flag = args
-                t += delta
-                e = element((key, next(serial)), t, t + length).with_flag(element_flag)
-                for join in joins:
-                    join.process(e, port)
-            elif kind == "heartbeat":
-                port, delta = args
-                t += delta
-                for join in joins:
-                    join.process_heartbeat(t, port)
-            elif kind == "batch":
-                port, delta, specs = args
-                t += delta
-                run = [element((key, next(serial)), t, t + length) for key, length in specs]
-                for join in joins:
-                    join.process_batch(Batch(run, watermark=t), port)
-            else:
-                for join in joins:
-                    join.set_retention(pt_retention)
-            nested, hashed = (differential_observation(j, p) for j, p in zip(joins, probes))
-            assert nested == hashed
-        for join in joins:
-            join.process_heartbeat(MAX_TIME, 0)
-            join.process_heartbeat(MAX_TIME, 1)
+    joins = [NestedLoopsJoin(lambda l, r: l[0] == r[0]), equi_join(0, 0)]
+    probes = [Probe(MIN_TIME) for _ in joins]
+    for join, probe in zip(joins, probes):
+        join.subscribe(probe, 0)
+    t = 0
+    serial = itertools.count()
+    for kind, *args in events:
+        if kind == "element":
+            port, key, delta, length, element_flag = args
+            t += delta
+            e = element((key, next(serial)), t, t + length).with_flag(element_flag)
+            for join in joins:
+                join.process(e, port)
+        elif kind == "heartbeat":
+            port, delta = args
+            t += delta
+            for join in joins:
+                join.process_heartbeat(t, port)
+        elif kind == "batch":
+            port, delta, specs = args
+            t += delta
+            run = [element((key, next(serial)), t, t + length) for key, length in specs]
+            for join in joins:
+                join.process_batch(Batch(run, watermark=t), port)
+        else:
+            for join in joins:
+                join.set_retention(pt_retention)
         nested, hashed = (differential_observation(j, p) for j, p in zip(joins, probes))
         assert nested == hashed
-        assert nested[1] == [[], []]
-    finally:
-        sweep.set_debug(False)
+    for join in joins:
+        join.process_heartbeat(MAX_TIME, 0)
+        join.process_heartbeat(MAX_TIME, 1)
+    nested, hashed = (differential_observation(j, p) for j, p in zip(joins, probes))
+    assert nested == hashed
+    assert nested[1] == [[], []]
 
 
 def test_retention_rule_delays_purging():

@@ -19,8 +19,9 @@ alone, after every single event:
 * coalesce's M0/M1 tables — the unmatched halves starting at or above the
   watermark.
 
-``sweep.DEBUG`` is on throughout, so every purge and running value count
-also checks itself from the inside.
+The package runs under the sanitizer (``conftest.py``), so every purge
+also checks itself from the inside and every running value count is
+checked against a recount on each advance (SAN007).
 """
 
 from hypothesis import example, given, settings
@@ -29,12 +30,12 @@ from hypothesis import strategies as st
 from repro.core.coalesce import Coalesce
 from repro.operators import (
     Aggregate,
+    CountWindow,
     Difference,
     DuplicateElimination,
     NestedLoopsJoin,
     count,
     equi_join,
-    sweep,
 )
 from repro.streams import CollectorSink
 from repro.temporal import element
@@ -125,54 +126,50 @@ def model_for(name):
 
 def run_against_model(name, make_op, events, arity):
     """Replay ``events``; after each, compare the state with the model."""
-    sweep.set_debug(True)
-    try:
-        op = make_op()
-        sink = CollectorSink()
-        op.attach_sink(sink)
-        models = [model_for(name) for _ in range(arity)]
-        inputs = []
+    op = make_op()
+    sink = CollectorSink()
+    op.attach_sink(sink)
+    models = [model_for(name) for _ in range(arity)]
+    inputs = []
 
-        def check():
-            watermark = op.min_watermark
-            for model in models:
-                model.purge(lambda e: e.end > watermark)
-            for port in range(arity):
-                assert as_tuples(op.state_of_port(port)) == expected_state(
-                    name, models, port, watermark
-                )
+    def check():
+        watermark = op.min_watermark
+        for model in models:
+            model.purge(lambda e: e.end > watermark)
+        for port in range(arity):
+            assert as_tuples(op.state_of_port(port)) == expected_state(
+                name, models, port, watermark
+            )
 
-        t = 0
-        for port, value, delta, length, kind in events:
-            port %= arity
-            t += delta
-            if kind == "heartbeat":
-                op.process_heartbeat(t, port)
-            else:
-                # Advance all ports first, like the global-order executor.
-                for p in range(arity):
-                    op.process_heartbeat(t, p)
-                check()
-                e = element(value, t, t + length)
-                op.process(e, port)
-                models[port].insert(e)
-                inputs.append(e)
+    t = 0
+    for port, value, delta, length, kind in events:
+        port %= arity
+        t += delta
+        if kind == "heartbeat":
+            op.process_heartbeat(t, port)
+        else:
+            # Advance all ports first, like the global-order executor.
+            for p in range(arity):
+                op.process_heartbeat(t, p)
             check()
-        for p in range(arity):
-            op.process_heartbeat(MAX_TIME, p)
+            e = element(value, t, t + length)
+            op.process(e, port)
+            models[port].insert(e)
+            inputs.append(e)
         check()
-        assert not any(op.state_of_port(p) for p in range(arity))
-        if name == "distinct":
-            # Everything is emitted now: the output covers the input.
-            def coverage(elements):
-                out = {}
-                for e in elements:
-                    out.setdefault(e.payload, []).append((e.start, e.end))
-                return {p: merged_and_cut(iv, 0) for p, iv in out.items()}
+    for p in range(arity):
+        op.process_heartbeat(MAX_TIME, p)
+    check()
+    assert not any(op.state_of_port(p) for p in range(arity))
+    if name == "distinct":
+        # Everything is emitted now: the output covers the input.
+        def coverage(elements):
+            out = {}
+            for e in elements:
+                out.setdefault(e.payload, []).append((e.start, e.end))
+            return {p: merged_and_cut(iv, 0) for p, iv in out.items()}
 
-            assert coverage(sink.elements) == coverage(inputs)
-    finally:
-        sweep.set_debug(False)
+        assert coverage(sink.elements) == coverage(inputs)
 
 
 #: Two right elements of one payload outlive a purge that visits it.
@@ -211,71 +208,73 @@ T_SPLIT = 30
 def test_coalesce_tables_match_model(events):
     """A coalesce workload — halves touching T_split plus bystanders — with
     M0 and M1 modelled as FIFO bags per payload."""
-    sweep.set_debug(True)
-    try:
-        op = Coalesce(T_SPLIT)
-        op.attach_sink(CollectorSink())
-        tables = [KeyedModel(lambda e: e.payload), KeyedModel(lambda e: e.payload)]
+    op = Coalesce(T_SPLIT)
+    op.attach_sink(CollectorSink())
+    tables = [KeyedModel(lambda e: e.payload), KeyedModel(lambda e: e.payload)]
 
-        def check():
-            watermark = op.min_watermark
-            for table in tables:
-                table.purge(lambda e: e.start >= watermark)
-            assert as_tuples(op.state_elements()) == as_tuples(
-                tables[0].elements() + tables[1].elements()
-            )
+    def check():
+        watermark = op.min_watermark
+        for table in tables:
+            table.purge(lambda e: e.start >= watermark)
+        assert [as_tuples(op.state_of_port(port)) for port in (0, 1)] == [
+            as_tuples(table.elements()) for table in tables
+        ]
 
-        t = 0
-        watermarks = [0, 0]
-        for port, value, delta, length, kind in events:
-            t += delta
-            if kind == "heartbeat":
-                watermarks[port] = max(watermarks[port], t)
-                op.process_heartbeat(t, port)
-                check()
-                continue
-            start = max(t, watermarks[port])
-            if port == 0:
-                # Old-box halves end exactly at T_split when possible.
-                end = T_SPLIT if value % 2 == 0 and start < T_SPLIT else start + length
-            else:
-                # New-box halves start exactly at T_split while allowed.
-                if value % 2 == 0 and watermarks[1] <= T_SPLIT:
-                    start = T_SPLIT
-                end = start + length
-            watermarks[port] = start
-            e = element(value, start, end)
-            op.process(e, port)
-            if (end if port == 0 else start) == T_SPLIT:
-                # Match the oldest half of the payload on the other side,
-                # or wait in this side's table.
-                partner = tables[1 - port].entries.get(e.payload)
-                if partner:
-                    partner.pop(0)
-                    if not partner:
-                        del tables[1 - port].entries[e.payload]
-                else:
-                    tables[port].insert(e)
+    t = 0
+    watermarks = [0, 0]
+    for port, value, delta, length, kind in events:
+        t += delta
+        if kind == "heartbeat":
+            watermarks[port] = max(watermarks[port], t)
+            op.process_heartbeat(t, port)
             check()
-        op.process_heartbeat(MAX_TIME, 0)
-        op.process_heartbeat(MAX_TIME, 1)
+            continue
+        start = max(t, watermarks[port])
+        if port == 0:
+            # Old-box halves end exactly at T_split when possible.
+            end = T_SPLIT if value % 2 == 0 and start < T_SPLIT else start + length
+        else:
+            # New-box halves start exactly at T_split while allowed.
+            if value % 2 == 0 and watermarks[1] <= T_SPLIT:
+                start = T_SPLIT
+            end = start + length
+        watermarks[port] = start
+        e = element(value, start, end)
+        op.process(e, port)
+        if (end if port == 0 else start) == T_SPLIT:
+            # Match the oldest half of the payload on the other side,
+            # or wait in this side's table.
+            partner = tables[1 - port].entries.get(e.payload)
+            if partner:
+                partner.pop(0)
+                if not partner:
+                    del tables[1 - port].entries[e.payload]
+            else:
+                tables[port].insert(e)
         check()
-        op.flush()
-        assert not list(op.state_elements())
-    finally:
-        sweep.set_debug(False)
+    op.process_heartbeat(MAX_TIME, 0)
+    op.process_heartbeat(MAX_TIME, 1)
+    check()
+    op.flush()
+    assert op.state_of_port(0) == op.state_of_port(1) == []
+
+
+#: Operators whose state only the count test below reads.
+COUNTED_OPERATORS = {
+    **BINARY_OPERATORS,
+    **UNARY_OPERATORS,
+    "coalesce": lambda: Coalesce(T_SPLIT),
+    "count-window": lambda: CountWindow(3),
+}
 
 
 @settings(max_examples=20, deadline=None)
-@given(
-    name=st.sampled_from(sorted({**BINARY_OPERATORS, **UNARY_OPERATORS})),
-    events=events_strategy,
-)
+@given(name=st.sampled_from(sorted(COUNTED_OPERATORS)), events=events_strategy)
 def test_incremental_value_count_matches_recount(name, events):
-    """The O(1) running count equals a from-scratch recount after every event."""
-    arity = 2 if name in BINARY_OPERATORS else 1
-    make_op = {**BINARY_OPERATORS, **UNARY_OPERATORS}[name]
-    op = make_op()
+    """The O(1) running count equals a from-scratch recount after every
+    event, and the per-port state answers hold exactly what it counts."""
+    op = COUNTED_OPERATORS[name]()
+    arity = op.arity
     op.attach_sink(CollectorSink())
     t = 0
     for port, value, delta, length, kind in events:
@@ -284,10 +283,21 @@ def test_incremental_value_count_matches_recount(name, events):
         if kind == "heartbeat":
             op.process_heartbeat(t, port)
         else:
+            start, end = t, t + length
+            if name == "coalesce" and value % 2 == 0 and t < T_SPLIT:
+                # Halves touching T_split: old-box ones end there, new-box
+                # ones start there.
+                if port:
+                    start = t = T_SPLIT
+                    end = T_SPLIT + length
+                else:
+                    end = T_SPLIT
             for p in range(arity):
                 op.process_heartbeat(t, p)
-            op.process(element(value, t, t + length), port)
+            op.process(element(value, start, end), port)
         assert op.state_value_count() == op.state_value_count_slow()
+        held = [e for p in range(arity) for e in op.state_of_port(p)]
+        assert sum(len(e.payload) for e in held) == op._state_value_count()
     for p in range(arity):
         op.process_heartbeat(MAX_TIME, p)
     assert op.state_value_count() == op.state_value_count_slow() == 0

@@ -1,23 +1,18 @@
-"""Tests for the stream/relation duality helpers (Figure 1)."""
+"""Tests for the stream/relation duality (Figure 1)."""
 
-from repro.streams import relation_to_stream, snapshot_relation, stream_to_relation
-from repro.temporal import Multiset, element
+from repro.streams import timestamped_stream
+from repro.temporal import Multiset, element, snapshot
 
 
 class TestRelationToStream:
     def test_conversion_rule(self):
-        stream = relation_to_stream([(("a",), 5), (("b",), 9)])
+        stream = timestamped_stream([(("a",), 5), (("b",), 9)])
         assert stream[0].interval.start == 5
         assert stream[0].interval.end == 6
-
-    def test_round_trip(self):
-        rows = [(("a",), 5), (("b",), 9)]
-        stream = relation_to_stream(rows)
-        assert stream_to_relation(stream) == [(("a",), 5, 6), (("b",), 9, 10)]
 
 
 class TestSnapshotRelation:
     def test_matches_snapshot_semantics(self):
         stream = [element("a", 0, 10), element("b", 5, 15)]
-        assert snapshot_relation(stream, 7) == Multiset([("a",), ("b",)])
-        assert snapshot_relation(stream, 12) == Multiset([("b",)])
+        assert snapshot(stream, 7) == Multiset([("a",), ("b",)])
+        assert snapshot(stream, 12) == Multiset([("b",)])
