@@ -1,6 +1,6 @@
 """Static analysis for snapshot-equivalence and migration safety.
 
-Four tools, one package:
+Five modules, one package:
 
 * :mod:`~repro.analysis.plan_verifier` — walks logical plans and physical
   boxes, re-validates schemas, classifies every operator (snapshot-
@@ -15,8 +15,10 @@ Four tools, one package:
   the engine code itself (no wall clocks, purge via expiry entry points,
   honest batch overrides), run locally and in CI;
 * :mod:`~repro.analysis.modelcheck` — a small-scope exhaustive schedule
-  explorer for the migration protocols, checked against a relational
-  oracle.
+  explorer for the migration protocols;
+* :mod:`~repro.analysis.oracle` — the specification both the model
+  checker and the test suite judge migrations by: the relational oracle
+  of Definition 1 and its ``judge`` (divergence and start order).
 
 Command line::
 
@@ -42,20 +44,17 @@ from .plan_verifier import (
 from .modelcheck import (
     PRESETS,
     ModelCheckResult,
-    RelationalOracle,
     Scenario,
     ScheduleViolation,
     build_scenario,
     check_scenario,
     seed_bug,
 )
+from .oracle import RelationalOracle
 from .sanitizer import (
     SanitizerViolation,
     StreamSanitizer,
-    ensure_installed,
-    install,
     sanitized,
-    uninstall,
 )
 
 __all__ = [
@@ -75,12 +74,9 @@ __all__ = [
     "check_scenario",
     "classify_logical",
     "classify_operator",
-    "ensure_installed",
     "figure2_plans",
-    "install",
     "sanitized",
     "seed_bug",
-    "uninstall",
     "verify_box",
     "verify_migration",
     "verify_plan",

@@ -20,12 +20,16 @@ checker (:mod:`repro.analysis.modelcheck`)::
 
     python -m repro.analysis modelcheck --all
     python -m repro.analysis modelcheck --preset pt-figure2 --budget 2000
+
+``REPRO_SANITIZE=1`` in the environment runs either command under a
+strict-gate stream sanitizer (:mod:`repro.analysis.sanitizer`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
@@ -134,4 +138,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    if os.environ.get("REPRO_SANITIZE", "").lower() in ("1", "true", "yes", "on"):
+        from .sanitizer import StreamSanitizer
+
+        StreamSanitizer(strict_gate=True).install()
     sys.exit(main())

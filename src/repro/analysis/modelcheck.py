@@ -26,14 +26,13 @@ turning the paper's claims into exhaustively checked properties:
   schedule is abandoned and counted as pruned.  Pruning is disabled
   when an installed strategy is not enumerable (``phase_state() is
   None``) — soundness over speed;
-* every completed schedule's output is checked snapshot-by-snapshot
-  against the :class:`RelationalOracle` (``MCK001`` on divergence) and
-  for snapshot-equivalence against the first clean schedule's output
-  (``MCK002`` on schedule-dependent results — fragmentation may differ,
-  snapshots may not);
-* every completed schedule's output must also be a physical stream —
-  non-decreasing start timestamps (``MCK004``) — for every strategy but
-  Parallel Track, whose end-of-migration burst interleaves by design.
+* every completed schedule's output goes to the shared judge
+  (:meth:`repro.analysis.oracle.RelationalOracle.judge`): snapshot by
+  snapshot against the relational oracle (``MCK001`` on
+  divergence) and, for every strategy but Parallel Track, whose
+  end-of-migration burst interleaves by design, for non-decreasing start
+  timestamps (``MCK004``).  Two schedules that both match the oracle
+  are snapshot-equivalent to each other, so no pairwise check is needed.
 
 The bundled presets (:data:`PRESETS`) cover the paper's load-bearing
 scenarios: the Figure 2 Parallel Track defect (``pt-figure2``, expected
@@ -56,8 +55,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..temporal import Multiset, StreamElement, critical_instants, snapshot
-from ..temporal.time import MAX_TIME, Time
+from ..temporal import StreamElement
+from ..temporal.time import Time
+from .oracle import RelationalOracle
 from .plan_verifier import (
     ERROR,
     FLUID,
@@ -76,111 +76,6 @@ from .plan_verifier import (
 DEFAULT_BUDGET = 5000
 
 _PRUNED = object()
-
-
-# --------------------------------------------------------------------- #
-# The relational oracle (Definition 1)
-# --------------------------------------------------------------------- #
-
-
-class RelationalOracle:
-    """Snapshot-by-snapshot relational evaluation of a logical plan.
-
-    Evaluates the plan's relational counterpart over the *windowed* input
-    streams with the bag algebra of :class:`repro.temporal.Multiset` —
-    independent of the engine under test, so a divergence implicates the
-    engine (or the migration protocol), never the oracle.
-    """
-
-    def __init__(self, windowed_streams: Dict[str, Sequence[StreamElement]]) -> None:
-        self._streams = windowed_streams
-
-    def snapshot_of(self, plan: object, t: Time) -> Multiset:
-        """Evaluate ``plan``'s relational counterpart at instant ``t``."""
-        from ..plans.logical import (
-            AggregateNode,
-            DifferenceNode,
-            DistinctNode,
-            JoinNode,
-            ProjectNode,
-            SelectNode,
-            Source,
-            UnionNode,
-        )
-
-        if isinstance(plan, Source):
-            return snapshot(self._streams[plan.name], t)
-        if isinstance(plan, SelectNode):
-            predicate = plan.predicate.compile(plan.child.schema)
-            return self.snapshot_of(plan.child, t).select(predicate)
-        if isinstance(plan, ProjectNode):
-            compiled = [expr.compile(plan.child.schema) for expr, _ in plan.outputs]
-            return self.snapshot_of(plan.child, t).project(
-                lambda row: tuple(fn(row) for fn in compiled)
-            )
-        if isinstance(plan, DistinctNode):
-            return self.snapshot_of(plan.child, t).distinct()
-        if isinstance(plan, JoinNode):
-            left = self.snapshot_of(plan.left, t)
-            right = self.snapshot_of(plan.right, t)
-            if plan.condition is None:
-                return left.join(right, lambda a, b: True)
-            predicate = plan.condition.compile(plan.schema)
-            return left.join(right, lambda a, b: predicate(a + b))
-        if isinstance(plan, UnionNode):
-            return self.snapshot_of(plan.left, t).union(
-                self.snapshot_of(plan.right, t)
-            )
-        if isinstance(plan, DifferenceNode):
-            return self.snapshot_of(plan.left, t).difference(
-                self.snapshot_of(plan.right, t)
-            )
-        if isinstance(plan, AggregateNode):
-            return self._aggregate(plan, t)
-        raise TypeError(f"no reference evaluation for {type(plan).__name__}")
-
-    def _aggregate(self, plan: object, t: Time) -> Multiset:
-        from ..operators.scalar import avg_of, count, max_of, min_of, sum_of
-
-        child_schema = plan.child.schema
-        bag = self.snapshot_of(plan.child, t)
-        functions = []
-        for spec in plan.aggregates:
-            index = child_schema.index(spec.column) if spec.column is not None else 0
-            factory = {
-                "count": lambda i: count(),
-                "sum": sum_of,
-                "avg": avg_of,
-                "min": min_of,
-                "max": max_of,
-            }[spec.function]
-            functions.append(factory(index))
-        if not plan.group_by:
-            if not bag:
-                return Multiset()
-            rows = list(bag)
-            return Multiset([tuple(fn(rows) for fn in functions)])
-        indices = [child_schema.index(column) for column in plan.group_by]
-        groups = bag.group_by(lambda row: tuple(row[i] for i in indices))
-        result = []
-        for key, members in groups.items():
-            rows = list(members)
-            result.append(key + tuple(fn(rows) for fn in functions))
-        return Multiset(result)
-
-    def check(
-        self,
-        plan: object,
-        output: Sequence[StreamElement],
-        instants: Iterable[Time],
-    ) -> Optional[Time]:
-        """First instant where ``output`` diverges from the reference."""
-        for t in instants:
-            if t >= MAX_TIME:
-                continue
-            if snapshot(output, t) != self.snapshot_of(plan, t):
-                return t
-        return None
 
 
 # --------------------------------------------------------------------- #
@@ -280,7 +175,7 @@ class ModelCheckResult:
         return not self.violations and self.complete
 
     def diagnostics(self) -> List[Diagnostic]:
-        """This result as diagnostics (MCK001-MCK004), as the CLI prints them."""
+        """This result as diagnostics (MCK001, MCK003, MCK004), as the CLI prints them."""
         diags: List[Diagnostic] = []
         if self.expect_violation:
             if self.violations:
@@ -509,16 +404,12 @@ def check_scenario(
 ) -> ModelCheckResult:
     """Exhaustively explore every schedule of ``scenario`` (:func:`explore`).
 
-    Each schedule's output is checked against the relational oracle
-    (``MCK001``), for snapshot-equivalence with the first clean schedule
-    (``MCK002``) and — every strategy but Parallel Track — for in-order
-    delivery (``MCK004``).
+    Each schedule's output goes to :meth:`~repro.analysis.oracle.RelationalOracle.judge`:
+    the relational oracle (``MCK001``) and — every strategy but Parallel
+    Track — in-order delivery (``MCK004``).
     """
-    from ..temporal import first_divergence
-
-    windowed = scenario.windowed_streams()
-    oracle = RelationalOracle(windowed)
-    baseline: Optional[List[StreamElement]] = None
+    oracle = RelationalOracle(scenario.windowed_streams())
+    check_order = scenario.strategy != PARALLEL_TRACK
 
     def on_error(exc: Exception) -> Tuple[str, str]:
         # A strict-gate sanitizer (REPRO_SANITIZE) stops the schedule at
@@ -526,56 +417,11 @@ def check_scenario(
         out_of_order = getattr(exc, "code", None) == "SAN009"
         return ("MCK004" if out_of_order else "MCK001"), _engine_error(exc)
 
-    def judge(output, schedule: Tuple[str, ...]) -> List[ScheduleViolation]:
-        nonlocal baseline
-        violations = []
-        if scenario.strategy != PARALLEL_TRACK:
-            late = next(
-                (b for a, b in zip(output, output[1:]) if b.start < a.start), None
-            )
-            if late is not None:
-                violations.append(
-                    ScheduleViolation(
-                        "MCK004",
-                        f"a result starting at {late.start} is delivered "
-                        "after a later one: the output is not a physical "
-                        "stream (non-decreasing start timestamps)",
-                        schedule,
-                        instant=late.start,
-                    )
-                )
-        instants = critical_instants(*windowed.values(), output)
-        divergence = oracle.check(scenario.plan, output, instants)
-        if divergence is not None:
-            violations.append(
-                ScheduleViolation(
-                    "MCK001",
-                    f"output diverges from the relational oracle at "
-                    f"instant {divergence}",
-                    schedule,
-                    instant=divergence,
-                )
-            )
-        elif baseline is None:
-            baseline = output
-        else:
-            # Snapshot-equivalence, not byte-equality: migration legally
-            # fragments results differently per schedule (GenMig's
-            # ``T_split`` depends on when the migration triggers), but
-            # every snapshot must agree with the first clean schedule.
-            instant = first_divergence(baseline, output)
-            if instant is not None:
-                violations.append(
-                    ScheduleViolation(
-                        "MCK002",
-                        f"oracle-clean outputs of two schedules are not "
-                        f"snapshot-equivalent at instant {instant}: the "
-                        "protocol's result depends on event ordering",
-                        schedule,
-                        instant=instant,
-                    )
-                )
-        return violations
+    def judge_schedule(output, schedule: Tuple[str, ...]) -> List[ScheduleViolation]:
+        return [
+            ScheduleViolation(code, message, schedule, instant=instant)
+            for code, message, instant in oracle.judge(scenario.plan, output, check_order)
+        ]
 
     return explore(
         ModelCheckResult(
@@ -586,7 +432,7 @@ def check_scenario(
         budget,
         lambda tape, seen: _run_schedule(scenario, tape, seen),
         on_error,
-        judge,
+        judge_schedule,
     )
 
 

@@ -113,7 +113,6 @@ class OperatorClassification:
 
     label: str
     kind: str
-    snapshot_reducible: bool
     start_preserving: bool
     stateful: bool
     pt_compatible: bool
@@ -126,14 +125,12 @@ class OperatorClassification:
         cls,
         label: str,
         kind: str,
-        snapshot_reducible: bool = True,
         keyed: bool = False,
     ) -> "OperatorClassification":
         start_preserving, stateful, pt_compatible, _ = _KIND_TRAITS[kind]
         return cls(
             label=label,
             kind=kind,
-            snapshot_reducible=snapshot_reducible,
             start_preserving=start_preserving,
             stateful=stateful,
             pt_compatible=pt_compatible,
@@ -142,11 +139,13 @@ class OperatorClassification:
 
     @property
     def description(self) -> str:
-        """Human-readable trait summary (used by the DOT annotations)."""
-        traits = []
-        traits.append(
-            "snapshot-reducible" if self.snapshot_reducible else "NOT snapshot-reducible"
-        )
+        """Human-readable trait summary (used by the DOT annotations).
+
+        Every classified operator is taken to be snapshot-reducible: the
+        built-in ones are (Theorem 1's premise), and the verifier has no
+        way to tell for any other.
+        """
+        traits = ["snapshot-reducible"]
         traits.append(
             "start-preserving" if self.start_preserving else "stateful-non-join"
         )
@@ -171,7 +170,7 @@ def classify_logical(node: LogicalPlan) -> OperatorClassification:
     if isinstance(node, (DistinctNode, AggregateNode, DifferenceNode)):
         return OperatorClassification.of_kind(label, "general")
     # Unknown node types are treated as general (always sound for GenMig
-    # as long as they are snapshot-reducible, which the verdict flags).
+    # as long as they are snapshot-reducible).
     return OperatorClassification.of_kind(label, "general")
 
 
@@ -224,12 +223,10 @@ def _checkpoint_state_diagnostic(
 def classify_operator(op: object) -> Tuple[OperatorClassification, Optional[Diagnostic]]:
     """Classify one physical operator.
 
-    Operators may self-declare via a ``migration_profile`` class attribute
-    (one of the :data:`_KIND_TRAITS` kinds) — the extension point for
-    user-defined operators; otherwise the built-in operator types are
-    recognised structurally.  Unknown operators degrade to ``general``
-    with a warning: that is always sound for GenMig provided the operator
-    is snapshot-reducible, which only its author can promise.
+    The built-in operator types are recognised structurally.  Unknown
+    operators degrade to ``general`` with a warning: that is always sound
+    for GenMig provided the operator is snapshot-reducible, which only its
+    author can promise.
     """
     from ..operators.aggregate import Aggregate
     from ..operators.base import StatelessOperator
@@ -241,48 +238,28 @@ def classify_operator(op: object) -> Tuple[OperatorClassification, Optional[Diag
     from ..operators.union import Union
 
     label = getattr(op, "name", type(op).__name__)
-    reducible = bool(getattr(op, "snapshot_reducible", True))
-    declared = getattr(op, "migration_profile", None)
-    if declared is not None:
-        if declared not in _KIND_TRAITS:
-            return (
-                OperatorClassification.of_kind(label, "general", reducible),
-                Diagnostic(
-                    ERROR,
-                    "CLS001",
-                    f"operator declares unknown migration_profile {declared!r}; "
-                    f"expected one of {sorted(_KIND_TRAITS)}",
-                    operator=label,
-                ),
-            )
-        return (
-            OperatorClassification.of_kind(
-                label, declared, reducible, keyed=bool(getattr(op, "keyed_state", False))
-            ),
-            None,
-        )
     if isinstance(op, _JoinBase):
         return (
             OperatorClassification.of_kind(
-                label, "join", reducible, keyed=bool(getattr(op, "keyed_state", False))
+                label, "join", keyed=bool(getattr(op, "keyed_state", False))
             ),
             None,
         )
     if isinstance(op, (Select, Project)):
-        return OperatorClassification.of_kind(label, "stateless", reducible), None
+        return OperatorClassification.of_kind(label, "stateless"), None
     if isinstance(op, Union):
-        return OperatorClassification.of_kind(label, "order-restoring", reducible), None
+        return OperatorClassification.of_kind(label, "order-restoring"), None
     if isinstance(op, (DuplicateElimination, Aggregate, Difference)):
-        return OperatorClassification.of_kind(label, "general", reducible), None
+        return OperatorClassification.of_kind(label, "general"), None
     if isinstance(op, StatelessOperator):
-        return OperatorClassification.of_kind(label, "stateless", reducible), None
+        return OperatorClassification.of_kind(label, "stateless"), None
     return (
-        OperatorClassification.of_kind(label, "general", reducible),
+        OperatorClassification.of_kind(label, "general"),
         Diagnostic(
             WARNING,
             "CLS002",
             f"unknown operator type {type(op).__name__}: treated as general "
-            "(GenMig-only); declare a migration_profile to classify it",
+            "(GenMig-only)",
             operator=label,
         ),
     )
@@ -307,7 +284,6 @@ def _strategy_verdicts(
 ) -> Dict[str, StrategyVerdict]:
     pt_diags: List[Diagnostic] = []
     rp_diags: List[Diagnostic] = []
-    gm_diags: List[Diagnostic] = []
     flm_diags: List[Diagnostic] = []
     for cls in operators:
         if not cls.pt_compatible:
@@ -360,29 +336,13 @@ def _strategy_verdicts(
                     operator=cls.label,
                 )
             )
-        if not cls.snapshot_reducible:
-            gm_diags.append(
-                Diagnostic(
-                    ERROR,
-                    "GM001",
-                    f"operator {cls.label!r} is not snapshot-reducible: no "
-                    "black-box migration strategy is sound for it (GenMig's "
-                    "correctness rests on snapshot-equivalent boxes, "
-                    "Theorem 1)",
-                    operator=cls.label,
-                )
-            )
     return {
-        PARALLEL_TRACK: StrategyVerdict(
-            PARALLEL_TRACK, not pt_diags and not gm_diags, tuple(pt_diags + gm_diags)
-        ),
+        PARALLEL_TRACK: StrategyVerdict(PARALLEL_TRACK, not pt_diags, tuple(pt_diags)),
         REFERENCE_POINT: StrategyVerdict(
-            REFERENCE_POINT, not rp_diags and not gm_diags, tuple(rp_diags + gm_diags)
+            REFERENCE_POINT, not rp_diags, tuple(rp_diags)
         ),
-        GENMIG: StrategyVerdict(GENMIG, not gm_diags, tuple(gm_diags)),
-        FLUID: StrategyVerdict(
-            FLUID, not flm_diags and not gm_diags, tuple(flm_diags + gm_diags)
-        ),
+        GENMIG: StrategyVerdict(GENMIG, True),
+        FLUID: StrategyVerdict(FLUID, not flm_diags, tuple(flm_diags)),
     }
 
 
@@ -453,7 +413,6 @@ class PlanVerdict:
                 {
                     "label": c.label,
                     "kind": c.kind,
-                    "snapshot_reducible": c.snapshot_reducible,
                     "start_preserving": c.start_preserving,
                     "stateful": c.stateful,
                     "pt_compatible": c.pt_compatible,

@@ -12,9 +12,11 @@ engine checks the cheap subset of these unconditionally (out-of-order input
 raises).  The sanitizer checks *all* of them, at every hook point, when
 explicitly enabled:
 
-* ``StreamSanitizer().install()`` / :func:`sanitized` — process-wide;
-* ``QueryExecutor(..., sanitize=True)`` — per executor construction;
-* ``REPRO_SANITIZE=1`` in the environment — e.g. for a whole test run.
+* :func:`sanitized` — for a block; ``StreamSanitizer().install()`` — for
+  the rest of the process;
+* ``REPRO_SANITIZE=1`` in the environment — read once per process, by the
+  test suite's ``conftest.py`` (for the whole session) and by the
+  ``python -m repro.analysis`` command line; the engine never reads it.
 
 When not installed the hooks are a single ``is None`` test on a module
 global (:data:`repro.operators.base.SANITIZER`), so production runs pay
@@ -45,8 +47,8 @@ The one *tolerated* anomaly is SAN009: the Parallel Track baseline's
 end-of-migration buffer flush delivers results whose start timestamps
 interleave with already-delivered ones — by design, and measured by the
 gate's ``order_violations`` counter.  The sanitizer records every gate
-violation; constructed with ``strict_gate=True`` (what ``sanitize=True``
-and ``REPRO_SANITIZE`` install) it raises on all of them except that flush,
+violation; constructed with ``strict_gate=True`` (what ``REPRO_SANITIZE``
+installs) it raises on all of them except that flush,
 which Parallel Track brackets with ``gate.expects_disorder``.
 """
 
@@ -95,14 +97,9 @@ class StreamSanitizer:
     # ------------------------------------------------------------------ #
 
     def install(self) -> "StreamSanitizer":
-        """Make this sanitizer the process-wide active one."""
+        """Make this sanitizer the process-wide active one (for a block: :func:`sanitized`)."""
         _base.SANITIZER = self
         return self
-
-    @staticmethod
-    def uninstall() -> None:
-        """Deactivate any installed sanitizer (hooks back to zero cost)."""
-        _base.SANITIZER = None
 
     # ------------------------------------------------------------------ #
     # Shared checks
@@ -240,31 +237,13 @@ class StreamSanitizer:
                 )
 
 
-def install(sanitizer: Optional[StreamSanitizer] = None) -> StreamSanitizer:
-    """Install (and return) a process-wide sanitizer."""
-    return (sanitizer or StreamSanitizer()).install()
-
-
-def uninstall() -> None:
-    """Deactivate the process-wide sanitizer."""
-    StreamSanitizer.uninstall()
-
-
-def ensure_installed() -> StreamSanitizer:
-    """Install a strict-gate sanitizer unless one is already active."""
-    current = _base.SANITIZER
-    if current is not None:
-        return current
-    return install(StreamSanitizer(strict_gate=True))
-
-
 @contextlib.contextmanager
 def sanitized(
     sanitizer: Optional[StreamSanitizer] = None,
 ) -> Iterator[StreamSanitizer]:
     """Run a block with a sanitizer installed, restoring the previous one."""
     previous = _base.SANITIZER
-    active = install(sanitizer)
+    active = (sanitizer or StreamSanitizer()).install()
     try:
         yield active
     finally:

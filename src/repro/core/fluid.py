@@ -26,7 +26,7 @@ cliff by migrating the keyed state one key range at a time behind a
    the new box bottom-up (the Moving States computation, merged in via
    ``absorb_state`` so previously migrated ranges keep their live state),
    and the frontier entry flips — once no input lags below what the old
-   box has already purged (:meth:`FluidMigration._seed_incomplete`).
+   box has already purged (:func:`~repro.core.moving_states.seed_incomplete`).
    From that tick on the range's elements probe the new plan; the
    remaining ranges keep running undisturbed through the old one — both
    plans are fully live only for the single in-flight range.
@@ -56,7 +56,7 @@ from ..operators.union import Union
 from ..temporal.element import Payload, StreamElement
 from ..temporal.time import Time
 from .genmig import GenMig
-from .moving_states import _StateSeeder
+from .moving_states import _StateSeeder, seed_incomplete
 from .split import Route, _TwoSidedRouter
 from .strategy import UnsupportedPlanError
 
@@ -189,35 +189,13 @@ class FluidMigration(GenMig):
             )
             if (
                 not due
-                or self._seed_incomplete(executor)
+                or seed_incomplete(executor, self.old_box)
                 or not self._gate(executor, f"flip-{next_range}")
             ):
                 return
             self._migrate_range(executor, next_range)
             next_range = len(self._migrated)
         self._try_complete(executor)
-
-    def _seed_incomplete(self, executor) -> bool:
-        """Whether some input lags below state the old box already purged.
-
-        A range is seeded from what the old box's tap operators hold, and
-        each purges on its own inputs' watermarks only.  While another
-        input's raw watermark lags below a tap operator's purged one, an
-        element that operator dropped can still meet a future element of
-        the lagging input where the new plan joins them directly (the old
-        plan joined it earlier, into intermediate state the seed cannot
-        use), and that result would be lost.  State may leave the old
-        plan only once no input can still need it, so a due flip waits
-        for the lagging input (end of stream excepted).
-        """
-        if executor.at_end_of_stream:
-            return False
-        lagging = min(router.watermark(0) for router in executor.routers.values())
-        return any(
-            operator._purged_watermark > lagging
-            for ports in self.old_box.taps.values()
-            for operator, _ in ports
-        )
 
     def _detach_output(self, executor) -> None:
         # Past the last range's split time nothing keyed is left and every
@@ -361,9 +339,12 @@ class FluidMigration(GenMig):
         between, evaluating each through its pure ``evaluate`` hook (the
         FLM004 verifier check guarantees they have one), and returns one
         ``(join, port, element as it arrives there)`` per join port reached
-        — none when a selection on the way drops the element.
+        — none when a selection on the way drops it or it leaves the box
+        through the root (it then stays staged, like a root-staged result).
         """
         landings: List[Tuple[_JoinBase, int, StreamElement]] = []
+        if operator is self.old_box.root:
+            return landings
         for downstream, port in operator.subscribers:
             if isinstance(downstream, _JoinBase):
                 landings.append((downstream, port, element))

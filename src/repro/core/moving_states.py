@@ -10,8 +10,10 @@ does and exactly what the black-box GenMig avoids.
 Scope: reordering trees of sliding-window joins (optionally with stateless
 selection/projection between them) — the case MS was designed for:
 
-1. drain the old box's in-flight (staged) results, so everything the old
-   plan owes for the already-arrived elements is delivered;
+1. wait until the old box holds no in-flight (staged) result, so
+   everything the old plan owes for the already-arrived elements has been
+   delivered in start order — at once under global temporal order, later
+   under a skewed schedule, where a lagging input still holds results back;
 2. extract the alive base elements of every input from the old box's leaf
    join states;
 3. for every join of the new plan, *compute* its two input states as the
@@ -19,8 +21,8 @@ selection/projection between them) — the case MS was designed for:
    only, no operator execution, hence no output to deduplicate;
 4. install the computed states and switch the routers over.
 
-The migration is instantaneous in application time; its price is the burst
-of seeding work in step 3, visible on the cost meter.
+Once the old box is quiet the switch is instantaneous in application time;
+its price is the burst of seeding work in step 3, visible on the cost meter.
 """
 
 from __future__ import annotations
@@ -42,31 +44,30 @@ class MovingStates(MigrationStrategy):
     name = "moving-states"
 
     def begin(self, executor, new_box: Box) -> None:
+        self._validate(executor.box, new_box)
+        self._triggered_at = executor.clock
+        self._new_box = new_box
+
+    def after_event(self, executor) -> None:
+        """Switch once the old box holds no staged result (owed for elements
+        the new box never sees, but not deliverable before a lagging input
+        catches up) and its tap joins still hold all a lagging input can meet."""
         old_box = executor.box
-        self._validate(old_box)
-        self._validate(new_box)
+        if old_box.has_staged_output() or seed_incomplete(executor, old_box):
+            return
         start_clock = executor.clock
         cost_before = executor.meter.total
-
-        # Step 1: drain in-flight results of the old box.  Results staged in
-        # internal output heaps have not reached downstream states (or the
-        # gate) yet; flushing delivers them exactly as continued execution
-        # would have.  The box is discarded right after, so the premature
-        # flush cannot interleave with later arrivals.
-        old_box.flush()
+        new_box = self._new_box
 
         # Step 2: alive base elements per input, from the leaf join states.
-        alive: Dict[str, List[StreamElement]] = {}
-        for source, ports in old_box.taps.items():
-            elements: List[StreamElement] = []
-            for operator, port in ports:
-                if not isinstance(operator, _JoinBase):
-                    raise UnsupportedPlanError(
-                        f"Moving States requires join entry points, found "
-                        f"{type(operator).__name__} at input {source!r}"
-                    )
-                elements.extend(operator.state_of_port(port))
-            alive[source] = elements
+        alive: Dict[str, List[StreamElement]] = {
+            source: [
+                element
+                for operator, port in ports
+                for element in operator.state_of_port(port)
+            ]
+            for source, ports in old_box.taps.items()
+        }
 
         # Step 3 + 4: compute and install every new-plan state bottom-up.
         seeder = _StateSeeder(new_box, alive, executor.meter)
@@ -75,7 +76,7 @@ class MovingStates(MigrationStrategy):
         self._hand_over(executor, old_box, new_box)
         self._report = MigrationReport(
             strategy=self.name,
-            triggered_at=start_clock,
+            triggered_at=self._triggered_at,
             started_at=start_clock,
             completed_at=executor.clock,
             t_split=None,
@@ -85,17 +86,48 @@ class MovingStates(MigrationStrategy):
             },
         )
 
-    def _validate(self, box: Box) -> None:
-        for operator in box.operators:
+    def _validate(self, old_box: Box, new_box: Box) -> None:
+        """Refuse a pair outside Moving States' scope, before anything moves:
+        join trees with stateless operators, the old one entered through
+        its joins (the seed is read from their state)."""
+        for operator in old_box.operators + new_box.operators:
             if isinstance(operator, (_JoinBase, Select, Project)):
                 continue
             raise UnsupportedPlanError(
                 f"Moving States only supports join trees (with stateless "
                 f"operators); found {type(operator).__name__}"
             )
+        for source, ports in old_box.taps.items():
+            for operator, _ in ports:
+                if not isinstance(operator, _JoinBase):
+                    raise UnsupportedPlanError(
+                        f"Moving States requires join entry points, found "
+                        f"{type(operator).__name__} at input {source!r}"
+                    )
 
-    def after_event(self, executor) -> None:
-        """MS completes inside :meth:`begin`; nothing to advance."""
+
+def seed_incomplete(executor, old_box: Box) -> bool:
+    """Whether some input lags below state the old box already purged.
+
+    New-plan state is seeded from what the old box's tap operators hold,
+    and each purges on its own inputs' watermarks only.  While another
+    input's raw watermark lags below a tap operator's purged one, an
+    element that operator dropped can still meet a future element of the
+    lagging input where the new plan joins them directly (the old plan
+    joined it earlier, into intermediate state the seed cannot use), and
+    that result would be lost.  State may leave the old plan only once no
+    input can still need it, so a handover waits for the lagging input
+    (end of stream excepted).  Moving States and every fluid range flip
+    obey this rule.
+    """
+    if executor.at_end_of_stream:
+        return False
+    lagging = min(router.watermark(0) for router in executor.routers.values())
+    return any(
+        operator._purged_watermark > lagging
+        for ports in old_box.taps.values()
+        for operator, _ in ports
+    )
 
 
 class _StateSeeder:

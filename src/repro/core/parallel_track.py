@@ -163,6 +163,9 @@ class ParallelTrack(MigrationStrategy):
         self._complete(executor)
 
     def _old_elements_remain(self) -> bool:
+        # A staged old-box result has not passed the output filter yet.
+        if self.old_box.has_staged_output():
+            return True
         for op in self.old_box.operators:
             for port in range(op.arity):
                 for element in op.state_of_port(port):

@@ -83,6 +83,10 @@ class Box:
             for op in self.operators:
                 op.flush()
 
+    def has_staged_output(self) -> bool:
+        """Whether any operator holds a result it has not released yet."""
+        return any(op._heap for op in self.operators)
+
     def sever(self) -> None:
         """Disconnect the box's internal root output (teardown helper)."""
         self.root.clear_subscribers()

@@ -16,7 +16,6 @@ under which application and system time coincide (Section 4.4).
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..operators import base as _operator_base
@@ -62,10 +61,6 @@ class QueryExecutor:
             every element, which is the reference migration timing; batching is
             snapshot-equivalent but may chunk the strategy's transitions at
             run boundaries.
-        sanitize: install the process-wide stream-invariant sanitizer
-            (:mod:`repro.analysis.sanitizer`) for this run.  Defaults to
-            the ``REPRO_SANITIZE`` environment variable; when off, the
-            engine's sanitizer hooks cost a single ``is None`` test.
     """
 
     def __init__(
@@ -80,7 +75,6 @@ class QueryExecutor:
         interval_bound: Time = 1,
         batch_size: int = 64,
         batch_during_migration: bool = False,
-        sanitize: Optional[bool] = None,
     ) -> None:
         missing = set(sources) - set(windows)
         if missing:
@@ -100,17 +94,6 @@ class QueryExecutor:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
         self.batch_during_migration = batch_during_migration
-        if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "").lower() in (
-                "1",
-                "true",
-                "yes",
-                "on",
-            )
-        if sanitize:
-            from ..analysis.sanitizer import ensure_installed
-
-            ensure_installed()
         self.statistics = StatisticsCatalog()
 
         self.gate = OutputGate()

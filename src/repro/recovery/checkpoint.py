@@ -8,7 +8,7 @@ output gate and metrics epochs, and the hub's per-source offsets together
 determine the service's entire observable future: restoring them and
 replaying each source's feed from its recorded offset reproduces the
 uninterrupted run byte for byte (the snapshot-equivalence guarantee the
-integration suite asserts through ``RelationalReference``).
+integration suite asserts through ``RelationalOracle``).
 
 The captured payload is a pure tree of builtins, written through the
 pickle-free codec in :mod:`repro.recovery.snapshot`; stream elements pack

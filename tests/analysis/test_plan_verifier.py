@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import (
     MigrationVerdict,
+    OperatorClassification,
     figure2_plans,
     verify_box,
     verify_migration,
@@ -17,6 +18,8 @@ from repro.analysis.plan_verifier import (
     REFERENCE_POINT,
 )
 from repro.core import select_strategy
+from repro.engine import Box
+from repro.operators import Select, equi_join
 from repro.operators.base import Operator
 from repro.operators.join import HashJoin
 from repro.plans import (
@@ -26,6 +29,7 @@ from repro.plans import (
     DistinctNode,
     Field,
     JoinNode,
+    Literal,
     PhysicalBuilder,
     ProjectNode,
     Query,
@@ -33,6 +37,7 @@ from repro.plans import (
     Source,
     UnionNode,
 )
+from repro.temporal.time import MAX_TIME
 
 A = Source("A", ["x"])
 B = Source("B", ["y"])
@@ -170,6 +175,58 @@ class TestSchemaValidation:
         assert plan not in ReOptimizer().candidates(plan)
 
 
+class TestEveryCodeFires:
+    """Each schema, window, wiring and fluid code has a plan that raises
+    it: plans mutated past their constructors' own checks, hand-wired
+    boxes, and a fluid-hostile build."""
+
+    @staticmethod
+    def codes(verdict):
+        return {d.code for d in verdict.all_diagnostics()}
+
+    def test_sch003_projection_of_unknown_column(self):
+        node = ProjectNode(A, [(Field("A.x"), "x")])
+        node.outputs = ((Field("Z.q"), "x"),)
+        assert "SCH003" in self.codes(verify_plan(node))
+
+    def test_sch005_join_condition_on_unknown_column(self):
+        join = JoinNode(A, B, AB)
+        join.condition = Comparison("=", Field("A.x"), Field("Z.q"))
+        assert "SCH005" in self.codes(verify_plan(join))
+
+    def test_sch006_aggregate_and_group_by_on_unknown_columns(self):
+        node = AggregateNode(A, [AggregateSpec("sum", "A.x")], group_by=["A.x"])
+        node.aggregates = (AggregateSpec("sum", "Z.q"),)
+        node.group_by = ("Z.r",)
+        messages = [d.message for d in verify_plan(node).diagnostics if d.code == "SCH006"]
+        assert len(messages) == 2
+
+    def test_sch007_union_of_different_arity(self):
+        union = UnionNode(A, B)
+        union.right = JoinNode(Source("C", ["z"]), B, None)
+        assert "SCH007" in self.codes(verify_plan(union))
+
+    def test_win002_unbounded_window_warns(self):
+        verdict = verify_query(Query(JoinNode(A, B, AB), {"A": MAX_TIME, "B": 10}))
+        assert [d.severity for d in verdict.diagnostics if d.code == "WIN002"] == ["warning"]
+
+    def test_box001_root_outside_the_operator_list(self):
+        join, stray = equi_join(0, 0), Select(lambda p: True)
+        box = Box(taps={"A": [(join, 0)], "B": [(join, 1)]}, root=stray, operators=[join])
+        assert "BOX001" in self.codes(verify_box(box))
+
+    def test_box002_unfed_port_and_box003_doubly_fed_port(self):
+        join = equi_join(0, 0)
+        box = Box(taps={"A": [(join, 0)], "B": [(join, 0)]}, root=join)
+        assert {"BOX002", "BOX003"} <= self.codes(verify_box(box))
+
+    def test_flm003_tap_on_a_non_keyed_operator(self):
+        plan = JoinNode(SelectNode(A, Comparison("<", Field("A.x"), Literal(4))), B, AB)
+        verdict = verify_box(build(plan))
+        assert not verdict.strategies[FLUID].safe
+        assert "FLM003" in self.codes(verdict)
+
+
 class TestQueryVerification:
     def test_windows_bound_recorded(self):
         # Every source has a finite window: no WIN diagnostic.
@@ -222,47 +279,17 @@ class TestOperatorClassification:
         assert classification.kind == "general"
         assert diagnostic is not None and diagnostic.code == "CLS002"
 
-    def test_declared_migration_profile_wins(self):
-        class SelfDescribed(Operator):
-            migration_profile = "stateless"
-
-            def _on_element(self, element, port):
-                self._emit(element)
-
-        from repro.analysis import classify_operator
-
-        classification, diagnostic = classify_operator(SelfDescribed())
-        assert classification.kind == "stateless"
-        assert diagnostic is None
-
-    def test_bad_declared_profile_is_an_error(self):
-        class Misdeclared(Operator):
-            migration_profile = "quantum"
-
-            def _on_element(self, element, port):
-                self._emit(element)
-
-        from repro.analysis import classify_operator
-
-        _, diagnostic = classify_operator(Misdeclared())
-        assert diagnostic is not None and diagnostic.code == "CLS001"
-
     def test_undrainable_join_is_warned(self):
         class Undrainable(Operator):
-            migration_profile = "join"
-
             def _on_element(self, element, port):
                 self._emit(element)
 
-        from repro.analysis import classify_operator
         from repro.analysis.plan_verifier import (
             WARNING,
             _checkpoint_state_diagnostic,
         )
 
-        classification, diagnostic = classify_operator(Undrainable())
-        assert classification.kind == "join"
-        assert diagnostic is None
+        classification = OperatorClassification.of_kind("undrainable", "join")
         diagnostic = _checkpoint_state_diagnostic(Undrainable(), classification)
         assert diagnostic is not None and diagnostic.code == "CKP001"
         assert diagnostic.severity == WARNING
@@ -270,21 +297,18 @@ class TestOperatorClassification:
 
     def test_stateful_operator_without_state_hooks_is_not_checkpointable(self):
         class Opaque(Operator):
-            migration_profile = "general"
-
             def _on_element(self, element, port):
                 self._emit(element)
 
             def state_of_port(self, port):
                 return []
 
-        from repro.analysis import classify_operator
         from repro.analysis.plan_verifier import (
             WARNING,
             _checkpoint_state_diagnostic,
         )
 
-        classification, _ = classify_operator(Opaque())
+        classification = OperatorClassification.of_kind("opaque", "general")
         diagnostic = _checkpoint_state_diagnostic(Opaque(), classification)
         assert diagnostic is not None and diagnostic.code == "CKP001"
         assert diagnostic.severity == WARNING
@@ -292,18 +316,15 @@ class TestOperatorClassification:
 
     def test_asymmetric_state_hooks_are_flagged(self):
         class DrainOnly(Operator):
-            migration_profile = "general"
-
             def _on_element(self, element, port):
                 self._emit(element)
 
             def state_of_port(self, port):
                 return []
 
-        from repro.analysis import classify_operator
         from repro.analysis.plan_verifier import _checkpoint_state_diagnostic
 
-        classification, _ = classify_operator(DrainOnly())
+        classification = OperatorClassification.of_kind("drain-only", "general")
         diagnostic = _checkpoint_state_diagnostic(DrainOnly(), classification)
         assert diagnostic is not None and diagnostic.code == "CKP001"
         assert "lacks absorb_state" in diagnostic.message

@@ -2,7 +2,8 @@
 
 import pytest
 
-from helpers import RelationalReference, probe_instants, run_query, windowed
+from helpers import probe_instants, run_query, windowed
+from repro.analysis.oracle import RelationalOracle
 from repro.core import GenMig
 from repro.engine import (
     Box,

@@ -1,20 +1,12 @@
 """Shared test utilities.
 
-Four pillars:
+Three pillars:
 
 * :func:`run_query` — drive a box (optionally with a scheduled migration)
   over finite streams and return the collected output.
 * :data:`STATELESS_FACTORIES` / :func:`concrete_stateless_classes` — one
   instance of every concrete ``StatelessOperator`` subclass, for the
   per-class contract suites.
-* :class:`RelationalReference` — the snapshot-reducibility oracle of
-  Definition 1, :class:`repro.analysis.modelcheck.RelationalOracle` (the
-  one implementation, shared with the model checker): evaluates a logical
-  plan *relationally*, snapshot by snapshot, with the exact bag algebra of
-  ``repro.temporal.multiset``.  Comparing an operator pipeline's output
-  snapshots against this oracle verifies snapshot-reducibility directly,
-  with no reliance on the engine under test: it never builds an operator,
-  a box or an executor.
 * :data:`BATCH_BUILDERS` — the two ways of building the same
   :class:`~repro.temporal.batch.Batch`, for suites that must hold for
   either view a run arrives in.
@@ -24,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.modelcheck import RelationalOracle as RelationalReference
 from repro.engine import Box, MetricsRecorder, QueryExecutor
 from repro.engine.box import Router
 from repro.engine.scheduler import Scheduler

@@ -255,13 +255,14 @@ class TestKillAndRecover:
         assert recovered.metrics.epoch_state() == baseline.metrics.epoch_state()
 
         # And independently correct against the snapshot oracle.
-        from helpers import RelationalReference, windowed
+        from helpers import windowed
+        from repro.analysis.oracle import RelationalOracle
 
         streams = {name: [] for name in sources}
         for source, item in feed:
             if source in streams:
                 streams[source].append(item)
-        reference = RelationalReference(
+        reference = RelationalOracle(
             {
                 name: windowed(elements, RECOVERY_WINDOW)
                 for name, elements in streams.items()

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import RelationalReference, probe_instants, run_query, windowed
+from helpers import probe_instants, run_query, windowed
+from repro.analysis.oracle import RelationalOracle
 from repro.optimizer import (
     JoinGraph,
     join_orders,

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from helpers import RelationalReference, probe_instants, run_query, windowed
+from helpers import probe_instants, run_query, windowed
+from repro.analysis.oracle import RelationalOracle
 from repro.operators import Aggregate, DuplicateElimination, HashJoin, NestedLoopsJoin
 from repro.plans import (
     AggregateNode,
@@ -47,7 +48,7 @@ def check_against_reference(plan, seed=17):
     streams = random_streams(seed)
     box = PhysicalBuilder().build(plan)
     out, _ = run_query(streams, WINDOWS, box)
-    reference = RelationalReference(
+    reference = RelationalOracle(
         {name: windowed(stream, WINDOWS[name]) for name, stream in streams.items()}
     )
     instants = probe_instants(

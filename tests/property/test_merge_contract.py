@@ -3,9 +3,10 @@
 Fluid migration joins its two box roots through a plain ``Union``, and
 the reference-point strategy hands each root's output to the gate through
 a sink adapter (``_ReferencePointFilter`` on the new box,
-``_OldOutputMonitor`` on the old).  Each takes a run whole where it can;
-for every run that must equal element-wise ``process`` followed by a
-heartbeat at the run's trailing watermark.
+``_OldOutputMonitor`` on the old, which releases what the filter holds
+once the old box promises past ``T_split``).  Each takes a run whole where
+it can; for every run that must equal element-wise ``process`` followed
+by a heartbeat at the run's trailing watermark.
 
 For the union that is checked over random two-port schedules of runs and
 heartbeats, after every step: each receiver's element sequence and the
@@ -15,8 +16,10 @@ arriving with nothing staged and the other port level or ahead (the run
 passes whole), with results staged, with the other port lagging, and one
 or two receivers (both of the latter take the element protocol).  For the
 adapters: ``dropped``, ``violations``, and the gate's ``delivered``,
-``order_violations`` and delivered stream, with and without a sanitizer
-and for runs that go backwards past the gate's last delivered start.
+``order_violations``, delivered stream and promises, with and without a
+sanitizer, for runs that go backwards past the gate's last delivered
+start, and with the hand-off before, amid and after the runs; nothing
+the filter holds reaches its gate before the hand-off.
 """
 
 import itertools
@@ -177,30 +180,49 @@ def adapter_feed(seed, disorder):
     ]
 
 
-def drive_adapters(runs, layout):
+class PromiseLog(CollectorSink):
+    """A sink that also records the promises it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.promises = []
+
+    def process_heartbeat(self, t, port=0):
+        self.promises.append(t)
+
+
+def drive_adapters(runs, layout, release_after):
+    """Feed every run to both adapters; the old box promises past
+    ``T_SPLIT`` after run ``release_after`` (never, past the last run:
+    then the migration's completion releases the filter)."""
     gates = [OutputGate(), OutputGate()]
-    sinks = [CollectorSink(), CollectorSink()]
+    sinks = [PromiseLog(), PromiseLog()]
     for gate, sink in zip(gates, sinks):
         gate.expects_disorder = True
         gate.add_sink(sink)
-    adapters = [
-        _ReferencePointFilter(gates[0], T_SPLIT),
-        _OldOutputMonitor(gates[1], T_SPLIT),
-    ]
-    for run in runs:
+    new_output = _ReferencePointFilter(gates[0], T_SPLIT)
+    adapters = [new_output, _OldOutputMonitor(gates[1], T_SPLIT, new_output)]
+    for k, run in enumerate(runs):
         for adapter in adapters:
             if layout is None:
                 for e in run:
                     adapter.process(e)
             else:
                 adapter.process_batch(layout(run))
-        for adapter in adapters:
-            adapter.process_heartbeat(MAX_TIME)
+        new_output.process_heartbeat(run[-1].start)
+        adapters[1].process_heartbeat(MAX_TIME if k >= release_after else 9)
+        if k < release_after:
+            assert new_output.holding
+            assert gates[0].delivered == 0 and not sinks[0].promises
+            assert new_output.held_values == sum(len(e.payload) for e in new_output.held)
+    new_output.release()
+    assert not new_output.holding and new_output.held_values == 0
     return (
         adapters[0].dropped,
         adapters[1].violations,
         [(gate.delivered, gate.order_violations) for gate in gates],
         [[(e.payload, e.start) for e in sink.elements] for sink in sinks],
+        [sink.promises for sink in sinks],
     )
 
 
@@ -213,6 +235,9 @@ def test_reference_point_adapters_take_runs_as_their_elements(
     if not sanitize:
         monkeypatch.setattr(base, "SANITIZER", None)
     runs = adapter_feed(seed, disorder)
-    reference = drive_adapters(runs, None)
+    # The new box's output is start-ordered, so only ordered runs are held;
+    # shuffled runs take the hand-off up front and reach the gate as sent.
+    release_after = 0 if disorder else seed % (len(runs) + 1)
+    reference = drive_adapters(runs, None, release_after)
     for layout, build in BATCH_BUILDERS.items():
-        assert drive_adapters(runs, build) == reference, layout
+        assert drive_adapters(runs, build, release_after) == reference, layout

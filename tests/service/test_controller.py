@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from helpers import RelationalReference, windowed
+from helpers import windowed
+from repro.analysis.oracle import RelationalOracle
 from repro.core import GenMig
 from repro.cql import Catalog
 from repro.service import ContinuousQueryService, ControllerPolicy
@@ -150,11 +151,11 @@ def test_autonomous_drift_migration_end_to_end(strategy_policy, expected_strateg
     # their *original* plans — migration never changed any answer.
     streams = raw_streams(feed)
     instants = list(range(0, END + 2 * WINDOW, 53))
-    joined_reference = RelationalReference(
+    joined_reference = RelationalOracle(
         {name: windowed(elements, WINDOW) for name, elements in streams.items()}
     )
     assert joined_reference.check(joined.query.plan, joined.results, instants) is None
-    filtered_reference = RelationalReference({"A": windowed(streams["A"], WINDOW)})
+    filtered_reference = RelationalOracle({"A": windowed(streams["A"], WINDOW)})
     assert (
         filtered_reference.check(filtered.query.plan, filtered.results, instants)
         is None
