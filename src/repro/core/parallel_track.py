@@ -163,16 +163,28 @@ class ParallelTrack(MigrationStrategy):
         self._complete(executor)
 
     def _old_elements_remain(self) -> bool:
+        """Whether any old-box state still derives from before the migration.
+
+        Stops at the first such element; a join's sides are read as raw
+        entries (:meth:`~repro.operators.join._JoinBase.held_entries`), so
+        nothing is boxed.
+        """
         # A staged old-box result has not passed the output filter yet.
         if self.old_box.has_staged_output():
             return True
+        migration_start = self._migration_start
         for op in self.old_box.operators:
-            for port in range(op.arity):
-                for element in op.state_of_port(port):
-                    if element.flag == NEW:
-                        continue
-                    if element.flag is not None or element.start < self._migration_start:
-                        return True
+            if isinstance(op, _JoinBase):
+                held = op.held_entries()
+            else:
+                held = (
+                    (e.start, e.end, e.payload, e.flag)
+                    for port in range(op.arity)
+                    for e in op.state_of_port(port)
+                )
+            for start, _, _, flag in held:
+                if flag != NEW and (flag is not None or start < migration_start):
+                    return True
         return False
 
     def _complete(self, executor) -> None:

@@ -102,7 +102,9 @@ class _OldOutputMonitor:
     ``T_split``; the monitor counts violations (each one is a potential
     duplicated snapshot) so tests can demonstrate why the optimization is
     restricted.  Once the old box promises ``T_split``, it has delivered
-    everything it owes, and the monitor releases the new box's held results.
+    everything it owes, and the monitor releases the new box's held results;
+    it never forwards a promise past ``T_split``, which would speak for the
+    new box too.
     """
 
     def __init__(self, gate, t_split: Time, new_output: _ReferencePointFilter) -> None:
@@ -124,8 +126,16 @@ class _OldOutputMonitor:
         self._gate.process_batch(batch)
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
+        """Forward the old box's promise, capped at ``T_split``.
+
+        Past ``T_split`` the old box speaks only for itself (it reaches
+        end of stream once every input has passed ``T_split``); the new
+        box's results follow, and the released filter forwards the new
+        root's own promises.
+        """
         if t >= self.t_split:
             self._new_output.release()
+            t = self.t_split
         self._gate.process_heartbeat(t)
 
 

@@ -259,9 +259,9 @@ class Operator:
         "we only measured the memory allocated for the values"; staged but
         unreleased output is included since it occupies memory too.  The
         count is maintained incrementally (O(1) here); the recount through
-        :meth:`state_of_port` survives as :meth:`state_value_count_slow`,
-        and an installed sanitizer asserts the two equal on every advance
-        (SAN007).
+        :meth:`state_of_port` survives as :meth:`state_value_count_slow`
+        (a join recounts its raw bucket entries instead), and an installed
+        sanitizer asserts the two equal on every advance (SAN007).
         """
         return self._staged_values + self._state_value_count()
 

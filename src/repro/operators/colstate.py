@@ -1,13 +1,12 @@
-"""Columnar bucketed join state: the one container of both symmetric joins.
+"""Bucketed join state: the one container of both symmetric joins.
 
-One instance holds one join side as five parallel append-only arrays —
-start, end, payload row, PT flag and bucket key per element — plus a
-``buckets`` dict mapping key → list of live array indices in insertion
-order.  The hash join buckets by its join key; the nested-loops join
-files every element under the one key ``None`` and walks that bucket.
-The joins' element loops and the compiled probe kernels
-(:func:`repro.plans.kernels.compile_probe_kernel`) read the arrays and
-``buckets`` directly; everything else (iteration, drains, seeding)
+One instance holds one join side.  Each key owns its state:
+``buckets[key]`` is a list of ``(start, end, row, flag)`` entries in
+insertion order.  The hash join buckets by its join key; the
+nested-loops join files every element under the one key ``None`` and
+walks that bucket.  The joins' element loops and the compiled probe
+kernels (:func:`repro.plans.kernels.compile_probe_kernel`) read the
+entries directly; everything else (iteration, drains, seeding)
 materialises :class:`StreamElement`\\ s on demand.
 
 Observable behaviour, which checkpoints, Moving States and the
@@ -21,77 +20,55 @@ byte-identity property suites rely on:
   (cross-checked against a scan of the live buckets while a sanitizer is
   installed).
 
-The expiry sweep is where the layout pays off.  Window-extended input
-arrives with non-decreasing end timestamps, so in the common case the
-``ends`` array is sorted and a watermark purge is one ``bisect`` over
-the live suffix plus O(1) bucket pops — no per-element heap traffic at
-all (*sorted mode*).  The first out-of-order end, or a retention rule
-(the Parallel Track baseline's tuple-timestamp rule, the one exception to
+Expiry goes through one *calendar*: a dict expiry → the keys of the
+elements due then (one record per element), plus a heap of the
+*distinct* expiries.  An insert whose expiry is already filed is one
+list append; a purge pops one heap entry per expiry and, for each of its
+records, removes one due entry from that key's bucket — nearly always
+the head, since window-extended ends arrive (almost) in order.  The
+expiry is the element's end unless a retention rule is installed (the
+Parallel Track baseline's tuple-timestamp rule, the one exception to
 Section 2.2's ``t_E <= watermark`` purge, installed through the join's
-``set_retention``), switches the instance permanently to *heap mode*:
-an expiry *calendar* — a dict expiry → indices due then, plus a heap of
-the *distinct* expiries — so an insert whose expiry is already filed is
-one list append, and a purge pops one heap entry per expiry, not per
-element.
+``set_retention``).
 
-Both modes compact.  Sorted mode drops the dead array prefix once it is
-over ``_COMPACT_THRESHOLD`` long and half the array; heap mode, whose
-dead rows are scattered, rebuilds the arrays from the live buckets (in
-bucket order, so iteration and drains are unchanged) and re-files the
-calendar once the arrays are over ``_COMPACT_THRESHOLD`` and twice the
-live count.
-
-Why ``bucket[0]`` is always the dying index in sorted mode: inserts
-append strictly increasing indices to each bucket, and the sorted sweep
-retires indices in increasing order (the dead prefix grows left to
-right), so within any bucket the next index to die is always the
-smallest live one — its head.  In heap mode it usually is too (ends are
-only mildly out of order), so the purge tries the head before
-``list.remove``.
+:meth:`extract` — fluid migration's key-range drain — pops whole
+buckets and leaves their calendar records behind.  Such a record can
+only ever remove an entry that is already due: every purge pops at
+least as many records for a key as the key has due entries, and each
+record removes one due entry or nothing.  So the leftovers are harmless
+and need no marker.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
-from ..temporal.time import MIN_TIME, Time
+from ..temporal.time import Time
 from . import base
 
 #: Maps a state element to the watermark at which it may be purged;
 #: ``None`` is the interval rule (purge once ``t_E <= watermark``).
 RetentionRule = Optional[Callable[[StreamElement], Time]]
 
-#: Compaction floor: sorted mode drops a dead prefix longer than this and
-#: than half the array; heap mode rebuilds arrays longer than this and
-#: than twice the live count.
-_COMPACT_THRESHOLD = 512
+#: One held element: ``(start, end, row, flag)``.
+Entry = Tuple[Time, Time, Payload, Optional[str]]
 
 
 class ColumnarJoinState:
-    """One join side stored as parallel columns with keyed buckets.
+    """One join side as per-key entry lists under one expiry calendar.
 
-    The array attributes and ``buckets`` are the read surface of the
-    compiled probe kernels; mutation goes through :meth:`insert` /
-    :meth:`insert_run` / :meth:`expire` / :meth:`extract` only.
+    ``buckets`` is the read surface of the compiled probe kernels;
+    mutation goes through :meth:`insert` / :meth:`insert_run` /
+    :meth:`expire` / :meth:`extract` only.
     """
 
     __slots__ = (
-        "starts",
-        "ends",
-        "rows",
-        "flags",
-        "keys",
         "buckets",
         "_calendar",
         "_expiries",
-        "_dead",
-        "_sweep_pos",
-        "_sorted",
-        "_last_end",
         "_live",
         "_values",
         "_flag_count",
@@ -99,93 +76,43 @@ class ColumnarJoinState:
     )
 
     def __init__(self) -> None:
-        self.starts: List[Time] = []
-        self.ends: List[Time] = []
-        self.rows: List[Payload] = []
-        self.flags: List[Optional[str]] = []
-        self.keys: List[Any] = []
-        self.buckets: dict = {}
-        self._calendar: Dict[Time, List[int]] = {}
+        self.buckets: Dict[Any, List[Entry]] = {}
+        self._calendar: Dict[Time, List[Any]] = {}
         self._expiries: List[Time] = []
-        self._dead: set = set()
-        self._sweep_pos = 0
-        self._sorted = True
-        self._last_end: Time = MIN_TIME
         self._live = 0
         self._values = 0
         self._flag_count = 0
         self._retention: RetentionRule = None
 
-    # ------------------------------------------------------------------ #
-    # Expiry keys and modes
-    # ------------------------------------------------------------------ #
-
-    def _element_at(self, index: int) -> StreamElement:
-        return StreamElement(
-            self.rows[index],
-            TimeInterval(self.starts[index], self.ends[index]),
-            self.flags[index],
-        )
-
-    def _expiry_at(self, index: int) -> Time:
+    def _expiry(self, entry: Entry) -> Time:
         retention = self._retention
         if retention is None:
-            return self.ends[index]
-        return retention(self._element_at(index))
+            return entry[1]
+        start, end, row, flag = entry
+        return retention(StreamElement(row, TimeInterval(start, end), flag))
 
-    def set_retention(self, retention: RetentionRule) -> None:
-        """Install a new retention rule and re-key the expiry index.
-
-        Any explicit rule invalidates the sorted-ends invariant, so the
-        instance drops to heap mode for the rest of its life — retention
-        overrides happen once per migration, never on the steady path.
-        """
-        self._retention = retention
-        self._enter_heap_mode()
-
-    def _enter_heap_mode(self) -> None:
-        self._sorted = False
-        self._refile()
-
-    def _refile(self) -> None:
-        """Rebuild the arrays from the live buckets and file the calendar.
-
-        Heap mode's compaction, also its entry: the live rows move to the
-        front in bucket order, then insertion order within a bucket, so
-        iteration and drains see exactly the order they saw before.  The
-        calendar is filed from the live rows only, so extracted indices
-        can no longer surface from it — their markers go.
-        """
-        buckets = self.buckets
-        order = [index for bucket in buckets.values() for index in bucket]
-        if self._retention is None:
-            expiries = [self.ends[index] for index in order]
-        else:
-            expiries = [self._expiry_at(index) for index in order]
-        self.starts = [self.starts[index] for index in order]
-        self.ends = [self.ends[index] for index in order]
-        self.rows = [self.rows[index] for index in order]
-        self.flags = [self.flags[index] for index in order]
-        self.keys = [self.keys[index] for index in order]
-        fresh = 0
-        for key, bucket in buckets.items():
-            buckets[key] = list(range(fresh, fresh + len(bucket)))
-            fresh += len(bucket)
-        self._calendar = {}
-        self._expiries = []
-        for index, expiry in enumerate(expiries):
-            self._file(index, expiry)
-        self._dead.clear()
-        self._sweep_pos = 0
-
-    def _file(self, index: int, expiry: Time) -> None:
-        """Enter ``index`` in the calendar under ``expiry`` (heap mode)."""
+    def _file(self, key: Any, expiry: Time) -> None:
+        """Enter one record for ``key`` in the calendar under ``expiry``."""
         slot = self._calendar.get(expiry)
         if slot is None:
-            self._calendar[expiry] = [index]
+            self._calendar[expiry] = [key]
             heapq.heappush(self._expiries, expiry)
         else:
-            slot.append(index)
+            slot.append(key)
+
+    def set_retention(self, retention: RetentionRule) -> None:
+        """Install a new retention rule and re-file the calendar.
+
+        The calendar is rebuilt from the live entries only, so the records
+        an extraction left behind go too.  Retention overrides happen once
+        per migration, never on the steady path.
+        """
+        self._retention = retention
+        self._calendar = {}
+        self._expiries = []
+        for key, bucket in self.buckets.items():
+            for entry in bucket:
+                self._file(key, self._expiry(entry))
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -200,28 +127,17 @@ class ColumnarJoinState:
         flag: Optional[str] = None,
     ) -> None:
         """Append one element under ``key`` (element-path entry point)."""
-        index = len(self.starts)
-        self.starts.append(start)
-        self.ends.append(end)
-        self.rows.append(row)
-        self.flags.append(flag)
-        self.keys.append(key)
+        entry = (start, end, row, flag)
         bucket = self.buckets.get(key)
         if bucket is None:
-            self.buckets[key] = [index]
+            self.buckets[key] = [entry]
         else:
-            bucket.append(index)
+            bucket.append(entry)
         self._live += 1
         self._values += len(row)
         if flag is not None:
             self._flag_count += 1
-        if self._sorted:
-            if end < self._last_end:
-                self._enter_heap_mode()
-            else:
-                self._last_end = end
-        else:
-            self._file(index, end if self._retention is None else self._expiry_at(index))
+        self._file(key, self._expiry(entry))
 
     def insert_run(
         self,
@@ -235,100 +151,93 @@ class ColumnarJoinState:
         """Bulk-append an unflagged run slice (kernel-path build side).
 
         Keys are taken positionally from each row; semantics per element
-        are exactly :meth:`insert` with ``flag=None``.
+        are exactly :meth:`insert` with ``flag=None``.  Consecutive equal
+        ends (a window-extended uniform run) share one calendar lookup.
         """
-        s_app = self.starts.append
-        e_app = self.ends.append
-        r_app = self.rows.append
-        f_app = self.flags.append
-        k_app = self.keys.append
+        if self._retention is not None:
+            for i in range(lo, hi):
+                row = rows[i]
+                self.insert(row[key_index], starts[i], ends[i], row)
+            return
         buckets = self.buckets
         get = buckets.get
-        index = len(self.starts)
-        last = self._last_end
-        in_sorted = self._sorted
-        broke_order = False
+        calendar = self._calendar
+        expiries = self._expiries
+        file_key = None
+        slot_end = None
         values = 0
-        retention = self._retention
-        file = self._file
         for i in range(lo, hi):
             row = rows[i]
             end = ends[i]
             key = row[key_index]
-            s_app(starts[i])
-            e_app(end)
-            r_app(row)
-            f_app(None)
-            k_app(key)
             bucket = get(key)
             if bucket is None:
-                buckets[key] = [index]
+                buckets[key] = [(starts[i], end, row, None)]
             else:
-                bucket.append(index)
+                bucket.append((starts[i], end, row, None))
+            if end != slot_end:
+                slot_end = end
+                slot = calendar.get(end)
+                if slot is None:
+                    slot = calendar[end] = []
+                    heapq.heappush(expiries, end)
+                file_key = slot.append
+            file_key(key)
             values += len(row)
-            if in_sorted:
-                if end < last:
-                    broke_order = True
-                else:
-                    last = end
-            else:
-                file(index, end if retention is None else self._expiry_at(index))
-            index += 1
         self._live += hi - lo
         self._values += values
-        self._last_end = last
-        if broke_order:
-            self._enter_heap_mode()
 
     def expire(self, watermark: Time) -> None:
         """Remove every element whose expiry has been reached.
 
-        Sorted mode: one bisect over the live suffix of the ``ends``
-        column, then O(1) bucket-head pops.  Heap mode: pop the distinct
-        expiries until they clear the watermark, retiring each one's
-        calendar entry.
+        Pops the distinct expiries until they clear the watermark; each
+        record removes one due entry from its key's bucket (the head
+        unless ends arrived out of order within the bucket), or nothing
+        when an extraction already took the key's entries.
         """
         debug = base.SANITIZER is not None
         if debug:
             survivors = self._scan_survivors(watermark)
-        if not self._sorted:
-            self._expire_calendar(watermark)
-            size = len(self.starts)
-            if size > _COMPACT_THRESHOLD and size > 2 * self._live:
-                self._refile()
-        else:
-            pos = self._sweep_pos
-            cut = bisect_right(self.ends, watermark, pos)
-            if cut != pos:
-                buckets = self.buckets
-                keys = self.keys
-                rows = self.rows
-                flags = self.flags
-                dead = self._dead
-                removed = 0
-                for index in range(pos, cut):
-                    if index in dead:  # drained by a range extraction
-                        dead.discard(index)
+        expiries = self._expiries
+        if expiries and expiries[0] <= watermark:
+            pop_records = self._calendar.pop
+            pop_expiry = heapq.heappop
+            buckets = self.buckets
+            get = buckets.get
+            interval_rule = self._retention is None
+            removed = values = flagged = 0
+            while expiries and expiries[0] <= watermark:
+                for key in pop_records(pop_expiry(expiries)):
+                    bucket = get(key)
+                    if bucket is None:  # drained by a range extraction
                         continue
-                    key = keys[index]
-                    bucket = buckets[key]
-                    head = bucket.pop(0)
-                    if debug:
-                        assert head == index, "columnar sorted sweep out of order"
+                    entry = bucket[0]
+                    if (entry[1] if interval_rule else self._expiry(entry)) <= watermark:
+                        del bucket[0]
+                    else:
+                        entry = self._take_due(bucket, watermark)
+                        if entry is None:  # drained, then the key came back
+                            continue
                     if not bucket:
                         del buckets[key]
-                    self._values -= len(rows[index])
-                    if flags[index] is not None:
-                        self._flag_count -= 1
+                    values += len(entry[2])
+                    if entry[3] is not None:
+                        flagged += 1
                     removed += 1
-                self._live -= removed
-                self._sweep_pos = cut
-                if cut > _COMPACT_THRESHOLD and cut * 2 > len(self.starts):
-                    self._compact()
+            self._live -= removed
+            self._values -= values
+            self._flag_count -= flagged
         if debug:
             assert list(self) == survivors, (
-                f"columnar expiry diverged from scan at watermark {watermark}"
+                f"join expiry diverged from scan at watermark {watermark}"
             )
+
+    def _take_due(self, bucket: List[Entry], watermark: Time) -> Optional[Entry]:
+        """Remove and return the first due entry past the head, if any."""
+        for position in range(1, len(bucket)):
+            if self._expiry(bucket[position]) <= watermark:
+                return bucket.pop(position)
+        return None
 
     def _scan_survivors(self, watermark: Time) -> List[StreamElement]:
         """What a full scan says outlives ``watermark`` (the sanitizer's reference).
@@ -338,74 +247,27 @@ class ColumnarJoinState:
         and tax every access on the hot path.
         """
         return [
-            self._element_at(index)
+            StreamElement(entry[2], TimeInterval(entry[0], entry[1]), entry[3])
             for bucket in self.buckets.values()
-            for index in bucket
-            if self._expiry_at(index) > watermark
+            for entry in bucket
+            if self._expiry(entry) > watermark
         ]
-
-    def _expire_calendar(self, watermark: Time) -> None:
-        expiries = self._expiries
-        calendar = self._calendar
-        buckets = self.buckets
-        keys = self.keys
-        rows = self.rows
-        flags = self.flags
-        dead = self._dead
-        removed = values = flagged = 0
-        while expiries and expiries[0] <= watermark:
-            for index in calendar.pop(heapq.heappop(expiries)):
-                if index in dead:  # drained by a range extraction
-                    dead.discard(index)
-                    continue
-                key = keys[index]
-                bucket = buckets[key]
-                if bucket[0] == index:
-                    del bucket[0]
-                else:
-                    bucket.remove(index)
-                if not bucket:
-                    del buckets[key]
-                values += len(rows[index])
-                if flags[index] is not None:
-                    flagged += 1
-                removed += 1
-        self._live -= removed
-        self._values -= values
-        self._flag_count -= flagged
-
-    def _compact(self) -> None:
-        """Drop the dead array prefix and re-base every bucket index
-        (sorted mode's compaction; heap mode's is :meth:`_refile`)."""
-        pos = self._sweep_pos
-        self.starts = self.starts[pos:]
-        self.ends = self.ends[pos:]
-        self.rows = self.rows[pos:]
-        self.flags = self.flags[pos:]
-        self.keys = self.keys[pos:]
-        for key, bucket in self.buckets.items():
-            self.buckets[key] = [index - pos for index in bucket]
-        self._dead = {index - pos for index in self._dead if index >= pos}
-        self._sweep_pos = 0
 
     def extract(self, predicate: Callable[[Any], bool]) -> List[StreamElement]:
         """Remove and return every element whose bucket key satisfies
         ``predicate`` — the fluid-migration range drain.
 
-        Touches only the matching buckets; the arrays keep the drained
-        rows, whose indices are marked dead and skipped by both expiry
-        modes (rebased by :meth:`_compact`, dropped by :meth:`_refile`)
-        until the sweep passes them.  Returned in iteration order: bucket
-        first-touch order, insertion order within a bucket.
+        Pops the matching buckets whole; their calendar records stay
+        behind and are harmless (see the module docstring).  Returned in
+        iteration order: bucket first-touch order, insertion order within
+        a bucket.
         """
         drained: List[StreamElement] = []
-        dead = self._dead
         for key in [k for k in self.buckets if predicate(k)]:
-            for index in self.buckets.pop(key):
-                drained.append(self._element_at(index))
-                dead.add(index)
-                self._values -= len(self.rows[index])
-                if self.flags[index] is not None:
+            for start, end, row, flag in self.buckets.pop(key):
+                drained.append(StreamElement(row, TimeInterval(start, end), flag))
+                self._values -= len(row)
+                if flag is not None:
                     self._flag_count -= 1
         self._live -= len(drained)
         return drained
@@ -425,8 +287,8 @@ class ColumnarJoinState:
 
     def __iter__(self) -> Iterator[StreamElement]:
         for bucket in self.buckets.values():
-            for index in bucket:
-                yield self._element_at(index)
+            for start, end, row, flag in bucket:
+                yield StreamElement(row, TimeInterval(start, end), flag)
 
     def __len__(self) -> int:
         return self._live
@@ -435,8 +297,7 @@ class ColumnarJoinState:
         return self._live > 0
 
     def __repr__(self) -> str:
-        mode = "sorted" if self._sorted else "heap"
         return (
             f"ColumnarJoinState({len(self.buckets)} buckets, "
-            f"{self._live} live, {self._values} values, {mode})"
+            f"{self._live} live, {self._values} values)"
         )

@@ -13,7 +13,7 @@ the watermark rule of Section 2.2 unless a retention rule is installed
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..temporal.batch import Batch
 from ..temporal.element import Payload, StreamElement, combine_flags
@@ -21,7 +21,7 @@ from ..temporal.interval import TimeInterval
 from ..temporal.time import Time
 from . import base
 from .base import StatefulOperator
-from .colstate import ColumnarJoinState, RetentionRule
+from .colstate import ColumnarJoinState, Entry, RetentionRule
 
 # Metering note: both joins charge predicate work in aggregate — one
 # ``charge(cost * candidates)`` per probe instead of one call per
@@ -33,9 +33,10 @@ from .colstate import ColumnarJoinState, RetentionRule
 class _JoinBase(StatefulOperator):
     """Shared mechanics of the symmetric join variants.
 
-    Each input side is a :class:`~repro.operators.colstate.ColumnarJoinState`;
-    purging, retention, accounting and the state handover hooks touch only
-    those and live here.  A subclass probes the partner side and says
+    Each input side is a :class:`~repro.operators.colstate.ColumnarJoinState`
+    (per-key lists of ``(start, end, row, flag)`` entries under one expiry
+    calendar); purging, retention, accounting and the state handover hooks
+    touch only those and live here.  A subclass probes the partner side and says
     which bucket a payload is filed under (:meth:`_bucket_of`).
     """
 
@@ -58,35 +59,25 @@ class _JoinBase(StatefulOperator):
         raise NotImplementedError
 
     def _stage_matches(
-        self,
-        element: StreamElement,
-        port: int,
-        partner: ColumnarJoinState,
-        indices: Iterable[int],
+        self, element: StreamElement, port: int, entries: Iterable[Entry]
     ) -> None:
-        """Stage ``element`` joined with each partner row at ``indices``
-        whose interval intersects its own, in ``indices`` order."""
+        """Stage ``element`` joined with each partner entry whose interval
+        intersects its own, in ``entries`` order."""
         payload = element.payload
         s = element.interval.start
         e = element.interval.end
         flag = element.flag
-        p_starts = partner.starts
-        p_ends = partner.ends
-        p_rows = partner.rows
-        p_flags = partner.flags
         left = port == 0
         stage = self._stage
-        for j in indices:
-            ps = p_starts[j]
-            pe = p_ends[j]
+        for ps, pe, prow, pflag in entries:
             s2 = ps if ps > s else s
             e2 = pe if pe < e else e
             if s2 < e2:
                 stage(
                     StreamElement(
-                        payload + p_rows[j] if left else p_rows[j] + payload,
+                        payload + prow if left else prow + payload,
                         TimeInterval(s2, e2),
-                        combine_flags(flag, p_flags[j]),
+                        combine_flags(flag, pflag),
                     )
                 )
 
@@ -104,6 +95,19 @@ class _JoinBase(StatefulOperator):
 
     def _state_value_count(self) -> int:
         return self._states[0].value_count() + self._states[1].value_count()
+
+    def held_entries(self) -> Iterator[Entry]:
+        """Both sides' state as raw ``(start, end, row, flag)`` entries, in
+        ``state_of_port`` order, port 0 first — nothing boxed.  The
+        sanitizer's recount and Parallel Track's completion check read it."""
+        for state in self._states:
+            for bucket in state.buckets.values():
+                yield from bucket
+
+    def state_value_count_slow(self) -> int:
+        """The recount from the bucket entries, without boxing them."""
+        staged = sum(len(entry[-1].payload) for entry in self._heap)
+        return staged + sum(len(row) for _, _, row, _ in self.held_entries())
 
     def state_of_port(self, port: int) -> List[StreamElement]:
         """The alive elements received on one input — used by Moving States."""
@@ -161,15 +165,14 @@ class NestedLoopsJoin(_JoinBase):
         tested = len(partner)
         predicate = self.predicate
         payload = element.payload
-        rows = partner.rows
         candidates = partner.buckets.get(None, ())
         if port == 0:
-            matched = [j for j in candidates if predicate(payload, rows[j])]
+            matched = [entry for entry in candidates if predicate(payload, entry[2])]
         else:
-            matched = [j for j in candidates if predicate(rows[j], payload)]
+            matched = [entry for entry in candidates if predicate(entry[2], payload)]
         if tested:
             self.meter.charge(self.predicate_cost * tested, "join-predicate")
-        self._stage_matches(element, port, partner, matched)
+        self._stage_matches(element, port, matched)
         if self.selectivity_probe is not None and tested:
             self.selectivity_probe(tested, len(matched))
         self._states[port].insert(
@@ -287,12 +290,8 @@ class HashJoin(_JoinBase):
             out_e: List[Time] = []
             out_r: List[Payload] = []
             tested = len(partner)
-            # The partner columns are re-read per slice: the purge between
-            # the two slices may compact them into new lists.
             matches, ahead = kernel(
-                lo, hi, starts, ends, rows,
-                partner.buckets, partner.starts, partner.ends, partner.rows,
-                out_s, out_e, out_r,
+                lo, hi, starts, ends, rows, partner.buckets, out_s, out_e, out_r
             )
             own.insert_run(key_index, starts, ends, rows, lo, hi)
             charge(hi - lo, "join-hash")
@@ -359,7 +358,7 @@ class HashJoin(_JoinBase):
         bucket = partner.buckets.get(key)
         if bucket:
             matches = len(bucket)
-            self._stage_matches(element, port, partner, bucket)
+            self._stage_matches(element, port, bucket)
             self.meter.charge(self.predicate_cost * matches, "join-predicate")
         if self.selectivity_probe is not None:
             # Selectivity relative to the full partner state: the hash

@@ -1,4 +1,4 @@
-"""Compiled kernels: generated per-run loops over columnar state.
+"""Compiled kernels: generated per-run loops over operator state.
 
 A *kernel* is one generated Python function whose loop body is specialised
 at build time — today the hash-join probe (:func:`compile_probe_kernel`),
@@ -85,12 +85,12 @@ def clear_kernel_cache() -> None:
 
 @dataclass(frozen=True)
 class StatefulKernel:
-    """A generated kernel over columnar state, plus its cache identity.
+    """A generated kernel over operator state, plus its cache identity.
 
-    The function reads parallel start/end/row columns (a
-    :class:`~repro.temporal.batch.Batch`'s column view and columnar
-    operator state) rather than boxed elements; ``key`` is the tagged
-    cache-key tuple that produced the kernel.
+    The function reads a :class:`~repro.temporal.batch.Batch`'s column
+    view and the entry tuples of operator state rather than boxed
+    elements; ``key`` is the tagged cache-key tuple that produced the
+    kernel.
     """
 
     fn: Callable[..., Any]
@@ -101,10 +101,10 @@ class StatefulKernel:
 def compile_probe_kernel(port: int, key_index: int) -> StatefulKernel:
     """The hash-join probe loop for one input port, as generated code.
 
-    ``fn(lo, hi, starts, ends, rows, buckets, p_starts, p_ends, p_rows,
-    out_s, out_e, out_r)`` probes the *partner* side's columnar state
-    (``buckets`` maps key → partner row indices in insertion order) for
-    the run slice ``[lo, hi)``, appends every intersecting result to the
+    ``fn(lo, hi, starts, ends, rows, buckets, out_s, out_e, out_r)``
+    probes the *partner* side's state (``buckets`` maps key → that key's
+    ``(start, end, row, flag)`` entries in insertion order) for the run
+    slice ``[lo, hi)``, appends every intersecting result to the
     ``out_*`` columns, and returns ``(matches, ahead)``:
 
     * ``matches`` counts every bucket candidate *before* the interval
@@ -121,10 +121,9 @@ def compile_probe_kernel(port: int, key_index: int) -> StatefulKernel:
     key = ("hash-probe", port, key_index)
 
     def build() -> StatefulKernel:
-        pair = "row + p_rows[j]" if port == 0 else "p_rows[j] + row"
+        pair = "row + prow" if port == 0 else "prow + row"
         source = (
-            "def _kernel(lo, hi, starts, ends, rows, buckets,"
-            " p_starts, p_ends, p_rows, out_s, out_e, out_r):\n"
+            "def _kernel(lo, hi, starts, ends, rows, buckets, out_s, out_e, out_r):\n"
             "    get = buckets.get\n"
             "    app_s = out_s.append\n"
             "    app_e = out_e.append\n"
@@ -137,10 +136,8 @@ def compile_probe_kernel(port: int, key_index: int) -> StatefulKernel:
             "        if bucket:\n"
             "            s = starts[i]\n"
             "            e = ends[i]\n"
-            "            for j in bucket:\n"
-            "                matches += 1\n"
-            "                ps = p_starts[j]\n"
-            "                pe = p_ends[j]\n"
+            "            matches += len(bucket)\n"
+            "            for ps, pe, prow, _ in bucket:\n"
             "                s2 = ps if ps > s else s\n"
             "                e2 = pe if pe < e else e\n"
             "                if s2 < e2:\n"
@@ -151,7 +148,7 @@ def compile_probe_kernel(port: int, key_index: int) -> StatefulKernel:
             f"                    app_r({pair})\n"
             "    return matches, ahead\n"
         )
-        namespace: Dict[str, Any] = {"__builtins__": {"range": range}}
+        namespace: Dict[str, Any] = {"__builtins__": {"range": range, "len": len}}
         return StatefulKernel(fn=_exec_kernel(source, namespace), source=source, key=key)
 
     return _compile_cached(key, build)

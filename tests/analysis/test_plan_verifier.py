@@ -337,7 +337,7 @@ class TestOperatorClassification:
             assert not [d for d in verdict.diagnostics if d.code == "CKP001"]
 
     def test_columnar_hash_join_passes_drainability_check(self):
-        # The real columnar join materialises its struct-of-arrays state
+        # The real hash join materialises its bucketed state
         # through state_of_port/absorb_state, so no CKP001.
         box = build(JoinNode(A, B, AB))
         join = box.root

@@ -276,16 +276,17 @@ class TestZeroCostWhenOff:
 def _join_expiry_skips_a_removal():
     state = ColumnarJoinState()
     state.insert("a", 0, 10, ("a",))
-    state.insert("b", 1, 5, ("b",))  # out-of-order end: heap mode
-    state._calendar[5].remove(1)
+    state.insert("b", 1, 5, ("b",))
+    state._calendar[5].remove("b")  # drop the record of the element due at 5
     state.expire(7)
 
 
-def _join_sweep_out_of_head_order():
+def _join_record_filed_late():
     state = ColumnarJoinState()
     state.insert("k", 0, 10, ("k", 0))
     state.insert("k", 1, 11, ("k", 1))
-    state.buckets["k"].reverse()
+    state._calendar[10].remove("k")  # re-file the head's record one chronon late
+    state._calendar[11].append("k")
     state.expire(10)
 
 
@@ -338,8 +339,8 @@ def _coalesce_running_count_shifted():
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        pytest.param(_join_expiry_skips_a_removal, "columnar expiry diverged", id="join-expiry"),
-        pytest.param(_join_sweep_out_of_head_order, "sorted sweep out of order", id="join-sweep-head"),
+        pytest.param(_join_expiry_skips_a_removal, "join expiry diverged", id="join-expiry"),
+        pytest.param(_join_record_filed_late, "join expiry diverged", id="join-sweep-head"),
         pytest.param(_aggregate_cached_fold_shifted, "diverged from the scan", id="aggregate-finalise"),
         pytest.param(_difference_purge_skips_a_removal, "difference purge left", id="difference-purge"),
         pytest.param(_distinct_purge_skips_a_removal, "survived the purge", id="distinct-purge"),

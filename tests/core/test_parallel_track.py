@@ -4,6 +4,9 @@ import pytest
 
 from helpers import run_query
 from repro.core import GenMig, ParallelTrack, UnsupportedPlanError
+from repro.engine.box import Box
+from repro.operators import theta_join
+from repro.temporal.element import NEW
 from repro.streams import timestamped_stream
 from repro.temporal import (
     first_divergence,
@@ -16,6 +19,7 @@ from scenarios import (
     left_deep_join_box,
     right_deep_join_box,
     three_random_streams,
+    two_random_streams,
 )
 
 W3 = {"A": 60, "B": 60, "C": 60}
@@ -92,6 +96,64 @@ class TestJoinReordering:
             strategy=ParallelTrack(),
         )
         assert all(e.flag is None for e in out)
+
+
+class _ScanCheckedParallelTrack(ParallelTrack):
+    """PT whose completion check is held, every time it runs, to the scan
+    of every held element through ``state_of_port``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.answers = []
+
+    def _old_elements_remain(self):
+        answer = super()._old_elements_remain()
+        scan = self.old_box.has_staged_output() or any(
+            element.flag != NEW
+            and (element.flag is not None or element.start < self._migration_start)
+            for op in self.old_box.operators
+            for port in range(op.arity)
+            for element in op.state_of_port(port)
+        )
+        assert answer == scan
+        self.answers.append(answer)
+        return answer
+
+
+def _theta_box(order):
+    """The left- or right-deep 3-way tree over nested-loops joins."""
+    def same_key(left, right):
+        return left[0] == right[0]
+
+    lower = theta_join(same_key, name="lower")
+    upper = theta_join(same_key, name="upper")
+    if order == "left-deep":
+        lower.subscribe(upper, 0)
+        taps = {"A": [(lower, 0)], "B": [(lower, 1)], "C": [(upper, 1)]}
+    else:
+        lower.subscribe(upper, 1)
+        taps = {"A": [(upper, 0)], "B": [(lower, 0)], "C": [(lower, 1)]}
+    return Box(taps=taps, root=upper, label=order)
+
+
+class TestCompletionCheck:
+    @pytest.mark.parametrize("build", ["hash", "nested-loops"])
+    def test_completes_where_a_scan_of_every_held_element_says(self, build):
+        if build == "hash":
+            old, new = left_deep_join_box(), right_deep_join_box()
+        else:
+            old, new = _theta_box("left-deep"), _theta_box("right-deep")
+        strategy = _ScanCheckedParallelTrack(check_interval=2)
+        run_query(three_random_streams(), W3, old, migrate_at=150, new_box=new, strategy=strategy)
+        assert True in strategy.answers and strategy.answers[-1] is False
+
+    def test_forced_distinct_plan_completes_where_the_scan_says(self):
+        strategy = _ScanCheckedParallelTrack(force=True, check_interval=2)
+        run_query(
+            two_random_streams(), {"A": 50, "B": 50}, distinct_over_join_box(),
+            migrate_at=100, new_box=join_over_distinct_box(), strategy=strategy,
+        )
+        assert True in strategy.answers and strategy.answers[-1] is False
 
 
 class TestSafeguard:

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import run_query
 from repro.core import GenMig, ReferencePointGenMig, UnsupportedPlanError
+from repro.engine import QueryExecutor
 from repro.operators import CostMeter
 from repro.temporal import first_divergence
 from scenarios import (
@@ -78,6 +79,49 @@ class TestJoinReordering:
 
         assert cost(ReferencePointGenMig()) == 0
         assert cost(GenMig()) > 0
+
+
+class PromiseRecordingSink:
+    """Records every result start and every progress promise, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def process(self, element, port=0):
+        self.events.append(("result", element.start))
+
+    def process_heartbeat(self, t, port=0):
+        self.events.append(("promise", t))
+
+    def broken_promises(self):
+        """Results delivered after a promise that no result would start
+        below it."""
+        promised = None
+        broken = []
+        for kind, t in self.events:
+            if kind == "promise":
+                promised = t if promised is None else max(promised, t)
+            elif promised is not None and t < promised:
+                broken.append((t, promised))
+        return broken
+
+
+class TestProgressPromises:
+    def test_no_result_follows_a_promise_past_its_start(self):
+        """The old box is promised end of stream once every input passes
+        ``T_split``; that promise must not reach the sinks while the new
+        box still owes them results."""
+        windows = {"A": 30, "B": 30, "C": 30}
+        executor = QueryExecutor(
+            three_random_streams(seed=3, length=300), windows, left_deep_join_box()
+        )
+        sink = PromiseRecordingSink()
+        executor.add_sink(sink)
+        executor.schedule_migration(100, right_deep_join_box(), ReferencePointGenMig())
+        executor.run()
+        assert executor.migration_log
+        assert any(kind == "result" for kind, _ in sink.events)
+        assert sink.broken_promises() == []
 
 
 class TestScopeRestriction:

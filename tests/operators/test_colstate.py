@@ -1,11 +1,10 @@
-"""Direct unit tests for the hash join's keyed state container."""
+"""Direct unit tests for the joins' keyed state container."""
 
 import random
 
 import pytest
 
 from repro.analysis.sanitizer import sanitized
-from repro.operators import colstate
 from repro.operators.colstate import ColumnarJoinState
 from repro.temporal.element import NEW, OLD
 
@@ -17,8 +16,8 @@ def debug_cross_checks():
         yield
 
 
-def contents(state):
-    return [(e.payload, e.start, e.end, e.flag) for e in state]
+def contents(elements):
+    return [(e.payload, e.start, e.end, e.flag) for e in elements]
 
 
 def recount(state):
@@ -31,9 +30,10 @@ def fill(state, entries):
 
 
 def test_sorted_mode_expires_by_end_and_prunes_empty_buckets():
+    """In-order ends, the common window-extended feed: the purge is
+    inclusive by end and a bucket goes the moment it empties."""
     state = ColumnarJoinState()
     fill(state, [("a", 0, 10), ("b", 1, 11), ("a", 2, 12)])
-    assert "sorted" in repr(state)
     state.expire(9)
     assert len(state) == 3
     state.expire(11)  # expiry is inclusive: end <= watermark
@@ -45,16 +45,17 @@ def test_sorted_mode_expires_by_end_and_prunes_empty_buckets():
 
 
 def test_out_of_order_end_flips_to_heap_mode_and_stays_exact():
+    """Out-of-order ends (once a separate heap mode) purge exactly through
+    the one calendar, before and after the first disorder."""
     state = ColumnarJoinState()
     fill(state, [("a", 0, 20), ("b", 1, 5), ("a", 2, 30), ("b", 3, 8)])
-    assert "heap" in repr(state)
     state.expire(5)
     assert [e.payload for e in state] == [("a", 0), ("a", 2), ("b", 3)]
     state.expire(20)
     assert [e.payload for e in state] == [("a", 2)]
     assert list(state.buckets) == ["a"]
     assert state.value_count() == recount(state) == 2
-    # Inserts after the flip are indexed by the heap as well.
+    # Inserts after the disorder are filed in the same calendar.
     fill(state, [("c", 21, 25)])
     state.expire(25)
     assert [e.payload for e in state] == [("a", 2)]
@@ -63,12 +64,135 @@ def test_out_of_order_end_flips_to_heap_mode_and_stays_exact():
 
 
 def test_out_of_order_end_inside_a_bulk_run_flips_too():
+    """A bulk run whose ends are out of order purges as exactly as
+    element-at-a-time inserts."""
     state = ColumnarJoinState()
     state.insert_run(0, [0, 0, 0], [20, 5, 30], [("a",), ("b",), ("a",)], 0, 3)
-    assert "heap" in repr(state)
     state.expire(5)
     assert [e.payload for e in state] == [("a",), ("a",)]
     assert state.value_count() == recount(state) == 2
+
+
+class ListModel:
+    """The container's contract over one flat list of live elements.
+
+    A key's bucket exists while the key holds a live element; its place in
+    the bucket order is the insertion that (re)created it.
+    """
+
+    def __init__(self):
+        self.live = []  # (seq, key, start, end, row, flag)
+        self.created = {}  # key -> seq of the insert that created its bucket
+        self.seq = 0
+        self.retention = None
+
+    def insert(self, key, start, end, row, flag=None):
+        self.created.setdefault(key, self.seq)
+        self.live.append((self.seq, key, start, end, row, flag))
+        self.seq += 1
+
+    def _order(self, entries):
+        return sorted(entries, key=lambda x: (self.created[x[1]], x[0]))
+
+    def _drop(self, doomed):
+        doomed = {x[0] for x in doomed}
+        self.live = [x for x in self.live if x[0] not in doomed]
+        held = {x[1] for x in self.live}
+        self.created = {k: s for k, s in self.created.items() if k in held}
+
+    def expiry(self, x):
+        _, _, start, end, _, _ = x
+        if self.retention is None:
+            return end
+        return self.retention(start, end)
+
+    def expire(self, watermark):
+        self._drop([x for x in self.live if self.expiry(x) <= watermark])
+
+    def extract(self, predicate):
+        drained = self._order([x for x in self.live if predicate(x[1])])
+        self._drop(drained)
+        return [(row, start, end, flag) for _, _, start, end, row, flag in drained]
+
+    def observe(self):
+        ordered = self._order(self.live)
+        return (
+            [(row, start, end, flag) for _, _, start, end, row, flag in ordered],
+            sorted(self.created, key=self.created.get),
+            len(self.live),
+            sum(len(x[4]) for x in self.live),
+            any(x[5] is not None for x in self.live),
+        )
+
+
+def observe(state):
+    return (
+        contents(state),
+        list(state.buckets),
+        len(state),
+        state.value_count(),
+        state.flagged,
+    )
+
+
+def _tuple_timestamp_rule(window):
+    return lambda start, end: max(end, start + window)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_state_matches_a_list_model(seed):
+    """Random inserts, bulk runs, range drains, retention changes and
+    purges — ends out of order and on half chronons — leave the container
+    and a naive list model with the same iteration order, bucket order,
+    size, value count and flag status after every step."""
+    rng = random.Random(seed)
+    state = ColumnarJoinState()
+    model = ListModel()
+    keys = range(rng.choice([1, 3, 8]))
+    t = 0
+    watermark = 0
+    for _ in range(150):
+        action = rng.random()
+        if action < 0.35:
+            key = rng.choice(keys)
+            end = t + rng.randrange(1, 30) - rng.choice([0, 0.5])
+            flag = rng.choice([None, None, OLD, NEW])
+            row = (key, t, model.seq)
+            state.insert(key, t, end, row, flag)
+            model.insert(key, t, end, row, flag)
+        elif action < 0.6:
+            n = rng.randrange(1, 9)
+            lo = rng.randrange(3)
+            width = rng.choice([10, 20])
+            starts = [t] * (lo + n)
+            ends = [t + width - rng.choice([0, 0, 0.5, 3]) for _ in starts]
+            rows = [(rng.choice(keys), t, model.seq + i) for i in range(lo + n)]
+            state.insert_run(0, starts, ends, rows, lo, lo + n)
+            for i in range(lo, lo + n):
+                model.insert(rows[i][0], starts[i], ends[i], rows[i])
+        elif action < 0.67:
+            chosen = set(rng.sample(list(keys), rng.randrange(len(keys) + 1)))
+            assert contents(state.extract(chosen.__contains__)) == model.extract(
+                chosen.__contains__
+            )
+        elif action < 0.7:
+            window = rng.choice([None, 15, 25])
+            if window is None:
+                state.set_retention(None)
+                model.retention = None
+            else:
+                rule = _tuple_timestamp_rule(window)
+                state.set_retention(lambda e, rule=rule: rule(e.start, e.end))
+                model.retention = rule
+        else:
+            watermark = max(watermark, t - rng.randrange(0, 20) + rng.choice([0, 0.5]))
+            state.expire(watermark)
+            model.expire(watermark)
+        assert observe(state) == model.observe()
+        t += rng.choice([0, 0, 1, 2])
+    state.expire(10**6)
+    model.expire(10**6)
+    assert observe(state) == model.observe() == ([], [], 0, 0, False)
 
 
 def test_set_retention_mid_life_rekeys_live_elements():
@@ -87,87 +211,30 @@ def test_set_retention_mid_life_rekeys_live_elements():
     assert not state
 
 
-@pytest.mark.parametrize("heap_mode", [False, True])
-def test_extract_then_expire_past_the_drained_indices(heap_mode):
+@pytest.mark.parametrize("refile_after_extract", [False, True])
+def test_extract_then_expire_past_the_drained_indices(refile_after_extract):
+    """The calendar records a drain leaves behind remove nothing live,
+    whether they stay (no re-filing) or are dropped by ``set_retention``."""
     state = ColumnarJoinState()
     fill(state, [("a", 0, 10), ("b", 1, 11), ("a", 2, 12), ("c", 3, 13)])
-    if heap_mode:
-        state.set_retention(None)
     drained = state.extract(lambda key: key == "a")
+    if refile_after_extract:
+        state.set_retention(None)
     assert [(e.payload, e.start, e.end) for e in drained] == [
         (("a", 0), 0, 10),
         (("a", 2), 2, 12),
     ]
     assert list(state.buckets) == ["b", "c"]
     assert len(state) == 2 and state.value_count() == recount(state) == 4
-    # The sweep walks over the drained indices without touching a bucket.
-    state.expire(12)
-    assert [e.payload for e in state] == [("c", 3)]
-    # A drained key can be re-inserted and expires on its own terms.
+    # A drained key can be re-inserted; the drained elements' records
+    # (due at 10 and 12) must not take its later entry with them.
     fill(state, [("a", 4, 14)])
+    state.expire(12)
+    assert [e.payload for e in state] == [("c", 3), ("a", 4)]
     state.expire(13)
     assert [e.payload for e in state] == [("a", 4)]
     state.expire(14)
     assert not state and not state.buckets and state.value_count() == 0
-
-
-def test_compaction_rebases_bucket_indices_and_dead_markers(monkeypatch):
-    monkeypatch.setattr(colstate, "_COMPACT_THRESHOLD", 4)
-    state = ColumnarJoinState()
-    fill(state, [(k, t, t + 10) for t, k in enumerate("abcabcabcd")])
-    drained = state.extract(lambda key: key == "c")
-    assert [e.start for e in drained] == [2, 5, 8]
-    before = contents(state)
-    state.expire(15)  # retires indices 0..5, one of them (2) already drained
-    assert len(state.starts) == 4  # dead prefix dropped
-    assert contents(state) == [entry for entry in before if entry[2] > 15]
-    assert sorted(i for bucket in state.buckets.values() for i in bucket) == [0, 1, 3]
-    assert state.value_count() == recount(state) == 6
-    # The surviving drained index (8, now 2) is still skipped by the sweep.
-    fill(state, [("c", 10, 20)])
-    state.expire(19)
-    assert [e.payload for e in state] == [("c", 10)]
-    state.expire(20)
-    assert not state and not state.buckets
-
-
-def _heap_mode_trace(run_length, steps):
-    """Feed runs with out-of-order ends through one state, expiring and
-    (once) extracting as a join would; every observation per step."""
-    rng = random.Random(5)
-    state = ColumnarJoinState()
-    trace = []
-    sizes = []
-    for t in range(steps):
-        starts = [t] * run_length
-        ends = [t + 1 + rng.randrange(40) for _ in range(run_length)]
-        rows = [(rng.randrange(30), t, i) for i in range(run_length)]
-        state.insert_run(0, starts, ends, rows, 0, run_length)
-        sizes.append((len(state.starts), len(state)))
-        if t == steps // 2:
-            trace.append(contents(state.extract(lambda key: key % 7 == 0)))
-        state.expire(t)
-        sizes.append((len(state.starts), len(state)))
-        assert state.value_count() == recount(state)
-        trace.append((contents(state), state.value_count(), list(state.buckets)))
-    assert "heap" in repr(state)
-    return trace, sizes
-
-
-def test_heap_mode_compacts_and_compaction_is_invisible(monkeypatch):
-    run_length = 8
-    monkeypatch.setattr(colstate, "_COMPACT_THRESHOLD", 10**9)
-    reference, grown = _heap_mode_trace(run_length, 240)
-    monkeypatch.undo()
-    limit = colstate._COMPACT_THRESHOLD
-    assert max(size for size, _ in grown) > 3 * limit, "the feed must outgrow the floor"
-    trace, sizes = _heap_mode_trace(run_length, 240)
-    for size, live in sizes:
-        assert size <= max(limit, 2 * live) + run_length
-    assert any(later < earlier for (earlier, _), (later, _) in zip(sizes, sizes[1:]))
-    # Iteration order, bucket order, value counts and the extraction
-    # are exactly those of the state that never compacted.
-    assert trace == reference
 
 
 def test_flagged_tracks_pt_flags_through_insert_expire_extract():
@@ -191,6 +258,8 @@ def test_flagged_tracks_pt_flags_through_insert_expire_extract():
 def test_debug_cross_check_catches_a_corrupted_index():
     state = ColumnarJoinState()
     fill(state, [("a", 0, 10), ("b", 1, 11)])
-    state.ends[1] = 5  # unsorted behind the container's back: the bisect overshoots
+    # Shorten an entry behind the container's back: its calendar record
+    # still says 11, so the purge at 7 misses it.
+    state.buckets["b"][0] = (1, 5, ("b", 1), None)
     with pytest.raises(AssertionError, match="diverged from scan"):
         state.expire(7)

@@ -229,7 +229,7 @@ def pt_retention(e):
 flag = st.sampled_from([None, None, NEW, OLD])
 differential_event = st.one_of(
     # (port, key, delta, length, flag): lengths vary, so ends arrive out
-    # of order and the sides drop to heap mode.
+    # of order and a purge must look past a bucket's head.
     st.tuples(
         st.just("element"), st.integers(0, 1), st.integers(0, 3),
         st.integers(0, 4), st.integers(1, 30), flag,

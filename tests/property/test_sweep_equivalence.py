@@ -1,13 +1,13 @@
 """The purged state of every stateful operator against an in-test model.
 
-Each stateful operator indexes its state for expiry (bisected columns, an
-expiry calendar, per-payload expiry heaps, start-ordered FIFO indexes) so
-that a watermark advance visits only what leaves.  The claim is that the
-index is invisible: after every event, ``state_of_port(p)`` holds exactly
-what the purge rule of Section 2.2 keeps, in the operator's documented
-order.  These properties drive hypothesis-generated streams through each
-operator and compare its state with a model kept here, from the inputs
-alone, after every single event:
+Each stateful operator indexes its state for expiry (a join side's
+expiry calendar over per-key buckets, per-payload expiry heaps,
+start-ordered FIFO indexes) so that a watermark advance visits only what
+leaves.  The claim is that the index is invisible: after every event,
+``state_of_port(p)`` holds exactly what the purge rule of Section 2.2
+keeps, in the operator's documented order.  These properties drive
+hypothesis-generated streams through each operator and compare its state
+with a model kept here, from the inputs alone, after every single event:
 
 * nested-loops join, hash join, difference and aggregate — every element
   inserted on the port whose ``end`` lies above the operator's minimum
@@ -176,18 +176,19 @@ def run_against_model(name, make_op, events, arity):
 SURVIVORS = [(1, 0, 0, 10, "element"), (1, 0, 0, 20, "element"),
              (0, 0, 0, 5, "element"), (0, 1, 6, 1, "element")]
 #: Key 0 empties while key 1 lives on, then comes back behind it —
-#: with ends in order, and out of order (a hash-join side in heap mode).
+#: with ends in order, and out of order (a purge that must look past a
+#: bucket's head).
 COMEBACK = [(0, 0, 0, 3, "element"), (0, 1, 1, 30, "element"),
             (1, 2, 4, 1, "element"), (0, 0, 1, 5, "element")]
-HEAP_COMEBACK = [(0, 0, 0, 3, "element"), (0, 1, 1, 30, "element"),
-                 (0, 2, 0, 4, "element"), (1, 2, 5, 1, "element"),
-                 (0, 0, 1, 5, "element")]
+DISORDERED_COMEBACK = [(0, 0, 0, 3, "element"), (0, 1, 1, 30, "element"),
+                       (0, 2, 0, 4, "element"), (1, 2, 5, 1, "element"),
+                       (0, 0, 1, 5, "element")]
 
 
 @settings(max_examples=200, deadline=None)
 @example(name="difference", events=SURVIVORS)
 @example(name="hash-join", events=COMEBACK)
-@example(name="hash-join", events=HEAP_COMEBACK)
+@example(name="hash-join", events=DISORDERED_COMEBACK)
 @given(name=st.sampled_from(sorted(BINARY_OPERATORS)), events=events_strategy)
 def test_binary_operator_state_matches_model(name, events):
     run_against_model(name, BINARY_OPERATORS[name], events, 2)
