@@ -1,6 +1,6 @@
 """Static analysis for snapshot-equivalence and migration safety.
 
-Five modules, one package:
+Six modules, one package:
 
 * :mod:`~repro.analysis.plan_verifier` — walks logical plans and physical
   boxes, re-validates schemas, classifies every operator (snapshot-
@@ -16,6 +16,9 @@ Five modules, one package:
   honest batch overrides), run locally and in CI;
 * :mod:`~repro.analysis.modelcheck` — a small-scope exhaustive schedule
   explorer for the migration protocols;
+* :mod:`~repro.analysis.cases` — the migration case format (plan families,
+  builds, strategy names, feeds) the model checker's presets and the test
+  suite's migration harness share;
 * :mod:`~repro.analysis.oracle` — the specification both the model
   checker and the test suite judge migrations by: the relational oracle
   of Definition 1 and its ``judge`` (divergence and start order).
@@ -44,7 +47,6 @@ from .plan_verifier import (
 from .modelcheck import (
     PRESETS,
     ModelCheckResult,
-    Scenario,
     ScheduleViolation,
     build_scenario,
     check_scenario,
@@ -66,7 +68,6 @@ __all__ = [
     "PlanVerdict",
     "RelationalOracle",
     "SanitizerViolation",
-    "Scenario",
     "ScheduleViolation",
     "StrategyVerdict",
     "StreamSanitizer",

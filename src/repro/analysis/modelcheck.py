@@ -34,13 +34,17 @@ turning the paper's claims into exhaustively checked properties:
   timestamps (``MCK004``).  Two schedules that both match the oracle
   are snapshot-equivalent to each other, so no pairwise check is needed.
 
-The bundled presets (:data:`PRESETS`) cover the paper's load-bearing
+A scenario is a migration case (:mod:`repro.analysis.cases`), the format
+the test suite's migration harness runs: :func:`check_scenario` explores
+any case dict and ignores its run settings (scheduler, batch size,
+trigger), since it quantifies over them.  The bundled presets
+(:data:`PRESETS`) are such cases and cover the paper's load-bearing
 scenarios: the Figure 2 Parallel Track defect (``pt-figure2``, expected
 to violate), GenMig on the same plan pair (``genmig-figure2``), and the
 join-reordering scenarios for PT, the reference-point optimization and
 fluid migration (``fluid-joins`` for the range handover, ``fluid-order``
-for the delivery order of the two live roots).  :func:`seed_bug` injects a
-deliberate protocol bug so CI can assert the checker fails loudly.
+for the delivery order of the two live roots).  :func:`seed_bug` swaps in
+a deliberately broken strategy so CI can assert the checker fails loudly.
 
 Command line::
 
@@ -53,22 +57,16 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from ..core import FluidMigration, GenMig
+from ..engine.executor import QueryExecutor
+from ..streams import CollectorSink, PhysicalStream
 from ..temporal import StreamElement
-from ..temporal.time import Time
+from ..temporal.time import Time, half_before
+from .cases import STRATEGIES, UNORDERED, boxes_of, plans_of, streams_of
 from .oracle import RelationalOracle
-from .plan_verifier import (
-    ERROR,
-    FLUID,
-    GENMIG,
-    INFO,
-    PARALLEL_TRACK,
-    REFERENCE_POINT,
-    WARNING,
-    Diagnostic,
-    figure2_plans,
-)
+from .plan_verifier import ERROR, INFO, WARNING, Diagnostic
 
 #: Default schedule budget: generous for the bundled presets (which need
 #: a few hundred schedules each post-pruning) yet a hard stop for
@@ -76,59 +74,6 @@ from .plan_verifier import (
 DEFAULT_BUDGET = 5000
 
 _PRUNED = object()
-
-
-# --------------------------------------------------------------------- #
-# Scenarios
-# --------------------------------------------------------------------- #
-
-
-@dataclass
-class Scenario:
-    """One bounded migration scenario the explorer can exhaust.
-
-    ``streams`` are raw ``(payload, t)`` pairs (the Section 2.2 input
-    conversion applies); ``old_box``/``new_box``/``make_strategy`` are
-    factories because every schedule needs fresh instances; ``plan`` is
-    the logical plan both boxes implement, evaluated by the oracle;
-    ``strategy`` names the strategy under test (one of
-    :data:`~repro.analysis.plan_verifier.STRATEGIES`).
-    """
-
-    name: str
-    description: str
-    strategy: str
-    streams: Dict[str, Sequence[tuple]]
-    windows: Dict[str, Time]
-    old_box: Callable[[], object]
-    new_box: Callable[[], object]
-    make_strategy: Callable[[], object]
-    plan: object
-    expect_violation: bool = False
-    interval_bound: Time = 1
-
-    def build_streams(self) -> Dict[str, List[StreamElement]]:
-        """Materialise the raw elements, fresh per schedule."""
-        from ..temporal import CHRONON, element
-
-        return {
-            name: [element(payload, t, t + CHRONON) for payload, t in pairs]
-            for name, pairs in self.streams.items()
-        }
-
-    def windowed_streams(self) -> Dict[str, List[StreamElement]]:
-        """The window-extended streams the oracle evaluates over."""
-        return {
-            name: [
-                e.with_interval(e.interval.extend(self.windows[name]))
-                for e in elements
-            ]
-            for name, elements in self.build_streams().items()
-        }
-
-    def run_check(self, budget: Optional[int] = None) -> "ModelCheckResult":
-        """Explore this scenario; see :func:`check_scenario`."""
-        return check_scenario(self, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -294,26 +239,23 @@ def _element_identity(element: StreamElement) -> tuple:
     return (element.start, element.end, repr(element.payload))
 
 
-def _run_schedule(scenario: Scenario, tape: _ChoiceTape, seen: set):
-    """Drive one schedule to completion; returns output or ``_PRUNED``."""
-    from ..engine.executor import QueryExecutor
-    from ..streams import CollectorSink, PhysicalStream
-
-    streams = scenario.build_streams()
+def _run_schedule(case: dict, make_strategy, tape: _ChoiceTape, seen: set):
+    """Drive one schedule of ``case`` to completion; returns output or
+    ``_PRUNED``."""
+    streams = streams_of(case)
+    old_box, new_box = boxes_of(case)
     executor = QueryExecutor(
         sources={name: PhysicalStream(name=name) for name in streams},
-        windows=dict(scenario.windows),
-        box=scenario.old_box(),
+        windows={name: case["window"] for name in streams},
+        box=old_box,
         global_heartbeats=False,
-        interval_bound=scenario.interval_bound,
     )
     sink = CollectorSink()
     executor.add_sink(sink)
-    strategy = scenario.make_strategy()
+    strategy = make_strategy()
     strategy.transition_gate = (
         lambda transition: tape.choose(2, f"gate:{transition}") == 0
     )
-    new_box = scenario.new_box()
     pending = {name: list(elements) for name, elements in streams.items()}
     order = sorted(pending)
     migrated = False
@@ -399,17 +341,27 @@ def _engine_error(exc: Exception) -> str:
     return f"engine error under this schedule: {type(exc).__name__}: {exc}"
 
 
-def check_scenario(
-    scenario: Scenario, budget: Optional[int] = None
-) -> ModelCheckResult:
-    """Exhaustively explore every schedule of ``scenario`` (:func:`explore`).
+def _name_of(case: dict) -> str:
+    return case.get("name", f"{case['family']}-{case['strategy']}")
 
-    Each schedule's output goes to :meth:`~repro.analysis.oracle.RelationalOracle.judge`:
-    the relational oracle (``MCK001``) and — every strategy but Parallel
-    Track — in-order delivery (``MCK004``).
+
+def check_scenario(case: dict, budget: Optional[int] = None) -> ModelCheckResult:
+    """Exhaustively explore every schedule of ``case`` (:func:`explore`).
+
+    Every delivery order, trigger point and phase-gate answer is a
+    schedule, so the case's run settings (``scheduler``, ``batch_size``,
+    ``batch_during_migration``, ``migrate_at``, ``and_back``) are ignored;
+    the strategy is a name of :data:`~repro.analysis.cases.STRATEGIES` or
+    of :data:`SEED_BUGS`.  Each schedule's output goes to
+    :meth:`~repro.analysis.oracle.RelationalOracle.judge`: the relational
+    oracle (``MCK001``) and — every strategy but Parallel Track — in-order
+    delivery (``MCK004``).
     """
-    oracle = RelationalOracle(scenario.windowed_streams())
-    check_order = scenario.strategy != PARALLEL_TRACK
+    strategy = case["strategy"]
+    make_strategy = {**STRATEGIES, **SEED_BUGS}[strategy]
+    plan = plans_of(case)[0]
+    oracle = RelationalOracle(streams_of(case, windowed=True))
+    check_order = strategy not in UNORDERED
 
     def on_error(exc: Exception) -> Tuple[str, str]:
         # A strict-gate sanitizer (REPRO_SANITIZE) stops the schedule at
@@ -420,17 +372,17 @@ def check_scenario(
     def judge_schedule(output, schedule: Tuple[str, ...]) -> List[ScheduleViolation]:
         return [
             ScheduleViolation(code, message, schedule, instant=instant)
-            for code, message, instant in oracle.judge(scenario.plan, output, check_order)
+            for code, message, instant in oracle.judge(plan, output, check_order)
         ]
 
     return explore(
         ModelCheckResult(
-            scenario=scenario.name,
-            strategy=scenario.strategy,
-            expect_violation=scenario.expect_violation,
+            scenario=_name_of(case),
+            strategy=strategy,
+            expect_violation=case.get("expect_violation", False),
         ),
         budget,
-        lambda tape, seen: _run_schedule(scenario, tape, seen),
+        lambda tape, seen: _run_schedule(case, make_strategy, tape, seen),
         on_error,
         judge_schedule,
     )
@@ -440,243 +392,126 @@ def check_scenario(
 # Preset scenarios
 # --------------------------------------------------------------------- #
 
+#: The Figure 2 / Example 1 pair and data: ``distinct(A ⋈ B)`` and its
+#: push-down over two partially overlapping windows of the same value, so
+#: duplicate elimination must merge across the migration.
+_FIGURE2 = {
+    "family": "figure2",
+    "rewrite": 0,
+    "old_build": "hash",
+    "new_build": "hash",
+    "window": 100,
+    "scheduler": "global",
+    "batch_size": 1,
+    "batch_during_migration": False,
+    "and_back": False,
+    "feeds": {"A": [["a", 50], ["a", 20]], "B": [["a", 20], ["a", 70]]},
+    "migrate_at": 60,
+}
 
-def _figure2_old_box():
-    from ..engine.box import Box
-    from ..operators import DuplicateElimination, equi_join
+#: The 3-way join reordering, ``(A ⋈ B) ⋈ C`` to ``A ⋈ (B ⋈ C)``.
+_JOINS = {
+    "family": "join-order",
+    "rewrite": 3,
+    "old_build": "hash",
+    "new_build": "hash",
+    "window": 20,
+    "scheduler": "global",
+    "batch_size": 1,
+    "batch_during_migration": False,
+    "and_back": False,
+    "feeds": {"A": [["a", 5], ["a", 7]], "B": [["a", 8]], "C": [["a", 10]]},
+    "migrate_at": 9,
+}
 
-    join = equi_join(0, 0, name="join")
-    distinct = DuplicateElimination(name="distinct")
-    join.subscribe(distinct, 0)
-    return Box(
-        taps={"A": [(join, 0)], "B": [(join, 1)]}, root=distinct, label="distinct-top"
-    )
-
-
-#: The Figure 2 / Example 1 data: two partially overlapping windows of the
-#: same value, so duplicate elimination must merge across the migration.
-_FIGURE2_STREAMS = {"A": (("a", 50), ("a", 70)), "B": (("a", 20), ("a", 90))}
-_FIGURE2_WINDOWS = {"A": 100, "B": 100}
-
-
-def _left_deep_box():
-    from ..engine.box import Box
-    from ..operators import equi_join
-
-    j1 = equi_join(0, 0, name="AB")
-    j2 = equi_join(0, 0, name="ABC")
-    j1.subscribe(j2, 0)
-    return Box(
-        taps={"A": [(j1, 0)], "B": [(j1, 1)], "C": [(j2, 1)]},
-        root=j2,
-        label="left-deep",
-    )
-
-
-def _right_deep_box():
-    from ..engine.box import Box
-    from ..operators import equi_join
-
-    j1 = equi_join(0, 0, name="BC")
-    j2 = equi_join(0, 0, name="ABC")
-    j1.subscribe(j2, 1)
-    return Box(
-        taps={"A": [(j2, 0)], "B": [(j1, 0)], "C": [(j1, 1)]},
-        root=j2,
-        label="right-deep",
-    )
-
-
-def _three_way_plan():
-    from ..plans.expressions import Comparison, Field
-    from ..plans.logical import JoinNode, Source
-
-    return JoinNode(
-        JoinNode(
-            Source("A", ["k"]),
-            Source("B", ["k"]),
-            Comparison("=", Field("A.k"), Field("B.k")),
+#: Each preset is a whole case (:mod:`repro.analysis.cases`) that names and
+#: describes itself and says whether it expects a violation.  The explorer
+#: ignores its run settings; they are the one run the harness replays.
+PRESETS = {
+    case["name"]: case
+    for case in (
+        dict(
+            _FIGURE2,
+            name="pt-figure2",
+            description=(
+                "Parallel Track forced onto the Figure 2 distinct push-down: "
+                "the paper's counter-example, expected to violate snapshot "
+                "equivalence under (at least) the schedules that trigger the "
+                "migration mid-stream"
+            ),
+            strategy="parallel-track-forced",
+            expect_violation=True,
         ),
-        Source("C", ["k"]),
-        Comparison("=", Field("A.k"), Field("C.k")),
+        dict(
+            _FIGURE2,
+            name="genmig-figure2",
+            description=(
+                "GenMig on the same Figure 2 plan pair: the general strategy "
+                "must be snapshot-correct under every schedule"
+            ),
+            strategy="genmig",
+        ),
+        dict(
+            _JOINS,
+            name="pt-joins",
+            description=(
+                "Parallel Track on a 3-way join reordering (left-deep to "
+                "right-deep): PT's declared-sound territory, checked under "
+                "every schedule"
+            ),
+            strategy="parallel-track",
+        ),
+        dict(
+            _JOINS,
+            name="rp-joins",
+            description=(
+                "Reference-point GenMig on the 3-way join reordering: the "
+                "coalesce-free optimization's drain/seed handoff under every "
+                "schedule"
+            ),
+            strategy="genmig-rp",
+        ),
+        # Keys in both hash ranges of two: range_of('a', 2) == 0 and
+        # range_of('b', 2) == 1, so the 'b' element crosses the frontier
+        # while range 0 is in flight, and the late 'a' element probes
+        # range 0's seeded state after its flip.
+        dict(
+            _JOINS,
+            name="fluid-joins",
+            description=(
+                "Fluid migration on the 3-way join reordering with join keys "
+                "in both hash ranges: the per-range drain/seed/flip handover "
+                "behind the routing frontier, under every schedule"
+            ),
+            strategy="fluid-2",
+            feeds={"A": [["a", 5], ["b", 1], ["a", 6]], "B": [["a", 8]], "C": [["a", 10]]},
+        ),
+        # One key, result starts 1 and 2 (A@0 ⋈ B@1 ⋈ C@0 and … B@2 …),
+        # each owed once per C element: a schedule that migrates between
+        # the two C deliveries leaves one pair with the old root and one
+        # with the new.
+        dict(
+            _JOINS,
+            name="fluid-order",
+            description=(
+                "Fluid migration with one key and two distinct result starts "
+                "owed by both boxes at once: one watermark step makes the old "
+                "and the new root release together, so delivery order rests "
+                "on the merge between the roots and the gate"
+            ),
+            strategy="fluid-1",
+            window=12,
+            feeds={"A": [["a", 0]], "B": [["a", 1], ["a", 1]], "C": [["a", 0], ["a", 0]]},
+            migrate_at=1,
+        ),
     )
-
-
-_JOINS_STREAMS = {"A": (("a", 5), ("a", 12)), "B": (("a", 8),), "C": (("a", 10),)}
-_JOINS_WINDOWS = {"A": 20, "B": 20, "C": 20}
-
-#: Fluid needs keys in *both* hash ranges of ``FluidMigration(ranges=2)``:
-#: ``range_of('a', 2) == 0`` and ``range_of('b', 2) == 1``, so the 'b'
-#: element crosses the frontier while range 0 is in flight, and the late
-#: 'a' element probes range 0's seeded state after its flip.
-_FLUID_STREAMS = {
-    "A": (("a", 5), ("b", 6), ("a", 12)),
-    "B": (("a", 8),),
-    "C": (("a", 10),),
 }
 
 
-#: One key, result starts 1 and 2 (``A@0 ⋈ B@1 ⋈ C@0`` and ``… B@2 …``),
-#: each owed once per C element: a schedule that migrates between the two
-#: C deliveries leaves one pair with the old root and one with the new.
-_ORDER_STREAMS = {
-    "A": (("a", 0),),
-    "B": (("a", 1), ("a", 2)),
-    "C": (("a", 0), ("a", 0)),
-}
-_ORDER_WINDOWS = {"A": 12, "B": 12, "C": 12}
-
-
-def _pt_figure2() -> Scenario:
-    from ..core.parallel_track import ParallelTrack
-
-    return Scenario(
-        name="pt-figure2",
-        description=(
-            "Parallel Track forced onto the Figure 2 distinct push-down: "
-            "the paper's counter-example, expected to violate snapshot "
-            "equivalence under (at least) the schedules that trigger the "
-            "migration mid-stream"
-        ),
-        strategy=PARALLEL_TRACK,
-        streams=dict(_FIGURE2_STREAMS),
-        windows=dict(_FIGURE2_WINDOWS),
-        old_box=_figure2_old_box,
-        new_box=_figure2_pushdown_box,
-        make_strategy=lambda: ParallelTrack(force=True),
-        plan=figure2_plans()[0],
-        expect_violation=True,
-    )
-
-
-def _figure2_pushdown_box():
-    from ..engine.box import Box
-    from ..operators import DuplicateElimination, equi_join
-
-    da = DuplicateElimination(name="dA")
-    db = DuplicateElimination(name="dB")
-    join = equi_join(0, 0, name="join")
-    da.subscribe(join, 0)
-    db.subscribe(join, 1)
-    return Box(
-        taps={"A": [(da, 0)], "B": [(db, 0)]}, root=join, label="distinct-pushed"
-    )
-
-
-def _genmig_figure2() -> Scenario:
-    from ..core.genmig import GenMig
-
-    return Scenario(
-        name="genmig-figure2",
-        description=(
-            "GenMig on the same Figure 2 plan pair: the general strategy "
-            "must be snapshot-correct under every schedule"
-        ),
-        strategy=GENMIG,
-        streams=dict(_FIGURE2_STREAMS),
-        windows=dict(_FIGURE2_WINDOWS),
-        old_box=_figure2_old_box,
-        new_box=_figure2_pushdown_box,
-        make_strategy=GenMig,
-        plan=figure2_plans()[0],
-    )
-
-
-def _pt_joins() -> Scenario:
-    from ..core.parallel_track import ParallelTrack
-
-    return Scenario(
-        name="pt-joins",
-        description=(
-            "Parallel Track on a 3-way join reordering (left-deep to "
-            "right-deep): PT's declared-sound territory, checked under "
-            "every schedule"
-        ),
-        strategy=PARALLEL_TRACK,
-        streams=dict(_JOINS_STREAMS),
-        windows=dict(_JOINS_WINDOWS),
-        old_box=_left_deep_box,
-        new_box=_right_deep_box,
-        make_strategy=ParallelTrack,
-        plan=_three_way_plan(),
-    )
-
-
-def _rp_joins() -> Scenario:
-    from ..core.reference_point import ReferencePointGenMig
-
-    return Scenario(
-        name="rp-joins",
-        description=(
-            "Reference-point GenMig on the 3-way join reordering: the "
-            "coalesce-free optimization's drain/seed handoff under every "
-            "schedule"
-        ),
-        strategy=REFERENCE_POINT,
-        streams=dict(_JOINS_STREAMS),
-        windows=dict(_JOINS_WINDOWS),
-        old_box=_left_deep_box,
-        new_box=_right_deep_box,
-        make_strategy=ReferencePointGenMig,
-        plan=_three_way_plan(),
-    )
-
-
-def _fluid_joins() -> Scenario:
-    from ..core.fluid import FluidMigration
-
-    return Scenario(
-        name="fluid-joins",
-        description=(
-            "Fluid migration on the 3-way join reordering with join keys "
-            "in both hash ranges: the per-range drain/seed/flip handover "
-            "behind the routing frontier, under every schedule"
-        ),
-        strategy=FLUID,
-        streams=dict(_FLUID_STREAMS),
-        windows=dict(_JOINS_WINDOWS),
-        old_box=_left_deep_box,
-        new_box=_right_deep_box,
-        make_strategy=lambda: FluidMigration(ranges=2),
-        plan=_three_way_plan(),
-    )
-
-
-def _fluid_order() -> Scenario:
-    from ..core.fluid import FluidMigration
-
-    return Scenario(
-        name="fluid-order",
-        description=(
-            "Fluid migration with one key and two distinct result starts "
-            "owed by both boxes at once: one watermark step makes the old "
-            "and the new root release together, so delivery order rests "
-            "on the merge between the roots and the gate"
-        ),
-        strategy=FLUID,
-        streams=dict(_ORDER_STREAMS),
-        windows=dict(_ORDER_WINDOWS),
-        old_box=_left_deep_box,
-        new_box=_right_deep_box,
-        make_strategy=lambda: FluidMigration(ranges=1),
-        plan=_three_way_plan(),
-    )
-
-
-PRESETS: Dict[str, Callable[[], Scenario]] = {
-    "pt-figure2": _pt_figure2,
-    "genmig-figure2": _genmig_figure2,
-    "pt-joins": _pt_joins,
-    "rp-joins": _rp_joins,
-    "fluid-joins": _fluid_joins,
-    "fluid-order": _fluid_order,
-}
-
-
-def build_scenario(name: str) -> Scenario:
-    """Instantiate a preset scenario by name."""
+def build_scenario(name: str) -> dict:
+    """A copy of the preset case ``name``."""
     try:
-        return PRESETS[name]()
+        return dict(PRESETS[name])
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; presets: {', '.join(sorted(PRESETS))}"
@@ -688,7 +523,7 @@ def build_scenario(name: str) -> Scenario:
 # --------------------------------------------------------------------- #
 
 
-def _early_split_strategy():
+class _EarlySplitGenMig(GenMig):
     """GenMig with a deliberately early ``T_split``.
 
     Undercuts Lemma 1's requirement that ``T_split`` exceed every time
@@ -697,27 +532,22 @@ def _early_split_strategy():
     — the checker must surface MCK001 on the schedules that trigger the
     migration after deliveries.
     """
-    from ..core.genmig import GenMig
-    from ..temporal.time import half_before
 
-    class _EarlySplitGenMig(GenMig):
-        name = "genmig-early-split"
+    name = "genmig-early-split"
 
-        def _compute_t_split(self, executor):
-            latest = max(
-                (
-                    wm
-                    for name, wm in executor.source_watermarks.items()
-                    if executor.source_seen[name]
-                ),
-                default=0,
-            )
-            return half_before(latest + executor.interval_bound)
-
-    return _EarlySplitGenMig()
+    def _compute_t_split(self, executor):
+        latest = max(
+            (
+                wm
+                for name, wm in executor.source_watermarks.items()
+                if executor.source_seen[name]
+            ),
+            default=0,
+        )
+        return half_before(latest + executor.interval_bound)
 
 
-def _early_flip_strategy():
+class _EarlyFlipFluid(FluidMigration):
     """Fluid migration that flips the frontier *before* the range drain.
 
     The correct protocol drains the old box's state for a range and seeds
@@ -728,30 +558,26 @@ def _early_flip_strategy():
     checker must surface MCK001 on the schedules that interleave a
     delivery into the gap.
     """
-    from ..core.fluid import FluidMigration
 
-    class _EarlyFlipFluid(FluidMigration):
-        name = "fluid-early-flip"
+    name = "fluid-early-flip"
 
-        def __init__(self) -> None:
-            super().__init__(ranges=2)
-            self._owed: List[int] = []
+    def __init__(self) -> None:
+        super().__init__(ranges=2)
+        self._owed: List[int] = []
 
-        def _migrate_range(self, executor, index: int) -> None:
-            # BUG: frontier flips now, drain deferred to the next tick.
-            self._flip_range(executor, index)
-            self._owed.append(index)
+    def _migrate_range(self, executor, index: int) -> None:
+        # BUG: frontier flips now, drain deferred to the next tick.
+        self._flip_range(executor, index)
+        self._owed.append(index)
 
-        def after_event(self, executor) -> None:
-            owed, self._owed = self._owed, []
-            for index in owed:
-                self._drain_range(executor, index)
-            super().after_event(executor)
-
-    return _EarlyFlipFluid()
+    def after_event(self, executor) -> None:
+        owed, self._owed = self._owed, []
+        for index in owed:
+            self._drain_range(executor, index)
+        super().after_event(executor)
 
 
-def _unmerged_roots_strategy():
+class _UnmergedRootsFluid(FluidMigration):
     """Fluid migration that attaches both roots straight to the gate.
 
     Each root delivers in start order, but nothing orders the two against
@@ -760,50 +586,49 @@ def _unmerged_roots_strategy():
     one.  The output multiset stays right — only the order property
     (MCK004) can see it.
     """
-    from ..core.fluid import FluidMigration
 
-    class _UnmergedRootsFluid(FluidMigration):
-        name = "fluid-unmerged-roots"
+    name = "fluid-unmerged-roots"
 
-        def __init__(self) -> None:
-            super().__init__(ranges=1)
+    def __init__(self) -> None:
+        super().__init__(ranges=1)
 
-        def _attach_output(self, executor) -> None:
-            # BUG: no order-restoring merge between the roots and the gate.
-            self.new_box.root.attach_sink(executor.gate)
-
-    return _UnmergedRootsFluid()
+    def _attach_output(self, executor) -> None:
+        # BUG: no order-restoring merge between the roots and the gate.
+        self.new_box.root.attach_sink(executor.gate)
 
 
-#: Deliberate protocol bugs, injectable via ``--seed-bug``: each maps a
-#: scenario to a broken variant so CI can assert the checker fails loudly.
-SEED_BUGS = ("early-split", "early-flip", "unmerged-roots")
+#: Deliberate protocol bugs, injectable via ``--seed-bug``: name → a
+#: factory of the broken strategy.
+SEED_BUGS = {
+    "early-split": _EarlySplitGenMig,
+    "early-flip": _EarlyFlipFluid,
+    "unmerged-roots": _UnmergedRootsFluid,
+}
 
-_BUG_STRATEGIES = {
-    "early-split": (_early_split_strategy, "early T_split"),
-    "early-flip": (_early_flip_strategy, "frontier flip before range drain"),
-    "unmerged-roots": (_unmerged_roots_strategy, "both roots straight to the gate"),
+#: What each seeded bug breaks, for the seeded case's description.
+_BUG_DETAILS = {
+    "early-split": "early T_split",
+    "early-flip": "frontier flip before range drain",
+    "unmerged-roots": "both roots straight to the gate",
 }
 
 
-def seed_bug(scenario: Scenario, bug: str) -> Scenario:
-    """Return a copy of ``scenario`` with a deliberate protocol bug."""
-    if bug in _BUG_STRATEGIES:
-        make_strategy, detail = _BUG_STRATEGIES[bug]
-        return Scenario(
-            name=f"{scenario.name}+{bug}",
-            description=f"{scenario.description} [seeded bug: {detail}]",
-            strategy=scenario.strategy,
-            streams=scenario.streams,
-            windows=scenario.windows,
-            old_box=scenario.old_box,
-            new_box=scenario.new_box,
-            make_strategy=make_strategy,
-            plan=scenario.plan,
-            expect_violation=scenario.expect_violation,
-            interval_bound=scenario.interval_bound,
-        )
-    raise KeyError(f"unknown seeded bug {bug!r}; known: {', '.join(SEED_BUGS)}")
+def seed_bug(case: dict, bug: str) -> dict:
+    """``case`` with its strategy replaced by the seeded bug ``bug``.
+
+    Whatever ``case`` expected of its own strategy, the seeded case
+    expects every schedule clean, so a checker blind to the bug passes it
+    and CI fails.
+    """
+    if bug not in SEED_BUGS:
+        raise KeyError(f"unknown seeded bug {bug!r}; known: {', '.join(SEED_BUGS)}")
+    return dict(
+        case,
+        name=f"{_name_of(case)}+{bug}",
+        description=f"{case.get('description', _name_of(case))} [seeded bug: {_BUG_DETAILS[bug]}]",
+        strategy=bug,
+        expect_violation=False,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -843,7 +668,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--seed-bug",
-        choices=SEED_BUGS,
+        choices=list(SEED_BUGS),
         help="inject a deliberate protocol bug (CI loud-failure check)",
     )
     parser.add_argument(
@@ -853,7 +678,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list:
         for name in sorted(PRESETS):
-            print(f"{name:18} {PRESETS[name]().description}")
+            print(f"{name:18} {PRESETS[name]['description']}")
         return 0
 
     names = list(args.preset)
@@ -866,10 +691,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         if name not in PRESETS:
             print(f"error: unknown preset {name!r}", file=sys.stderr)
             return 2
-        scenario = build_scenario(name)
+        case = PRESETS[name]
         if args.seed_bug is not None:
-            scenario = seed_bug(scenario, args.seed_bug)
-        result = check_scenario(scenario, budget=args.budget)
+            case = seed_bug(case, args.seed_bug)
+        result = check_scenario(case, budget=args.budget)
         results.append(result)
         if not result.passed:
             failed = True

@@ -165,7 +165,12 @@ class ParallelTrack(MigrationStrategy):
     def _old_elements_remain(self) -> bool:
         """Whether any old-box state still derives from before the migration.
 
-        Stops at the first such element; a join's sides are read as raw
+        That is an element flagged ``OLD``, or an unflagged one starting
+        before the migration start.  The start test is needed: operators
+        that rebuild their state elements (duplicate elimination's
+        coverage) drop the flag, and a forced distinct plan under steady
+        input always holds coverage, so a flag-only test would wait for
+        end of stream.  Stops at the first such element; a join's sides are read as raw
         entries (:meth:`~repro.operators.join._JoinBase.held_entries`), so
         nothing is boxed.
         """

@@ -155,6 +155,21 @@ class TestCompletionCheck:
         )
         assert True in strategy.answers and strategy.answers[-1] is False
 
+    def test_forced_distinct_plan_completes_under_steady_input(self):
+        # A match every window keeps the distinct's coverage non-empty to
+        # the end; that coverage starts after the migration and carries no
+        # flag, so it must not hold the migration open.
+        a = [("a" if t % 100 == 0 else "z", t) for t in range(0, 2000, 10)]
+        b = [("a" if t % 100 == 30 else "y", t) for t in range(0, 2000, 10)]
+        streams = {"A": timestamped_stream(a, name="A"), "B": timestamped_stream(b, name="B")}
+        _, executor = run_query(
+            streams, {"A": 100, "B": 100}, distinct_over_join_box(),
+            migrate_at=200, new_box=join_over_distinct_box(),
+            strategy=ParallelTrack(force=True),
+        )
+        report = executor.migration_log[0]
+        assert report.completed_at <= report.started_at + 3 * 100 < 1990
+
 
 class TestSafeguard:
     def test_refuses_duplicate_elimination_plans(self):

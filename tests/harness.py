@@ -2,24 +2,14 @@
 
 The contract of every migration strategy is snapshot equivalence
 (Definitions 1-2, Lemma 1) plus delivery in start order — no result lost,
-none duplicated, none late.  A *case* is a plain dict that pins everything
-one migrated run depends on:
-
-* ``family`` / ``rewrite`` — a logical plan and one of its rewrites
-  (:func:`rewrites`): EXP-6's rule families (join orders, selection and
-  duplicate-elimination push-down and pull-up, projection placement, union
-  commutativity, aggregation over a reordered join), Figure 2's distinct
-  pair, a selection through a difference, and a selection between two
-  joins;
-* ``old_build`` / ``new_build`` — ``"hash"`` or ``"nested-loops"``
-  (``PhysicalBuilder(force_nested_loops=True)``);
-* ``strategy`` — ``"none"`` or a name from :data:`STRATEGIES` that
-  :func:`strategies_for` admits for the two boxes;
-* ``scheduler`` (:data:`SCHEDULERS`), ``batch_size``,
-  ``batch_during_migration``, ``migrate_at``, ``window`` and ``feeds``
-  (per source, ``[value, time delta]`` pairs);
-* ``and_back`` — whether a second migration, back to the old plan with
-  the same strategy, starts the moment the first completes.
+none duplicated, none late.  A *case* is the plain JSON dict of
+:mod:`repro.analysis.cases`, which also holds its vocabulary: the plan
+families and rewrites, the builds, the strategy names and the feeds'
+streams.  The model checker explores the same cases under every
+schedule; this harness runs one under a scheduler (:data:`SCHEDULERS`),
+a batch size, ``batch_during_migration``, a trigger ``migrate_at`` and
+optionally ``and_back``, a second migration back to the old plan with
+the same strategy the moment the first completes.
 
 :func:`draw_case` draws one from a seed, :func:`check_case` runs and
 judges it, :func:`shrink` minimises a failing one greedily and
@@ -36,98 +26,30 @@ import json
 import random
 import re
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.analysis.cases import (
+    BUILDERS,
+    STRATEGIES,
+    UNORDERED,
+    boxes_of,
+    plans_of,
+    rewrites,
+    streams_of,
+)
 from repro.analysis.oracle import RelationalOracle
 from repro.analysis.plan_verifier import (
     FLUID,
     PARALLEL_TRACK,
     REFERENCE_POINT,
-    figure2_plans,
     verify_migration,
 )
 from repro.analysis.sanitizer import StreamSanitizer, sanitized
-from repro.core import (
-    FluidMigration,
-    GenMig,
-    MovingStates,
-    ParallelTrack,
-    ReferencePointGenMig,
-    ShortenedGenMig,
-    UnsupportedPlanError,
-)
+from repro.core import MovingStates, UnsupportedPlanError
 from repro.engine import GlobalOrderScheduler, QueryExecutor, RoundRobinScheduler
-from repro.optimizer import join_orders, push_down_distinct, push_down_selections
-from repro.plans import (
-    AggregateNode,
-    AggregateSpec,
-    Comparison,
-    DifferenceNode,
-    DistinctNode,
-    Field,
-    JoinNode,
-    Literal,
-    PhysicalBuilder,
-    ProjectNode,
-    SelectNode,
-    Source,
-    UnionNode,
-)
-from repro.streams import CollectorSink, timestamped_stream
-from repro.temporal import element
+from repro.streams import CollectorSink, PhysicalStream
 
 CORPUS = Path(__file__).parent / "corpus"
-
-A, B, C = Source("A", ["x"]), Source("B", ["y"]), Source("C", ["z"])
-
-
-def _both_ways(old, new):
-    return [(old, new), (new, old)]
-
-
-@functools.lru_cache(maxsize=None)
-def rewrites() -> Dict[str, List[Tuple[object, object]]]:
-    """Per plan family, its ``(old, new)`` logical plan pairs."""
-    ab = Comparison("=", Field("A.x"), Field("B.y"))
-    bc = Comparison("=", Field("B.y"), Field("C.z"))
-    three = JoinNode(JoinNode(A, B, ab), C, bc)
-    selected = SelectNode(three, Comparison("<", Field("A.x"), Literal(4)))
-    distinct = DistinctNode(three)
-    combined = DistinctNode(SelectNode(three, Comparison("<", Field("A.x"), Literal(5))))
-    pushed_projection = ProjectNode(
-        JoinNode(ProjectNode(A, [(Field("A.x"), "A.x")]), B, ab), [(Field("A.x"), "x")]
-    )
-    count_by_x = ([AggregateSpec("count")], ["A.x"])
-    below_a = Comparison("<=", Field("A.x"), Literal(3))
-    below_b = Comparison("<=", Field("B.y"), Literal(3))
-    return {
-        "join-order": [(three, alternative) for alternative in join_orders(three)],
-        "selection": _both_ways(selected, push_down_selections(selected)),
-        "distinct": _both_ways(distinct, push_down_distinct(distinct)),
-        "combined": [(combined, push_down_distinct(push_down_selections(combined)))],
-        "projection": [(ProjectNode(JoinNode(A, B, ab), [(Field("A.x"), "x")]), pushed_projection)],
-        "union": [(UnionNode(A, B), ProjectNode(UnionNode(B, A), [(Field("B.y"), "A.x")]))],
-        "aggregate-join": [
-            (AggregateNode(three, *count_by_x), AggregateNode(join_orders(three)[3], *count_by_x))
-        ],
-        "figure2": _both_ways(*figure2_plans()),
-        "difference": _both_ways(
-            SelectNode(DifferenceNode(A, B), below_a),
-            DifferenceNode(SelectNode(A, below_a), SelectNode(B, below_b)),
-        ),
-        # A selection between the joins: a stateless hop inside a fluid
-        # handover, on both sides of the reordering.
-        "join-select": _both_ways(
-            JoinNode(SelectNode(JoinNode(A, B, ab), below_a), C, bc),
-            JoinNode(A, SelectNode(JoinNode(B, C, bc), below_b), ab),
-        ),
-    }
-
-
-BUILDERS = {
-    "hash": PhysicalBuilder,
-    "nested-loops": lambda: PhysicalBuilder(force_nested_loops=True),
-}
 
 SCHEDULERS = {
     "global": GlobalOrderScheduler,
@@ -135,31 +57,8 @@ SCHEDULERS = {
     "rr-4": lambda: RoundRobinScheduler(batch=4),
 }
 
-STRATEGIES: Dict[str, Callable[[], object]] = {
-    "genmig": GenMig,
-    "genmig-short": ShortenedGenMig,
-    "genmig-rp": ReferencePointGenMig,
-    "parallel-track": ParallelTrack,
-    "moving-states": MovingStates,
-    "fluid-1": lambda: FluidMigration(ranges=1),
-    "fluid-2": lambda: FluidMigration(ranges=2),
-    "fluid-8": lambda: FluidMigration(ranges=8),
-}
-
 BATCH_SIZES = (1, 2, 3, 64)
 WINDOWS = (3, 6, 12)
-
-
-def plans_of(case: dict) -> Tuple[object, object]:
-    return rewrites()[case["family"]][case["rewrite"]]
-
-
-def boxes_of(case: dict):
-    old_plan, new_plan = plans_of(case)
-    return (
-        BUILDERS[case["old_build"]]().build(old_plan),
-        BUILDERS[case["new_build"]]().build(new_plan),
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,22 +129,14 @@ def draw_case(seed: int) -> dict:
     return case
 
 
-def rows_of(feed: List[List[int]]) -> List[Tuple[int, int]]:
-    t, rows = 0, []
-    for value, delta in feed:
-        t += delta
-        rows.append((value, t))
-    return rows
-
-
 def run_case(case: dict, batch_size: int, strategy: Optional[str] = None):
     """One run of ``case``; returns ``(output, executor, strategy)``."""
     strategy = case["strategy"] if strategy is None else strategy
     old_box, new_box = boxes_of(case)
-    feeds = case["feeds"]
+    streams = streams_of(case)
     executor = QueryExecutor(
-        {name: timestamped_stream(rows_of(feed), name=name) for name, feed in feeds.items()},
-        {name: case["window"] for name in feeds},
+        {name: PhysicalStream(elements, name=name) for name, elements in streams.items()},
+        {name: case["window"] for name in streams},
         old_box,
         scheduler=SCHEDULERS[case["scheduler"]](),
         batch_size=batch_size,
@@ -285,14 +176,10 @@ def _multiset(output) -> list:
 def _failures(case: dict) -> List[str]:
     strategy = case["strategy"]
     output, executor, migration = run_case(case, case["batch_size"])
-    windowed = {
-        name: [element((value,), t, t + 1 + case["window"]) for value, t in rows_of(feed)]
-        for name, feed in case["feeds"].items()
-    }
     failures = [
         f"{code} {message}"
-        for code, message, _ in RelationalOracle(windowed).judge(
-            plans_of(case)[0], output, check_order=strategy != "parallel-track"
+        for code, message, _ in RelationalOracle(streams_of(case, windowed=True)).judge(
+            plans_of(case)[0], output, check_order=strategy not in UNORDERED
         )
     ]
     # Byte identity with the element-at-a-time run, which the executor

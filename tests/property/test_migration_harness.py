@@ -12,7 +12,8 @@ for fluid and Moving States, and the strategy's own facts (shortened
 no migration state left behind).
 
 A failing seed is shrunk and filed under ``tests/corpus/``; every corpus
-file is replayed here as its own test.
+file is replayed here as its own test, and so is every model-checker
+preset, a case in the same format.
 """
 
 import json
@@ -20,6 +21,7 @@ import json
 import pytest
 
 from harness import CORPUS, check_case, draw_case, shrink, write_corpus
+from repro.analysis.modelcheck import PRESETS
 
 #: The seeds drawn on every run: the harness is deterministic.
 SEEDS = range(400)
@@ -39,3 +41,14 @@ def test_generated_case(seed):
 def test_corpus_case(path):
     case = json.loads(path.read_text())["case"]
     assert check_case(case) is None
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_case(name):
+    """A preset's own run keeps its verdict: clean, or the Figure 2
+    violation that Parallel Track forced onto the push-down shows."""
+    failure = check_case(PRESETS[name])
+    if PRESETS[name].get("expect_violation"):
+        assert failure is not None and failure.startswith("MCK001"), failure
+    else:
+        assert failure is None
