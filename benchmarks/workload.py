@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core import GenMig, MovingStates, ParallelTrack, ReferencePointGenMig
+from repro.core import FluidMigration, GenMig, ParallelTrack, ReferencePointGenMig
 from repro.engine import Box, MetricsRecorder, QueryExecutor
 from repro.operators import CostMeter, NestedLoopsJoin
 from repro.streams import RateSink, uniform_stream
@@ -110,7 +110,8 @@ STRATEGIES: Dict[str, Optional[Callable[[], object]]] = {
     "genmig": GenMig,
     "genmig-rp": ReferencePointGenMig,
     "parallel-track": lambda: ParallelTrack(check_interval=20),
-    "moving-states": MovingStates,
+    # Moving States: the whole state handed over at once.
+    "fluid-1": lambda: FluidMigration(ranges=1),
 }
 
 

@@ -10,8 +10,9 @@ The package contains a complete interval-based stream processing engine
 (the substrate the paper's PIPES prototype provided), a positive-negative
 twin implementation, a CQL front end, a cost-based re-optimizer — and, on
 top, the paper's contribution: the **GenMig** migration strategy with its
-two optimizations, next to the **Parallel Track** and **Moving States**
-baselines of Zhu et al. (SIGMOD 2004).
+two optimizations, next to the **Parallel Track** baseline of Zhu et al.
+(SIGMOD 2004) and Megaphone-style **fluid migration**, whose one-range
+setting is their **Moving States** baseline.
 
 Quickstart::
 
@@ -38,10 +39,10 @@ Quickstart::
 
 from .core import (
     Coalesce,
+    FluidMigration,
     GenMig,
     MigrationReport,
     MigrationStrategy,
-    MovingStates,
     ParallelTrack,
     ReferencePointGenMig,
     ShortenedGenMig,
@@ -97,6 +98,7 @@ __all__ = [
     "ContinuousQueryService",
     "ControllerPolicy",
     "CostMeter",
+    "FluidMigration",
     "GenMig",
     "IngestHub",
     "QueryEventLog",
@@ -106,7 +108,6 @@ __all__ = [
     "MetricsRecorder",
     "MigrationReport",
     "MigrationStrategy",
-    "MovingStates",
     "Multiset",
     "ParallelTrack",
     "PhysicalBuilder",

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Tuple
 from ..core import (
     FluidMigration,
     GenMig,
-    MovingStates,
     ParallelTrack,
     ReferencePointGenMig,
     ShortenedGenMig,
@@ -118,7 +117,6 @@ STRATEGIES: Dict[str, Callable[[], object]] = {
     "genmig-rp": ReferencePointGenMig,
     "parallel-track": ParallelTrack,
     "parallel-track-forced": lambda: ParallelTrack(force=True),
-    "moving-states": MovingStates,
     "fluid-1": lambda: FluidMigration(ranges=1),
     "fluid-2": lambda: FluidMigration(ranges=2),
     "fluid-8": lambda: FluidMigration(ranges=8),

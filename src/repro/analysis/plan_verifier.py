@@ -64,6 +64,10 @@ REFERENCE_POINT = "reference-point"
 GENMIG = "genmig"
 FLUID = "fluid"
 STRATEGIES = (PARALLEL_TRACK, REFERENCE_POINT, GENMIG, FLUID)
+#: Fluid migration at one key range — the whole-state handover (Moving
+#: States).  Its scope depends on which box is the old one, so only a
+#: :class:`MigrationVerdict` carries it (:func:`verify_migration`).
+WHOLE_STATE = "fluid-1"
 
 
 @dataclass(frozen=True)
@@ -179,8 +183,8 @@ def _checkpoint_state_diagnostic(
 ) -> Optional[Diagnostic]:
     """CKP001: stateful operators must drain and absorb symmetrically.
 
-    Checkpoints, Moving States and fluid migration all move operator
-    state through the one ``state_of_port`` / ``absorb_state`` pair —
+    Checkpoints move operator state through the one ``state_of_port`` /
+    ``absorb_state`` pair (fluid migration seeds through the latter) —
     columnar state included, which the hooks materialise into elements
     and back.  A stateful operator that does not override the base
     ``state_of_port`` (which drains nothing) or lacks ``absorb_state``
@@ -215,7 +219,7 @@ def _checkpoint_state_diagnostic(
         "CKP001",
         f"stateful operator {detail}: its state cannot be drained and "
         "absorbed symmetrically, so plans containing it are not "
-        "checkpointable (and Moving States cannot migrate it)",
+        "checkpointable",
         operator=classification.label,
     )
 
@@ -804,6 +808,7 @@ def verify_migration(old_box: "Box", new_box: "Box") -> MigrationVerdict:
         safe = old.strategies[name].safe and new.strategies[name].safe
         diagnostics = old.strategies[name].diagnostics + new.strategies[name].diagnostics
         strategies[name] = StrategyVerdict(name, safe, diagnostics)
+    strategies[WHOLE_STATE] = _whole_state_verdict(old, new, old_box)
 
     if strategies[REFERENCE_POINT].safe:
         recommended = REFERENCE_POINT
@@ -827,6 +832,55 @@ def verify_migration(old_box: "Box", new_box: "Box") -> MigrationVerdict:
     return MigrationVerdict(
         old=old, new=new, strategies=strategies, recommended=recommended, reason=reason
     )
+
+
+def _whole_state_verdict(
+    old: PlanVerdict, new: PlanVerdict, old_box: "Box"
+) -> StrategyVerdict:
+    """Fluid migration at one range: the whole state moves in one flip.
+
+    No key domain is split, so neither keyed state (``FLM001``) nor keyed
+    taps (``FLM003``) are needed, and a nested-loops join qualifies.  The
+    handover still needs start-preserving boxes (``FLM002``) and pure
+    stateless hops (``FLM004``); it seeds join state only, so every
+    stateful operator must be a join (``FLM005``), and it reads each
+    input's alive elements from the old box's tap joins, so every old-box
+    tap must land on one (``FLM006``).  The new box may be entered through
+    anything the seeder can evaluate.
+    """
+    diagnostics = [
+        d
+        for d in old.strategies[FLUID].diagnostics + new.strategies[FLUID].diagnostics
+        if d.code in ("FLM002", "FLM004")
+    ]
+    for verdict in (old, new):
+        for cls in verdict.operators:
+            if cls.stateful and cls.kind != "join":
+                diagnostics.append(
+                    Diagnostic(
+                        ERROR,
+                        "FLM005",
+                        f"operator {cls.label!r} is stateful but not a join: "
+                        "the whole-state handover (fluid at one range) seeds "
+                        "join state only; use GenMig",
+                        operator=cls.label,
+                    )
+                )
+    for ports in old_box.taps.values():
+        for op, port in ports:
+            cls, _ = classify_operator(op)
+            if cls.kind != "join":
+                diagnostics.append(
+                    Diagnostic(
+                        ERROR,
+                        "FLM006",
+                        f"old-box tap feeds input port {port} of a non-join "
+                        "operator: the whole-state handover reads each "
+                        "input's alive elements from the old box's tap joins",
+                        operator=cls.label,
+                    )
+                )
+    return StrategyVerdict(WHOLE_STATE, not diagnostics, tuple(diagnostics))
 
 
 # --------------------------------------------------------------------- #

@@ -7,16 +7,15 @@
   replacing the coalesce operator.
 * :class:`ParallelTrack` — the prior-art baseline [Zhu et al. 2004],
   including the Section-3 defect on non-join stateful operators.
-* :class:`MovingStates` — the other strategy of [Zhu et al. 2004], for
-  join trees only.
 * :class:`FluidMigration` — Megaphone-style per-key-range handover behind
-  a routing frontier, for keyed join trees.
+  a routing frontier, for keyed join trees; at one range the whole-state
+  handover, which is the Moving States strategy of [Zhu et al. 2004], for
+  any join tree entered through its joins.
 """
 
 from .coalesce import Coalesce
 from .fluid import FluidMigration, FrontierRouter
 from .genmig import GenMig, ShortenedGenMig
-from .moving_states import MovingStates
 from .parallel_track import ParallelTrack
 from .reference_point import ReferencePointGenMig
 from .split import ReferencePointSplit, Split
@@ -35,7 +34,6 @@ __all__ = [
     "GenMig",
     "MigrationReport",
     "MigrationStrategy",
-    "MovingStates",
     "ParallelTrack",
     "ReferencePointGenMig",
     "ReferencePointSplit",

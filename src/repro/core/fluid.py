@@ -23,10 +23,10 @@ cliff by migrating the keyed state one key range at a time behind a
    is recorded (the same Lemma 1 bound GenMig uses for the whole box,
    applied to one range), the old box's state for exactly those keys is
    drained through the keyed ``extract_state_of_port`` hook, seeded into
-   the new box bottom-up (the Moving States computation, merged in via
+   the new box bottom-up (:class:`_StateSeeder`, merged in via
    ``absorb_state`` so previously migrated ranges keep their live state),
    and the frontier entry flips — once no input lags below what the old
-   box has already purged (:func:`~repro.core.moving_states.seed_incomplete`).
+   box has already purged (:func:`seed_incomplete`).
    From that tick on the range's elements probe the new plan; the
    remaining ranges keep running undisturbed through the old one — both
    plans are fully live only for the single in-flight range.
@@ -38,9 +38,18 @@ cliff by migrating the keyed state one key range at a time behind a
 Correctness rests on the keyed scope the ``FLM`` verifier checks enforce:
 every stateful operator is a hash join on one equivalence class of keys,
 so elements of different ranges never join, and per range the handover is
-exactly a Moving States migration — the old box has already delivered
-every result derivable from the drained (pre-flip) elements, and the
-seeded state joins precisely the post-flip arrivals.
+a whole-state handover — the old box has already delivered every result
+derivable from the drained (pre-flip) elements, and the seeded state joins
+precisely the post-flip arrivals.
+
+At ``R = 1`` no key domain is split, so any join tree qualifies, keyed or
+nested-loops: this is the Moving States baseline of Zhu, Rundensteiner &
+Heineman (2004), which computes the new plan's state directly from the old
+plan's — at the price of a seeding burst on the cost meter and of the
+operator knowledge GenMig avoids.  Its scope is checked per old/new pair
+(:func:`~repro.analysis.plan_verifier.verify_migration`): joins as the only
+stateful operators, and an old box entered through its joins, whose state
+the seed is read from.
 """
 
 from __future__ import annotations
@@ -48,15 +57,15 @@ from __future__ import annotations
 import heapq
 import zlib
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
+from ..engine.box import Box
 from ..operators.base import Operator, StatelessOperator
 from ..operators.join import _JoinBase
 from ..operators.union import Union
 from ..temporal.element import Payload, StreamElement
 from ..temporal.time import Time
 from .genmig import GenMig
-from .moving_states import _StateSeeder, seed_incomplete
 from .split import Route, _TwoSidedRouter
 from .strategy import UnsupportedPlanError
 
@@ -112,27 +121,31 @@ class FluidMigration(GenMig):
     input and a plain order-restoring ``Union`` on top; what is fluid is the
     parallel phase, which hands the key ranges over one by one.
 
+    Range ``r`` flips ``r (w + b) / R`` chronons after arming, so the
+    handover spans one Lemma 1 horizon, the same application-time span
+    GenMig keeps both plans fully live for.
+
     Args:
         ranges: number of hash ranges ``R`` the key domain is partitioned
-            into.  ``R = 1`` degenerates to a whole-box instant handover
-            (a single Moving States step behind the frontier); larger
-            ``R`` bounds each drain burst — and the window in which both
-            plans are live — to ``1/R`` of the state.
-        pace: chronons between consecutive range flips.  Defaults to
-            ``(w + b) / R``: the whole handover then spans one Lemma 1
-            horizon, the same application-time span GenMig keeps both
-            plans fully live for.
+            into.  Larger ``R`` bounds each drain burst — and the window in
+            which both plans are live — to ``1/R`` of the state.  ``R = 1``
+            is the whole-state handover (Moving States): every key flips at
+            arm, in one seeding burst, and the old box then stays attached
+            for one Lemma 1 horizon, delivering what it has staged, before
+            the migration completes.
     """
 
     name = "fluid"
-    verdict_key = "fluid"
 
-    def __init__(self, ranges: int = 8, pace: Optional[int] = None) -> None:
+    def __init__(self, ranges: int = 8) -> None:
         super().__init__()
         if ranges < 1:
             raise ValueError(f"ranges must be >= 1, got {ranges}")
         self.ranges = ranges
-        self._pace_override = pace
+        #: The plan verifier's verdict: splitting the key domain needs keyed
+        #: state throughout (``"fluid"``), one range only join trees
+        #: entered through their joins (``"fluid-1"``, checked per pair).
+        self.verdict_key = "fluid-1" if ranges == 1 else "fluid"
         #: Flipped range indices, shared with every frontier.
         self._migrated: Set[int] = set()
         #: Pure-function memo for :meth:`_range_of` — ``crc32(repr(key))``
@@ -175,10 +188,8 @@ class FluidMigration(GenMig):
             # Range r is due once the integer clock reaches r (w + b) / R,
             # that is, its ceiling: the schedule stays in whole chronons.
             span = executor.global_window + executor.interval_bound
-            pace = self._pace_override
             self._flip_at = [
-                self._started_at
-                + (r * pace if pace is not None else -(-r * span // self.ranges))
+                self._started_at - (-r * span // self.ranges)
                 for r in range(self.ranges)
             ]
         next_range = len(self._migrated)
@@ -230,9 +241,12 @@ class FluidMigration(GenMig):
 
         Taken from the first old-box tap port: the FLM scope guarantees a
         single key equivalence class, so every tap of the source extracts
-        the same value.
+        the same value.  An unkeyed (nested-loops) tap join is admitted
+        only at one range, where every key falls in range 0.
         """
         operator, port = self.old_box.taps[source][0]
+        if not getattr(operator, "keyed_state", False):
+            return lambda row: None
         return itemgetter(operator.key_fields[port])
 
     # ------------------------------------------------------------------ #
@@ -246,7 +260,7 @@ class FluidMigration(GenMig):
         handover is atomic in application time: everything the old box
         staged for the range's pre-flip pairs is already owed through its
         watermarks, and the seeded state joins exactly the post-flip
-        arrivals — a Moving States migration of one range.  The drain MUST
+        arrivals — a whole-state handover of one range.  The drain MUST
         complete before the frontier flips: the ``early-flip`` seeded bug
         of the model checker demonstrates what one tick of slack costs.
         """
@@ -287,9 +301,9 @@ class FluidMigration(GenMig):
         watermark.  Continued execution would release it once the
         watermarks catch up, but by then the drain has removed the state it
         must join with, silently losing results (the divergence the
-        ``fluid-joins`` model-check preset finds without this step; Moving
-        States avoids it by flushing the whole box, which fluid cannot do
-        while other ranges keep running through it).  Replaying performs
+        ``fluid-joins`` model-check preset finds without this step; waiting
+        until the whole box has nothing staged could stall while other
+        ranges keep running through it).  Replaying performs
         the state-insert-and-probe half of the release only: it bypasses
         ``process``, so no watermark moves (later releases of other ranges
         carry smaller starts) and nothing reaches the gate early; results
@@ -311,7 +325,7 @@ class FluidMigration(GenMig):
                     landings = self._landings(operator, entry[-1])
                     if landings:
                         join, port, arrived = landings[0]
-                        key = arrived.payload[join.key_fields[port]]
+                        key = join._bucket_of(arrived.payload, port)
                         if self._range_of(key) == index:
                             move.append((entry, landings))
                             continue
@@ -366,3 +380,141 @@ class FluidMigration(GenMig):
         self._migrated.add(index)
         self.t_split = self._compute_t_split(executor)
         self.range_log.append((index, executor.clock, self.t_split))
+
+
+def seed_incomplete(executor, old_box: Box) -> bool:
+    """Whether some input lags below state the old box already purged.
+
+    New-plan state is seeded from what the old box's tap operators hold,
+    and each purges on its own inputs' watermarks only.  While another
+    input's raw watermark lags below a tap operator's purged one, an
+    element that operator dropped can still meet a future element of the
+    lagging input where the new plan joins them directly (the old plan
+    joined it earlier, into intermediate state the seed cannot use), and
+    that result would be lost.  State may leave the old plan only once no
+    input can still need it, so every range flip waits for the lagging
+    input (end of stream excepted).
+    """
+    if executor.at_end_of_stream:
+        return False
+    lagging = min(router.watermark(0) for router in executor.routers.values())
+    return any(
+        operator._purged_watermark > lagging
+        for ports in old_box.taps.values()
+        for operator, _ in ports
+    )
+
+
+class _StateSeeder:
+    """Bottom-up state computation over a join-tree box."""
+
+    def __init__(self, box: Box, alive: Dict[str, List[StreamElement]], meter) -> None:
+        self._box = box
+        self._alive = alive
+        self._meter = meter
+        # Who feeds each (operator, port): an upstream operator...
+        self._feeding_op: Dict[Tuple[int, int], Operator] = {}
+        for operator in box.operators:
+            for downstream, port in operator.subscribers:
+                self._feeding_op[(id(downstream), port)] = operator
+        # ... or a named input.
+        self._feeding_source: Dict[Tuple[int, int], str] = {}
+        for source, ports in box.taps.items():
+            for operator, port in ports:
+                self._feeding_source[(id(operator), port)] = source
+        self._memo: Dict[int, List[StreamElement]] = {}
+
+    def seed(self) -> int:
+        """Absorb the computed state into every join; return element count.
+
+        Absorbing merges: the new box already holds the ranges migrated
+        before.
+        """
+        seeded = 0
+        for operator in self._box.operators:
+            if not isinstance(operator, _JoinBase):
+                continue
+            for port in (0, 1):
+                state = self._input_stream(operator, port)
+                operator.absorb_state(port, state)
+                seeded += len(state)
+        return seeded
+
+    def _input_stream(self, operator: Operator, port: int) -> List[StreamElement]:
+        """The alive elements of the stream feeding ``(operator, port)``."""
+        source = self._feeding_source.get((id(operator), port))
+        if source is not None:
+            return list(self._alive[source])
+        upstream = self._feeding_op.get((id(operator), port))
+        if upstream is None:
+            raise UnsupportedPlanError(
+                f"{operator.name} port {port} has no feeding stream"
+            )
+        return self._output_stream(upstream)
+
+    def _output_stream(self, operator: Operator) -> List[StreamElement]:
+        """The alive elements ``operator`` would hold downstream."""
+        cached = self._memo.get(id(operator))
+        if cached is not None:
+            return cached
+        if isinstance(operator, _JoinBase):
+            result = self._join(operator)
+        elif isinstance(operator, StatelessOperator):
+            # Any single-input stateless operator, through its pure
+            # ``evaluate`` hook; the verifier's FLM004 guarantees one.
+            child = self._input_stream(operator, 0)
+            self._meter.charge(len(child) * getattr(operator, "cost", 1), "fluid-seed")
+            result = operator.evaluate(child)
+        else:  # pragma: no cover - begin() checked the verdict
+            raise UnsupportedPlanError(f"cannot seed through {type(operator).__name__}")
+        self._memo[id(operator)] = result
+        return result
+
+    def _join(self, operator: _JoinBase) -> List[StreamElement]:
+        lefts = self._input_stream(operator, 0)
+        rights = self._input_stream(operator, 1)
+        if getattr(operator, "keyed_state", False):
+            return self._join_keyed(operator, lefts, rights)
+        results: List[StreamElement] = []
+        for left in lefts:
+            for right in rights:
+                self._meter.charge(operator.predicate_cost, "fluid-seed")
+                if not operator.pair_matches(left.payload, right.payload):
+                    continue
+                overlap = left.interval.intersect(right.interval)
+                if overlap is None:
+                    continue
+                results.append(StreamElement(left.payload + right.payload, overlap))
+        return results
+
+    def _join_keyed(
+        self,
+        operator: _JoinBase,
+        lefts: List[StreamElement],
+        rights: List[StreamElement],
+    ) -> List[StreamElement]:
+        """Hash-paired seeding for keyed (equi-) joins.
+
+        ``pair_matches`` of a keyed join is exactly key equality, so
+        bucketing the right side and probing per left key yields the same
+        pairs in the same order as the all-pairs scan — at the runtime
+        join's own cost profile (one hash charge per probe, predicate
+        cost per candidate) instead of |L|·|R| candidate charges.  This
+        is what keeps per-range reseeding off the quadratic path, which
+        only a nested-loops join — admitted at one range, a single flip
+        per migration — still takes.
+        """
+        left_field, right_field = operator.key_fields
+        buckets: Dict[Any, List[StreamElement]] = {}
+        for right in rights:
+            buckets.setdefault(right.payload[right_field], []).append(right)
+        results: List[StreamElement] = []
+        for left in lefts:
+            self._meter.charge(1, "fluid-seed")
+            for right in buckets.get(left.payload[left_field], ()):
+                self._meter.charge(operator.predicate_cost, "fluid-seed")
+                overlap = left.interval.intersect(right.interval)
+                if overlap is None:
+                    continue
+                results.append(StreamElement(left.payload + right.payload, overlap))
+        return results

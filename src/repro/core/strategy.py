@@ -34,8 +34,8 @@ class UnsupportedPlanError(RuntimeError):
     Raised from ``begin`` — before anything is rewired — by Parallel
     Track, the reference-point optimization and fluid migration when the
     plan verifier's verdict for the strategy is not safe (the message
-    carries its diagnostics), and by Moving States' own check.  GenMig
-    with coalesce never raises this — it is the general strategy.
+    carries its diagnostics).  GenMig with coalesce never raises this —
+    it is the general strategy.
     """
 
 
@@ -149,22 +149,29 @@ class MigrationStrategy:
         """Install the strategy into a running executor."""
         raise NotImplementedError
 
-    def _check_scope(self, *boxes: "Box") -> None:
-        """Refuse boxes outside the verifier's verdict for this strategy.
+    def _check_scope(self, old_box: "Box", new_box: "Box") -> None:
+        """Refuse a pair outside the verifier's verdict for this strategy.
 
         Which operators are start-preserving, PT-safe or fluid-drainable
         is the plan verifier's knowledge alone; the strategies ask for its
-        verdict instead of keeping their own operator lists.
+        verdict instead of keeping their own operator lists.  The refusal
+        names the first box that fails on its own, else the pair (a
+        verdict only the pair carries, like fluid's at one range).
         """
         if self.verdict_key is None or self.force:
             return
-        from ..analysis.plan_verifier import verify_box
+        from ..analysis.plan_verifier import verify_migration
 
-        for box in boxes:
-            verdict = verify_box(box).strategies[self.verdict_key]
-            if not verdict.safe:
+        pair = verify_migration(old_box, new_box)
+        for target, strategies in (
+            (old_box.label or "this box", pair.old.strategies),
+            (new_box.label or "this box", pair.new.strategies),
+            ("this pair", pair.strategies),
+        ):
+            verdict = strategies.get(self.verdict_key)
+            if verdict is not None and not verdict.safe:
                 raise UnsupportedPlanError(
-                    f"{self.name} cannot migrate {box.label or 'this box'}: "
+                    f"{self.name} cannot migrate {target}: "
                     + "; ".join(str(d) for d in verdict.diagnostics)
                 )
 

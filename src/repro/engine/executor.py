@@ -517,8 +517,8 @@ class QueryExecutor:
         """Capture everything needed to rebuild this executor elsewhere.
 
         Operator state leaves through the GenMig drain hook
-        (``state_of_port``), exactly the boundary Moving States already
-        trusts, and is recorded for every operator that can absorb it
+        (``state_of_port``), the boundary fluid migration's seeding also
+        crosses, and is recorded for every operator that can absorb it
         back; an operator that holds state (overrides ``state_of_port``)
         but lacks ``absorb_state`` makes the plan non-checkpointable and
         raises — the same condition verifier check CKP001 flags

@@ -245,8 +245,8 @@ class Operator:
     def state_of_port(self, port: int) -> List[StreamElement]:
         """The elements held in state for input ``port`` — the one read hook.
 
-        Moving States, checkpoints, the model checker's digest and the
-        recount below all read operator state through it.  The default
+        Checkpoints, the model checker's digest and the recount below all
+        read operator state through it.  The default
         holds nothing; an operator that keeps per-port state overrides it.
         """
         self._check_port(port)
@@ -539,8 +539,8 @@ class StatelessOperator(Operator):
         """The operator's output for ``elements``, as a pure function.
 
         The run protocol above forwards what this returns, and
-        state-handover code (Moving States seeding, fluid migration's
-        staged replay) computes with it what the operator *would* pass
+        state-handover code (fluid migration's seeding and staged
+        replay) computes with it what the operator *would* pass
         downstream.
         """
         return [out for out in map(self._apply, elements) if out is not None]

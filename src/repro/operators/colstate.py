@@ -9,7 +9,7 @@ kernels (:func:`repro.plans.kernels.compile_probe_kernel`) read the
 entries directly; everything else (iteration, drains, seeding)
 materialises :class:`StreamElement`\\ s on demand.
 
-Observable behaviour, which checkpoints, Moving States and the
+Observable behaviour, which checkpoints, fluid migration and the
 byte-identity property suites rely on:
 
 * buckets are created on first insert (dict position = first-touch

@@ -110,13 +110,25 @@ class _JoinBase(StatefulOperator):
         return staged + sum(len(row) for _, _, row, _ in self.held_entries())
 
     def state_of_port(self, port: int) -> List[StreamElement]:
-        """The alive elements received on one input — used by Moving States."""
+        """The alive elements received on one input — read by checkpoints."""
         self._check_port(port)
         return list(self._states[port])
 
+    def extract_state_of_port(
+        self, port: int, key_predicate: Callable[[Any], bool]
+    ) -> List[StreamElement]:
+        """Drain the alive elements of one input whose bucket key satisfies
+        ``key_predicate`` — fluid migration's per-range counterpart of
+        :meth:`state_of_port` (a nested-loops side is the single bucket
+        ``None``).  The drained elements leave this side's state entirely;
+        the untouched keys keep probing undisturbed.
+        """
+        self._check_port(port)
+        return self._states[port].extract(key_predicate)
+
     def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Merge elements into one input's state — used by Moving States,
-        fluid migration and checkpoint restore.
+        """Merge elements into one input's state — used by fluid
+        migration's seeding and checkpoint restore.
 
         Seeded intervals may lie below the port watermark; they enter
         state directly (never ``process``), so ordering checks don't
@@ -370,17 +382,6 @@ class HashJoin(_JoinBase):
         self._states[port].insert(
             key, element.interval.start, element.interval.end, payload, element.flag
         )
-
-    def extract_state_of_port(
-        self, port: int, key_predicate: Callable[[Any], bool]
-    ) -> List[StreamElement]:
-        """Drain the alive elements of one input whose *join key* satisfies
-        ``key_predicate`` — the fluid-migration per-range counterpart of
-        :meth:`state_of_port`.  The drained elements leave this side's
-        state entirely; the untouched keys keep probing undisturbed.
-        """
-        self._check_port(port)
-        return self._states[port].extract(key_predicate)
 
     def pair_matches(self, left: Payload, right: Payload) -> bool:
         """Whether two payloads satisfy the equi-join predicate."""

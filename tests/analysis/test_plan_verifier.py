@@ -16,6 +16,7 @@ from repro.analysis.plan_verifier import (
     GENMIG,
     PARALLEL_TRACK,
     REFERENCE_POINT,
+    WHOLE_STATE,
 )
 from repro.core import select_strategy
 from repro.engine import Box
@@ -225,6 +226,31 @@ class TestEveryCodeFires:
         verdict = verify_box(build(plan))
         assert not verdict.strategies[FLUID].safe
         assert "FLM003" in self.codes(verdict)
+
+    @staticmethod
+    def whole_state(old_plan, new_plan):
+        """The one-range fluid verdict of a built pair."""
+        return verify_migration(build(old_plan), build(new_plan)).strategies[WHOLE_STATE]
+
+    def test_flm005_whole_state_handover_refuses_a_union(self):
+        verdict = self.whole_state(JoinNode(A, B, AB), UnionNode(A, B))
+        assert not verdict.safe
+        # The new box may be entered through anything: no FLM006.
+        assert {(d.code, d.operator) for d in verdict.diagnostics} == {("FLM005", "union")}
+
+    def test_flm005_whole_state_handover_refuses_a_distinct(self):
+        plan = DistinctNode(JoinNode(A, B, AB))
+        verdict = self.whole_state(plan, plan)
+        assert not verdict.safe
+        assert {d.operator for d in verdict.diagnostics if d.code == "FLM005"} == {"distinct"}
+
+    def test_flm006_whole_state_handover_refuses_an_old_box_entered_through_a_select(self):
+        filtered = JoinNode(SelectNode(A, Comparison("<", Field("A.x"), Literal(4))), B, AB)
+        verdict = self.whole_state(filtered, JoinNode(A, B, AB))
+        assert not verdict.safe
+        assert {d.code for d in verdict.diagnostics} == {"FLM006"}
+        # The seed is read from the old box only: the reverse pair is admitted.
+        assert self.whole_state(JoinNode(A, B, AB), filtered).safe
 
 
 class TestQueryVerification:

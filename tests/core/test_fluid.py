@@ -15,7 +15,7 @@ from repro.core import (
     select_strategy,
 )
 from repro.core.fluid import range_of
-from repro.operators import NestedLoopsJoin
+from repro.operators import CostMeter, NestedLoopsJoin
 from repro.engine import (
     Box,
     GlobalOrderScheduler,
@@ -28,9 +28,14 @@ from repro.temporal import element, first_divergence
 from scenarios import (
     aggregate_all_box,
     aggregate_filtered_box,
+    difference_box,
+    difference_filtered_box,
+    distinct_over_join_box,
+    join_over_distinct_box,
     left_deep_join_box,
     right_deep_join_box,
     three_random_streams,
+    two_random_streams,
 )
 
 W3 = {"A": 60, "B": 60, "C": 60}
@@ -43,13 +48,21 @@ def nested_loops_box() -> Box:
     return Box(taps={"A": [(j1, 0)], "B": [(j1, 1)], "C": [(j2, 1)]}, root=j2)
 
 
+def right_deep_nested_loops_box() -> Box:
+    j1 = NestedLoopsJoin(lambda l, r: l[0] == r[0], name="BC")
+    j2 = NestedLoopsJoin(lambda l, r: l[0] == r[0], name="ABC")
+    j1.subscribe(j2, 1)
+    return Box(taps={"A": [(j2, 0)], "B": [(j1, 0)], "C": [(j1, 1)]}, root=j2)
+
+
 class TestValidation:
     def test_rejects_ranges_below_one(self):
         with pytest.raises(ValueError):
             FluidMigration(ranges=0)
 
     def test_rejects_unkeyed_joins(self):
-        """Nested-loops joins keep un-drainable state (FLM001 at runtime)."""
+        """Nested-loops joins keep state no key range can drain (FLM001
+        at runtime) — at more than one range."""
         streams = three_random_streams()
         with pytest.raises(UnsupportedPlanError):
             run_query(
@@ -130,14 +143,87 @@ class TestJoinReordering:
         indices = [entry[0] for entry in report.extra["range_log"]]
         assert indices == [0, 1, 2, 3]
 
-    def test_pace_override_flips_all_ranges(self):
+
+class TestWholeStateHandover:
+    """Fluid at one range is the Moving States baseline: the new plan's
+    state is computed from the old plan's in one flip at the start."""
+
+    def test_correct_for_join_reordering(self):
+        """Nested-loops joins qualify: one range splits no key domain."""
+        streams = three_random_streams()
+        base, _ = run_query(streams, W3, nested_loops_box())
+        out, executor = run_query(
+            streams, W3, nested_loops_box(),
+            migrate_at=150, new_box=right_deep_nested_loops_box(),
+            strategy=FluidMigration(ranges=1),
+        )
+        assert first_divergence(base, out) is None
+        assert executor.gate.order_violations == 0
+
+    def test_reverse_direction(self):
+        streams = three_random_streams(seed=8)
+        base, _ = run_query(streams, W3, right_deep_join_box())
+        out, _ = run_query(
+            streams, W3, right_deep_join_box(),
+            migrate_at=150, new_box=left_deep_join_box(),
+            strategy=FluidMigration(ranges=1),
+        )
+        assert first_divergence(base, out) is None
+
+    def test_flips_at_start_and_completes_one_horizon_later(self):
+        """The whole state moves at arm; the old box stays attached until
+        every input passes the Lemma 1 horizon, delivering what it staged."""
         streams = three_random_streams()
         _, executor = run_query(
             streams, W3, left_deep_join_box(),
             migrate_at=150, new_box=right_deep_join_box(),
-            strategy=FluidMigration(ranges=4, pace=2),
+            strategy=FluidMigration(ranges=1),
         )
-        assert len(executor.migration_log[0].extra["range_log"]) == 4
+        report = executor.migration_log[0]
+        assert [(index, at) for index, at, _ in report.extra["range_log"]] == [
+            (0, str(report.started_at))
+        ]
+        assert report.duration >= W3["A"]
+
+    def test_seeding_work_accounted(self):
+        """The handover pays a burst of state recomputation — the cost
+        GenMig avoids."""
+        streams = three_random_streams()
+        meter = CostMeter()
+        _, executor = run_query(
+            streams, W3, left_deep_join_box(),
+            migrate_at=150, new_box=right_deep_join_box(),
+            strategy=FluidMigration(ranges=1), meter=meter,
+        )
+        report = executor.migration_log[0]
+        assert report.extra["seeded"] > 0
+        assert meter.by_category.get("fluid-seed", 0) > 0
+
+    def test_new_box_state_populated_at_switch(self):
+        new_box = right_deep_join_box()
+        snapshot_size = {}
+        executor = QueryExecutor(three_random_streams(), W3, left_deep_join_box())
+        executor.add_sink(CollectorSink())
+        executor.schedule_migration(150, new_box, FluidMigration(ranges=1))
+        executor.schedule(152, lambda: snapshot_size.update(n=new_box.state_value_count()))
+        executor.run()
+        assert snapshot_size["n"] > 0
+
+    def test_refuses_distinct_plans(self):
+        with pytest.raises(UnsupportedPlanError, match="FLM005"):
+            run_query(
+                two_random_streams(), {"A": 50, "B": 50}, distinct_over_join_box(),
+                migrate_at=100, new_box=join_over_distinct_box(),
+                strategy=FluidMigration(ranges=1),
+            )
+
+    def test_refuses_non_join_entry_points(self):
+        with pytest.raises(UnsupportedPlanError, match="FLM006"):
+            run_query(
+                two_random_streams(), {"A": 50, "B": 50}, difference_box(),
+                migrate_at=100, new_box=difference_filtered_box(100),
+                strategy=FluidMigration(ranges=1),
+            )
 
 
 def online_executor(box, **kwargs):
@@ -181,7 +267,7 @@ class TestDeliveryOrder:
         executor, _ = online_executor(left_deep_join_box())
         for name in "ABC":
             executor.push(name, element(0, 0, 1))
-        strategy = FluidMigration(ranges=1, pace=1000)
+        strategy = FluidMigration(ranges=1)
         executor.start_migration(right_deep_join_box(), strategy)
         assert strategy.phase == "parallel"
         before = strategy.state_value_count()

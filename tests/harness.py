@@ -42,10 +42,10 @@ from repro.analysis.plan_verifier import (
     FLUID,
     PARALLEL_TRACK,
     REFERENCE_POINT,
+    WHOLE_STATE,
     verify_migration,
 )
 from repro.analysis.sanitizer import StreamSanitizer, sanitized
-from repro.core import MovingStates, UnsupportedPlanError
 from repro.engine import GlobalOrderScheduler, QueryExecutor, RoundRobinScheduler
 from repro.streams import CollectorSink, PhysicalStream
 
@@ -69,21 +69,18 @@ def _admitted(family: str, rewrite: int, old_build: str, new_build: str) -> Tupl
 
 def strategies_for(old_box, new_box) -> List[str]:
     """``"none"``, GenMig and its shortened variant, and every other
-    strategy that admits the pair: the verifier's safe verdicts, fluid at
-    each range count, and Moving States where its own check accepts."""
+    strategy the verifier admits for the pair: fluid at one range by its
+    own pair verdict, at more ranges by the keyed one."""
     names = ["none", "genmig", "genmig-short"]
     verdict = verify_migration(old_box, new_box).strategies
     if verdict[REFERENCE_POINT].safe:
         names.append("genmig-rp")
     if verdict[PARALLEL_TRACK].safe:
         names.append("parallel-track")
+    if verdict[WHOLE_STATE].safe:
+        names.append("fluid-1")
     if verdict[FLUID].safe:
-        names += ["fluid-1", "fluid-2", "fluid-8"]
-    try:
-        MovingStates()._validate(old_box, new_box)
-        names.append("moving-states")
-    except UnsupportedPlanError:
-        pass
+        names += ["fluid-2", "fluid-8"]
     return names
 
 
@@ -91,13 +88,15 @@ def draw_case(seed: int) -> dict:
     """The case of one seed, every dimension drawn from ``Random(seed)``.
 
     The strategy is drawn first, each kind equally often (fluid then
-    draws its range count), and the plan family, rewrite and builds are
-    redrawn until the pair admits it.  Migrations trigger early and
-    windows are short, so ``T_split`` falls inside the feeds.
+    draws its range count; the whole-state handover, ``fluid-1``, which
+    admits far more pairs than fluid at more ranges, is also a kind of
+    its own), and the plan family, rewrite and builds are redrawn until
+    the pair admits it.  Migrations trigger early and windows are short,
+    so ``T_split`` falls inside the feeds.
     """
     rng = random.Random(seed)
     kind = rng.choice(
-        ("none", "genmig", "genmig-short", "genmig-rp", "parallel-track", "moving-states", "fluid")
+        ("none", "genmig", "genmig-short", "genmig-rp", "parallel-track", "fluid-1", "fluid")
     )
     strategy = f"fluid-{rng.choice((1, 2, 8))}" if kind == "fluid" else kind
     while True:
@@ -189,7 +188,7 @@ def _failures(case: dict) -> List[str]:
             failures.append(f"batch size {case['batch_size']} is not byte-identical with 1")
     if strategy == "none":
         return failures
-    if strategy.startswith("fluid") or strategy == "moving-states":
+    if strategy.startswith("fluid"):
         if _multiset(output) != _multiset(run_case(case, 1, "none")[0]):
             failures.append("output multiset differs from the unmigrated run")
     log = executor.migration_log

@@ -149,6 +149,17 @@ class TestExpirationAndOrdering:
             assert sorted(e.payload for e in join.state_of_port(0)) == [("a",), ("k",)]
             assert len(drive(join, [], [element("k", 5, 55)])) == 1
 
+    def test_extract_drains_a_nested_loops_side_whole(self):
+        """A nested-loops side is the one bucket ``None``: draining it
+        empties the side, and a later probe finds nothing to match."""
+        join = theta_join(lambda l, r: l[0] == r[0])
+        join.process(element("k", 0, 50), 0)
+        join.process(element("k", 1, 50), 0)
+        drained = join.extract_state_of_port(0, lambda key: key is None)
+        assert [(e.payload, e.start) for e in drained] == [(("k",), 0), (("k",), 1)]
+        assert join.state_of_port(0) == [] and join.state_value_count() == 0
+        assert drive(join, [], [element("k", 5, 55)]) == []
+
     def test_pair_matches(self):
         assert equi_join(0, 0).pair_matches(("k",), ("k",))
         assert not equi_join(0, 0).pair_matches(("k",), ("x",))
