@@ -76,7 +76,7 @@ def main():
     handle, path = tempfile.mkstemp(suffix=".ckpt")
     os.close(handle)
     size = CheckpointManager(victim).checkpoint(path)
-    print(f"checkpoint after {cut} elements: {size} bytes at {path}")
+    print(f"checkpoint after {cut} elements: {size} bytes")
     del victim  # the process dies here; only the snapshot file survives
 
     restored = restore_service(path, policy=ControllerPolicy(period=10**9))

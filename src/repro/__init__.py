@@ -72,8 +72,6 @@ from .streams import (
     LatencySink,
     PhysicalStream,
     RateSink,
-    explicit_stream,
-    paper_workload,
     timestamped_stream,
     uniform_stream,
 )
@@ -125,9 +123,7 @@ __all__ = [
     "__version__",
     "compile_query",
     "element",
-    "explicit_stream",
     "first_divergence",
-    "paper_workload",
     "snapshot",
     "snapshot_equivalent",
     "timestamped_stream",

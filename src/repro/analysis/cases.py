@@ -110,11 +110,13 @@ BUILDERS = {
 }
 
 #: Strategy name → a factory of fresh instances.  ``parallel-track-forced``
-#: runs Parallel Track on plans it refuses (Section 3's counter-example).
+#: runs Parallel Track on plans it refuses (Section 3's counter-example),
+#: ``genmig-rp-forced`` the reference point on plans it refuses (RP001).
 STRATEGIES: Dict[str, Callable[[], object]] = {
     "genmig": GenMig,
     "genmig-short": ShortenedGenMig,
     "genmig-rp": ReferencePointGenMig,
+    "genmig-rp-forced": lambda: ReferencePointGenMig(force=True),
     "parallel-track": ParallelTrack,
     "parallel-track-forced": lambda: ParallelTrack(force=True),
     "fluid-1": lambda: FluidMigration(ranges=1),

@@ -208,7 +208,10 @@ class LintFinding:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable view (``--format json``)."""
+        """JSON-serialisable view (``--format json``).
+
+        Output of ``--format json``, reached once a finding exists.
+        """
         return {
             "path": self.path,
             "line": self.line,
@@ -217,7 +220,11 @@ class LintFinding:
         }
 
     def github_annotation(self) -> str:
-        """GitHub Actions workflow-command form (``--format github``)."""
+        """GitHub Actions workflow-command form (``--format github``).
+
+        Output of ``--format github`` (the CI step), reached once a finding
+        exists.
+        """
         message = self.message.replace("%", "%25").replace("\n", "%0A")
         return (
             f"::error file={self.path},line={self.line},"
@@ -655,7 +662,10 @@ class Linter:
 
 
 def lint_source(code: str, path: str = "<string>") -> List[LintFinding]:
-    """Lint one source string (single-module hierarchy)."""
+    """Lint one source string (single-module hierarchy).
+
+    Test seam: the rule tests lint one source string through it.
+    """
     linter = Linter()
     linter.add_source(code, path)
     return linter.run()

@@ -509,7 +509,10 @@ PRESETS = {
 
 
 def build_scenario(name: str) -> dict:
-    """A copy of the preset case ``name``."""
+    """A copy of the preset case ``name``.
+
+    Test seam: the model-checker tests copy presets through it.
+    """
     try:
         return dict(PRESETS[name])
     except KeyError:

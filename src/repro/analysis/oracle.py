@@ -79,6 +79,9 @@ class RelationalOracle:
         raise TypeError(f"no reference evaluation for {type(plan).__name__}")
 
     def _aggregate(self, plan: object, t: Time) -> Multiset:
+        """Oracle specification for AggregateNode plans, which no preset
+        contains.
+        """
         from ..operators.scalar import avg_of, count, max_of, min_of, sum_of
 
         child_schema = plan.child.schema

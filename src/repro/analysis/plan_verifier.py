@@ -194,7 +194,8 @@ def _checkpoint_state_diagnostic(
     duck-typed on purpose: a base-class default would turn "not
     checkpointable" into silently lost state.  An order-restoring
     operator (the union) holds nothing per port — its staging heap
-    travels in ``progress_state`` — so the base drain is its answer.
+    travels in ``progress_state`` — so it needs neither hook, and its
+    checkpoint record carries ``ports: None``.
     """
     from ..operators.base import Operator
 
@@ -393,10 +394,6 @@ class PlanVerdict:
     @property
     def errors(self) -> Tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.severity == ERROR)
-
-    def safe_strategies(self) -> Tuple[str, ...]:
-        """The migration strategies sound for this plan, safest last."""
-        return tuple(name for name in STRATEGIES if self.strategies[name].safe)
 
     def all_diagnostics(self) -> Tuple[Diagnostic, ...]:
         """Plan diagnostics plus every strategy verdict's diagnostics."""

@@ -154,13 +154,21 @@ class StreamSanitizer:
         op._san_last_emit = element.start  # type: ignore[attr-defined]
 
     def on_emit_batch(self, op: object, batch: Batch) -> None:
-        """An operator is about to forward a whole batch downstream."""
+        """An operator is about to forward a whole batch downstream.
+
+        Sanitizer hook of the batch emit path; the test suites run under an
+        installed sanitizer.
+        """
         self.on_batch(op, batch, port=-1)
         for element in batch.elements:
             self.on_emit(op, element)
 
     def on_batch(self, op: object, batch: Batch, port: int) -> None:
-        """An operator is about to consume (or emit, port=-1) a batch."""
+        """An operator is about to consume (or emit, port=-1) a batch.
+
+        Sanitizer hook of the batch input path; the test suites run under an
+        installed sanitizer.
+        """
         name = getattr(op, "name", str(op))
         where = f"{name} {'output' if port < 0 else f'input port {port}'}"
         elements = batch.elements
@@ -241,7 +249,10 @@ class StreamSanitizer:
 def sanitized(
     sanitizer: Optional[StreamSanitizer] = None,
 ) -> Iterator[StreamSanitizer]:
-    """Run a block with a sanitizer installed, restoring the previous one."""
+    """Run a block with a sanitizer installed, restoring the previous one.
+
+    Installs a sanitizer for a block; the test suites' session fixture uses it.
+    """
     previous = _base.SANITIZER
     active = (sanitizer or StreamSanitizer()).install()
     try:

@@ -26,7 +26,7 @@ from .ast import (
 from .lexer import CQLSyntaxError, Token, tokenize
 from .parser import Parser, parse
 from .translate import Catalog, TranslationError, Translator, compile_query
-from .unparse import explain, unparse, unparse_expression
+from .unparse import unparse, unparse_expression
 
 __all__ = [
     "AggregateCall",
@@ -46,7 +46,6 @@ __all__ = [
     "UnaryOp",
     "WindowSpec",
     "compile_query",
-    "explain",
     "parse",
     "tokenize",
     "unparse",

@@ -91,6 +91,7 @@ class Parser:
         return self._advance()
 
     def _error(self, message: str) -> CQLSyntaxError:
+        """Error path: reached only on malformed query text."""
         return CQLSyntaxError(message, self._peek().position, self.text)
 
     # ------------------------------------------------------------------ #

@@ -258,6 +258,8 @@ class Translator:
         Plain columns must be grouping columns; aggregate calls resolve to
         their output column, and are appended to ``specs`` when the SELECT
         list did not already compute them.
+
+        CQL surface: HAVING; no example or benchmark query uses it.
         """
         if isinstance(node, ColumnRef):
             resolved = self._resolve(node, bindings)

@@ -1,18 +1,14 @@
-"""Render CQL ASTs back to query text, and explain compiled queries.
+"""Render CQL ASTs back to query text.
 
-``unparse`` produces canonical CQL text from a parsed statement — used for
-logging, for EXPLAIN output, and by the parser round-trip property tests.
-``explain`` renders a compiled query's logical plan together with the cost
-model's estimates, the closest thing a DSMS offers to ``EXPLAIN``.
+``unparse`` produces canonical CQL text from a parsed statement — used by
+the parser round-trip property tests, and the text form a generator of
+random CQL cases will print.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..engine.statistics import StatisticsCatalog
-from ..optimizer.cost import CostModel
-from ..plans.logical import LogicalPlan, Query
 from .ast import (
     AggregateCall,
     BinaryOp,
@@ -36,7 +32,10 @@ _PRECEDENCE = {
 
 
 def unparse_expression(node: ExprAST, parent_precedence: int = 0) -> str:
-    """Render one expression, parenthesising only where precedence demands."""
+    """Render one expression, parenthesising only where precedence demands.
+
+    Kept for the ROADMAP's random-CQL case generator (see :func:`unparse`).
+    """
     if isinstance(node, ColumnRef):
         return str(node)
     if isinstance(node, NumberLiteral):
@@ -85,6 +84,9 @@ def unparse(statement: SelectStatement) -> str:
 
     Window sizes are printed in chronons (no unit keyword), so parsing the
     result with any ``time_scale`` reproduces the same statement.
+
+    Kept for the ROADMAP's random-CQL case generator, which prints its
+    statements with it.
     """
     parts = ["SELECT"]
     if statement.distinct:
@@ -111,66 +113,3 @@ def unparse(statement: SelectStatement) -> str:
         parts.append("HAVING")
         parts.append(unparse_expression(statement.having))
     return " ".join(parts)
-
-
-def explain(
-    query: Query,
-    statistics: Optional[StatisticsCatalog] = None,
-    cost_model: Optional[CostModel] = None,
-) -> str:
-    """Render a compiled query: windows, plan tree, per-node estimates."""
-    cost_model = cost_model or CostModel()
-    statistics = statistics or StatisticsCatalog()
-    lines = ["windows:"]
-    for source, window in sorted(query.windows.items()):
-        lines.append(f"  {source}: RANGE {window}")
-    lines.append("plan:")
-
-    def render(node: LogicalPlan, indent: int) -> None:
-        estimate = cost_model.estimate(query, node, statistics)
-        lines.append(
-            "  " * (indent + 1)
-            + f"{_shallow_label(node)}   "
-            + f"[rate={estimate.rate:.4f}/u state={estimate.state:.1f} "
-            + f"cost={estimate.cost:.2f}/u]"
-        )
-        for child in node.children:
-            render(child, indent + 1)
-
-    render(query.plan, 0)
-    return "\n".join(lines)
-
-
-def _shallow_label(node: LogicalPlan) -> str:
-    """One-line label of a node without rendering its whole subtree."""
-    from ..plans.logical import (
-        AggregateNode,
-        DifferenceNode,
-        DistinctNode,
-        JoinNode,
-        ProjectNode,
-        SelectNode,
-        Source,
-        UnionNode,
-    )
-
-    if isinstance(node, Source):
-        return node.name
-    if isinstance(node, SelectNode):
-        return f"select[{node.predicate!r}]"
-    if isinstance(node, ProjectNode):
-        return f"project[{', '.join(node.schema)}]"
-    if isinstance(node, JoinNode):
-        condition = repr(node.condition) if node.condition is not None else "true"
-        return f"join[{condition}]"
-    if isinstance(node, DistinctNode):
-        return "distinct"
-    if isinstance(node, AggregateNode):
-        aggregates = ", ".join(spec.output_name() for spec in node.aggregates)
-        group = f" by {list(node.group_by)}" if node.group_by else ""
-        return f"aggregate[{aggregates}{group}]"
-    if isinstance(node, UnionNode):
-        return "union"
-    if isinstance(node, DifferenceNode):
-        return "difference"
-    return type(node).__name__

@@ -62,6 +62,8 @@ def materialize(
 
     Returns:
         The materialised stream with its interval bounds.
+
+    Kept until the ROADMAP's sub-plan item replaces it.
     """
     executor = QueryExecutor(sources, windows, box)
     sink = CollectorSink(name)

@@ -119,7 +119,11 @@ class MetricsRecorder:
     # ------------------------------------------------------------------ #
 
     def output_rate(self) -> List[int]:
-        """Dense per-bucket output counts (Figure 4 series)."""
+        """Dense per-bucket output counts (Figure 4 series).
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit
+        follow-up).
+        """
         return self.series.dense(self.series.output, fill=0)
 
     def memory_usage(self) -> List[int]:
@@ -183,6 +187,9 @@ class MetricsRecorder:
         between queries (or mid-run) cannot skew the readout.  The raw
         process-epoch counters ride along under ``process_epoch`` for
         whole-process diagnostics.
+
+        Kept for the ROADMAP's latency report, which writes and reads series
+        through it.
         """
         from ..plans.kernels import kernel_cache_stats
 
@@ -209,7 +216,10 @@ class MetricsRecorder:
         }
 
     def dump(self, path: str) -> None:
-        """Write the recorded series as JSON to ``path``."""
+        """Write the recorded series as JSON to ``path``.
+
+        Kept for the ROADMAP's latency report (see :meth:`to_dict`).
+        """
         import json
 
         with open(path, "w") as f:
@@ -217,7 +227,10 @@ class MetricsRecorder:
 
     @classmethod
     def load(cls, path: str) -> dict:
-        """Read a previously dumped series file."""
+        """Read a previously dumped series file.
+
+        Kept for the ROADMAP's latency report (see :meth:`to_dict`).
+        """
         import json
 
         with open(path) as f:

@@ -34,7 +34,10 @@ class SourceQueue:
         self._floor: Optional[Time] = None
 
     def push(self, element: StreamElement) -> None:
-        """Append an element; elements must arrive in start-timestamp order."""
+        """Append an element; elements must arrive in start-timestamp order.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit follow-up).
+        """
         if self._items and element.start < self._items[-1].start:
             raise ValueError(
                 f"source {self.name}: element at {element.start} arrives after "

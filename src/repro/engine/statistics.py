@@ -116,7 +116,10 @@ class StatisticsCatalog:
         return True
 
     def snapshot(self) -> Dict[str, float]:
-        """A flat view of all current estimates, for logging and tests."""
+        """A flat view of all current estimates.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit follow-up).
+        """
         view: Dict[str, float] = {}
         for name, estimator in self.rates.items():
             view[f"rate:{name}"] = estimator.rate

@@ -21,7 +21,6 @@ from .join import (
     HashJoin,
     NestedLoopsJoin,
     equi_join,
-    theta_join,
 )
 from .project import Project, ProjectFields
 from .scalar import (
@@ -62,5 +61,4 @@ __all__ = [
     "merge_flags",
     "min_of",
     "sum_of",
-    "theta_join",
 ]

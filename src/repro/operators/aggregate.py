@@ -257,6 +257,9 @@ class Aggregate(StatefulOperator):
 
         The reference: every segment rescans and refolds all open state.
         Runs only under an installed sanitizer.
+
+        Safety: the sanitizer's reference rescan, run after every step while
+        one is installed.
         """
         results: List[StreamElement] = []
         charged = 0

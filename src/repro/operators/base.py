@@ -48,11 +48,6 @@ class CostMeter:
         self.total += units
         self.by_category[category] = self.by_category.get(category, 0) + units
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.total = 0
-        self.by_category.clear()
-
 
 class _NullMeter:
     """Cost sink used when no metering is requested (zero overhead path)."""
@@ -127,7 +122,10 @@ class Operator:
         self._subscribers.append((downstream, port))
 
     def unsubscribe(self, downstream: "Operator", port: int = 0) -> None:
-        """Remove a previously installed subscription."""
+        """Remove a previously installed subscription.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit follow-up).
+        """
         self._subscribers.remove((downstream, port))
 
     def attach_sink(self, sink: object) -> None:
@@ -212,7 +210,10 @@ class Operator:
             raise ValueError(f"{self.name} has no input port {port}")
 
     def _out_of_order(self, start: Time, port: int) -> ValueError:
-        """The error for an element starting below ``port``'s watermark."""
+        """The error for an element starting below ``port``'s watermark.
+
+        Error path: reached only when an input violates start order.
+        """
         return ValueError(
             f"{self.name}: out-of-order element on port {port}: "
             f"{start} < watermark {self._watermarks[port]}"

@@ -26,7 +26,11 @@ from .base import StatefulOperator
 
 
 class Difference(StatefulOperator):
-    """Emit the per-snapshot bag difference ``left - right``."""
+    """Emit the per-snapshot bag difference ``left - right``.
+
+    The operator of DifferenceNode plans; no example or benchmark plan contains
+    one.
+    """
 
     def __init__(self, name: str = "") -> None:
         super().__init__(arity=2, name=name or "difference")

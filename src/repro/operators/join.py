@@ -383,10 +383,6 @@ class HashJoin(_JoinBase):
             key, element.interval.start, element.interval.end, payload, element.flag
         )
 
-    def pair_matches(self, left: Payload, right: Payload) -> bool:
-        """Whether two payloads satisfy the equi-join predicate."""
-        return left[self.key_fields[0]] == right[self.key_fields[1]]
-
 
 def equi_join(
     left_field: int,
@@ -401,12 +397,3 @@ def equi_join(
         predicate_cost=predicate_cost,
         name=name or f"equi-join[{left_field}={right_field}]",
     )
-
-
-def theta_join(
-    predicate: Callable[[Payload, Payload], bool],
-    predicate_cost: int = 1,
-    name: str = "",
-) -> NestedLoopsJoin:
-    """Convenience constructor: nested-loops theta join."""
-    return NestedLoopsJoin(predicate, predicate_cost=predicate_cost, name=name or "theta-join")

@@ -28,7 +28,11 @@ class Project(StatelessOperator):
 
 
 class ProjectFields(Project):
-    """Project onto a fixed sequence of payload positions."""
+    """Project onto a fixed sequence of payload positions.
+
+    No system caller; kept until its unit tests retire (ROADMAP, audit follow-
+    up).
+    """
 
     def __init__(self, indices: Sequence[int], name: str = "") -> None:
         index_tuple = tuple(indices)

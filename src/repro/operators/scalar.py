@@ -44,17 +44,26 @@ def sum_of(field: int = 0) -> AggregateFunction:
 
 
 def min_of(field: int = 0) -> AggregateFunction:
-    """``MIN(field)`` over the given payload position."""
+    """``MIN(field)`` over the given payload position.
+
+    CQL surface: MIN; no example or benchmark query uses it.
+    """
     return AggregateFunction(f"min[{field}]", lambda payloads: min(p[field] for p in payloads))
 
 
 def max_of(field: int = 0) -> AggregateFunction:
-    """``MAX(field)`` over the given payload position."""
+    """``MAX(field)`` over the given payload position.
+
+    CQL surface: MAX; no example or benchmark query uses it.
+    """
     return AggregateFunction(f"max[{field}]", lambda payloads: max(p[field] for p in payloads))
 
 
 def avg_of(field: int = 0) -> AggregateFunction:
-    """``AVG(field)`` over the given payload position."""
+    """``AVG(field)`` over the given payload position.
+
+    CQL surface: AVG; no example or benchmark query uses it.
+    """
 
     def fold(payloads: Iterable[Payload]) -> float:
         total = 0

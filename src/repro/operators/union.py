@@ -7,8 +7,6 @@ stages output and releases it by watermark like any stateful operator.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..temporal.batch import Batch
 from ..temporal.element import StreamElement
 from . import base
@@ -58,13 +56,3 @@ class Union(StatefulOperator):
     def _on_element(self, element: StreamElement, port: int) -> None:
         self.meter.charge(1, "union")
         self._stage(element)
-
-    def absorb_state(self, port: int, elements: List[StreamElement]) -> None:
-        """Accept (only) an empty seed, for drain/absorb symmetry.
-
-        Union holds no per-port state (the inherited ``state_of_port``
-        drains nothing); the staged merge heap is its only memory, and
-        that travels via ``progress_state``."""
-        self._check_port(port)
-        if elements:
-            raise ValueError(f"{self.name} holds no per-port state to seed")

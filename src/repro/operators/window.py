@@ -61,6 +61,8 @@ class NowWindow(_MappingWindow):
 
     For unit-interval input this is the identity; for longer intervals it
     passes them through unchanged (each instant extended by zero units).
+
+    CQL surface: [NOW]; no example or benchmark query uses it.
     """
 
     def _apply(self, element: StreamElement) -> StreamElement:
@@ -75,6 +77,8 @@ class UnboundedWindow(_MappingWindow):
 
     Corresponds to ``RANGE UNBOUNDED`` in CQL.  Use with care: downstream
     stateful operators will accumulate state for the whole stream life.
+
+    CQL surface: [UNBOUNDED]; no example or benchmark query uses it.
     """
 
     def _apply(self, element: StreamElement) -> StreamElement:
@@ -101,6 +105,8 @@ class CountWindow(Operator):
     an element's validity is only known when its successor arrives, output
     is delayed by ``size`` elements; the terminal heartbeat flushes the tail
     with unbounded validity.
+
+    CQL surface: [ROWS n]; no example or benchmark query uses it.
     """
 
     def __init__(self, size: int, name: str = "") -> None:

@@ -5,7 +5,6 @@ from .optimizer import OptimizationDecision, ReOptimizer
 from .rules import (
     JoinGraph,
     join_orders,
-    pull_up_distinct,
     push_down_distinct,
     push_down_selections,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "OptimizationDecision",
     "ReOptimizer",
     "join_orders",
-    "pull_up_distinct",
     "push_down_distinct",
     "push_down_selections",
 ]

@@ -138,19 +138,6 @@ def _dedup_join_inputs(plan: LogicalPlan) -> LogicalPlan:
     return push_down_distinct(plan)
 
 
-def pull_up_distinct(plan: LogicalPlan) -> LogicalPlan:
-    """Apply ``distinct(l) ⋈ distinct(r) → distinct(l ⋈ r)`` recursively."""
-    children = [pull_up_distinct(child) for child in plan.children]
-    plan = _rebuild(plan, children)
-    if (
-        isinstance(plan, JoinNode)
-        and isinstance(plan.left, DistinctNode)
-        and isinstance(plan.right, DistinctNode)
-    ):
-        return DistinctNode(JoinNode(plan.left.child, plan.right.child, plan.condition))
-    return plan
-
-
 # --------------------------------------------------------------------- #
 # Join reordering
 # --------------------------------------------------------------------- #

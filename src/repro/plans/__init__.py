@@ -26,7 +26,7 @@ from .logical import (
     Source,
     UnionNode,
 )
-from .dot import box_to_dot, plan_to_dot
+from .dot import plan_to_dot
 from .kernels import clear_kernel_cache, kernel_cache_stats
 from .physical import PhysicalBuilder
 
@@ -46,7 +46,6 @@ __all__ = [
     "Not",
     "Or",
     "PhysicalBuilder",
-    "box_to_dot",
     "clear_kernel_cache",
     "kernel_cache_stats",
     "plan_to_dot",

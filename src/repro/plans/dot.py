@@ -1,4 +1,4 @@
-"""Graphviz DOT export for logical plans and physical boxes.
+"""Graphviz DOT export for logical plans.
 
 Pure string generation — no graphviz dependency.  Render with any dot
 tool, e.g. ``dot -Tsvg plan.dot -o plan.svg``.
@@ -13,11 +13,19 @@ the Figure 2 shape is visible at a glance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from ..engine.box import Box
-from ..operators.base import Operator
-from .logical import LogicalPlan, Source
+from .logical import (
+    AggregateNode,
+    DifferenceNode,
+    DistinctNode,
+    JoinNode,
+    LogicalPlan,
+    ProjectNode,
+    SelectNode,
+    Source,
+    UnionNode,
+)
 
 #: Outline colors: red for PT-unsafe (stateful non-join in the subtree),
 #: green for safe stateful operators (joins, the order-restoring union).
@@ -29,10 +37,33 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _shallow_label(node: LogicalPlan) -> str:
+    """One-line label of a node without rendering its whole subtree."""
+    if isinstance(node, Source):
+        return node.name
+    if isinstance(node, SelectNode):
+        return f"select[{node.predicate!r}]"
+    if isinstance(node, ProjectNode):
+        return f"project[{', '.join(node.schema)}]"
+    if isinstance(node, JoinNode):
+        condition = repr(node.condition) if node.condition is not None else "true"
+        return f"join[{condition}]"
+    if isinstance(node, DistinctNode):
+        return "distinct"
+    if isinstance(node, AggregateNode):
+        aggregates = ", ".join(spec.output_name() for spec in node.aggregates)
+        group = f" by {list(node.group_by)}" if node.group_by else ""
+        return f"aggregate[{aggregates}{group}]"
+    if isinstance(node, UnionNode):
+        return "union"
+    if isinstance(node, DifferenceNode):
+        return "difference"
+    return type(node).__name__
+
+
 def plan_to_dot(plan: LogicalPlan, name: str = "plan") -> str:
     """Render a logical plan tree as a DOT digraph (edges flow upward)."""
     from ..analysis.plan_verifier import classify_logical
-    from ..cql.unparse import _shallow_label
 
     lines = [
         f'digraph "{_escape(name)}" {{',
@@ -63,50 +94,5 @@ def plan_to_dot(plan: LogicalPlan, name: str = "plan") -> str:
         return identifier, pt_unsafe
 
     visit(plan)
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def box_to_dot(box: Box, name: str = "") -> str:
-    """Render a physical box: operators, subscriptions, taps and root."""
-    from ..analysis.plan_verifier import classify_operator
-
-    lines = [
-        f'digraph "{_escape(name or box.label or "box")}" {{',
-        "  rankdir=BT;",
-        '  node [shape=box, fontname="Helvetica", fontsize=11];',
-    ]
-    ids: Dict[int, str] = {}
-    for index, operator in enumerate(box.operators):
-        identifier = ids[id(operator)] = f"op{index}"
-        classification, _ = classify_operator(operator)
-        root_style = ' style="bold"' if operator is box.root else ""
-        attrs = [f'tooltip="{_escape(classification.description)}"']
-        if not classification.pt_compatible:
-            attrs.append(f'color="{_UNSAFE_COLOR}"')
-        elif classification.stateful:
-            attrs.append(f'color="{_STATEFUL_COLOR}"')
-        annotations = "".join(f", {attr}" for attr in attrs)
-        lines.append(
-            f'  {identifier} [label="{_escape(operator.name)}"'
-            f"{root_style}{annotations}];"
-        )
-    for source, ports in sorted(box.taps.items()):
-        source_id = f"src_{source}"
-        lines.append(
-            f'  {source_id} [label="{_escape(source)}", shape=ellipse];'
-        )
-        for operator, port in ports:
-            lines.append(
-                f'  {source_id} -> {ids[id(operator)]} '
-                f'[label="port {port}"];'
-            )
-    for operator in box.operators:
-        for downstream, port in operator.subscribers:
-            if id(downstream) in ids:
-                lines.append(
-                    f"  {ids[id(operator)]} -> "
-                    f'{ids[id(downstream)]} [label="port {port}"];'
-                )
     lines.append("}")
     return "\n".join(lines)

@@ -147,7 +147,11 @@ class Comparison(Expression):
 
 
 class Arithmetic(Expression):
-    """A binary arithmetic expression ``left op right``."""
+    """A binary arithmetic expression ``left op right``.
+
+    CQL surface: arithmetic in SELECT and WHERE; no example or benchmark query
+    uses it.
+    """
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
         if op not in _ARITHMETIC:
@@ -198,7 +202,10 @@ class And(Expression):
 
 
 class Or(Expression):
-    """Disjunction of one or more predicates."""
+    """Disjunction of one or more predicates.
+
+    CQL surface: OR in WHERE; no example or benchmark query uses it.
+    """
 
     def __init__(self, *terms: Expression) -> None:
         if not terms:
@@ -223,7 +230,10 @@ class Or(Expression):
 
 
 class Not(Expression):
-    """Negation of a predicate."""
+    """Negation of a predicate.
+
+    CQL surface: NOT in WHERE; no example or benchmark query uses it.
+    """
 
     def __init__(self, term: Expression) -> None:
         self.term = term

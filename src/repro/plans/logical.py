@@ -263,7 +263,10 @@ class AggregateNode(LogicalPlan):
 
 
 class UnionNode(LogicalPlan):
-    """Snapshot bag union (``UNION ALL``); inputs must be union-compatible."""
+    """Snapshot bag union (``UNION ALL``); inputs must be union-compatible.
+
+    CQL has no UNION; the migration cases' union family builds this node.
+    """
 
     def __init__(self, left: LogicalPlan, right: LogicalPlan) -> None:
         if len(left.schema) != len(right.schema):
@@ -286,7 +289,10 @@ class UnionNode(LogicalPlan):
 
 
 class DifferenceNode(LogicalPlan):
-    """Snapshot bag difference; inputs must be union-compatible."""
+    """Snapshot bag difference; inputs must be union-compatible.
+
+    CQL has no EXCEPT; the migration cases' difference family builds this node.
+    """
 
     def __init__(self, left: LogicalPlan, right: LogicalPlan) -> None:
         if len(left.schema) != len(right.schema):
@@ -322,4 +328,8 @@ class Query:
 
     @property
     def global_window(self) -> Time:
+        """The widest window.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit follow-up).
+        """
         return max(self.windows.values())

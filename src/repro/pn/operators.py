@@ -85,10 +85,6 @@ class PNOperator:
     def _on_element(self, element: PNElement, port: int) -> None:
         raise NotImplementedError
 
-    def state_size(self) -> int:
-        """Number of live payloads held (for accounting and tests)."""
-        return 0
-
     def _stage(self, element: PNElement) -> None:
         heapq.heappush(self._heap, (element.timestamp, next(self._sequence), element))
 
@@ -132,7 +128,11 @@ class PNWindow(PNOperator):
 
 
 class PNSelect(PNOperator):
-    """Selection: both signs of a payload pass or are dropped together."""
+    """Selection: both signs of a payload pass or are dropped together.
+
+    Section 4.6's positive-negative twin; the PN example runs only a join and a
+    distinct.
+    """
 
     def __init__(self, predicate: Callable[[Payload], bool], name: str = "") -> None:
         super().__init__(arity=1, name=name or "pn-select")
@@ -144,7 +144,11 @@ class PNSelect(PNOperator):
 
 
 class PNProject(PNOperator):
-    """Projection: map the payload, keep timestamp and sign."""
+    """Projection: map the payload, keep timestamp and sign.
+
+    Section 4.6's positive-negative twin; the PN example runs only a join and a
+    distinct.
+    """
 
     def __init__(self, mapping: Callable[[Payload], Payload], name: str = "") -> None:
         super().__init__(arity=1, name=name or "pn-project")
@@ -220,9 +224,6 @@ class PNJoin(PNOperator):
             for _ in range(multiplicity):
                 self._stage(PNElement(combined, element.timestamp, element.sign))
 
-    def state_size(self) -> int:
-        return sum(sum(side.values()) for side in self._live) + len(self._pending)
-
 
 class PNDistinct(PNOperator):
     """Duplicate elimination: emit a payload's first positive and last negative."""
@@ -248,9 +249,6 @@ class PNDistinct(PNOperator):
             else:
                 self._counts[payload] = count - 1
 
-    def state_size(self) -> int:
-        return sum(self._counts.values())
-
 
 class PNAggregate(PNOperator):
     """Grouped snapshot aggregation in the PN model.
@@ -265,6 +263,9 @@ class PNAggregate(PNOperator):
     a merge buffer drains up to the watermark (single input port, so the
     buffer only reorders same-call staging, but it keeps the operator
     uniform and safe under future multi-port extensions).
+
+    Section 4.6's positive-negative twin; the PN example runs only a join and a
+    distinct.
     """
 
     def __init__(
@@ -310,9 +311,6 @@ class PNAggregate(PNOperator):
             self._current[key] = value
         else:
             del self._current[key]
-
-    def state_size(self) -> int:
-        return sum(len(members) for members in self._groups.values())
 
 
 class PNCollector:

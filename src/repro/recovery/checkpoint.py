@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import List
 
 from ..service import ContinuousQueryService
-from ..service.registry import PAUSED
 from .errors import RecoveryError
 from .snapshot import pack_elements, write_snapshot
 
@@ -35,7 +34,10 @@ FORMAT = "repro-checkpoint"
 #: content-ordered; state re-enters through ``absorb_state`` alone.
 #: 6: query records lost ``shards`` and no executor state has the
 #: ``sharded`` shape — every query restores onto one plain executor.
-FORMAT_VERSION = 6
+#: 7: a union's operator record carries ``ports: None`` instead of two
+#: empty drains — the union has no ``absorb_state``; its staged merge
+#: travels in ``progress`` alone.
+FORMAT_VERSION = 7
 
 
 class CheckpointManager:
@@ -147,8 +149,3 @@ def validate_snapshot(payload: object) -> dict:
             f"(this build reads {FORMAT_VERSION})"
         )
     return payload
-
-
-def paused_names(payload: dict) -> List[str]:
-    """The queries that were paused at capture time."""
-    return [query["name"] for query in payload["queries"] if query["state"] == PAUSED]

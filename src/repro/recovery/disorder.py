@@ -64,7 +64,11 @@ class DisorderBuffer:
 
     @property
     def pending(self) -> int:
-        """Elements currently buffered, awaiting the frontier."""
+        """Elements currently buffered, awaiting the frontier.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit
+        follow-up).
+        """
         return len(self._heap)
 
     # ------------------------------------------------------------------ #
@@ -93,7 +97,11 @@ class DisorderBuffer:
         self._drain()
 
     def advance(self, t: Time) -> None:
-        """Accept a transport promise: no future arrival starts before ``t``."""
+        """Accept a transport promise: no future arrival starts before ``t``.
+
+        A transport's punctuation raises the frontier through it; the example's
+        feed has none.
+        """
         if t > self._promise:
             self._promise = t
             self._drain()

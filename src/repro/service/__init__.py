@@ -102,14 +102,22 @@ class ContinuousQueryService:
         return handle
 
     def pause(self, name: str) -> RegisteredQuery:
+        """Stop delivering elements to ``name``; the hub keeps heartbeating it.
+
+        Public query lifecycle; ``recovery.restore`` re-pauses restored
+        queries through it.
+        """
         return self.registry.pause(name)
 
     def resume(self, name: str) -> RegisteredQuery:
+        """Deliver to ``name`` again; public query lifecycle."""
         return self.registry.resume(name)
 
     def deregister(self, name: str) -> RegisteredQuery:
-        """Drain and remove a query; its handle stays readable."""
-        handle = self.registry.get(name)
+        """Drain and remove a query; its handle stays readable.
+
+        Public query lifecycle.
+        """
         handle = self.registry.deregister(name)
         self.controller.release(handle)
         return handle
@@ -122,14 +130,6 @@ class ContinuousQueryService:
         """Publish one timestamped tuple to every subscribed query."""
         return self.hub.publish(source, payload, at)
 
-    def push(self, source: str, item: StreamElement) -> int:
-        """Publish one ready-made stream element."""
-        return self.hub.push(source, item)
-
-    def advance(self, t: Time) -> None:
-        """Heartbeat: promise no source delivers before ``t``."""
-        self.hub.advance(t)
-
     def finish(self) -> None:
         """Drain all queries and complete in-flight migrations."""
         self.hub.finish()
@@ -138,15 +138,8 @@ class ContinuousQueryService:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def query(self, name: str) -> RegisteredQuery:
-        return self.registry.get(name)
-
     def names(self) -> List[str]:
         return self.registry.names()
-
-    def events(self, name: str) -> QueryEventLog:
-        """The decision/migration audit log of one query."""
-        return self.registry.get(name).events
 
     def results(self, name: str) -> List[StreamElement]:
         return self.registry.get(name).results

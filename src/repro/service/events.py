@@ -70,7 +70,11 @@ class DecisionEvent:
         raise KeyError(key)
 
     def to_dict(self) -> Dict[str, object]:
-        """Flat JSON-serialisable view."""
+        """Flat JSON-serialisable view.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit
+        follow-up).
+        """
         entry: Dict[str, object] = {
             "at": self.at,
             "query": self.query,
@@ -101,7 +105,11 @@ class QueryEventLog:
         return event
 
     def kinds(self) -> List[str]:
-        """The sequence of event kinds, in recording order."""
+        """The sequence of event kinds, in recording order.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit
+        follow-up).
+        """
         return [event.kind for event in self.events]
 
     def of_kind(self, kind: str) -> List[DecisionEvent]:

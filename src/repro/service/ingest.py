@@ -13,7 +13,7 @@ ever deliver before ``t``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 from ..recovery.errors import RecoveryError
 from ..temporal.batch import Batch
@@ -59,11 +59,6 @@ class IngestHub:
         self.offsets[source] = self.offsets.get(source, 0) + 1
         self._progress()
         return consumers
-
-    def publish_batch(self, source: str, payloads: Iterable[object], at: Time) -> int:
-        """Publish several tuples sharing one timestamp as a single batch."""
-        elements = [element(payload, at, at + 1) for payload in payloads]
-        return self.push_batch(source, Batch(elements, source=source))
 
     def push_batch(self, source: str, batch: Batch) -> int:
         """Fan an ordered run of one source's elements out in one turn.

@@ -24,7 +24,7 @@ resume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..cql.translate import Catalog, compile_query
 from ..engine.executor import QueryExecutor
@@ -77,11 +77,6 @@ class RegisteredQuery:
     @property
     def active(self) -> bool:
         return self.state == ACTIVE
-
-    @property
-    def sources(self) -> Tuple[str, ...]:
-        """The input streams this query consumes."""
-        return tuple(self.query.windows)
 
     @property
     def results(self) -> List[StreamElement]:
@@ -173,7 +168,10 @@ class QueryRegistry:
     # ------------------------------------------------------------------ #
 
     def pause(self, name: str) -> RegisteredQuery:
-        """Stop delivering elements to ``name`` (heartbeats continue)."""
+        """Stop delivering elements to ``name`` (heartbeats continue).
+
+        Public query lifecycle, behind the facade's method of the same name.
+        """
         handle = self.get(name)
         if handle.state != ACTIVE:
             raise ValueError(f"query {name!r} is {handle.state}, cannot pause")
@@ -181,7 +179,10 @@ class QueryRegistry:
         return handle
 
     def resume(self, name: str) -> RegisteredQuery:
-        """Resume element delivery to a paused query."""
+        """Resume element delivery to a paused query.
+
+        Public query lifecycle, behind the facade's method of the same name.
+        """
         handle = self.get(name)
         if handle.state != PAUSED:
             raise ValueError(f"query {name!r} is {handle.state}, cannot resume")
@@ -193,6 +194,8 @@ class QueryRegistry:
 
         Draining completes any in-flight migration and flushes all operator
         state, so ``handle.results`` is final afterwards.
+
+        Public query lifecycle, behind the facade's method of the same name.
         """
         handle = self.get(name)
         handle.executor.finish()

@@ -1,16 +1,8 @@
 """Stream substrate: physical streams, workload generators, sinks."""
 
 from .sinks import CallbackSink, CollectorSink, LatencySink, RateSink
-from .sources import (
-    bursty_stream,
-    explicit_stream,
-    paper_workload,
-    skewed_arrival,
-    timestamped_stream,
-    uniform_stream,
-    zipf_stream,
-)
-from .stream import PhysicalStream, StreamOrderError, merge_tagged
+from .sources import timestamped_stream, uniform_stream
+from .stream import PhysicalStream, StreamOrderError
 
 __all__ = [
     "CallbackSink",
@@ -19,12 +11,6 @@ __all__ = [
     "PhysicalStream",
     "RateSink",
     "StreamOrderError",
-    "bursty_stream",
-    "explicit_stream",
-    "merge_tagged",
-    "paper_workload",
-    "skewed_arrival",
     "timestamped_stream",
     "uniform_stream",
-    "zipf_stream",
 ]

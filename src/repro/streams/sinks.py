@@ -33,7 +33,11 @@ class CollectorSink:
         """Heartbeats carry no results; nothing to record."""
 
     def as_stream(self, validate: bool = True) -> PhysicalStream:
-        """Return the collected results as a physical stream."""
+        """Return the collected results as a physical stream.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit
+        follow-up).
+        """
         return PhysicalStream(self.elements, name=self.name, validate=validate)
 
     def __len__(self) -> int:
@@ -64,7 +68,11 @@ class RateSink(CollectorSink):
         self.counts[bucket] = self.counts.get(bucket, 0) + 1
 
     def process_batch(self, batch: Batch) -> None:
-        """Count each result as :meth:`process` does (one clock read each)."""
+        """Count each result as :meth:`process` does (one clock read each).
+
+        Batch delivery: the gate hands an in-order run whole to a sink that has
+        this.
+        """
         for element in batch.elements:
             self.process(element)
 
@@ -95,7 +103,11 @@ class LatencySink(CollectorSink):
         self.delays.append(max(0, self._clock() - element.start))
 
     def process_batch(self, batch: Batch) -> None:
-        """Record each result's delay as :meth:`process` does."""
+        """Record each result's delay as :meth:`process` does.
+
+        Batch delivery: the gate hands an in-order run whole to a sink that has
+        this.
+        """
         for element in batch.elements:
             self.process(element)
 
@@ -105,7 +117,11 @@ class LatencySink(CollectorSink):
 
 
 class CallbackSink:
-    """Invokes a user callback per result — handy for streaming examples."""
+    """Invokes a user callback per result — handy for streaming examples.
+
+    No system caller; kept until its unit tests retire (ROADMAP, audit follow-
+    up).
+    """
 
     def __init__(self, callback: Callable[[StreamElement], None], name: str = "callback-sink") -> None:
         self.name = name

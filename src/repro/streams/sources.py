@@ -1,18 +1,17 @@
-"""Workload generators for the paper's experiments and for testing.
+"""Workload generators for the paper's experiments.
 
 The paper's evaluation (Section 5) streams 5000 uniformly distributed random
 integers per input at 100 elements per second, with values in ``[0, 500]``
-for streams A and B and ``[0, 1000]`` for streams C and D.
-:func:`paper_workload` reproduces exactly that setup; the remaining
-generators provide additional distributions for the wider test suite.
+for streams A and B and ``[0, 1000]`` for streams C and D:
+:func:`uniform_stream` draws each such input.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from ..temporal.element import StreamElement, as_payload, element
+from ..temporal.element import element
 from ..temporal.time import CHRONON, Time
 from .stream import PhysicalStream
 
@@ -60,69 +59,6 @@ def uniform_stream(
     return PhysicalStream(elements, name=name, validate=False)
 
 
-def zipf_stream(
-    count: int,
-    universe: int,
-    exponent: float = 1.2,
-    rate: float = 100.0,
-    start: Time = 0,
-    time_scale: int = 1000,
-    seed: int = 0,
-    name: str = "",
-) -> PhysicalStream:
-    """A stream of Zipf-distributed integers in ``[0, universe)``.
-
-    Skewed value distributions exercise duplicate elimination and grouped
-    aggregation more aggressively than uniform data.
-    """
-    if universe <= 0:
-        raise ValueError(f"universe must be positive, got {universe}")
-    rng = random.Random(seed)
-    weights = [1.0 / (rank + 1) ** exponent for rank in range(universe)]
-    values = rng.choices(range(universe), weights=weights, k=count)
-    timestamps = _timestamps(count, rate, start, time_scale)
-    elements = [element(v, t, t + CHRONON) for v, t in zip(values, timestamps)]
-    return PhysicalStream(elements, name=name, validate=False)
-
-
-def bursty_stream(
-    bursts: int,
-    burst_size: int,
-    burst_gap: int,
-    low: int,
-    high: int,
-    start: Time = 0,
-    seed: int = 0,
-    name: str = "",
-) -> PhysicalStream:
-    """A stream arriving in bursts: ``burst_size`` elements share a timestamp.
-
-    Exercises the "finitely many elements per timestamp" assumption and the
-    tie-breaking logic of the global-order scheduler.
-    """
-    rng = random.Random(seed)
-    elements: List[StreamElement] = []
-    t = start
-    for _ in range(bursts):
-        for _ in range(burst_size):
-            elements.append(element(rng.randint(low, high), t, t + CHRONON))
-        t += burst_gap
-    return PhysicalStream(elements, name=name, validate=False)
-
-
-def explicit_stream(
-    items: Sequence[tuple],
-    name: str = "",
-) -> PhysicalStream:
-    """Build a stream from explicit ``(payload, t_S, t_E)`` triples.
-
-    The workhorse for unit tests and for reproducing the paper's Example 1
-    verbatim.
-    """
-    elements = [element(payload, t_s, t_e) for payload, t_s, t_e in items]
-    return PhysicalStream(elements, name=name)
-
-
 def timestamped_stream(
     items: Sequence[tuple],
     name: str = "",
@@ -133,47 +69,3 @@ def timestamped_stream(
     """
     elements = [element(payload, t, t + CHRONON) for payload, t in items]
     return PhysicalStream(elements, name=name)
-
-
-def paper_workload(
-    count: int = 5000,
-    rate: float = 100.0,
-    time_scale: int = 1000,
-    seed: int = 42,
-) -> Dict[str, PhysicalStream]:
-    """The exact 4-stream workload of the paper's Section 5 experiments.
-
-    Four streams A-D, ``count`` uniform random integers each at ``rate``
-    elements per second; A and B draw from ``[0, 500]``, C and D from
-    ``[0, 1000]``.
-
-    Returns:
-        ``{"A": ..., "B": ..., "C": ..., "D": ...}``.
-    """
-    bounds = {"A": (0, 500), "B": (0, 500), "C": (0, 1000), "D": (0, 1000)}
-    return {
-        name: uniform_stream(
-            count,
-            low,
-            high,
-            rate=rate,
-            time_scale=time_scale,
-            seed=seed + offset,
-            name=name,
-        )
-        for offset, (name, (low, high)) in enumerate(bounds.items())
-    }
-
-
-def skewed_arrival(
-    stream: PhysicalStream,
-    skew: Time,
-    name: Optional[str] = None,
-) -> PhysicalStream:
-    """Shift every element of ``stream`` later by ``skew`` time units.
-
-    Models application-time skew between input streams, the parameter that
-    dominates the coalesce operator's memory footprint (Section 4.4).
-    """
-    shifted = [e.with_interval(e.interval.shift(skew)) for e in stream]
-    return PhysicalStream(shifted, name=name if name is not None else stream.name, validate=False)

@@ -9,8 +9,7 @@ suite; the engine itself processes elements one by one in push mode.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from ..temporal.element import StreamElement
 from ..temporal.time import Time
@@ -75,59 +74,3 @@ class PhysicalStream:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"PhysicalStream{label}({len(self._elements)} elements)"
-
-    @property
-    def elements(self) -> Sequence[StreamElement]:
-        """The underlying element sequence (read-only view by convention)."""
-        return self._elements
-
-    def is_ordered(self) -> bool:
-        """Return ``True`` if the stream satisfies the ordering property."""
-        try:
-            self._validate_order()
-        except StreamOrderError:
-            return False
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Combinators
-    # ------------------------------------------------------------------ #
-
-    def merged_with(self, *others: "PhysicalStream") -> "PhysicalStream":
-        """Merge several ordered streams into one ordered stream."""
-        merged = list(
-            heapq.merge(self, *others, key=lambda e: e.start)
-        )
-        return PhysicalStream(merged, name=self.name, validate=False)
-
-
-def merge_tagged(
-    streams: Sequence[Tuple[str, PhysicalStream]],
-) -> Iterator[Tuple[str, StreamElement]]:
-    """Merge named streams into global start-timestamp order.
-
-    Ties are broken by the position of the stream in ``streams`` and then by
-    arrival position, making the global ordering deterministic — the setup
-    used in the paper's experiments ("executed the plans in a single thread
-    according to the global temporal ordering").
-
-    Yields:
-        ``(stream_name, element)`` pairs in global ``t_S`` order.
-    """
-    heap: List[Tuple[Time, int, int, str, StreamElement]] = []
-    iterators = []
-    for index, (name, stream) in enumerate(streams):
-        iterator = iter(stream)
-        iterators.append((name, iterator))
-        first = next(iterator, None)
-        if first is not None:
-            heap.append((first.start, index, 0, name, first))
-    heapq.heapify(heap)
-    sequence = len(streams)
-    while heap:
-        _, index, _, name, element = heapq.heappop(heap)
-        yield name, element
-        following = next(iterators[index][1], None)
-        if following is not None:
-            sequence += 1
-            heapq.heappush(heap, (following.start, index, sequence, name, following))

@@ -40,7 +40,6 @@ from .time import (
     MIN_TIME,
     Time,
     half_before,
-    is_finite,
     validate_time,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "first_duplicate_instant",
     "half_before",
     "has_snapshot_duplicates",
-    "is_finite",
     "negative",
     "positive",
     "snapshot",

@@ -289,6 +289,9 @@ class Batch:
         watermark — promising exactly what the next sub-run's first
         element implies anyway; the final sub-run inherits the batch's
         full trailing watermark.
+
+        No system caller (the operators split runs themselves); kept until its
+        unit tests retire (ROADMAP, audit follow-up).
         """
         if self._uniform:
             yield self

@@ -7,7 +7,7 @@ the paper).  The interval denotes the contiguous set of time instants —
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .time import MAX_TIME, MIN_TIME, Time, validate_time
 
@@ -69,21 +69,12 @@ class TimeInterval:
         """Return ``True`` if time instant ``t`` lies inside the interval."""
         return self.start <= t < self.end
 
-    def overlaps(self, other: "TimeInterval") -> bool:
-        """Return ``True`` if the two intervals share at least one instant."""
-        return self.start < other.end and other.start < self.end
-
-    def is_adjacent_to(self, other: "TimeInterval") -> bool:
-        """Return ``True`` if the intervals touch without overlapping."""
-        return self.end == other.start or other.end == self.start
-
-    def precedes(self, other: "TimeInterval") -> bool:
-        """Return ``True`` if this interval ends before ``other`` starts."""
-        return self.end <= other.start
-
     @property
     def length(self) -> Time:
-        """The number of time units covered by the interval."""
+        """The number of time units covered by the interval.
+
+        Read by :func:`repro.engine.compose.materialize`.
+        """
         return self.end - self.start
 
     @property
@@ -107,35 +98,6 @@ class TimeInterval:
             return TimeInterval(start, end)
         return None
 
-    def merge(self, other: "TimeInterval") -> "TimeInterval":
-        """Return the union of two overlapping or adjacent intervals.
-
-        Raises:
-            ValueError: if the intervals are neither overlapping nor adjacent,
-                since their union would not be a single interval.
-        """
-        if not (self.overlaps(other) or self.is_adjacent_to(other)):
-            raise ValueError(f"cannot merge disjoint intervals {self} and {other}")
-        return TimeInterval(min(self.start, other.start), max(self.end, other.end))
-
-    def split_at(self, t: Time) -> Tuple[Optional["TimeInterval"], Optional["TimeInterval"]]:
-        """Split the interval at time ``t`` into a pair of disjoint parts.
-
-        Returns ``(below, at_or_above)`` where ``below`` covers all instants
-        strictly before ``t`` and ``at_or_above`` the rest.  Either side is
-        ``None`` when empty.  This is the core of the Split operator
-        (Algorithm 2 of the paper).
-        """
-        if t <= self.start:
-            return None, self
-        if t >= self.end:
-            return self, None
-        return TimeInterval(self.start, t), TimeInterval(t, self.end)
-
-    def shift(self, delta: Time) -> "TimeInterval":
-        """Return the interval translated by ``delta`` time units."""
-        return TimeInterval(self.start + delta, self.end + delta)
-
     def extend(self, window: Time) -> "TimeInterval":
         """Return the interval with its end extended by ``window`` units.
 
@@ -145,20 +107,6 @@ class TimeInterval:
         if window < 0:
             raise ValueError(f"window extension must be non-negative, got {window}")
         return TimeInterval(self.start, self.end + window)
-
-    def instants(self) -> Iterator[int]:
-        """Iterate over the integer time instants covered by the interval.
-
-        Only valid for bounded intervals with integer endpoints; used by the
-        snapshot-based reference checker in the tests, never on the hot path.
-        """
-        if self.is_unbounded:
-            raise ValueError("cannot enumerate instants of an unbounded interval")
-        start = int(self.start) if self.start == int(self.start) else int(self.start) + 1
-        t = start
-        while t < self.end:
-            yield t
-            t += 1
 
     def __str__(self) -> str:
         return f"[{self.start}, {self.end})"

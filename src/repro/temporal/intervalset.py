@@ -38,19 +38,6 @@ class IntervalSet:
     def __repr__(self) -> str:
         return f"IntervalSet({', '.join(map(str, self._intervals))})"
 
-    def contains(self, t: Time) -> bool:
-        """Return ``True`` if instant ``t`` is covered."""
-        index = bisect.bisect_right(self._intervals, t, key=lambda iv: iv.start) - 1
-        return index >= 0 and self._intervals[index].contains(t)
-
-    def covered_length(self) -> Time:
-        """Total number of time units covered."""
-        return sum(iv.length for iv in self._intervals)
-
-    def max_end(self) -> Time:
-        """The largest covered end timestamp (0 when empty)."""
-        return max((iv.end for iv in self._intervals), default=0)
-
     def add(self, interval: TimeInterval) -> None:
         """Add ``interval``, merging with any overlapping/adjacent entries."""
         start, end = interval.start, interval.end

@@ -36,23 +36,16 @@ class Multiset:
                 raise TypeError(f"multiset members must be tuples, got {type(item).__name__}")
             self._counts[item] += 1
 
-    @classmethod
-    def from_counts(cls, counts: Dict[Payload, int]) -> "Multiset":
-        """Build a multiset from an explicit ``{payload: multiplicity}`` map."""
-        result = cls()
-        for item, count in counts.items():
-            if count < 0:
-                raise ValueError(f"negative multiplicity {count} for {item}")
-            if count:
-                result._counts[item] = count
-        return result
-
     # ------------------------------------------------------------------ #
     # Container protocol
     # ------------------------------------------------------------------ #
 
     def multiplicity(self, item: Payload) -> int:
-        """Return how many copies of ``item`` the bag holds."""
+        """Return how many copies of ``item`` the bag holds.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit
+        follow-up).
+        """
         return self._counts.get(item, 0)
 
     def __contains__(self, item: Payload) -> bool:
@@ -90,19 +83,31 @@ class Multiset:
     # ------------------------------------------------------------------ #
 
     def union(self, other: "Multiset") -> "Multiset":
-        """Bag union: multiplicities add (``UNION ALL``)."""
+        """Bag union: multiplicities add (``UNION ALL``).
+
+        Oracle specification: ``RelationalOracle.snapshot_of`` evaluates
+        UnionNode with it.
+        """
         result = Multiset()
         result._counts = self._counts + other._counts
         return result
 
     def difference(self, other: "Multiset") -> "Multiset":
-        """Bag difference: multiplicities subtract, clamped at zero."""
+        """Bag difference: multiplicities subtract, clamped at zero.
+
+        Oracle specification: ``RelationalOracle.snapshot_of`` evaluates
+        DifferenceNode with it.
+        """
         result = Multiset()
         result._counts = self._counts - other._counts
         return result
 
     def select(self, predicate: Callable[[Payload], bool]) -> "Multiset":
-        """Bag selection sigma."""
+        """Bag selection sigma.
+
+        Oracle specification: ``RelationalOracle.snapshot_of`` evaluates
+        SelectNode with it.
+        """
         result = Multiset()
         for item, count in self._counts.items():
             if predicate(item):
@@ -110,7 +115,11 @@ class Multiset:
         return result
 
     def project(self, mapping: Callable[[Payload], Payload]) -> "Multiset":
-        """Duplicate-preserving projection pi."""
+        """Duplicate-preserving projection pi.
+
+        Oracle specification: ``RelationalOracle.snapshot_of`` evaluates
+        ProjectNode with it.
+        """
         result = Multiset()
         for item, count in self._counts.items():
             result._counts[mapping(item)] += count
@@ -143,7 +152,11 @@ class Multiset:
     def group_by(
         self, key: Callable[[Payload], Payload]
     ) -> Dict[Payload, "Multiset"]:
-        """Partition the bag into groups keyed by ``key``."""
+        """Partition the bag into groups keyed by ``key``.
+
+        Oracle specification: ``RelationalOracle.snapshot_of`` groups
+        AggregateNode input with it.
+        """
         groups: Dict[Payload, Multiset] = {}
         for item, count in self._counts.items():
             group = groups.setdefault(key(item), Multiset())
@@ -151,6 +164,10 @@ class Multiset:
         return groups
 
     def aggregate(self, function: Callable[[Iterable[Payload]], Any]) -> Tuple[Any, ...]:
-        """Apply an aggregate function over the whole bag, returning a tuple."""
+        """Apply an aggregate function over the whole bag, returning a tuple.
+
+        No system caller; kept until its unit tests retire (ROADMAP, audit
+        follow-up).
+        """
         value = function(iter(self))
         return value if isinstance(value, tuple) else (value,)

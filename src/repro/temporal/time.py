@@ -62,11 +62,6 @@ def half_before(k: int) -> float:
     return k - 0.5
 
 
-def is_finite(t: Time) -> bool:
-    """Return ``True`` for a timestamp inside the application-time domain."""
-    return MIN_TIME <= t < MAX_TIME
-
-
 def validate_time(t: Time) -> Time:
     """Validate ``t`` as an application timestamp and return it.
 

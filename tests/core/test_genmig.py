@@ -2,10 +2,11 @@
 
 import pytest
 
+from feeds import skewed_arrival
 from helpers import run_query
 from repro.core import GenMig, ShortenedGenMig
 from repro.engine import RoundRobinScheduler
-from repro.streams import skewed_arrival, timestamped_stream
+from repro.streams import timestamped_stream
 from repro.temporal import EPSILON, first_divergence
 from scenarios import (
     aggregate_all_box,

@@ -5,7 +5,7 @@ import pytest
 from helpers import run_query
 from repro.core import GenMig, ParallelTrack, UnsupportedPlanError
 from repro.engine.box import Box
-from repro.operators import theta_join
+from repro.operators import NestedLoopsJoin
 from repro.temporal.element import NEW
 from repro.streams import timestamped_stream
 from repro.temporal import (
@@ -125,8 +125,8 @@ def _theta_box(order):
     def same_key(left, right):
         return left[0] == right[0]
 
-    lower = theta_join(same_key, name="lower")
-    upper = theta_join(same_key, name="upper")
+    lower = NestedLoopsJoin(same_key, name="lower")
+    upper = NestedLoopsJoin(same_key, name="upper")
     if order == "left-deep":
         lower.subscribe(upper, 0)
         taps = {"A": [(lower, 0)], "B": [(lower, 1)], "C": [(upper, 1)]}

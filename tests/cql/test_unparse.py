@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cql import Catalog, compile_query, explain, parse, unparse
+from repro.cql import parse, unparse
 from repro.cql.unparse import unparse_expression
 
 
@@ -43,39 +43,3 @@ class TestUnparse:
     def test_expression_unparse_standalone(self):
         statement = parse("SELECT a + b * 2 FROM s [RANGE 1]")
         assert unparse_expression(statement.items[0].expression) == "a + b * 2"
-
-
-class TestExplain:
-    @pytest.fixture
-    def catalog(self):
-        return Catalog({"bids": ("item", "price"), "sales": ("item", "amount")})
-
-    def test_explain_renders_plan_and_windows(self, catalog):
-        query = compile_query(
-            "SELECT b.item, COUNT(*) AS n FROM bids [RANGE 500] b, "
-            "sales [RANGE 900] s WHERE b.item = s.item GROUP BY b.item",
-            catalog,
-        )
-        text = explain(query)
-        assert "b: RANGE 500" in text
-        assert "s: RANGE 900" in text
-        assert "join[(b.item = s.item)]" in text
-        assert "aggregate[count(*) by ['b.item']]" in text
-        assert "rate=" in text and "cost=" in text
-
-    def test_explain_uses_live_statistics(self, catalog):
-        from repro.engine import StatisticsCatalog
-
-        query = compile_query(
-            "SELECT * FROM bids [RANGE 500] b, sales [RANGE 500] s "
-            "WHERE b.item = s.item",
-            catalog,
-        )
-        stats = StatisticsCatalog()
-        for t in range(0, 5000, 10):
-            stats.rate_of("b").observe(t)
-            stats.rate_of("s").observe(t)
-        with_stats = explain(query, statistics=stats)
-        without = explain(query)
-        assert with_stats != without
-        assert "rate=0.0000" not in with_stats.splitlines()[-1]

@@ -10,11 +10,14 @@ Three pillars:
 * :data:`BATCH_BUILDERS` — the two ways of building the same
   :class:`~repro.temporal.batch.Batch`, for suites that must hold for
   either view a run arrives in.
+
+Below them sit the interval, interval-set, multiset and time helpers that
+only tests use (the engine reads interval bounds directly).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import Box, MetricsRecorder, QueryExecutor
 from repro.engine.box import Router
@@ -30,7 +33,17 @@ from repro.operators import (
 )
 from repro.operators.base import StatelessOperator
 from repro.streams import CollectorSink, PhysicalStream
-from repro.temporal import Batch, StreamElement, Time
+from repro.temporal import (
+    MAX_TIME,
+    MIN_TIME,
+    Batch,
+    IntervalSet,
+    Multiset,
+    Payload,
+    StreamElement,
+    Time,
+    TimeInterval,
+)
 
 
 def columnar(
@@ -117,3 +130,85 @@ def probe_instants(*streams: Sequence[StreamElement]) -> List[Time]:
     from repro.temporal import critical_instants
 
     return critical_instants(*streams)
+
+
+# ---------------------------------------------------------------------- #
+# Interval, interval-set, multiset and time helpers
+# ---------------------------------------------------------------------- #
+
+
+def overlaps(a: TimeInterval, b: TimeInterval) -> bool:
+    """Whether the two intervals share at least one instant."""
+    return a.start < b.end and b.start < a.end
+
+
+def is_adjacent(a: TimeInterval, b: TimeInterval) -> bool:
+    """Whether the intervals touch without overlapping."""
+    return a.end == b.start or b.end == a.start
+
+
+def precedes(a: TimeInterval, b: TimeInterval) -> bool:
+    """Whether ``a`` ends before ``b`` starts."""
+    return a.end <= b.start
+
+
+def merge(a: TimeInterval, b: TimeInterval) -> TimeInterval:
+    """The union of two overlapping or adjacent intervals."""
+    if not (overlaps(a, b) or is_adjacent(a, b)):
+        raise ValueError(f"cannot merge disjoint intervals {a} and {b}")
+    return TimeInterval(min(a.start, b.start), max(a.end, b.end))
+
+
+def split_at(
+    interval: TimeInterval, t: Time
+) -> Tuple[Optional[TimeInterval], Optional[TimeInterval]]:
+    """``(below, at_or_above)`` parts of ``interval`` around ``t``; ``None`` when empty."""
+    if t <= interval.start:
+        return None, interval
+    if t >= interval.end:
+        return interval, None
+    return TimeInterval(interval.start, t), TimeInterval(t, interval.end)
+
+
+def shift(interval: TimeInterval, delta: Time) -> TimeInterval:
+    """``interval`` translated by ``delta`` time units."""
+    return TimeInterval(interval.start + delta, interval.end + delta)
+
+
+def instants(interval: TimeInterval) -> Iterator[int]:
+    """The integer instants a bounded interval covers."""
+    if interval.is_unbounded:
+        raise ValueError("cannot enumerate instants of an unbounded interval")
+    start = interval.start
+    t = int(start) if start == int(start) else int(start) + 1
+    while t < interval.end:
+        yield t
+        t += 1
+
+
+def covers(intervals: IntervalSet, t: Time) -> bool:
+    """Whether instant ``t`` lies in one of the set's intervals."""
+    return any(iv.contains(t) for iv in intervals)
+
+
+def covered_length(intervals: IntervalSet) -> Time:
+    """Total number of time units the set covers."""
+    return sum(iv.length for iv in intervals)
+
+
+def max_end(intervals: IntervalSet) -> Time:
+    """The largest covered end timestamp (0 when empty)."""
+    return max((iv.end for iv in intervals), default=0)
+
+
+def multiset_from_counts(counts: Dict[Payload, int]) -> Multiset:
+    """A multiset from an explicit ``{payload: multiplicity}`` map."""
+    for item, count in counts.items():
+        if count < 0:
+            raise ValueError(f"negative multiplicity {count} for {item}")
+    return Multiset(item for item, count in counts.items() for _ in range(count))
+
+
+def is_finite(t: Time) -> bool:
+    """Whether ``t`` is an ordinary timestamp (not the ``MAX_TIME`` sentinel)."""
+    return MIN_TIME <= t < MAX_TIME

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feeds import bursty_stream
 from helpers import run_query
 from repro.core import GenMig
 from repro.core.split import Split
 from repro.engine import Box, QueryExecutor
 from repro.operators import DuplicateElimination, Select, equi_join
-from repro.streams import CollectorSink, bursty_stream, timestamped_stream
+from repro.streams import CollectorSink, timestamped_stream
 from repro.temporal import EPSILON, element, first_divergence, snapshot_equivalent
 from scenarios import (
     distinct_over_join_box,

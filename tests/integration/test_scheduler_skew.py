@@ -7,10 +7,10 @@ input's application time runs structurally behind another's.
 
 import pytest
 
+from feeds import skewed_arrival
 from helpers import run_query
 from repro.core import GenMig, ShortenedGenMig
 from repro.engine import RoundRobinScheduler
-from repro.streams import skewed_arrival
 from repro.temporal import first_divergence
 from scenarios import (
     distinct_over_join_box,

@@ -9,7 +9,6 @@ from repro.analysis.oracle import RelationalOracle
 from repro.optimizer import (
     JoinGraph,
     join_orders,
-    pull_up_distinct,
     push_down_distinct,
     push_down_selections,
 )
@@ -119,10 +118,6 @@ class TestDistinctPushdown:
     def test_double_distinct_collapsed(self):
         plan = DistinctNode(DistinctNode(A))
         assert push_down_distinct(plan).signature() == "distinct(A)"
-
-    def test_pull_up_inverts_pushdown(self):
-        plan = DistinctNode(JoinNode(A, B, Comparison("=", Field("A.x"), Field("B.y"))))
-        assert pull_up_distinct(push_down_distinct(plan)) == plan
 
 
 class TestJoinGraph:

@@ -1,13 +1,11 @@
-"""Tests for DOT export of plans and boxes."""
+"""Tests for DOT export of logical plans."""
 
 from repro.plans import (
     Comparison,
     DistinctNode,
     Field,
     JoinNode,
-    PhysicalBuilder,
     Source,
-    box_to_dot,
     plan_to_dot,
 )
 
@@ -34,18 +32,15 @@ class TestPlanToDot:
         dot = plan_to_dot(node)
         assert '\\"' in dot
 
+    def test_labels_name_join_condition_and_aggregate(self):
+        from repro.cql import Catalog, compile_query
 
-class TestBoxToDot:
-    def test_contains_taps_operators_and_subscriptions(self):
-        box = PhysicalBuilder().build(plan())
-        dot = box_to_dot(box)
-        assert "src_A" in dot and "src_B" in dot
-        assert "distinct" in dot
-        assert "port 0" in dot and "port 1" in dot
-        # Root is highlighted.
-        assert 'style="bold"' in dot
-
-    def test_valid_for_bare_source_box(self):
-        box = PhysicalBuilder().build(A)
-        dot = box_to_dot(box)
-        assert "src_A" in dot
+        catalog = Catalog({"bids": ("item", "price"), "sales": ("item", "amount")})
+        query = compile_query(
+            "SELECT b.item, COUNT(*) AS n FROM bids [RANGE 500] b, "
+            "sales [RANGE 900] s WHERE b.item = s.item GROUP BY b.item",
+            catalog,
+        )
+        dot = plan_to_dot(query.plan)
+        assert "join[(b.item = s.item)]" in dot
+        assert "aggregate[count(*) by ['b.item']]" in dot

@@ -13,7 +13,9 @@ no migration state left behind).
 
 A failing seed is shrunk and filed under ``tests/corpus/``; every corpus
 file is replayed here as its own test, and so is every model-checker
-preset, a case in the same format.
+preset, a case in the same format.  A corpus case that sets
+``expect_violation`` is a counter-example (a strategy forced onto a plan
+the verifier refuses) and must keep failing.
 """
 
 import itertools
@@ -41,8 +43,14 @@ def test_generated_case(seed):
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda path: path.stem)
 def test_corpus_case(path):
+    """A filed case keeps its verdict: clean, or — a counter-example that
+    expects its violation — the oracle divergence it was filed for."""
     case = json.loads(path.read_text())["case"]
-    assert check_case(case) is None
+    failure = check_case(case)
+    if case.get("expect_violation"):
+        assert failure is not None and failure.startswith("MCK001"), failure
+    else:
+        assert failure is None
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -10,6 +10,7 @@ import pytest
 
 from repro import Catalog
 from repro.core import GenMig
+from repro.plans import Query, Source, UnionNode
 from repro.recovery import (
     CheckpointManager,
     RecoveryError,
@@ -17,7 +18,7 @@ from repro.recovery import (
     replay_tail,
     restore_service,
 )
-from repro.recovery.checkpoint import paused_names, validate_snapshot
+from repro.recovery.checkpoint import validate_snapshot
 from repro.service import ContinuousQueryService
 from repro.service.controller import ControllerPolicy
 from repro.service.registry import PAUSED
@@ -126,13 +127,41 @@ class TestKillAndRecover:
         victim = make_service(("q", JOIN_CQL), ("idle", SELECT_CQL))
         victim.pause("idle")
         path = snapshot_of(victim, feed, 100, tmp_path)
-        assert paused_names(read_snapshot(path)) == ["idle"]
+        queries = read_snapshot(path)["queries"]
+        assert [q["name"] for q in queries if q["state"] == PAUSED] == ["idle"]
 
         restored = restore_service(path, policy=quiet_policy())
         assert restored.registry.get("idle").state == PAUSED
         replay_tail(restored, feed)
         restored.finish()
         assert_same_observable_state(restored, baseline, ["q", "idle"])
+
+    def test_union_query_restores_without_port_state(self, tmp_path):
+        """A union holds nothing per port: its record carries ``ports:
+        None``, its staged merge travels in ``progress``, and the restored
+        run matches the uninterrupted one."""
+
+        def union_query():
+            return Query(
+                UnionNode(Source("bids", ["item", "price"]), Source("asks", ["item", "price"])),
+                {"bids": 50, "asks": 50},
+            )
+
+        feed = make_feed()
+        baseline = make_service()
+        baseline.register("u", union_query())
+        run_to_end(baseline, feed)
+        victim = make_service()
+        victim.register("u", union_query())
+        path = snapshot_of(victim, feed, 101, tmp_path)
+        records = read_snapshot(path)["queries"][0]["executor"]["operators"]
+        assert [r["ports"] for r in records if r["type"] == "Union"] == [None]
+
+        restored = restore_service(path, queries={"u": union_query()}, policy=quiet_policy())
+        replay_tail(restored, feed)
+        restored.finish()
+        assert_same_observable_state(restored, baseline, ["u"])
+        assert restored.registry.get("u").results
 
     def test_checkpoint_then_continue_without_crash(self, tmp_path):
         """Capturing is read-only: the checkpointed service itself keeps
@@ -261,7 +290,7 @@ class TestRestoreGuards:
         ``columnar`` switch is refused by version, with the typed error,
         instead of failing in the ``PhysicalBuilder`` constructor."""
         payload = CheckpointManager(make_service(("q", JOIN_CQL))).capture()
-        assert payload["version"] == 6
+        assert payload["version"] == 7
         assert "columnar" not in payload["builder"]
         payload["version"] = 2
         payload["builder"]["columnar"] = True

@@ -4,7 +4,13 @@ import pytest
 
 from repro.cql import Catalog
 from repro.service import IngestHub, QueryRegistry
-from repro.temporal import element
+from repro.temporal import Batch, element
+
+
+def publish_batch(hub, source, payloads, at):
+    """Publish several tuples sharing timestamp ``at`` as one batch."""
+    elements = [element(payload, at, at + 1) for payload in payloads]
+    return hub.push_batch(source, Batch(elements, source=source))
 
 
 @pytest.fixture
@@ -104,8 +110,8 @@ class TestBatchIngest:
             hub = IngestHub(registry)
             handle = registry.register("q1", BIDS_ALL)
             if batched:
-                hub.publish_batch("bids", [("pen", 1), ("mug", 2)], 0)
-                hub.publish_batch("bids", [("hat", 3)], 7)
+                publish_batch(hub, "bids", [("pen", 1), ("mug", 2)], 0)
+                publish_batch(hub, "bids", [("hat", 3)], 7)
             else:
                 hub.publish("bids", ("pen", 1), 0)
                 hub.publish("bids", ("mug", 2), 0)
@@ -119,7 +125,7 @@ class TestBatchIngest:
     def test_publish_batch_counts_deliveries_and_published(self, registry, hub):
         registry.register("q1", BIDS_ALL)
         registry.register("q2", BIDS_ALL)
-        assert hub.publish_batch("bids", [("pen", 1), ("mug", 2)], 0) == 4
+        assert publish_batch(hub, "bids", [("pen", 1), ("mug", 2)], 0) == 4
         assert hub.published == 2
         assert hub.clock == 0
 
@@ -139,9 +145,9 @@ class TestBatchIngest:
     def test_paused_query_is_heartbeat_only_per_batch(self, registry, hub):
         handle = registry.register("q1", BIDS_ALL)
         registry.pause("q1")
-        hub.publish_batch("bids", [("pen", 1), ("mug", 2)], 10)
+        publish_batch(hub, "bids", [("pen", 1), ("mug", 2)], 10)
         registry.resume("q1")
-        hub.publish_batch("bids", [("hat", 3)], 20)
+        publish_batch(hub, "bids", [("hat", 3)], 20)
         hub.finish()
         assert [e.payload for e in handle.results] == [("hat", 3)]
         assert handle.executor.clock >= 20
@@ -150,13 +156,13 @@ class TestBatchIngest:
         registry.register("q1", BIDS_ALL)
         hub.publish("bids", ("pen", 1), 100)
         with pytest.raises(ValueError, match="globally ordered"):
-            hub.publish_batch("sales", [("pen", 3)], 99)
+            publish_batch(hub, "sales", [("pen", 3)], 99)
 
     def test_progress_fires_once_per_batch(self, registry, hub):
         registry.register("q1", BIDS_ALL)
         seen = []
         hub.on_progress = seen.append
-        hub.publish_batch("bids", [("pen", 1), ("mug", 2), ("hat", 3)], 5)
+        publish_batch(hub, "bids", [("pen", 1), ("mug", 2), ("hat", 3)], 5)
         assert seen == [5]
 
 

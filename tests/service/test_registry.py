@@ -26,7 +26,7 @@ class TestRegister:
         handle = registry.register("expensive", CQL)
         assert handle.name == "expensive"
         assert handle.state == ACTIVE
-        assert handle.sources == ("bids",)
+        assert list(handle.query.windows) == ["bids"]
         assert "expensive" in registry
         assert registry.names() == ["expensive"]
 

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.streams import (
+from feeds import (
     bursty_stream,
     explicit_stream,
     paper_workload,
     skewed_arrival,
-    timestamped_stream,
-    uniform_stream,
     zipf_stream,
 )
+from repro.streams import timestamped_stream, uniform_stream
 
 
 class TestUniformStream:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.streams import PhysicalStream, StreamOrderError, merge_tagged
+from feeds import is_ordered, merge_tagged, merged_with
+from repro.streams import PhysicalStream, StreamOrderError
 from repro.temporal import element
 
 
@@ -18,14 +19,14 @@ class TestOrdering:
         stream = PhysicalStream(
             [element("a", 3, 5), element("b", 1, 5)], validate=False
         )
-        assert not stream.is_ordered()
+        assert not is_ordered(stream)
 
     def test_is_ordered(self):
-        assert PhysicalStream([element("a", 0, 5)]).is_ordered()
+        assert is_ordered(PhysicalStream([element("a", 0, 5)]))
 
     def test_equal_start_timestamps_allowed(self):
         stream = PhysicalStream([element("a", 2, 5), element("b", 2, 7)])
-        assert stream.is_ordered()
+        assert is_ordered(stream)
 
 
 class TestSequenceProtocol:
@@ -51,7 +52,7 @@ class TestMerging:
     def test_merged_with_preserves_order(self):
         a = PhysicalStream([element("a", 0, 5), element("a", 6, 9)])
         b = PhysicalStream([element("b", 3, 8)])
-        merged = a.merged_with(b)
+        merged = merged_with(a, b)
         starts = [e.start for e in merged]
         assert starts == sorted(starts)
         assert len(merged) == 3

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import is_finite
 from repro.temporal.time import (
     CHRONON,
     EPSILON,
     MAX_TIME,
     MIN_TIME,
     half_before,
-    is_finite,
     validate_time,
 )
 
